@@ -2,7 +2,8 @@
 
 ``wright2csp translate in.wrt out.fdr2`` writes the FDR file;
 ``wright2csp check in.wrt`` additionally discharges every generated assertion
-in-process and prints one PASS/FAIL line per assertion;
+in-process and prints one PASS/FAIL line per assertion (UNKNOWN, with the
+reason, for one the engine could not decide, such as one over the state cap);
 ``wright2csp lint in.wrt`` runs the static checks only.
 
 For compatibility with the historical positional form,
@@ -17,7 +18,7 @@ import sys
 import tempfile
 
 from . import alphabets, analyzer, codegen
-from .engine import DEFAULT_MAX_STATES, TICK, EngineError, discharge_assertions
+from .engine import DEFAULT_MAX_STATES, TICK, EngineError, check_assertion
 from .parser import ParseError, parse_source
 
 
@@ -89,12 +90,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.outfile:
         _write_atomic(args.outfile, plan.text)
     failed = 0
-    try:
-        results = discharge_assertions(plan.assertions, plan.definitions, args.max_states)
-    except EngineError as exc:
-        _eprint(f"{args.infile}: {exc}")
-        return 1
-    for label, verdict in results:
+    for assertion in plan.assertions:
+        label = assertion.label
+        try:
+            verdict = check_assertion(
+                assertion.spec_term,
+                assertion.impl_term,
+                plan.definitions,
+                assertion.alphabet,
+                args.max_states,
+            )
+        except EngineError as exc:
+            # this assertion stays undecided; the others still get their verdicts
+            _eprint(f"{args.infile}: {label}: {exc}")
+            print(f"UNKNOWN  {label}  ({exc})")
+            failed += 1
+            continue
         if verdict.holds:
             print(f"PASS  {label}")
         else:

@@ -2,10 +2,15 @@
 
 Process terms (prefix, choices, synchronized parallel, renaming, hiding,
 STOP/SKIP, named references) compile to finite labelled transition systems by
-explicit-state exploration.  A subset construction over tau-closures turns an
-LTS into a normalized failures-divergences machine, and refinement is decided
-by exploring the product of the normalized specification with the raw
-implementation.
+explicit-state exploration.  Sequential terms (prefix, both choices,
+references, STOP/SKIP) are stepped as terms; parallel, renaming and hiding
+are composed as products over integer states of their operands, in the style
+of FDR3's supercombinators.  The LTS is the one a breadth-first search with
+whole terms as states would build, state numbering included.  An operator
+directly under an external choice is not supported (codegen never emits one).
+A subset construction over tau-closures turns an LTS into a normalized
+failures-divergences machine, and refinement is decided by exploring the
+product of the normalized specification with the raw implementation.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
@@ -84,9 +89,10 @@ class PExtN(Proc):
     branches: tuple[Proc, ...]
 
 
-def PExt(left: Proc, right: Proc) -> Proc:
+def PExt(*operands: Proc) -> Proc:
+    """External choice of the operands, flattened into one canonical PExtN."""
     branches: set[Proc] = set()
-    for operand in (left, right):
+    for operand in operands:
         if isinstance(operand, PExtN):
             branches.update(operand.branches)
         else:
@@ -94,18 +100,6 @@ def PExt(left: Proc, right: Proc) -> Proc:
     if len(branches) == 1:
         return next(iter(branches))
     return PExtN(tuple(sorted(branches, key=repr)))
-
-
-def _ext_of(branches: Iterable[Proc]) -> Proc:
-    merged: set[Proc] = set()
-    for b in branches:
-        if isinstance(b, PExtN):
-            merged.update(b.branches)
-        else:
-            merged.add(b)
-    if len(merged) == 1:
-        return next(iter(merged))
-    return PExtN(tuple(sorted(merged, key=repr)))
 
 
 @dataclass(frozen=True)
@@ -167,74 +161,156 @@ class Lts:
             self.labels = frozenset(a for _, a, _ in self.transitions if a not in (TAU, TICK))
 
 
-def _step(term: Proc, env: Mapping[str, Proc], memo: dict) -> tuple[tuple[str, Proc], ...]:
-    """Initial transitions of a term under the standard operational rules."""
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    out: list[tuple[str, Proc]]
+def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
+    """Initial transitions of a sequential term (no operator at its head).
+
+    Successors may be operator terms (a reference to a parallel composition,
+    say); the ``_Process`` that owns the term enters them.
+    """
     if isinstance(term, PStop):
-        out = []
-    elif isinstance(term, PSkip):
-        out = [(TICK, PStop())]
-    elif isinstance(term, PPrefix):
-        out = [(term.event, term.rest)]
-    elif isinstance(term, PRef):
+        return []
+    if isinstance(term, PSkip):
+        return [(TICK, PStop())]
+    if isinstance(term, PPrefix):
+        return [(term.event, term.rest)]
+    if isinstance(term, PRef):
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
-        out = [(TAU, env[term.name])]
-    elif isinstance(term, PInt):
-        out = [(TAU, term.left), (TAU, term.right)]
-    elif isinstance(term, PExtN):
+        return [(TAU, env[term.name])]
+    if isinstance(term, PInt):
+        return [(TAU, term.left), (TAU, term.right)]
+    if isinstance(term, PExtN):
         out = []
         for branch in term.branches:
+            if isinstance(branch, (PPar, PRename, PHide)):
+                raise EngineError(f"operator term directly under external choice: {branch!r}")
             rest = [b for b in term.branches if b is not branch]
-            for a, nxt in _step(branch, env, memo):
+            for a, nxt in _step(branch, env):
                 if a == TAU:
-                    out.append((TAU, _ext_of(rest + [nxt])))
+                    out.append((TAU, PExt(*rest, nxt)))
                 else:
                     out.append((a, nxt))
-    elif isinstance(term, PPar):
-        out = []
-        lsteps = _step(term.left, env, memo)
-        rsteps = _step(term.right, env, memo)
-        for a, nxt in lsteps:
-            if a == TICK or a in term.sync:
-                continue
-            out.append((a, PPar(nxt, term.sync, term.right)))
-        for a, nxt in rsteps:
-            if a == TICK or a in term.sync:
-                continue
-            out.append((a, PPar(term.left, term.sync, nxt)))
-        for a, lnxt in lsteps:
-            if a not in term.sync:
-                continue
-            for b, rnxt in rsteps:
-                if b == a:
-                    out.append((a, PPar(lnxt, term.sync, rnxt)))
+        return out
+    raise TypeError(f"unknown process term {term!r}")
+
+
+# Operator nodes.  Parallel, renaming and hiding never change while a process
+# runs; only their operands move, so compilation works on integer states.  A
+# ``_Process`` numbers the states of whatever term fills one position: it
+# steps sequential terms with ``_step`` and hands operator terms to the node
+# for that operator and parameter, numbering the node's states as its own.
+# Every operand is a ``_Process`` again, so a term's state depends only on the
+# term, however it was reached.  Parents ask each state's transitions once,
+# except that a parallel node revisits operand states, so it alone caches.
+
+
+class _Numbering(dict):
+    """Numbers each key on its first lookup, appending it to ``states``.
+
+    With a ``tag``, ``states`` gets ``(tag, key)``: several numberings share
+    one list.  (An int tag, not the numbering: a reference cycle would keep
+    every node alive until the cyclic collector runs.)
+    """
+
+    def __init__(self, states: list, tag: Optional[int] = None) -> None:
+        super().__init__()
+        self.states, self.tag = states, tag
+
+    def __missing__(self, key) -> int:
+        s = self[key] = len(self.states)
+        self.states.append(key if self.tag is None else (self.tag, key))
+        return s
+
+
+class _Process:
+    """The states of one term position: terms, or states of operator nodes."""
+
+    def __init__(self, env: Mapping[str, Proc]) -> None:
+        self.env = env
+        self.states: list = []  # a term, or (index into operators, node state)
+        self.terms = _Numbering(self.states)
+        self.operators: list = []  # (node, _Numbering of its states)
+        self.index: dict = {}  # (operator, parameter) -> index into operators
+
+    def enter(self, term: Proc) -> int:
+        """The state of ``term`` (every node has ``enter`` and ``succ``)."""
+        if isinstance(term, PPar):
+            key = (PPar, term.sync)
+        elif isinstance(term, PRename):
+            key = (PRename, term.mapping)
+        elif isinstance(term, PHide):
+            key = (PHide, term.hidden)
+        else:
+            return self.terms[term]
+        k = self.index.get(key)
+        if k is None:
+            k = self.index[key] = len(self.operators)
+            if key[0] is PPar:
+                node = _Par(self.env, term.sync)
+            elif key[0] is PRename:
+                node = _Relabel(self.env, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
+            else:
+                node = _Relabel(self.env, dict.fromkeys(term.hidden, TAU))
+            self.operators.append((node, _Numbering(self.states, k)))
+        node, ids = self.operators[k]
+        return ids[node.enter(term)]
+
+    def succ(self, s: int) -> list[tuple[str, int]]:
+        """Transitions of state ``s``."""
+        state = self.states[s]
+        if type(state) is tuple:
+            node, ids = self.operators[state[0]]
+            return [(a, ids[t]) for a, t in node.succ(state[1])]
+        enter = self.enter
+        return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
+
+
+class _Par:
+    """Synchronised parallel with distributed termination over state pairs."""
+
+    def __init__(self, env: Mapping[str, Proc], sync: frozenset[str]) -> None:
+        self.left, self.sync, self.right = _Process(env), sync, _Process(env)
+        self.lsteps: dict[int, list[tuple[str, int]]] = {}
+        self.rsteps: dict[int, list[tuple[str, int]]] = {}
+        self.pairs: list[tuple[int, int]] = []
+        self.index = _Numbering(self.pairs)
+
+    def enter(self, term: PPar) -> int:
+        return self.index[self.left.enter(term.left), self.right.enter(term.right)]
+
+    def succ(self, s: int) -> list[tuple[str, int]]:
+        l, r = self.pairs[s]
+        lsteps = self.lsteps.get(l)
+        if lsteps is None:
+            lsteps = self.lsteps[l] = self.left.succ(l)
+        rsteps = self.rsteps.get(r)
+        if rsteps is None:
+            rsteps = self.rsteps[r] = self.right.succ(r)
+        sync, index = self.sync, self.index
+        out = [(a, index[l2, r]) for a, l2 in lsteps if a != TICK and a not in sync]
+        out += [(a, index[l, r2]) for a, r2 in rsteps if a != TICK and a not in sync]
+        for a, l2 in lsteps:
+            if a in sync:
+                out += [(a, index[l2, r2]) for b, r2 in rsteps if b == a]
         # distributed termination: both operands must succeed together
-        for a, lnxt in lsteps:
-            if a != TICK:
-                continue
-            for b, rnxt in rsteps:
-                if b == TICK:
-                    out.append((TICK, PPar(lnxt, term.sync, rnxt)))
-    elif isinstance(term, PRename):
-        mapping = dict(term.mapping)
-        out = []
-        for a, nxt in _step(term.inner, env, memo):
-            label = a if a in (TAU, TICK) else mapping.get(a, a)
-            out.append((label, PRename(nxt, term.mapping)))
-    elif isinstance(term, PHide):
-        out = []
-        for a, nxt in _step(term.inner, env, memo):
-            label = TAU if a in term.hidden else a
-            out.append((label, PHide(nxt, term.hidden)))
-    else:
-        raise TypeError(f"unknown process term {term!r}")
-    result = tuple(out)
-    memo[term] = result
-    return result
+        for a, l2 in lsteps:
+            if a == TICK:
+                out += [(TICK, index[l2, r2]) for b, r2 in rsteps if b == TICK]
+        return out
+
+
+class _Relabel:
+    """Renaming or hiding: the operand's states, with events relabelled."""
+
+    def __init__(self, env: Mapping[str, Proc], relabel: dict[str, str]) -> None:
+        self.inner, self.relabel = _Process(env), relabel
+
+    def enter(self, term: PRename | PHide) -> int:
+        return self.inner.enter(term.inner)
+
+    def succ(self, s: int) -> list[tuple[str, int]]:
+        get = self.relabel.get
+        return [(get(a, a), t) for a, t in self.inner.succ(s)]
 
 
 def compile_to_lts(
@@ -242,25 +318,27 @@ def compile_to_lts(
     env: Mapping[str, Proc] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Lts:
-    """Explore the reachable state space of ``term``."""
-    env = env or {}
-    memo: dict = {}
-    index: dict[Proc, int] = {term: 0}
+    """Explore the reachable state space of ``term``.
+
+    States are numbered in breadth-first order of discovery, so the LTS is
+    the same as that of a search with whole terms as states.
+    """
+    root = _Process(env or {})
+    root.enter(term)
     transitions: list[tuple[int, str, int]] = []
-    queue: deque[Proc] = deque([term])
-    while queue:
-        cur = queue.popleft()
-        s = index[cur]
-        for label, nxt in _step(cur, env, memo):
-            t = index.get(nxt)
-            if t is None:
-                if len(index) >= max_states:
-                    raise ResourceLimitError(f"state cap {max_states} exceeded")
-                t = len(index)
-                index[nxt] = t
-                queue.append(nxt)
-            transitions.append((s, label, t))
-    return Lts(n_states=len(index), transitions=transitions)
+    adj: list[list[tuple[str, int]]] = []
+    s = 0
+    while s < len(root.states):
+        # Only this loop asks for the root's transitions, once per state in
+        # order, so the root numbers its states breadth-first.
+        out = root.succ(s)
+        adj.append(out)
+        transitions += [(s, a, t) for a, t in out]
+        # the initial state is always admitted, as in a term-level search
+        if len(root.states) > max(max_states, 1):
+            raise ResourceLimitError(f"state cap {max_states} exceeded")
+        s += 1
+    return Lts(n_states=s, transitions=transitions, adj=adj)
 
 
 # --- tau analysis -----------------------------------------------------------

@@ -6,7 +6,9 @@ enumeration, no sharing with the code under test beyond the LTS data type.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from wright2csp.codegen import process_term
@@ -14,9 +16,22 @@ from wright2csp.engine import (
     TAU,
     TICK,
     Lts,
+    PExt,
+    PExtN,
+    PHide,
+    PInt,
+    PPar,
+    PPrefix,
+    PRef,
+    PRename,
+    PSkip,
+    PStop,
     Proc,
+    ResourceLimitError,
+    UnresolvedProcessError,
     compile_to_lts,
     divergent_states,
+    rename,
     tau_closure,
 )
 from wright2csp.model import (
@@ -65,6 +80,53 @@ def random_expr(rng: random.Random, alphabet=("a", "b", "c"), max_ops: int = 6) 
     return expr
 
 
+def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c")):
+    """(term, env): parallel, renaming and hiding nested up to ``depth`` deep.
+
+    Each sequential operand is a random body bound recursively to its own
+    name.  Some operators sit inside sequential terms instead (under a
+    prefix, an internal choice or a reference), and some recurse through an
+    operator, so the state space may be infinite.
+    """
+    env: dict[str, Proc] = {}
+    names = itertools.count()
+
+    def fresh(prefix: str) -> str:
+        return f"{prefix}{next(names)}"
+
+    def events(p: float) -> frozenset[str]:
+        # tick included: the operators must treat it exactly as the reference does
+        return frozenset(e for e in alphabet + (TICK,) if rng.random() < p)
+
+    def leaf() -> Proc:
+        name = fresh("X")
+        env[name] = process_term(random_expr(rng, alphabet, max_ops=4), {SELF: name})
+        return env[name] if rng.random() < 0.5 else PRef(name)
+
+    def build(d: int) -> Proc:
+        if d == 0 or rng.random() < 0.2:
+            return leaf()
+        kind = rng.randrange(6)
+        if kind == 0:
+            return PPar(build(d - 1), events(0.5), build(d - 1))
+        if kind == 1:
+            mapping = {e: rng.choice(alphabet + ("d",)) for e in events(0.5)}
+            return rename(build(d - 1), mapping)
+        if kind == 2:
+            return PHide(build(d - 1), events(0.4))
+        if kind == 3:
+            return PPrefix(rng.choice(alphabet), build(d - 1))
+        if kind == 4:
+            name = fresh("Y")
+            env[name] = build(d - 1)
+            return PInt(PRef(name), build(d - 1))
+        name = fresh("R")
+        env[name] = PPar(PPrefix(rng.choice(alphabet), PRef(name)), events(0.6), build(d - 1))
+        return PRef(name)
+
+    return build(depth), env
+
+
 def expr_lts(expr: ProcessExpr, max_states: int = 50_000) -> Lts:
     """Compile a test expression, binding SELF recursively to the body."""
     term = process_term(expr, {})
@@ -85,6 +147,106 @@ def hide_semantically(lts: Lts, hidden: set[str]) -> Lts:
         (s, TAU if a in hidden else a, t) for s, a, t in lts.transitions
     ]
     return Lts(n_states=lts.n_states, transitions=transitions, initial=lts.initial)
+
+
+# --- term-level state-space exploration -----------------------------------------
+#
+# The engine's original explorer: every state is a whole process term, and
+# parallel, renaming and hiding are stepped by structural rules on the term.
+# compile_to_lts must return exactly the same LTS (state numbering and
+# transition order included).
+
+
+def _reference_step(term: Proc, env, memo: dict) -> tuple[tuple[str, Proc], ...]:
+    """Initial transitions of a term under the standard operational rules."""
+    cached = memo.get(term)
+    if cached is not None:
+        return cached
+    out: list[tuple[str, Proc]]
+    if isinstance(term, PStop):
+        out = []
+    elif isinstance(term, PSkip):
+        out = [(TICK, PStop())]
+    elif isinstance(term, PPrefix):
+        out = [(term.event, term.rest)]
+    elif isinstance(term, PRef):
+        if term.name not in env:
+            raise UnresolvedProcessError(term.name)
+        out = [(TAU, env[term.name])]
+    elif isinstance(term, PInt):
+        out = [(TAU, term.left), (TAU, term.right)]
+    elif isinstance(term, PExtN):
+        out = []
+        for branch in term.branches:
+            rest = [b for b in term.branches if b is not branch]
+            for a, nxt in _reference_step(branch, env, memo):
+                if a == TAU:
+                    out.append((TAU, PExt(*rest, nxt)))
+                else:
+                    out.append((a, nxt))
+    elif isinstance(term, PPar):
+        out = []
+        lsteps = _reference_step(term.left, env, memo)
+        rsteps = _reference_step(term.right, env, memo)
+        for a, nxt in lsteps:
+            if a == TICK or a in term.sync:
+                continue
+            out.append((a, PPar(nxt, term.sync, term.right)))
+        for a, nxt in rsteps:
+            if a == TICK or a in term.sync:
+                continue
+            out.append((a, PPar(term.left, term.sync, nxt)))
+        for a, lnxt in lsteps:
+            if a not in term.sync:
+                continue
+            for b, rnxt in rsteps:
+                if b == a:
+                    out.append((a, PPar(lnxt, term.sync, rnxt)))
+        # distributed termination: both operands must succeed together
+        for a, lnxt in lsteps:
+            if a != TICK:
+                continue
+            for b, rnxt in rsteps:
+                if b == TICK:
+                    out.append((TICK, PPar(lnxt, term.sync, rnxt)))
+    elif isinstance(term, PRename):
+        mapping = dict(term.mapping)
+        out = []
+        for a, nxt in _reference_step(term.inner, env, memo):
+            label = a if a in (TAU, TICK) else mapping.get(a, a)
+            out.append((label, PRename(nxt, term.mapping)))
+    elif isinstance(term, PHide):
+        out = []
+        for a, nxt in _reference_step(term.inner, env, memo):
+            label = TAU if a in term.hidden else a
+            out.append((label, PHide(nxt, term.hidden)))
+    else:
+        raise TypeError(f"unknown process term {term!r}")
+    result = tuple(out)
+    memo[term] = result
+    return result
+
+
+def reference_compile(term: Proc, env=None, max_states: int = 200_000) -> Lts:
+    """Breadth-first exploration with whole terms as states."""
+    env = env or {}
+    memo: dict = {}
+    index: dict[Proc, int] = {term: 0}
+    transitions: list[tuple[int, str, int]] = []
+    queue: deque[Proc] = deque([term])
+    while queue:
+        cur = queue.popleft()
+        s = index[cur]
+        for label, nxt in _reference_step(cur, env, memo):
+            t = index.get(nxt)
+            if t is None:
+                if len(index) >= max_states:
+                    raise ResourceLimitError(f"state cap {max_states} exceeded")
+                t = len(index)
+                index[nxt] = t
+                queue.append(nxt)
+            transitions.append((s, label, t))
+    return Lts(n_states=len(index), transitions=transitions)
 
 
 # --- brute-force failures/divergences -----------------------------------------

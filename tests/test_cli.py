@@ -95,3 +95,15 @@ def test_check_max_states_forwarded(capsys):
     )
     assert code == 1
     assert "cap" in err
+
+
+def test_check_state_cap_leaves_other_verdicts(capsys):
+    code, stdout, err = run(
+        capsys, "check", str(fixture_path("dt3.wrt")), "--max-states", "20"
+    )
+    assert code == 1
+    lines = [l for l in stdout.splitlines() if l.startswith(("PASS", "FAIL", "UNKNOWN"))]
+    assert len(lines) == 7
+    assert lines[4] == "UNKNOWN  assert DFA [FD= CtypeA  (state cap 20 exceeded)"
+    assert all(l.startswith("PASS") for i, l in enumerate(lines) if i != 4)
+    assert "assert DFA [FD= CtypeA: state cap 20 exceeded" in err

@@ -3,11 +3,19 @@ import random
 import pytest
 
 from conftest import emit_plan
-from oracles import brute_refines, enumerate_behaviours, random_lts
+from oracles import (
+    brute_refines,
+    enumerate_behaviours,
+    random_lts,
+    random_operator_term,
+    reference_compile,
+)
 from wright2csp.engine import (
     TAU,
     TICK,
+    DEFAULT_MAX_STATES,
     AlphabetMismatchError,
+    EngineError,
     Lts,
     PExt,
     PHide,
@@ -148,6 +156,75 @@ def test_state_cap_is_enforced():
     env = {"P": PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))}
     with pytest.raises(ResourceLimitError):
         compile_to_lts(PRef("P"), env, max_states=50)
+
+
+FIXTURES_WITH_ASSERTIONS = (
+    "calculformule.wrt", "deadconn.wrt", "double.wrt", "dt1.wrt", "dt2.wrt",
+    "dt3.wrt", "dt4.wrt", "pipeconn.wrt", "rule6.wrt",
+)
+
+
+def _compiled(compile, term, env, max_states=DEFAULT_MAX_STATES):
+    """(n_states, transitions), or the message of a state-cap error."""
+    try:
+        lts = compile(term, env, max_states)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return lts.n_states, lts.transitions
+
+
+def test_compile_matches_term_level_reference_on_fixture_assertions():
+    sides = 0
+    for fixture in FIXTURES_WITH_ASSERTIONS:
+        plan = emit_plan(fixture)
+        for a in plan.assertions:
+            for side in (a.spec_term, a.impl_term):
+                want = _compiled(reference_compile, side, plan.definitions)
+                assert _compiled(compile_to_lts, side, plan.definitions) == want, (fixture, a.label)
+                sides += 1
+    assert sides == 68
+
+
+def test_compile_matches_term_level_reference_on_random_operator_terms():
+    rng = random.Random(23)
+    outcomes = []
+    for i in range(300):
+        term, env = random_operator_term(rng, depth=2 + i % 2)
+        want = _compiled(reference_compile, term, env, 150)
+        assert _compiled(compile_to_lts, term, env, 150) == want, term
+        outcomes.append(want)
+    capped = sum(isinstance(o, str) for o in outcomes)
+    larger = sum(not isinstance(o, str) and o[0] >= 20 for o in outcomes)
+    assert capped >= 20 and larger >= 20, (capped, larger)
+
+
+def test_operator_term_reached_two_ways_is_one_state():
+    # X unfolds inside the first branch to exactly the second branch
+    body = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    env = {"X": body}
+    right = PPrefix("c", PStop())
+    term = PInt(PPar(PRef("X"), frozenset({"c"}), right), PPar(body, frozenset({"c"}), right))
+    lts = compile_to_lts(term, env)
+    assert _compiled(compile_to_lts, term, env) == _compiled(reference_compile, term, env)
+    assert lts.n_states == 6
+
+
+def test_state_cap_raises_exactly_where_the_reference_does():
+    counter = {"P": PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))}
+    dt3 = emit_plan("dt3.wrt")
+    connector = max((a.impl_term for a in dt3.assertions),
+                    key=lambda t: compile_to_lts(t, dt3.definitions).n_states)
+    term, env = random_operator_term(random.Random(5), depth=3)
+    for term, env in ((PStop(), {}), (PRef("P"), counter), (connector, dt3.definitions), (term, env)):
+        for cap in range(-1, 45):
+            assert _compiled(compile_to_lts, term, env, cap) == _compiled(reference_compile, term, env, cap), cap
+
+
+def test_operator_directly_under_external_choice_is_an_error():
+    par = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    with pytest.raises(EngineError, match="external choice") as info:
+        compile_to_lts(PExt(par, PPrefix("c", PStop())))
+    assert repr(par) in str(info.value)
 
 
 def test_augmentation_preserves_traces_when_disjoint():

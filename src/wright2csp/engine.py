@@ -455,12 +455,10 @@ def stable_ready(lts: Lts, state: int) -> Optional[frozenset[str]]:
 class FdModel:
     """Normalized machine: tau-closed subsets with acceptance/divergence info."""
 
-    alphabet: frozenset[str]
     initial: int
     divergent: list[bool]
     acceptances: list[tuple[frozenset[str], ...]]
     transitions: dict[tuple[int, str], int]
-    labels: frozenset[str]
 
     @property
     def node_count(self) -> int:
@@ -566,14 +564,7 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
     while len(divergent) < len(node_index):
         divergent.append(False)
         acceptances.append(())
-    return FdModel(
-        alphabet=lts.labels,
-        initial=0,
-        divergent=divergent,
-        acceptances=acceptances,
-        transitions=transitions,
-        labels=lts.labels,
-    )
+    return FdModel(initial=0, divergent=divergent, acceptances=acceptances, transitions=transitions)
 
 
 # --- refinement -------------------------------------------------------------
@@ -705,37 +696,3 @@ def discharge_assertions(
         verdict = check_assertion(a.spec_term, a.impl_term, env, a.alphabet, max_states)
         out.append((a.label, verdict))
     return out
-
-
-# --- trace enumeration (shared by checks and tests) --------------------------
-
-
-def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ...]]:
-    """All visible traces of length <= depth (tick-terminated ones included)."""
-    memo: dict[tuple[frozenset[int], int], set[tuple[str, ...]]] = {}
-
-    def explore(subset: frozenset[int], remaining: int) -> set[tuple[str, ...]]:
-        key = (subset, remaining)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc: set[tuple[str, ...]] = {()}
-        if remaining > 0:
-            moves: dict[str, set[int]] = {}
-            for s in subset:
-                for a, t in lts.adj[s]:
-                    if a == TAU:
-                        continue
-                    if a == TICK and not include_tick:
-                        continue
-                    moves.setdefault(a, set()).add(t)
-            for a, targets in moves.items():
-                if a == TICK:
-                    acc.add((TICK,))
-                    continue
-                for rest in explore(tau_closure(lts, targets), remaining - 1):
-                    acc.add((a,) + rest)
-        memo[key] = acc
-        return acc
-
-    return explore(tau_closure(lts, [lts.initial]), depth)

@@ -9,21 +9,12 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Union
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
-def is_identifier(text: str) -> bool:
-    """True if text is a legal Wright identifier (letter/underscore start)."""
-    return bool(_IDENT_RE.match(text))
-
-
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """1-based line/column of a construct in the input file."""
 
     line: int = 1
@@ -208,16 +199,6 @@ class EventSet:
         return [e.qualified for e in self]
 
 
-def set_union(a: EventSet, b: EventSet) -> EventSet:
-    """Members of a then b's new members, in order."""
-    return a.union(b)
-
-
-def set_minus(a: EventSet, b: EventSet) -> EventSet:
-    """Members of a not in b, a's order preserved."""
-    return a.minus(b)
-
-
 # A name-to-name relation is an ordered mapping from process names to the
 # (ordered) names they reference; a name-to-events relation maps names to
 # EventSets.  Plain dicts keep things deterministic.
@@ -355,21 +336,6 @@ class Style:
 ArchSpec = Union[Style, Configuration]
 
 
-def spec_types(spec: ArchSpec) -> list[Union[Component, Connector]]:
-    return spec.types
-
-
-def all_declarations(spec: ArchSpec) -> Iterator[Declaration]:
-    """Every port/role/glue/computation declaration, document order."""
-    for t in spec.types:
-        if isinstance(t, Component):
-            yield from t.ports
-            yield t.computation
-        else:
-            yield from t.roles
-            yield t.glue
-
-
 # --- scoping helpers --------------------------------------------------------
 
 
@@ -386,27 +352,3 @@ def scope_event(e: EventRef, owner: str) -> EventRef:
 
 def scope_set(events: EventSet, owner: str) -> EventSet:
     return EventSet(scope_event(e, owner) for e in events)
-
-
-def _map_events(expr: ProcessExpr, fn) -> ProcessExpr:
-    if isinstance(expr, Prefix):
-        return Prefix(fn(expr.event), _map_events(expr.rest, fn))
-    if isinstance(expr, Choice):
-        return type(expr)(_map_events(expr.left, fn), _map_events(expr.right, fn))
-    return expr
-
-
-def rename_with_prefix(decl: Declaration, prefix: str) -> Declaration:
-    """Copy of the declaration with every event scoped by ``prefix``."""
-
-    def ren(e: EventRef) -> EventRef:
-        return scope_event(e, prefix)
-
-    return Declaration(
-        kind=decl.kind,
-        name=decl.name,
-        body=_map_events(decl.body, ren),
-        locals=[rename_with_prefix(d, prefix) for d in decl.locals],
-        pos=decl.pos,
-        alphabet=None,
-    )

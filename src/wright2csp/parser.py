@@ -5,12 +5,18 @@ case-insensitively (inputs in the wild spell them both ways); identifiers are
 case-sensitive.  A leading underscore on a name in event position marks the
 event as initiated.  ``//`` starts a comment running to end of line, and the
 body of a Constraints clause is skipped without lexing.
+
+The lexer is one compiled pattern with a named group per token class, matched
+at the current offset; line and column come from the newline offsets skipped.
+Process expressions nest at most ``MAX_NESTING`` levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
+
 from .model import (
     Attachment,
     ArchSpec,
@@ -55,6 +61,12 @@ KEYWORDS = {
 }
 
 
+# Deepest process expression accepted, one level per prefix, choice or
+# parenthesised group: deeper input would overflow Python's default 1000-frame
+# stack in the parser (three frames per parenthesis) or in later tree walks.
+MAX_NESTING = 200
+
+
 class ParseError(Exception):
     def __init__(self, pos: SourcePos, message: str) -> None:
         super().__init__(f"{pos}: {message}")
@@ -81,8 +93,7 @@ class TokKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokKind
     value: object
     pos: SourcePos
@@ -92,140 +103,79 @@ class Token:
         return f"Token({self.kind.name}, {self.value!r}, {self.pos})"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+# One alternative per token class; ``lastgroup`` names the class matched.
+# ``\w`` is exactly ``str.isalnum`` plus ``_``.  ``[^\W\d]`` also admits
+# numerals that are not letters, such as '²', which ``_letter_at`` rejects.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)"
+    r"|_(?P<event>\w+)(?:\.(?P<scoped>[^\W\d]\w*))?"
+    r"|(?P<word>[^\W\d]\w*)(?:\.(?P<dotted>[^\W\d]\w*))?"
+    r"|(?P<op>->|\[\]|\|~\||[=.,:(){}])"
+)
+_OPS = {k.value: k for k in TokKind}
+# A Constraints body ends at the first identifier spelled `end` in any case.
+# Characters that cannot start an identifier (digits, as in `1end`) are not
+# part of it; the group must hold no letter or underscore.
+_END_RE = re.compile(r"(?<!\w)(\w*?)[eE][nN][dD](?!\w)")
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _constraints_end(source: str, i: int) -> int:
+    for m in _END_RE.finditer(source, i):
+        if not any(c.isalpha() or c == "_" for c in m[1]):
+            return m.end(1)
+    return len(source)
 
 
-class _Lexer:
-    def __init__(self, source: str) -> None:
-        self.src = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.i < len(self.src):
-                if self.src[self.i] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.i += 1
-
-    def _peek(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.src[j] if j < len(self.src) else ""
-
-    def _read_ident(self) -> str:
-        start = self.i
-        while self.i < len(self.src) and _is_ident_char(self.src[self.i]):
-            self._advance()
-        return self.src[start : self.i]
-
-    def _skip_constraints_body(self) -> None:
-        # The clause body is not Wright; scan raw text for the closing `end`.
-        while self.i < len(self.src):
-            c = self._peek()
-            if _is_ident_start(c):
-                start_pos = self.pos()
-                word = self._read_ident()
-                if word.lower() == "end":
-                    # rewind: re-lex `end` as a normal token
-                    self.i -= len(word)
-                    self.line = start_pos.line
-                    self.col = start_pos.column
-                    return
-            else:
-                self._advance()
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            while self.i < len(self.src):
-                c = self._peek()
-                if c in " \t\r\n":
-                    self._advance()
-                elif c == "/" and self._peek(1) == "/":
-                    while self.i < len(self.src) and self._peek() != "\n":
-                        self._advance()
-                else:
-                    break
-            if self.i >= len(self.src):
-                out.append(Token(TokKind.EOF, None, self.pos()))
-                return out
-            pos = self.pos()
-            c = self._peek()
-            if c == "_" and _is_ident_char(self._peek(1)):
-                # initiated event: _name or _name.name
-                self._advance()
-                first = self._read_ident()
-                scope = None
-                if self._peek() == "." and _is_ident_start(self._peek(1)):
-                    self._advance()
-                    second = self._read_ident()
-                    scope, name = first, second
-                else:
-                    name = first
-                out.append(Token(TokKind.INITEVENT, (name, scope), pos))
-            elif _is_ident_start(c):
-                word = self._read_ident()
-                if word.lower() in KEYWORDS:
-                    out.append(Token(TokKind.KEYWORD, word.lower(), pos, word))
-                    if word.lower() == "constraints":
-                        self._skip_constraints_body()
-                elif self._peek() == "." and _is_ident_start(self._peek(1)):
-                    self._advance()
-                    second = self._read_ident()
-                    out.append(Token(TokKind.DOTTED, (word, second), pos))
-                else:
-                    out.append(Token(TokKind.IDENT, word, pos))
-            elif c == "-" and self._peek(1) == ">":
-                self._advance(2)
-                out.append(Token(TokKind.ARROW, "->", pos))
-            elif c == "[" and self._peek(1) == "]":
-                self._advance(2)
-                out.append(Token(TokKind.ECHOICE, "[]", pos))
-            elif c == "|" and self._peek(1) == "~" and self._peek(2) == "|":
-                self._advance(3)
-                out.append(Token(TokKind.ICHOICE, "|~|", pos))
-            elif c == "=":
-                self._advance()
-                out.append(Token(TokKind.EQUALS, "=", pos))
-            elif c == ".":
-                self._advance()
-                out.append(Token(TokKind.DOT, ".", pos))
-            elif c == ",":
-                self._advance()
-                out.append(Token(TokKind.COMMA, ",", pos))
-            elif c == ":":
-                self._advance()
-                out.append(Token(TokKind.COLON, ":", pos))
-            elif c == "(":
-                self._advance()
-                out.append(Token(TokKind.LPAREN, "(", pos))
-            elif c == ")":
-                self._advance()
-                out.append(Token(TokKind.RPAREN, ")", pos))
-            elif c == "{":
-                self._advance()
-                out.append(Token(TokKind.LBRACE, "{", pos))
-            elif c == "}":
-                self._advance()
-                out.append(Token(TokKind.RBRACE, "}", pos))
-            else:
-                raise ParseError(pos, f"illegal character {c!r}")
+def _letter_at(source: str, j: int, line: int, line_start: int) -> None:
+    c = source[j]
+    if not (c.isalpha() or c == "_"):
+        raise ParseError(SourcePos(line, j - line_start + 1), f"illegal character {c!r}")
 
 
 def tokenize(source: str) -> list[Token]:
-    return _Lexer(source).tokens()
+    """Split Wright source into tokens; the list always ends with EOF."""
+    out: list[Token] = []
+    i, line, line_start = 0, 1, 0
+    while True:
+        m = _TOKEN_RE.match(source, i)
+        kind = m and m.lastgroup
+        if kind == "skip":
+            j = m.end()
+        else:
+            pos = SourcePos(line, i - line_start + 1)
+            if m is None:
+                if i == len(source):
+                    out.append(Token(TokKind.EOF, None, pos))
+                    return out
+                raise ParseError(pos, f"illegal character {source[i]!r}")
+            j = m.end()
+            if kind == "op":
+                out.append(Token(_OPS[m[0]], m[0], pos))
+            elif kind == "event":
+                out.append(Token(TokKind.INITEVENT, (m["event"], None), pos))
+            elif kind == "scoped":
+                _letter_at(source, m.start("scoped"), line, line_start)
+                out.append(Token(TokKind.INITEVENT, (m["scoped"], m["event"]), pos))
+            else:
+                word = m["word"]
+                _letter_at(source, i, line, line_start)
+                low = word.lower()
+                if low in KEYWORDS:
+                    # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
+                    out.append(Token(TokKind.KEYWORD, low, pos, word))
+                    j = m.end("word")
+                    if low == "constraints":
+                        j = _constraints_end(source, j)
+                elif kind == "dotted":
+                    _letter_at(source, m.start("dotted"), line, line_start)
+                    out.append(Token(TokKind.DOTTED, (word, m["dotted"]), pos))
+                else:
+                    out.append(Token(TokKind.IDENT, word, pos))
+        newlines = source.count("\n", i, j)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", i, j) + 1
+        i = j
 
 
 class Parser:
@@ -239,8 +189,7 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.k + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.k + ahead]
 
     def next(self) -> Token:
         t = self.peek()
@@ -381,7 +330,7 @@ class Parser:
         return InterfaceRef(inst, point, t.pos)
 
     def parse_process_with_where(self) -> tuple[ProcessExpr, list[Declaration]]:
-        body = self.parse_proc_expr()
+        body, _ = self.parse_proc_expr()
         locals_: list[Declaration] = []
         if self.at_keyword("where"):
             self.next()
@@ -389,13 +338,20 @@ class Parser:
             while self.peek().kind is TokKind.IDENT:
                 lname, lpos = self.expect_ident()
                 self.expect(TokKind.EQUALS)
-                lbody = self.parse_proc_expr()
+                lbody, _ = self.parse_proc_expr()
                 locals_.append(Declaration(DeclKind.WHERE_LOCAL, lname, lbody, [], lpos))
             self.expect(TokKind.RBRACE)
         return body, locals_
 
-    def parse_proc_expr(self) -> ProcessExpr:
-        left = self.parse_prefix_expr()
+    # The expression parsers take the level of the node they parse (the root
+    # is level 1) and return the node with its height in levels.
+
+    def _check_nesting(self, t: Token, level: int) -> None:
+        if level > MAX_NESTING:
+            raise ParseError(t.pos, f"process expression nested deeper than {MAX_NESTING} levels")
+
+    def parse_proc_expr(self, level: int = 1) -> tuple[ProcessExpr, int]:
+        left, height = self.parse_prefix_expr(level)
         ops_seen: set[TokKind] = set()
         while self.peek().kind in (TokKind.ECHOICE, TokKind.ICHOICE):
             op = self.next()
@@ -406,49 +362,49 @@ class Parser:
                     "parentheses; grouping left-to-right"
                 )
                 ops_seen = {op.kind}
-            right = self.parse_prefix_expr()
+            right, right_height = self.parse_prefix_expr(level + 1)
+            # each operator pushes the whole chain so far one level down
+            height = max(height, right_height) + 1
+            self._check_nesting(op, level + height - 1)
             cls = ExternalChoice if op.kind is TokKind.ECHOICE else InternalChoice
             left = cls(left, right)
-        return left
+        return left, height
 
-    def parse_prefix_expr(self) -> ProcessExpr:
+    def parse_prefix_expr(self, level: int) -> tuple[ProcessExpr, int]:
         t = self.peek()
+        self._check_nesting(t, level)
         if t.kind is TokKind.INITEVENT:
-            self.next()
             name, scope = t.value  # type: ignore[misc]
             ev = EventRef(name, True, (scope,) if scope else ())
-            self.expect(TokKind.ARROW)
-            return Prefix(ev, self.parse_prefix_expr())
-        if t.kind is TokKind.DOTTED:
-            self.next()
+        elif t.kind is TokKind.DOTTED:
             first, second = t.value  # type: ignore[misc]
             ev = EventRef(second, False, (first,))
-            self.expect(TokKind.ARROW)
-            return Prefix(ev, self.parse_prefix_expr())
-        if t.kind is TokKind.IDENT and self.peek(1).kind is TokKind.ARROW:
-            self.next()
-            self.next()
+        elif t.kind is TokKind.IDENT and self.peek(1).kind is TokKind.ARROW:
             ev = EventRef(str(t.value), False, ())
-            return Prefix(ev, self.parse_prefix_expr())
-        return self.parse_atom()
+        else:
+            return self.parse_atom(level)
+        self.next()
+        self.expect(TokKind.ARROW)
+        rest, height = self.parse_prefix_expr(level + 1)
+        return Prefix(ev, rest), height + 1
 
-    def parse_atom(self) -> ProcessExpr:
+    def parse_atom(self, level: int) -> tuple[ProcessExpr, int]:
         t = self.peek()
         if t.kind is TokKind.KEYWORD and t.value in ("tick", "skip"):
             self.next()
-            return SUCCESS
+            return SUCCESS, 1
         if t.kind is TokKind.KEYWORD and t.value in ("glue", "computation"):
             # the glue/computation processes may refer to themselves by name
             self.next()
-            return Ref(t.text)
+            return Ref(t.text), 1
         if t.kind is TokKind.IDENT:
             self.next()
-            return Ref(str(t.value))
+            return Ref(str(t.value)), 1
         if t.kind is TokKind.LPAREN:
             self.next()
-            inner = self.parse_proc_expr()
+            inner, height = self.parse_proc_expr(level + 1)
             self.expect(TokKind.RPAREN)
-            return inner
+            return inner, height + 1
         raise ParseError(t.pos, f"expected a process expression, found {_show(t)}")
 
 
@@ -464,10 +420,6 @@ def _show(t: Token) -> str:
         name, scope = t.value  # type: ignore[misc]
         return "'_" + (f"{scope}.{name}'" if scope else f"{name}'")
     return f"'{t.value}'"
-
-
-def parse(tokens: list[Token]) -> ArchSpec:
-    return Parser(tokens).parse_spec()
 
 
 def parse_source(source: str) -> tuple[ArchSpec, list[str]]:

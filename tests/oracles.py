@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately naive: direct definitions, explicit
-enumeration, no sharing with the code under test beyond the LTS data type.
+enumeration, no sharing with the code under test beyond its LTS, token and
+AST data types.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from wright2csp.engine import (
     tau_closure,
 )
 from wright2csp.model import (
+    Choice,
+    Declaration,
     EventRef,
     EventSet,
     ExternalChoice,
@@ -43,8 +46,11 @@ from wright2csp.model import (
     ProcessExpr,
     Ref,
     SUCCESS,
+    SourcePos,
+    scope_event,
     walk_events,
 )
+from wright2csp.parser import KEYWORDS, ParseError, Token, TokKind
 
 SELF = "X"
 
@@ -347,3 +353,211 @@ def random_lts(rng: random.Random, max_states: int = 5, alphabet=("a", "b")) -> 
         for _ in range(rng.randint(0, 3)):
             transitions.append((s, rng.choice(labels), rng.randrange(n)))
     return Lts(n_states=n, transitions=transitions)
+
+
+# --- reference lexer ----------------------------------------------------------
+
+
+def _is_ident_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _is_ident_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+class _Lexer:
+    def __init__(self, source: str) -> None:
+        self.src = source
+        self.i = 0
+        self.line = 1
+        self.col = 1
+
+    def pos(self) -> SourcePos:
+        return SourcePos(self.line, self.col)
+
+    def _advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            if self.i < len(self.src):
+                if self.src[self.i] == "\n":
+                    self.line += 1
+                    self.col = 1
+                else:
+                    self.col += 1
+                self.i += 1
+
+    def _peek(self, k: int = 0) -> str:
+        j = self.i + k
+        return self.src[j] if j < len(self.src) else ""
+
+    def _read_ident(self) -> str:
+        start = self.i
+        while self.i < len(self.src) and _is_ident_char(self.src[self.i]):
+            self._advance()
+        return self.src[start : self.i]
+
+    def _skip_constraints_body(self) -> None:
+        # The clause body is not Wright; scan raw text for the closing `end`.
+        while self.i < len(self.src):
+            c = self._peek()
+            if _is_ident_start(c):
+                start_pos = self.pos()
+                word = self._read_ident()
+                if word.lower() == "end":
+                    # rewind: re-lex `end` as a normal token
+                    self.i -= len(word)
+                    self.line = start_pos.line
+                    self.col = start_pos.column
+                    return
+            else:
+                self._advance()
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        while True:
+            while self.i < len(self.src):
+                c = self._peek()
+                if c in " \t\r\n":
+                    self._advance()
+                elif c == "/" and self._peek(1) == "/":
+                    while self.i < len(self.src) and self._peek() != "\n":
+                        self._advance()
+                else:
+                    break
+            if self.i >= len(self.src):
+                out.append(Token(TokKind.EOF, None, self.pos()))
+                return out
+            pos = self.pos()
+            c = self._peek()
+            if c == "_" and _is_ident_char(self._peek(1)):
+                # initiated event: _name or _name.name
+                self._advance()
+                first = self._read_ident()
+                scope = None
+                if self._peek() == "." and _is_ident_start(self._peek(1)):
+                    self._advance()
+                    second = self._read_ident()
+                    scope, name = first, second
+                else:
+                    name = first
+                out.append(Token(TokKind.INITEVENT, (name, scope), pos))
+            elif _is_ident_start(c):
+                word = self._read_ident()
+                if word.lower() in KEYWORDS:
+                    out.append(Token(TokKind.KEYWORD, word.lower(), pos, word))
+                    if word.lower() == "constraints":
+                        self._skip_constraints_body()
+                elif self._peek() == "." and _is_ident_start(self._peek(1)):
+                    self._advance()
+                    second = self._read_ident()
+                    out.append(Token(TokKind.DOTTED, (word, second), pos))
+                else:
+                    out.append(Token(TokKind.IDENT, word, pos))
+            elif c == "-" and self._peek(1) == ">":
+                self._advance(2)
+                out.append(Token(TokKind.ARROW, "->", pos))
+            elif c == "[" and self._peek(1) == "]":
+                self._advance(2)
+                out.append(Token(TokKind.ECHOICE, "[]", pos))
+            elif c == "|" and self._peek(1) == "~" and self._peek(2) == "|":
+                self._advance(3)
+                out.append(Token(TokKind.ICHOICE, "|~|", pos))
+            elif c == "=":
+                self._advance()
+                out.append(Token(TokKind.EQUALS, "=", pos))
+            elif c == ".":
+                self._advance()
+                out.append(Token(TokKind.DOT, ".", pos))
+            elif c == ",":
+                self._advance()
+                out.append(Token(TokKind.COMMA, ",", pos))
+            elif c == ":":
+                self._advance()
+                out.append(Token(TokKind.COLON, ":", pos))
+            elif c == "(":
+                self._advance()
+                out.append(Token(TokKind.LPAREN, "(", pos))
+            elif c == ")":
+                self._advance()
+                out.append(Token(TokKind.RPAREN, ")", pos))
+            elif c == "{":
+                self._advance()
+                out.append(Token(TokKind.LBRACE, "{", pos))
+            elif c == "}":
+                self._advance()
+                out.append(Token(TokKind.RBRACE, "}", pos))
+            else:
+                raise ParseError(pos, f"illegal character {c!r}")
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """The character-stepping lexer that the regex tokenizer replaced."""
+    return _Lexer(source).tokens()
+
+
+# --- set, renaming and trace helpers used only by tests -----------------------
+
+
+def set_union(a: EventSet, b: EventSet) -> EventSet:
+    """Members of a then b's new members, in order."""
+    return a.union(b)
+
+
+def set_minus(a: EventSet, b: EventSet) -> EventSet:
+    """Members of a not in b, a's order preserved."""
+    return a.minus(b)
+
+
+def _map_events(expr: ProcessExpr, fn) -> ProcessExpr:
+    if isinstance(expr, Prefix):
+        return Prefix(fn(expr.event), _map_events(expr.rest, fn))
+    if isinstance(expr, Choice):
+        return type(expr)(_map_events(expr.left, fn), _map_events(expr.right, fn))
+    return expr
+
+
+def rename_with_prefix(decl: Declaration, prefix: str) -> Declaration:
+    """Copy of the declaration with every event scoped by ``prefix``."""
+
+    def ren(e: EventRef) -> EventRef:
+        return scope_event(e, prefix)
+
+    return Declaration(
+        kind=decl.kind,
+        name=decl.name,
+        body=_map_events(decl.body, ren),
+        locals=[rename_with_prefix(d, prefix) for d in decl.locals],
+        pos=decl.pos,
+        alphabet=None,
+    )
+
+
+def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ...]]:
+    """All visible traces of length <= depth (tick-terminated ones included)."""
+    memo: dict[tuple[frozenset[int], int], set[tuple[str, ...]]] = {}
+
+    def explore(subset: frozenset[int], remaining: int) -> set[tuple[str, ...]]:
+        key = (subset, remaining)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        acc: set[tuple[str, ...]] = {()}
+        if remaining > 0:
+            moves: dict[str, set[int]] = {}
+            for s in subset:
+                for a, t in lts.adj[s]:
+                    if a == TAU:
+                        continue
+                    if a == TICK and not include_tick:
+                        continue
+                    moves.setdefault(a, set()).add(t)
+            for a, targets in moves.items():
+                if a == TICK:
+                    acc.add((TICK,))
+                    continue
+                for rest in explore(tau_closure(lts, targets), remaining - 1):
+                    acc.add((a,) + rest)
+        memo[key] = acc
+        return acc
+
+    return explore(tau_closure(lts, [lts.initial]), depth)

@@ -19,6 +19,7 @@ from oracles import (
     keep_set,
     random_expr,
     random_lts,
+    traces,
 )
 from wright2csp import analyzer
 from wright2csp.cli import main as cli_main
@@ -28,7 +29,6 @@ from wright2csp.engine import (
     compile_to_lts,
     discharge_assertions,
     normalize_fd,
-    traces,
 )
 from wright2csp.parser import parse_source
 from wright2csp.transform import determinized, project_to

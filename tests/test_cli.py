@@ -4,6 +4,7 @@ import pytest
 
 from conftest import fixture_path, golden_matches
 from wright2csp.cli import main
+from wright2csp.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -107,3 +108,45 @@ def test_check_state_cap_leaves_other_verdicts(capsys):
     assert lines[4] == "UNKNOWN  assert DFA [FD= CtypeA  (state cap 20 exceeded)"
     assert all(l.startswith("PASS") for i, l in enumerate(lines) if i != 4)
     assert "assert DFA [FD= CtypeA: state cap 20 exceeded" in err
+
+
+def _deep_spec(tmp_path, port, computation, role="a -> R [] TICK", glue="R.a -> Glue [] TICK"):
+    path = tmp_path / "deep.wrt"
+    path.write_text(
+        f"Configuration Deep\nComponent C\n  Port P = {port}\n  Computation = {computation}\n"
+        f"Connector K\n  Role R = {role}\n  Glue = {glue}\n"
+        "Instances\n  A : C\n  B : K\nAttachments\n  A.P As B.R\nEnd Configuration\n"
+    )
+    return path
+
+
+def _chain(event, n):
+    return " -> ".join([event] * n) + " -> TICK"
+
+
+@pytest.mark.parametrize(
+    "command, port_body, column",
+    [
+        ("lint", _chain("a", 1000), 12 + 5 * MAX_NESTING),
+        ("translate", _chain("a", 1000), 12 + 5 * MAX_NESTING),
+        ("check", _chain("a", 1000), 12 + 5 * MAX_NESTING),
+        ("lint", "(" * 1000 + "a -> P" + ")" * 1000, 12 + MAX_NESTING),
+    ],
+)
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, command, port_body, column):
+    path = _deep_spec(tmp_path, port_body, "P.a -> Computation [] TICK")
+    argv = [command, str(path)] + ([str(tmp_path / "o.fdr2")] if command == "translate" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert f"{path}:3:{column}: process expression nested deeper than {MAX_NESTING} levels\n" in err
+    assert "a problem occurred in the parsing stage." in err
+    assert "Traceback" not in err and not (tmp_path / "o.fdr2").exists()
+
+
+def test_check_passes_at_the_nesting_limit(tmp_path, capsys):
+    n = MAX_NESTING - 1  # events; the TICK leaf is the last level
+    path = _deep_spec(tmp_path, _chain("a", n), _chain("P.a", n), _chain("a", n), _chain("R.a", n))
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert code == 0
+    verdicts = stdout.splitlines()
+    assert len(verdicts) == 4 and all(v.startswith("PASS") for v in verdicts)

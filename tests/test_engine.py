@@ -9,6 +9,7 @@ from oracles import (
     random_lts,
     random_operator_term,
     reference_compile,
+    traces,
 )
 from wright2csp.engine import (
     TAU,
@@ -34,7 +35,6 @@ from wright2csp.engine import (
     divergent_states,
     normalize_fd,
     rename,
-    traces,
 )
 
 

@@ -2,15 +2,13 @@ import random
 
 import pytest
 
+from oracles import rename_with_prefix, set_minus, set_union
 from wright2csp.model import (
     EventRef,
     EventSet,
     relation_closure,
     relation_compose,
-    rename_with_prefix,
     scope_event,
-    set_minus,
-    set_union,
     Declaration,
     DeclKind,
     Prefix,

@@ -3,7 +3,8 @@ import string
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
+from oracles import reference_tokenize
 from wright2csp.model import (
     Component,
     Configuration,
@@ -16,6 +17,7 @@ from wright2csp.model import (
     Success,
 )
 from wright2csp.parser import (
+    MAX_NESTING,
     ParseError,
     Parser,
     TokKind,
@@ -59,6 +61,41 @@ def test_tokenize_comments_and_positions():
 def test_tokenize_illegal_character():
     with pytest.raises(ParseError):
         tokenize("Port $ = TICK")
+
+
+# Wright fragments for random token soup, with the lexer's edge cases.
+WRIGHT_FRAGMENTS = (
+    "Style", "configuration", "COMPONENT", "Connector", "port", "Role", "Computation",
+    "Glue", "glue", "Instances", "Attachments", "End", "end", "END", "As", "where",
+    "TICK", "skip", "Constraints", "constraints", "a", "In", "x1", "é", "Ω", "²", "Ωa",
+    "aé", "a²", "½", "Ⅻ", "_", "__", "_1", "_a", "_end", "xend", "1end", "²end", "½end",
+    "1", "42", "a.b", "a.1", "a._", "_a._b", "_a.1", "Glue.x", "End.y", "a.²", "_a.²", "In.read",
+    "->", "[]", "|~|", "=", ".", ",", ":", "(", ")", "{", "}", "-", ">", "[", "]",
+    "|", "~", "/", "//", "// note", "// end", "$", "\f", " ", "  ", "\t", "\n", "\r\n",
+    "\r", "Constraints // x\n y 1end", "constraints x.1end", "Constraints a²end b",
+)
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_tokenize_matches_reference_lexer():
+    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
+    sources += [to_wright(parse_text(text)) for text in list(sources)]
+    rng = random.Random(2012)
+    for _ in range(5000):
+        frags = rng.choices(WRIGHT_FRAGMENTS, k=rng.randint(0, 25))
+        sources.append(rng.choice(("", " ", "")).join(frags))
+    errors = 0
+    for text in sources:
+        got = _lex_outcome(tokenize, text)
+        assert got == _lex_outcome(reference_tokenize, text), repr(text)
+        errors += isinstance(got, str)
+    assert 1000 < errors < len(sources) - 1000  # both outcomes well covered
 
 
 def test_parse_dt1_structure():
@@ -141,6 +178,24 @@ def test_mixed_choice_operators_warn():
                         "  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style"))
     p.parse_spec()
     assert any("mixed" in w for w in p.warnings)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda levels: "a -> " * (levels - 1) + "TICK",
+        lambda levels: " [] ".join(["TICK"] * levels),
+        lambda levels: "(" * (levels - 1) + "TICK" + ")" * (levels - 1),
+    ],
+    ids=["prefix", "choice", "parentheses"],
+)
+def test_nesting_limit_is_exact(body):
+    def parse_role(text):
+        return parse_text(f"Style S\nConnector K\n  Role R = {text}\n  Glue = TICK\nConstraints\nEnd Style")
+
+    parse_role(body(MAX_NESTING))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_role(body(MAX_NESTING + 1))
 
 
 def test_parse_error_has_position_and_stops():

@@ -9,9 +9,10 @@ from oracles import (
     keep_set,
     project_trace,
     random_expr,
+    traces,
 )
 from wright2csp.codegen import fdr_body, process_term
-from wright2csp.engine import compile_to_lts, traces
+from wright2csp.engine import compile_to_lts
 from wright2csp.model import (
     EMPTY,
     EventRef,

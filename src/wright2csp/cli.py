@@ -6,6 +6,10 @@ in-process and prints one PASS/FAIL line per assertion (UNKNOWN, with the
 reason, for one the engine could not decide, such as one over the state cap);
 ``wright2csp lint in.wrt`` runs the static checks only.
 
+Every command exits 0 when everything passes, 1 when an assertion FAILs, and
+2 on an input error (unreadable input, unwritable output, parse or
+static-semantics error) or when an assertion is UNKNOWN and none FAILs.
+
 For compatibility with the historical positional form,
 ``wright2csp in.wrt out.fdr2`` behaves like ``translate``.
 """
@@ -18,8 +22,10 @@ import sys
 import tempfile
 
 from . import alphabets, analyzer, codegen
-from .engine import DEFAULT_MAX_STATES, TICK, EngineError, check_assertion
+from .engine import DEFAULT_MAX_STATES, TICK, EngineError, assertion_verdicts
 from .parser import ParseError, parse_source
+
+EXIT_OK, EXIT_FAIL, EXIT_ERROR = 0, 1, 2  # see the module docstring
 
 
 def _eprint(*args: object) -> None:
@@ -55,71 +61,68 @@ def _load(path: str, strict_attachments: bool = False):
     return spec
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str) -> bool:
+    """Write the whole file or nothing; False, after printing why, if it cannot."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wright2csp-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wright2csp-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _eprint(f"can't write output file: {path}. ({exc.strerror})")
+        return False
+    return True
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
     spec = _load(args.infile)
     if spec is None:
-        return 1
+        return EXIT_ERROR
     plan = codegen.emit(spec)
     for d in plan.diagnostics:
         _eprint(f"{args.infile}:{d}")
-    _write_atomic(args.outfile, plan.text)
+    if not _write_atomic(args.outfile, plan.text):
+        return EXIT_ERROR
     _eprint("wr2fdr done.")
-    return 0
+    return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = _load(args.infile)
     if spec is None:
-        return 1
+        return EXIT_ERROR
     plan = codegen.emit(spec)
     for d in plan.diagnostics:
         _eprint(f"{args.infile}:{d}")
-    if args.outfile:
-        _write_atomic(args.outfile, plan.text)
-    failed = 0
-    for assertion in plan.assertions:
-        label = assertion.label
-        try:
-            verdict = check_assertion(
-                assertion.spec_term,
-                assertion.impl_term,
-                plan.definitions,
-                assertion.alphabet,
-                args.max_states,
-            )
-        except EngineError as exc:
+    if args.outfile and not _write_atomic(args.outfile, plan.text):
+        return EXIT_ERROR
+    failed = unknown = False
+    for label, verdict in assertion_verdicts(plan.assertions, plan.definitions, args.max_states):
+        if isinstance(verdict, EngineError):
             # this assertion stays undecided; the others still get their verdicts
-            _eprint(f"{args.infile}: {label}: {exc}")
-            print(f"UNKNOWN  {label}  ({exc})")
-            failed += 1
-            continue
-        if verdict.holds:
+            _eprint(f"{args.infile}: {label}: {verdict}")
+            print(f"UNKNOWN  {label}  ({verdict})")
+            unknown = True
+        elif verdict.holds:
             print(f"PASS  {label}")
         else:
             trace, kind = verdict.counterexample
             shown = ", ".join("tick" if a == TICK else a for a in trace) or "<empty>"
             print(f"FAIL  {label}  ({kind} after trace <{shown}>)")
-            failed += 1
+            failed = True
     _eprint("wr2fdr done.")
-    return 1 if failed else 0
+    return EXIT_FAIL if failed else EXIT_ERROR if unknown else EXIT_OK
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     spec = _load(args.infile, strict_attachments=args.strict_attachments)
-    return 0 if spec is not None else 1
+    return EXIT_OK if spec is not None else EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = ["translate", *argv]
     if not argv:
         _eprint("usage: wright2csp <infile> <fdrfile>")
-        return 1
+        return EXIT_ERROR
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -11,6 +11,9 @@ directly under an external choice is not supported (codegen never emits one).
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
+When many assertions are discharged together, each distinct one is checked
+once: an assertion whose sides equal an earlier one's up to a renaming of
+process names (``term_key``) reuses that verdict.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 TAU = "τ"
 TICK = "✓"
@@ -357,85 +360,26 @@ def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
 
 
 def divergent_states(lts: Lts) -> list[bool]:
-    """States from which an infinite tau path exists."""
-    tau_adj: list[list[int]] = [[] for _ in range(lts.n_states)]
-    for s, a, t in lts.transitions:
-        if a == TAU:
-            tau_adj[s].append(t)
+    """States from which an infinite tau path exists.
 
-    # Tarjan over the tau graph: a state is on a tau cycle if its SCC has more
-    # than one member or a self loop.
-    indexd = [-1] * lts.n_states
-    low = [0] * lts.n_states
-    on_stack = [False] * lts.n_states
-    stack: list[int] = []
-    comp = [-1] * lts.n_states
-    comp_count = 0
-    counter = 0
-    cyclic: set[int] = set()
-
-    for root in range(lts.n_states):
-        if indexd[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                indexd[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(tau_adj[node]):
-                succ = tau_adj[node][pi]
-                pi += 1
-                if indexd[succ] == -1:
-                    work[-1] = (node, pi)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    low[node] = min(low[node], indexd[succ])
-            if advanced:
-                continue
-            work[-1] = (node, pi)
-            if low[node] == indexd[node]:
-                members = []
-                while True:
-                    m = stack.pop()
-                    on_stack[m] = False
-                    comp[m] = comp_count
-                    members.append(m)
-                    if m == node:
-                        break
-                if len(members) > 1:
-                    cyclic.update(members)
-                else:
-                    m = members[0]
-                    if m in tau_adj[m]:
-                        cyclic.add(m)
-                comp_count += 1
-            work.pop()
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[node])
-
-    # backward reachability: anything that can tau-reach a cyclic state diverges
-    rev: list[list[int]] = [[] for _ in range(lts.n_states)]
-    for s in range(lts.n_states):
-        for t in tau_adj[s]:
-            rev[t].append(s)
-    div = [False] * lts.n_states
-    frontier = list(cyclic)
-    for s in frontier:
-        div[s] = True
-    while frontier:
-        t = frontier.pop()
-        for s in rev[t]:
-            if not div[s]:
-                div[s] = True
-                frontier.append(s)
-    return div
+    A state is safe once all its tau successors are: peel safe states off
+    from the tau-stable ones backwards; whatever is never peeled can always
+    take another tau step, so it diverges.
+    """
+    pending = [0] * lts.n_states  # tau successors not yet known to be safe
+    tau_preds: list[list[int]] = [[] for _ in range(lts.n_states)]
+    for s, out in enumerate(lts.adj):
+        for a, t in out:
+            if a == TAU:
+                pending[s] += 1
+                tau_preds[t].append(s)
+    safe = [s for s in range(lts.n_states) if not pending[s]]
+    while safe:
+        for s in tau_preds[safe.pop()]:
+            pending[s] -= 1
+            if not pending[s]:
+                safe.append(s)
+    return [n > 0 for n in pending]
 
 
 def stable_ready(lts: Lts, state: int) -> Optional[frozenset[str]]:
@@ -681,18 +625,114 @@ def check_assertion(
     return check_refinement_fd(spec_fd, impl_lts, max_states)
 
 
+# --- discharging many assertions ---------------------------------------------
+
+
+def term_key(term: Proc, env: Mapping[str, Proc]) -> Optional[tuple]:
+    """A key of ``term`` and the definitions it reaches that ignores their names.
+
+    The walk visits ``term``, then each definition it reaches in the order
+    it first meets the name, each in pre-order, and writes a reference as
+    that order number.  Events, sync and hide sets, rename mappings and the
+    stored order of external-choice branches are kept as they are.  Two
+    terms with equal keys differ only by a one-to-one renaming of the names
+    they reach, so ``compile_to_lts`` builds the same LTS for both, state
+    numbering and transition order included: it sees a name only through
+    the definition it denotes, except where ``_step`` re-sorts an external
+    choice by ``repr`` (which shows names) after a branch takes a tau step.
+
+    Returns None, meaning "no key", for a term that reaches an external
+    choice with a reference or internal-choice branch (the branches that
+    can take a tau step), an unresolved reference or an unknown term type.
+    """
+    out: list = []
+    order: dict[str, int] = {}
+    names: list[str] = []
+    stack = [term]
+    walked = 0
+    while True:
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            out.append(cls)
+            if cls is PPrefix:
+                out.append(t.event)
+                stack.append(t.rest)
+            elif cls is PRef:
+                k = order.get(t.name)
+                if k is None:
+                    if t.name not in env:
+                        return None
+                    k = order[t.name] = len(names)
+                    names.append(t.name)
+                out.append(k)
+            elif cls is PExtN:
+                if any(type(b) is PRef or type(b) is PInt for b in t.branches):
+                    return None
+                out.append(len(t.branches))
+                stack += reversed(t.branches)
+            elif cls is PInt:
+                stack += (t.right, t.left)
+            elif cls is PPar:
+                out.append(t.sync)
+                stack += (t.right, t.left)
+            elif cls is PRename:
+                out.append(t.mapping)
+                stack.append(t.inner)
+            elif cls is PHide:
+                out.append(t.hidden)
+                stack.append(t.inner)
+            elif cls is not PStop and cls is not PSkip:
+                return None
+        if walked == len(names):
+            return tuple(out)
+        stack.append(env[names[walked]])
+        walked += 1
+
+
+def assertion_verdicts(
+    assertions: Iterable,
+    env: Mapping[str, Proc],
+    max_states: int = DEFAULT_MAX_STATES,
+) -> Iterator[tuple[str, RefinementVerdict | EngineError]]:
+    """(label, verdict) per assertion, in order; an undecided one has its error.
+
+    Each assertion exposes ``label``, ``spec_term``, ``impl_term`` and
+    ``alphabet``.  An assertion whose sides have the same ``term_key`` as an
+    earlier one's, over the same alphabet, gets that assertion's verdict
+    object: same ``holds``, counterexample and ``explored``.  An
+    ``EngineError`` is never reused, since its message may name a
+    definition; an assertion with no key is always checked on its own.
+    """
+    memo: dict[tuple, RefinementVerdict] = {}
+    for a in assertions:
+        spec_key = term_key(a.spec_term, env)
+        impl_key = None if spec_key is None else term_key(a.impl_term, env)
+        key = None if impl_key is None else (spec_key, impl_key, a.alphabet)
+        verdict = memo.get(key)
+        if verdict is None:
+            try:
+                verdict = check_assertion(a.spec_term, a.impl_term, env, a.alphabet, max_states)
+            except EngineError as exc:
+                yield a.label, exc
+                continue
+            if key is not None:
+                memo[key] = verdict
+        yield a.label, verdict
+
+
 def discharge_assertions(
     assertions: Sequence,
     env: Mapping[str, Proc],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> list[tuple[str, RefinementVerdict]]:
-    """One verdict per assertion, in emission order.
+    """One verdict per assertion, in emission order (see ``assertion_verdicts``).
 
-    Each assertion exposes ``label``, ``spec_term``, ``impl_term`` and
-    ``alphabet``.
+    Raises the ``EngineError`` of the first assertion the engine cannot decide.
     """
     out = []
-    for a in assertions:
-        verdict = check_assertion(a.spec_term, a.impl_term, env, a.alphabet, max_states)
-        out.append((a.label, verdict))
+    for label, verdict in assertion_verdicts(assertions, env, max_states):
+        if isinstance(verdict, EngineError):
+            raise verdict
+        out.append((label, verdict))
     return out

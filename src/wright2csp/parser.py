@@ -436,16 +436,12 @@ def _event_src(e: EventRef) -> str:
     return ("_" if e.initiated else "") + e.qualified
 
 
-def _expr_src(expr: ProcessExpr, parent_choice: bool = False) -> str:
+def _expr_src(expr: ProcessExpr) -> str:
     if isinstance(expr, Prefix):
-        text = f"{_event_src(expr.event)} -> {_expr_src(expr.rest)}"
-        return f"({text})" if parent_choice else text
+        return f"{_event_src(expr.event)} -> {_operand_src(expr.rest)}"
     if isinstance(expr, Choice):
         op = "[]" if isinstance(expr, ExternalChoice) else "|~|"
-        left = _expr_src(expr.left, parent_choice=True)
-        right = _expr_src(expr.right, parent_choice=True)
-        text = f"{left} {op} {right}"
-        return f"({text})" if parent_choice else text
+        return f"{_operand_src(expr.left, type(expr))} {op} {_operand_src(expr.right)}"
     if isinstance(expr, Ref):
         return expr.name
     if isinstance(expr, Success):
@@ -453,6 +449,19 @@ def _expr_src(expr: ProcessExpr, parent_choice: bool = False) -> str:
     if isinstance(expr, Empty):
         return "SKIP"
     raise TypeError(f"unprintable expression {expr!r}")
+
+
+def _operand_src(expr: ProcessExpr, spine: type | None = None) -> str:
+    """An operand, parenthesised only where the parser needs it.
+
+    A prefix binds tighter than a choice, and a chain of one choice operator
+    groups to the left, so only a choice that is not the left operand of the
+    same operator (``spine``) needs parentheses.  Printed text thus nests no
+    deeper than the text it was parsed from, except that a chain mixing both
+    operators without parentheses gains one group per switch.
+    """
+    text = _expr_src(expr)
+    return f"({text})" if isinstance(expr, Choice) and type(expr) is not spine else text
 
 
 def _decl_src(label: str, decl: Declaration, indent: str) -> list[str]:

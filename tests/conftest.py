@@ -1,4 +1,6 @@
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,15 @@ def load_spec(name: str):
 
 def emit_plan(name: str):
     return codegen.emit(load_spec(name))
+
+
+def perfbench_workloads():
+    """The benchmark's seeded spec generators (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- golden comparison -------------------------------------------------------

@@ -31,7 +31,6 @@ from wright2csp.engine import (
     ResourceLimitError,
     UnresolvedProcessError,
     compile_to_lts,
-    divergent_states,
     rename,
     tau_closure,
 )
@@ -274,8 +273,27 @@ def _max_refusal(alphabet: frozenset[str], ready: frozenset[str]) -> frozenset[s
     return frozenset(alphabet | {TICK}) - ready
 
 
+def brute_divergent(lts: Lts) -> list[bool]:
+    """Per state: can it reach, by tau steps, a state that lies on a tau cycle?"""
+
+    def tau_successors(s: int) -> set[int]:
+        """States reached from s by one or more tau steps."""
+        seen: set[int] = set()
+        stack = [s]
+        while stack:
+            for a, t in lts.adj[stack.pop()]:
+                if a == TAU and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    after = [tau_successors(s) for s in range(lts.n_states)]
+    on_cycle = [s in after[s] for s in range(lts.n_states)]
+    return [on_cycle[s] or any(on_cycle[u] for u in after[s]) for s in range(lts.n_states)]
+
+
 def enumerate_behaviours(lts: Lts, depth: int, alphabet: frozenset[str]) -> Behaviours:
-    div = divergent_states(lts)
+    div = brute_divergent(lts)
     full = frozenset(alphabet | {TICK})
     traces: set[tuple[str, ...]] = set()
     divergences: set[tuple[str, ...]] = set()

@@ -147,7 +147,7 @@ def test_criterion_6_static_semantics(capsys):
     code4 = cli_main(["lint", str(fixture_path("dt4.wrt"))])
     code5 = cli_main(["lint", str(fixture_path("dt5.wrt"))])
     err = capsys.readouterr().err
-    dt_ok = code4 == 0 and code5 == 1 and "Attachement: Composant.Port as Connecteur.Role" in err
+    dt_ok = code4 == 0 and code5 == 2 and "Attachement: Composant.Port as Connecteur.Role" in err
     rules_ok = True
     for n in range(1, 7):
         spec, _ = parse_source(fixture_path(f"rule{n}.wrt").read_text())

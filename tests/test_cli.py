@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from conftest import fixture_path, golden_matches
+from conftest import fixture_path, golden_matches, perfbench_workloads
 from wright2csp.cli import main
 from wright2csp.parser import MAX_NESTING
 
@@ -31,7 +31,7 @@ def test_positional_compatibility_mode(tmp_path, capsys):
 
 def test_translate_missing_input(tmp_path, capsys):
     code, _, err = run(capsys, "translate", str(tmp_path / "nope.wrt"), str(tmp_path / "o.fdr2"))
-    assert code == 1
+    assert code == 2
     assert "can't open file for input" in err
 
 
@@ -39,7 +39,7 @@ def test_translate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.wrt"
     bad.write_text("Style ?!")
     code, _, err = run(capsys, "translate", str(bad), str(tmp_path / "o.fdr2"))
-    assert code == 1
+    assert code == 2
     assert "a problem occurred in the parsing stage." in err
     assert not (tmp_path / "o.fdr2").exists()  # nothing half-written
 
@@ -47,14 +47,24 @@ def test_translate_parse_error(tmp_path, capsys):
 def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     out = tmp_path / "dt5.fdr2"
     code, _, _ = run(capsys, "translate", str(fixture_path("dt5.wrt")), str(out))
-    assert code == 1
+    assert code == 2
     assert not out.exists()
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "dt1.fdr2")
+    argv = [command, str(fixture_path("dt1.wrt"))] + (["-o", out] if command == "check" else [out])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert f"can't write output file: {out}. (No such file or directory)" in err
+    assert "Traceback" not in err and not stdout
+
+
 def test_lint_dt5_reports_rule5(capsys):
     code, _, err = run(capsys, "lint", str(fixture_path("dt5.wrt")))
-    assert code == 1
+    assert code == 2
     assert "Attachement: Composant.Port as Connecteur.Role" in err
 
 
@@ -67,7 +77,7 @@ def test_lint_strict_attachments_elevates_rule6(tmp_path, capsys):
     code, _, _ = run(capsys, "lint", str(fixture_path("rule6.wrt")))
     assert code == 0
     code, _, err = run(capsys, "lint", "--strict-attachments", str(fixture_path("rule6.wrt")))
-    assert code == 1
+    assert code == 2
     assert "rule=6" in err
 
 
@@ -94,7 +104,7 @@ def test_check_max_states_forwarded(capsys):
     code, _, err = run(
         capsys, "check", str(fixture_path("dt3.wrt")), "--max-states", "3"
     )
-    assert code == 1
+    assert code == 2
     assert "cap" in err
 
 
@@ -102,12 +112,21 @@ def test_check_state_cap_leaves_other_verdicts(capsys):
     code, stdout, err = run(
         capsys, "check", str(fixture_path("dt3.wrt")), "--max-states", "20"
     )
-    assert code == 1
+    assert code == 2
     lines = [l for l in stdout.splitlines() if l.startswith(("PASS", "FAIL", "UNKNOWN"))]
     assert len(lines) == 7
     assert lines[4] == "UNKNOWN  assert DFA [FD= CtypeA  (state cap 20 exceeded)"
     assert all(l.startswith("PASS") for i, l in enumerate(lines) if i != 4)
     assert "assert DFA [FD= CtypeA: state cap 20 exceeded" in err
+
+
+def test_check_fail_outranks_unknown_in_the_exit_code(tmp_path, capsys):
+    path = tmp_path / "line.wrt"
+    path.write_text(perfbench_workloads().pipeline_case(1, "t", True).source)
+    code, stdout, _ = run(capsys, "check", str(path), "--max-states", "20")
+    verdicts = [line.split()[0] for line in stdout.splitlines()]
+    assert verdicts.count("FAIL") == 1 and verdicts.count("UNKNOWN") == 1
+    assert code == 1
 
 
 def _deep_spec(tmp_path, port, computation, role="a -> R [] TICK", glue="R.a -> Glue [] TICK"):
@@ -137,7 +156,7 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, command, port_body, col
     path = _deep_spec(tmp_path, port_body, "P.a -> Computation [] TICK")
     argv = [command, str(path)] + ([str(tmp_path / "o.fdr2")] if command == "translate" else [])
     code, _, err = run(capsys, *argv)
-    assert code == 1
+    assert code == 2
     assert f"{path}:3:{column}: process expression nested deeper than {MAX_NESTING} levels\n" in err
     assert "a problem occurred in the parsing stage." in err
     assert "Traceback" not in err and not (tmp_path / "o.fdr2").exists()

@@ -1,9 +1,12 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import emit_plan
+import wright2csp.engine as engine
+from conftest import emit_plan, perfbench_workloads
 from oracles import (
+    brute_divergent,
     brute_refines,
     enumerate_behaviours,
     random_lts,
@@ -19,14 +22,17 @@ from wright2csp.engine import (
     EngineError,
     Lts,
     PExt,
+    PExtN,
     PHide,
     PInt,
     PPar,
     PPrefix,
     PRef,
+    PRename,
     PSkip,
     PStop,
     ResourceLimitError,
+    assertion_verdicts,
     check_assertion,
     check_refinement_fd,
     compile_to_lts,
@@ -35,7 +41,10 @@ from wright2csp.engine import (
     divergent_states,
     normalize_fd,
     rename,
+    term_key,
 )
+from wright2csp.parser import parse_source
+from wright2csp import alphabets, codegen
 
 
 def test_stop_compiles_to_single_dead_state():
@@ -289,3 +298,159 @@ def test_discharge_preserves_order():
     plan = emit_plan("dt3.wrt")
     labels = [label for label, _ in discharge_assertions(plan.assertions, plan.definitions)]
     assert labels == [a.label for a in plan.assertions]
+
+
+def test_divergent_states_match_brute_force():
+    rng = random.Random(29)
+    divergent = calm = 0
+    for _ in range(600):
+        lts = random_lts(rng, max_states=rng.randint(1, 12))
+        got = divergent_states(lts)
+        assert got == brute_divergent(lts), lts.transitions
+        divergent += sum(got)
+        calm += len(got) - sum(got)
+    assert divergent > 200 and calm > 1000, (divergent, calm)
+
+
+# --- one verdict per distinct assertion ------------------------------------------
+
+
+def _generated_plans():
+    """(name, plan, known verdicts) for star(2..4) and pipeline(5), passing and failing."""
+    workloads = perfbench_workloads()
+    cases = [(f"star({k})", workloads.star_case(k, "t", fail)) for k in (2, 3, 4) for fail in (None, 1)]
+    cases += [("pipeline(5)", workloads.pipeline_case(5, "t", fail)) for fail in (False, True)]
+    for name, case in cases:
+        spec, warnings = parse_source(case.source)
+        assert not warnings and not alphabets.annotate(spec)
+        yield name, codegen.emit(spec), case.verdicts
+
+
+def _outcomes(results):
+    return [(label, v.holds, v.counterexample, v.explored) for label, v in results]
+
+
+def test_memoized_discharge_equals_checking_each_assertion(monkeypatch):
+    plans = [(f, emit_plan(f), None) for f in FIXTURES_WITH_ASSERTIONS] + list(_generated_plans())
+    checked = []
+
+    def counting(*args):
+        checked.append(args)
+        return check_assertion(*args)
+
+    monkeypatch.setattr(engine, "check_assertion", counting)
+    reused = 0
+    for name, plan, known in plans:
+        each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions, a.alphabet))
+                for a in plan.assertions]
+        checked.clear()
+        memoized = discharge_assertions(plan.assertions, plan.definitions)
+        assert _outcomes(memoized) == _outcomes(each), name
+        if known is not None:
+            assert [(v.holds, v.counterexample) for _, v in memoized] == known, name
+        assert len(checked) == len({id(v) for _, v in memoized}), name
+        reused += len(plan.assertions) - len(checked)
+        if name == "pipeline(5)":
+            assert len(checked) <= 10 < len(plan.assertions) == 19, len(checked)
+    assert reused >= 20, reused
+
+
+def _rename_refs(term, sigma):
+    """``term`` with every reference renamed by ``sigma``, branch order kept as stored."""
+    if isinstance(term, PRef):
+        return PRef(sigma[term.name])
+    if isinstance(term, PPrefix):
+        return PPrefix(term.event, _rename_refs(term.rest, sigma))
+    if isinstance(term, PExtN):
+        return PExtN(tuple(_rename_refs(b, sigma) for b in term.branches))
+    if isinstance(term, PInt):
+        return PInt(_rename_refs(term.left, sigma), _rename_refs(term.right, sigma))
+    if isinstance(term, PPar):
+        return PPar(_rename_refs(term.left, sigma), term.sync, _rename_refs(term.right, sigma))
+    if isinstance(term, PRename):
+        return PRename(_rename_refs(term.inner, sigma), term.mapping)
+    if isinstance(term, PHide):
+        return PHide(_rename_refs(term.inner, sigma), term.hidden)
+    return term
+
+
+def test_equal_keys_compile_to_identical_lts_under_renaming():
+    rng = random.Random(31)
+    keyed = capped = 0
+    outcomes = {}  # key -> outcome: distinct random terms with equal keys must agree too
+    for i in range(300):
+        term, env = random_operator_term(rng, depth=2 + i % 2)
+        names = list(env)
+        # a bijection that reverses, shuffles or swaps the names' sort order
+        targets = [f"N{j}" for j in range(len(names))]
+        rng.shuffle(targets)
+        sigma = dict(zip(names, targets))
+        term2 = _rename_refs(term, sigma)
+        env2 = {sigma[n]: _rename_refs(body, sigma) for n, body in env.items()}
+        key = term_key(term, env)
+        assert key == term_key(term2, env2), term
+        if key is None:
+            continue
+        keyed += 1
+        outcome = _compiled(compile_to_lts, term, env, 150)
+        assert _compiled(compile_to_lts, term2, env2, 150) == outcome, term
+        assert outcomes.setdefault(key, outcome) == outcome, term
+        capped += isinstance(outcome, str)
+    assert keyed >= 100 and capped >= 10, (keyed, capped)
+
+
+def test_choice_that_resorts_by_name_gets_no_key():
+    # after a tau of one reference branch, PExt re-sorts the other two by repr,
+    # and the renaming swaps their order
+    env = {"A": PPrefix("a", PStop()), "B": PPrefix("b", PStop()), "C": PPrefix("c", PStop())}
+    term = PExt(PRef("A"), PRef("B"), PRef("C"))
+    sigma = {"A": "Z", "B": "Y", "C": "X"}
+    term2 = _rename_refs(term, sigma)
+    env2 = {sigma[n]: body for n, body in env.items()}
+    assert compile_to_lts(term, env).transitions != compile_to_lts(term2, env2).transitions
+    assert term_key(term, env) is None and term_key(term2, env2) is None
+    # a reference elsewhere, or an unresolved one
+    assert term_key(PExt(PPrefix("a", PRef("A")), PSkip()), env) is not None
+    assert term_key(PPrefix("a", PRef("Q")), env) is None
+
+
+def test_keys_tell_apart_terms_that_compile_differently():
+    a, b, c, d, e = (PPrefix(x, PStop()) for x in "abcde")
+    pairs = [
+        # where a reference points
+        ((PRef("A"), {"A": PPrefix("a", PRef("B")), "B": PPrefix("b", PRef("A"))}),
+         (PRef("A"), {"A": PPrefix("a", PRef("B")), "B": PPrefix("b", PRef("B"))})),
+        # a sync set
+        ((PPar(a, frozenset("a"), a), {}), (PPar(a, frozenset(), a), {})),
+        # how choice branches group (a stored PExtN may nest)
+        ((PPar(PExtN((a, b)), frozenset(), PExtN((c, d, e))), {}),
+         (PPar(PExtN((a, b, PExtN((c, d)))), frozenset(), e), {})),
+    ]
+    for (term1, env1), (term2, env2) in pairs:
+        assert _compiled(compile_to_lts, term1, env1) != _compiled(compile_to_lts, term2, env2)
+        key1, key2 = term_key(term1, env1), term_key(term2, env2)
+        assert key1 is not None and key2 is not None and key1 != key2, term1
+
+
+def test_erroring_duplicate_is_rechecked_and_names_itself():
+    env = {}
+    assertions = []
+    for i in (1, 2):
+        env[f"A{i}"] = PPrefix("a", PRef(f"A{i}"))
+        env[f"S{i}"] = PExt(PPar(PRef(f"A{i}"), frozenset(), PStop()), PPrefix("c", PStop()))
+        assertions.append(SimpleNamespace(label=f"assert {i}", spec_term=PRef(f"S{i}"),
+                                          impl_term=PRef(f"S{i}"), alphabet=frozenset("ac")))
+    assert term_key(PRef("S1"), env) == term_key(PRef("S2"), env) is not None
+    (label1, err1), (label2, err2) = assertion_verdicts(assertions, env)
+    assert isinstance(err1, EngineError) and isinstance(err2, EngineError)
+    assert (label1, label2) == ("assert 1", "assert 2")
+    assert "A1" in str(err1) and "A2" in str(err2) and "A1" not in str(err2)
+    with pytest.raises(EngineError, match="A1"):
+        discharge_assertions(assertions, env)
+    # the same terms over a smaller alphabet are a different assertion
+    env["A3"] = PPrefix("a", PRef("A3"))
+    same = [SimpleNamespace(label=f"assert {i}", spec_term=PRef(f"A{i}"), impl_term=PRef(f"A{i}"),
+                            alphabet=frozenset(alphabet)) for i, alphabet in ((1, "a"), (2, ""), (3, "a"))]
+    (_, v1), (_, v2), (_, v3) = assertion_verdicts(same, env)
+    assert v1.holds and v3 is v1
+    assert isinstance(v2, AlphabetMismatchError)

@@ -198,6 +198,36 @@ def test_nesting_limit_is_exact(body):
         parse_role(body(MAX_NESTING + 1))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda n: "a -> " * n + "TICK",
+        lambda n: " [] ".join(f"e{i} -> R" for i in range(n)),
+        lambda n: " |~| ".join(f"_e{i} -> R" for i in range(n)),
+        lambda n: "a -> (R [] " * n + "TICK" + ")" * n,
+        lambda n: "R [] (" * n + "TICK" + ")" * n,
+        lambda n: "(" * n + "R" + "".join(f" {('[]', '|~|')[i % 2]} R)" for i in range(n)),
+    ],
+    ids=["prefix", "external", "internal", "choice-under-prefix", "right-operand", "alternating"],
+)
+def test_printed_text_parses_to_the_same_body_up_to_the_nesting_limit(body):
+    def role_spec(text):
+        return parse_text(f"Style S\nConnector K\n  Role R = {text}\n  Glue = TICK\nConstraints\nEnd Style")
+
+    n = 1
+    while True:  # the largest n the parser accepts
+        try:
+            role_spec(body(n + 1))
+        except ParseError:
+            break
+        n += 1
+    assert n >= MAX_NESTING // 4
+    for k in (1, 2, n):
+        spec = role_spec(body(k))
+        reparsed = role_spec(to_wright(spec).split("Role R = ")[1].split("\n")[0])
+        assert repr(reparsed.types[0].roles[0].body) == repr(spec.types[0].roles[0].body), k
+
+
 def test_parse_error_has_position_and_stops():
     with pytest.raises(ParseError) as err:
         parse_text("Style S\nComponent C\n  Port P = ->\nConstraints\nEnd Style")

@@ -125,6 +125,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return EXIT_OK if spec is not None else EXIT_ERROR
 
 
+def _state_cap(text: str) -> int:
+    """The value of ``--max-states``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wright2csp",
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ck = sub.add_parser("check", help="translate and discharge all assertions in-process")
     p_ck.add_argument("infile")
     p_ck.add_argument("-o", "--outfile", default=None)
-    p_ck.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p_ck.add_argument("--max-states", type=_state_cap, default=DEFAULT_MAX_STATES)
     p_ck.set_defaults(func=cmd_check)
 
     p_li = sub.add_parser("lint", help="static analysis only")

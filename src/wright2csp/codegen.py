@@ -391,9 +391,11 @@ def emit_component(out: _Out, comp: Component) -> None:
 # --- configurations and styles -------------------------------------------------
 
 
-def _attachment_decls(spec: Configuration, att) -> tuple[str, Declaration, str, Declaration]:
-    instances = {i.name: i.type_name for i in spec.instances}
-    types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
+def _attachment_decls(
+    instances: dict[str, str], types: dict[str, Union[Component, Connector]], att
+) -> tuple[str, Declaration, str, Declaration]:
+    """The port and role an attachment joins, given the instance -> type name
+    and type name -> type maps of its configuration."""
     try:
         comp = types[instances[att.left.instance]]
         port = next(p for p in comp.ports if p.name == att.left.point)  # type: ignore[union-attr]
@@ -410,8 +412,10 @@ def _attachment_decls(spec: Configuration, att) -> tuple[str, Declaration, str, 
 def emit_attachments(out: _Out, spec: Configuration) -> None:
     out.line("--Attachment Test")
     out.blank()
+    instances = {i.name: i.type_name for i in spec.instances}
+    types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
     for att in spec.attachments:
-        ci, port, ni, role = _attachment_decls(spec, att)
+        ci, port, ni, role = _attachment_decls(instances, types, att)
         p, r = port.name, role.name
         a_p = set(port.alphabet.total.qualified_names())
         a_r = set(role.alphabet.total.qualified_names())

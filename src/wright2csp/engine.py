@@ -5,9 +5,13 @@ STOP/SKIP, named references) compile to finite labelled transition systems by
 explicit-state exploration.  Sequential terms (prefix, both choices,
 references, STOP/SKIP) are stepped as terms; parallel, renaming and hiding
 are composed as products over integer states of their operands, in the style
-of FDR3's supercombinators.  The LTS is the one a breadth-first search with
-whole terms as states would build, state numbering included.  An operator
-directly under an external choice is not supported (codegen never emits one).
+of FDR3's supercombinators: a parallel node splits each operand state's moves
+once into a sync table (local moves, synchronised moves by event, tick
+targets), so each pair of states only joins two tables.  The LTS is the one a
+breadth-first search with whole terms as states would build, state numbering
+included; it is stored as adjacency lists only, and its transition triples are
+derived when read.  An operator directly under an external choice is not
+supported (codegen never emits one).
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
@@ -29,7 +33,7 @@ Semantic conventions (the usual CSP ones):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 TAU = "τ"
@@ -147,21 +151,32 @@ def dfa_definitions() -> dict[str, Proc]:
 # --- compilation to a labelled transition system ----------------------------
 
 
-@dataclass
 class Lts:
-    n_states: int
-    transitions: list[tuple[int, str, int]]
-    initial: int = 0
-    adj: list[list[tuple[str, int]]] = field(default_factory=list, repr=False)
-    labels: frozenset[str] = frozenset()
+    """A labelled transition system stored as adjacency lists.
 
-    def __post_init__(self) -> None:
-        if not self.adj:
-            self.adj = [[] for _ in range(self.n_states)]
-            for s, a, t in self.transitions:
-                self.adj[s].append((a, t))
-        if not self.labels:
-            self.labels = frozenset(a for _, a, _ in self.transitions if a not in (TAU, TICK))
+    ``adj[s]`` holds the moves ``(event, target)`` of state ``s`` in order.
+    ``Lts(n, transitions)`` builds it from ``(source, event, target)``
+    triples; ``transitions`` lists them back, by source state.  ``labels``
+    holds the regular events (neither tau nor tick) that label a move.
+    """
+
+    def __init__(
+        self,
+        n_states: int,
+        transitions: Iterable[tuple[int, str, int]] = (),
+        initial: int = 0,
+        adj: Optional[list[list[tuple[str, int]]]] = None,
+    ) -> None:
+        if adj is None:
+            adj = [[] for _ in range(n_states)]
+            for s, a, t in transitions:
+                adj[s].append((a, t))
+        self.n_states, self.initial, self.adj = n_states, initial, adj
+        self.labels = frozenset({a for out in adj for a, _ in out} - {TAU, TICK})
+
+    @property
+    def transitions(self) -> list[tuple[int, str, int]]:
+        return [(s, a, t) for s, out in enumerate(self.adj) for a, t in out]
 
 
 def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
@@ -201,27 +216,28 @@ def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
 # runs; only their operands move, so compilation works on integer states.  A
 # ``_Process`` numbers the states of whatever term fills one position: it
 # steps sequential terms with ``_step`` and hands operator terms to the node
-# for that operator and parameter, numbering the node's states as its own.
-# Every operand is a ``_Process`` again, so a term's state depends only on the
-# term, however it was reached.  Parents ask each state's transitions once,
-# except that a parallel node revisits operand states, so it alone caches.
+# for that operator and parameter.  The node with index k in a position has
+# states ``(k, left, right)`` (parallel) or ``(k, inner)`` (renaming, hiding)
+# over its operands' state ids, and the position numbers these tuples in the
+# same dict as its terms: a node's ``succ`` takes that dict and returns the
+# position's own ids.  (Nodes are handed the dict rather than keeping their
+# owner: the reference cycle would keep every node alive until the cyclic
+# collector runs.)  Every operand is a ``_Process`` again, so a term's state
+# depends only on the term, however it was reached.  Parents ask each
+# state's transitions once, except that a parallel node revisits operand
+# states, so it alone keeps per-state tables.
 
 
 class _Numbering(dict):
-    """Numbers each key on its first lookup, appending it to ``states``.
+    """Numbers each key on its first lookup, appending it to ``states``."""
 
-    With a ``tag``, ``states`` gets ``(tag, key)``: several numberings share
-    one list.  (An int tag, not the numbering: a reference cycle would keep
-    every node alive until the cyclic collector runs.)
-    """
-
-    def __init__(self, states: list, tag: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.states, self.tag = states, tag
+        self.states: list = []
 
     def __missing__(self, key) -> int:
         s = self[key] = len(self.states)
-        self.states.append(key if self.tag is None else (self.tag, key))
+        self.states.append(key)
         return s
 
 
@@ -230,90 +246,117 @@ class _Process:
 
     def __init__(self, env: Mapping[str, Proc]) -> None:
         self.env = env
-        self.states: list = []  # a term, or (index into operators, node state)
-        self.terms = _Numbering(self.states)
-        self.operators: list = []  # (node, _Numbering of its states)
-        self.index: dict = {}  # (operator, parameter) -> index into operators
+        self.ids = _Numbering()
+        self.states = self.ids.states  # a term, or a node state (k, ...)
+        self.nodes: list = []
+        self.index: dict = {}  # (operator, parameter) -> k, the node's index in nodes
 
     def enter(self, term: Proc) -> int:
         """The state of ``term`` (every node has ``enter`` and ``succ``)."""
-        if isinstance(term, PPar):
+        cls = type(term)
+        if cls is PPar:
             key = (PPar, term.sync)
-        elif isinstance(term, PRename):
+        elif cls is PRename:
             key = (PRename, term.mapping)
-        elif isinstance(term, PHide):
+        elif cls is PHide:
             key = (PHide, term.hidden)
         else:
-            return self.terms[term]
+            return self.ids[term]
         k = self.index.get(key)
         if k is None:
-            k = self.index[key] = len(self.operators)
-            if key[0] is PPar:
-                node = _Par(self.env, term.sync)
-            elif key[0] is PRename:
-                node = _Relabel(self.env, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
+            k = self.index[key] = len(self.nodes)
+            if cls is PPar:
+                node = _Par(k, self.env, term.sync)
+            elif cls is PRename:
+                node = _Relabel(k, self.env, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
             else:
-                node = _Relabel(self.env, dict.fromkeys(term.hidden, TAU))
-            self.operators.append((node, _Numbering(self.states, k)))
-        node, ids = self.operators[k]
-        return ids[node.enter(term)]
+                node = _Relabel(k, self.env, dict.fromkeys(term.hidden, TAU))
+            self.nodes.append(node)
+        return self.ids[self.nodes[k].enter(term)]
 
     def succ(self, s: int) -> list[tuple[str, int]]:
         """Transitions of state ``s``."""
         state = self.states[s]
         if type(state) is tuple:
-            node, ids = self.operators[state[0]]
-            return [(a, ids[t]) for a, t in node.succ(state[1])]
+            return self.nodes[state[0]].succ(state, self.ids)
         enter = self.enter
         return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
 
 
 class _Par:
-    """Synchronised parallel with distributed termination over state pairs."""
+    """Synchronised parallel with distributed termination over state pairs.
 
-    def __init__(self, env: Mapping[str, Proc], sync: frozenset[str]) -> None:
-        self.left, self.sync, self.right = _Process(env), sync, _Process(env)
-        self.lsteps: dict[int, list[tuple[str, int]]] = {}
-        self.rsteps: dict[int, list[tuple[str, int]]] = {}
-        self.pairs: list[tuple[int, int]] = []
-        self.index = _Numbering(self.pairs)
+    Each operand state's transitions are split once into a sync table:
+    local moves (neither tick nor synchronised), synchronised moves and tick
+    targets.  The right operand's synchronised moves are grouped by event, so
+    a pair joins the two tables without filtering.  A tick in the sync set is
+    both synchronised and a tick, as in the term-level rules.
+    """
 
-    def enter(self, term: PPar) -> int:
-        return self.index[self.left.enter(term.left), self.right.enter(term.right)]
+    def __init__(self, k: int, env: Mapping[str, Proc], sync: frozenset[str]) -> None:
+        self.k, self.sync, self.special = k, sync, sync | {TICK}
+        self.left, self.right = _Process(env), _Process(env)
+        # Operand state -> its sync table, or None until first needed.  Both
+        # lists are as long as the operands' state lists (see ``_table``).
+        self.ltabs: list = []  # (local moves, [(event, target)], [tick target])
+        self.rtabs: list = []  # (local moves, {event: [target]}, [tick target])
 
-    def succ(self, s: int) -> list[tuple[str, int]]:
-        l, r = self.pairs[s]
-        lsteps = self.lsteps.get(l)
-        if lsteps is None:
-            lsteps = self.lsteps[l] = self.left.succ(l)
-        rsteps = self.rsteps.get(r)
-        if rsteps is None:
-            rsteps = self.rsteps[r] = self.right.succ(r)
-        sync, index = self.sync, self.index
-        out = [(a, index[l2, r]) for a, l2 in lsteps if a != TICK and a not in sync]
-        out += [(a, index[l, r2]) for a, r2 in rsteps if a != TICK and a not in sync]
-        for a, l2 in lsteps:
-            if a in sync:
-                out += [(a, index[l2, r2]) for b, r2 in rsteps if b == a]
+    def enter(self, term: PPar) -> tuple[int, int, int]:
+        state = self.k, self.left.enter(term.left), self.right.enter(term.right)
+        self.ltabs += [None] * (len(self.left.states) - len(self.ltabs))
+        self.rtabs += [None] * (len(self.right.states) - len(self.rtabs))
+        return state
+
+    def _table(self, side: _Process, tabs: list, s: int, by_event: bool) -> tuple:
+        """The sync table of operand state ``s``, stored in ``tabs``."""
+        steps = side.succ(s)
+        tabs += [None] * (len(side.states) - len(tabs))
+        special = self.special
+        local = [step for step in steps if step[0] not in special]
+        if len(local) == len(steps):
+            table = local, (), ()
+        else:
+            sync = self.sync
+            synced = [(a, t) for a, t in steps if a in sync]
+            if by_event:
+                grouped: dict[str, list[int]] = {}
+                for a, t in synced:
+                    grouped.setdefault(a, []).append(t)
+                synced = grouped
+            table = local, synced, [t for a, t in steps if a == TICK]
+        tabs[s] = table
+        return table
+
+    def succ(self, state: tuple[int, int, int], ids: _Numbering) -> list[tuple[str, int]]:
+        k, l, r = state
+        lloc, lsync, ltick = self.ltabs[l] or self._table(self.left, self.ltabs, l, False)
+        rloc, rsync, rtick = self.rtabs[r] or self._table(self.right, self.rtabs, r, True)
+        out = [(a, ids[k, l2, r]) for a, l2 in lloc]
+        out += [(a, ids[k, l, r2]) for a, r2 in rloc]
+        if rsync:
+            for a, l2 in lsync:
+                targets = rsync.get(a)
+                if targets:
+                    out += [(a, ids[k, l2, r2]) for r2 in targets]
         # distributed termination: both operands must succeed together
-        for a, l2 in lsteps:
-            if a == TICK:
-                out += [(TICK, index[l2, r2]) for b, r2 in rsteps if b == TICK]
+        if rtick:
+            for l2 in ltick:
+                out += [(TICK, ids[k, l2, r2]) for r2 in rtick]
         return out
 
 
 class _Relabel:
     """Renaming or hiding: the operand's states, with events relabelled."""
 
-    def __init__(self, env: Mapping[str, Proc], relabel: dict[str, str]) -> None:
-        self.inner, self.relabel = _Process(env), relabel
+    def __init__(self, k: int, env: Mapping[str, Proc], relabel: dict[str, str]) -> None:
+        self.k, self.inner, self.relabel = k, _Process(env), relabel
 
-    def enter(self, term: PRename | PHide) -> int:
-        return self.inner.enter(term.inner)
+    def enter(self, term: PRename | PHide) -> tuple[int, int]:
+        return self.k, self.inner.enter(term.inner)
 
-    def succ(self, s: int) -> list[tuple[str, int]]:
-        get = self.relabel.get
-        return [(get(a, a), t) for a, t in self.inner.succ(s)]
+    def succ(self, state: tuple[int, int], ids: _Numbering) -> list[tuple[str, int]]:
+        k, get = self.k, self.relabel.get
+        return [(get(a, a), ids[k, t]) for a, t in self.inner.succ(state[1])]
 
 
 def compile_to_lts(
@@ -328,20 +371,17 @@ def compile_to_lts(
     """
     root = _Process(env or {})
     root.enter(term)
-    transitions: list[tuple[int, str, int]] = []
+    states, succ = root.states, root.succ
+    cap = max(max_states, 1)  # the initial state is always admitted, as in a term-level search
     adj: list[list[tuple[str, int]]] = []
-    s = 0
-    while s < len(root.states):
-        # Only this loop asks for the root's transitions, once per state in
-        # order, so the root numbers its states breadth-first.
-        out = root.succ(s)
-        adj.append(out)
-        transitions += [(s, a, t) for a, t in out]
-        # the initial state is always admitted, as in a term-level search
-        if len(root.states) > max(max_states, 1):
+    # Only this loop asks for the root's transitions, once per state in
+    # order, so the root numbers its states breadth-first.  (It also visits
+    # the states appended while it runs.)
+    for s, _ in enumerate(states):
+        adj.append(succ(s))
+        if len(states) > cap:
             raise ResourceLimitError(f"state cap {max_states} exceeded")
-        s += 1
-    return Lts(n_states=s, transitions=transitions, adj=adj)
+    return Lts(len(adj), adj=adj)
 
 
 # --- tau analysis -----------------------------------------------------------
@@ -367,15 +407,19 @@ def divergent_states(lts: Lts) -> list[bool]:
     take another tau step, so it diverges.
     """
     pending = [0] * lts.n_states  # tau successors not yet known to be safe
-    tau_preds: list[list[int]] = [[] for _ in range(lts.n_states)]
+    tau_preds: dict[int, list[int]] = {}  # only states with a tau predecessor
     for s, out in enumerate(lts.adj):
         for a, t in out:
             if a == TAU:
                 pending[s] += 1
-                tau_preds[t].append(s)
+                preds = tau_preds.get(t)
+                if preds is None:
+                    tau_preds[t] = [s]
+                else:
+                    preds.append(s)
     safe = [s for s in range(lts.n_states) if not pending[s]]
     while safe:
-        for s in tau_preds[safe.pop()]:
+        for s in tau_preds.get(safe.pop(), ()):
             pending[s] -= 1
             if not pending[s]:
                 safe.append(s)
@@ -542,61 +586,69 @@ def check_refinement_fd(
     returned counterexample trace is shortest.
     """
     impl_div = divergent_states(impl)
-    start = (spec.initial, impl.initial)
+    n, adj = impl.n_states, impl.adj
+    spec_div, spec_accs, spec_next = spec.divergent, spec.acceptances, spec.transitions.get
+    # A pair (spec node, impl state) is the int node * n + state.
+    start = spec.initial * n + impl.initial
     # 0-1 BFS: tau edges cost nothing, visible edges cost one, so the first
     # violating pair finalized sits at minimal visible-trace distance.
-    dist: dict[tuple[int, int], int] = {start: 0}
-    parents: dict[tuple[int, int], tuple[Optional[tuple[int, int]], Optional[str]]] = {
-        start: (None, None)
-    }
-    done: set[tuple[int, int]] = set()
+    dist: dict[int, int] = {start: 0}
+    parents: dict[int, tuple[Optional[int], Optional[str]]] = {start: (None, None)}
+    done: set[int] = set()
+    accepts: dict[tuple[int, frozenset[str]], bool] = {}  # _spec_accepts_refusal by (node, ready)
     explored = 0
 
-    def trace_of(pair: tuple[int, int], extra: Optional[str] = None) -> tuple[str, ...]:
+    def trace_of(pair: int, extra: Optional[str] = None) -> tuple[str, ...]:
         labels: list[str] = []
-        cur: Optional[tuple[int, int]] = pair
+        cur: Optional[int] = pair
         while cur is not None:
-            prev, label = parents[cur]
+            cur, label = parents[cur]
             if label is not None and label != TAU:
                 labels.append(label)
-            cur = prev
         labels.reverse()
         if extra is not None:
             labels.append(extra)
         return tuple(labels)
 
-    queue: deque[tuple[int, int]] = deque([start])
+    queue: deque[int] = deque([start])
     while queue:
         pair = queue.popleft()
         if pair in done:
             continue
         done.add(pair)
-        node, s = pair
+        node, s = divmod(pair, n)
         explored += 1
-        if spec.divergent[node]:
+        if spec_div[node]:
             continue  # spec allows everything from here on
         if impl_div[s]:
             return RefinementVerdict(False, (trace_of(pair), "divergence"), explored)
         ready = stable_ready(impl, s)
-        if ready is not None and not _spec_accepts_refusal(spec.acceptances[node], ready):
-            return RefinementVerdict(False, (trace_of(pair), "failure"), explored)
-        for a, t in impl.adj[s]:
+        if ready is not None:
+            ok = accepts.get((node, ready))
+            if ok is None:
+                ok = accepts[node, ready] = _spec_accepts_refusal(spec_accs[node], ready)
+            if not ok:
+                return RefinementVerdict(False, (trace_of(pair), "failure"), explored)
+        cost = dist[pair]
+        for a, t in adj[s]:
             if a == TAU:
-                nxt = (node, t)
-                cost = dist[pair]
+                nxt, nxt_cost = pair - s + t, cost
             else:
-                spec_next = spec.transitions.get((node, a))
-                if spec_next is None:
+                spec_node = spec_next((node, a))
+                if spec_node is None:
                     return RefinementVerdict(False, (trace_of(pair, a), "failure"), explored)
                 if a == TICK:
                     continue  # nothing observable after successful termination
-                nxt = (spec_next, t)
-                cost = dist[pair] + 1
-            if nxt in done or (nxt in dist and dist[nxt] <= cost):
+                nxt, nxt_cost = spec_node * n + t, cost + 1
+            # Pairs are finalized in order of distance, so a finalized pair
+            # never gets a lower cost: this test skips those too.
+            old = dist.get(nxt)
+            if old is None:
+                if len(dist) >= max_pairs:
+                    raise ResourceLimitError(f"product cap {max_pairs} exceeded")
+            elif old <= nxt_cost:
                 continue
-            if nxt not in dist and len(dist) >= max_pairs:
-                raise ResourceLimitError(f"product cap {max_pairs} exceeded")
-            dist[nxt] = cost
+            dist[nxt] = nxt_cost
             parents[nxt] = (pair, a)
             if a == TAU:
                 queue.appendleft(nxt)

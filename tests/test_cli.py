@@ -108,6 +108,18 @@ def test_check_max_states_forwarded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "x"])
+def test_check_rejects_a_bad_state_cap(capsys, cap):
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(fixture_path("dt3.wrt")), "--max-states", cap])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = f"invalid int value: {cap!r}" if cap == "x" else f"must be at least 1, got {cap}"
+    assert captured.err.endswith(f"wright2csp check: error: argument --max-states: {reason}\n")
+    assert "Parsing complete." not in captured.err  # rejected before any work
+
+
 def test_check_state_cap_leaves_other_verdicts(capsys):
     code, stdout, err = run(
         capsys, "check", str(fixture_path("dt3.wrt")), "--max-states", "20"

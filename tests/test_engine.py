@@ -1,3 +1,4 @@
+import gc
 import random
 from types import SimpleNamespace
 
@@ -216,6 +217,75 @@ def test_operator_term_reached_two_ways_is_one_state():
     lts = compile_to_lts(term, env)
     assert _compiled(compile_to_lts, term, env) == _compiled(reference_compile, term, env)
     assert lts.n_states == 6
+
+
+def _compiled_as_reference(term, env=None):
+    """The transitions of ``term``, after checking them against the reference."""
+    env = env or {}
+    n_states, transitions = _compiled(compile_to_lts, term, env)
+    assert (n_states, transitions) == _compiled(reference_compile, term, env)
+    return transitions
+
+
+def test_tick_in_the_sync_set_is_both_synchronised_and_distributed():
+    term = PPar(PExt(PPrefix("a", PSkip()), PSkip()), frozenset({TICK}), PSkip())
+    # the sync pass and the tick pass each join the two ticks
+    assert _compiled_as_reference(term) == [
+        (0, "a", 1), (0, TICK, 2), (0, TICK, 2), (1, TICK, 2), (1, TICK, 2)]
+
+
+def test_sync_event_offered_by_one_side_only_is_blocked():
+    for left, right in (("a", "b"), ("b", "a")):
+        term = PPar(PPrefix(left, PStop()), frozenset({"a"}), PPrefix(right, PStop()))
+        assert _compiled_as_reference(term) == [(0, "b", 1)]
+
+
+def test_sync_joins_each_left_move_with_every_right_move_in_order():
+    left = PExt(PPrefix("a", PPrefix("d", PStop())), PPrefix("a", PPrefix("e", PStop())))
+    right = PExt(PPrefix("a", PPrefix("b", PStop())), PPrefix("a", PPrefix("c", PStop())))
+    # states 1..4 are (d, b), (d, c), (e, b), (e, c): left-major order
+    assert _compiled_as_reference(PPar(left, frozenset({"a"}), right)) == [
+        (0, "a", 1), (0, "a", 2), (0, "a", 3), (0, "a", 4),
+        (1, "d", 5), (1, "b", 6), (2, "d", 7), (2, "c", 6),
+        (3, "e", 5), (3, "b", 8), (4, "e", 7), (4, "c", 8),
+        (5, "b", 9), (6, "d", 9), (7, "c", 9), (8, "e", 9)]
+
+
+def test_hiding_and_renaming_over_a_parallel_whose_operands_unfold_references():
+    env = {"P": PPrefix("a", PPrefix("b", PRef("P"))), "Q": PPrefix("a", PRef("Q"))}
+    par = PPar(PRef("P"), frozenset({"a"}), PRef("Q"))
+    term = PHide(rename(par, {"a": "x", "b": "y"}), frozenset({"y"}))
+    assert _compiled_as_reference(term, env) == [
+        (0, TAU, 1), (0, TAU, 2), (1, TAU, 3), (2, TAU, 3),
+        (3, "x", 4), (4, TAU, 0), (4, TAU, 5), (5, TAU, 2)]
+
+
+def test_lts_round_trips_between_triples_and_adjacency():
+    transitions = [(0, "a", 1), (0, TAU, 0), (1, TICK, 2), (1, "b", 0)]
+    lts = Lts(3, transitions)
+    assert lts.adj == [[("a", 1), (TAU, 0)], [(TICK, 2), ("b", 0)], []]
+    assert lts.transitions == transitions
+    assert lts.labels == {"a", "b"}
+    assert Lts(lts.n_states, adj=lts.adj).transitions == transitions
+
+
+def test_divergent_states_without_tau_moves():
+    assert divergent_states(Lts(3, [(0, "a", 1), (1, "b", 2), (2, "a", 0)])) == [False] * 3
+    assert divergent_states(Lts(2, [])) == [False, False]
+
+
+def test_compile_leaves_no_reference_cycles():
+    # a cycle among the operator nodes would keep them alive until the
+    # cyclic collector runs
+    plan = emit_plan("dt3.wrt")
+    gc.collect()
+    gc.disable()
+    try:
+        for a in plan.assertions:
+            compile_to_lts(a.impl_term, plan.definitions)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_state_cap_raises_exactly_where_the_reference_does():

@@ -8,7 +8,9 @@ reason, for one the engine could not decide, such as one over the state cap);
 
 Every command exits 0 when everything passes, 1 when an assertion FAILs, and
 2 on an input error (unreadable input, unwritable output, parse or
-static-semantics error) or when an assertion is UNKNOWN and none FAILs.
+static-semantics error) or when an assertion is UNKNOWN and none FAILs.  It
+also exits 2, quietly, when standard output is closed before everything is
+written (``wright2csp check big.wrt | head -1``).
 
 For compatibility with the historical positional form,
 ``wright2csp in.wrt out.fdr2`` behaves like ``translate``.
@@ -171,7 +173,17 @@ def main(argv: list[str] | None = None) -> int:
         _eprint("usage: wright2csp <infile> <fdrfile>")
         return EXIT_ERROR
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter exit does not fail again (the Python docs' SIGPIPE note).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -7,14 +7,21 @@ references, STOP/SKIP) are stepped as terms; parallel, renaming and hiding
 are composed as products over integer states of their operands, in the style
 of FDR3's supercombinators: a parallel node splits each operand state's moves
 once into a sync table (local moves, synchronised moves by event, tick
-targets), so each pair of states only joins two tables.  The LTS is the one a
-breadth-first search with whole terms as states would build, state numbering
-included; it is stored as adjacency lists only, and its transition triples are
-derived when read.  An operator directly under an external choice is not
-supported (codegen never emits one).
+targets), so each pair of states only joins two tables.  Each operator node
+numbers its own states through a table from operand ids to ids of its
+position (a dict of right ids per left id for parallel, a list for renaming
+and hiding), so no transition builds or hashes a state tuple.  The LTS is
+the one a breadth-first search with whole terms as states would build, state
+numbering included; it is stored as adjacency lists only, and its transition
+triples are derived when read.  An operator directly under an external
+choice is not supported (codegen never emits one), and operators nested more
+than ``MAX_NESTING`` deep by recursion are a ``ResourceLimitError``.
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
+Divergent states are found by one iterative depth-first search over tau
+edges.  ``check_assertion`` pauses the cyclic garbage collector while it
+compiles, normalizes and refines: none of these creates a reference cycle.
 When many assertions are discharged together, each distinct one is checked
 once: an assertion whose sides equal an earlier one's up to a renaming of
 process names (``term_key``) reuses that verdict.
@@ -32,6 +39,7 @@ Semantic conventions (the usual CSP ones):
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -218,22 +226,25 @@ def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
 # steps sequential terms with ``_step`` and hands operator terms to the node
 # for that operator and parameter.  The node with index k in a position has
 # states ``(k, left, right)`` (parallel) or ``(k, inner)`` (renaming, hiding)
-# over its operands' state ids, and the position numbers these tuples in the
-# same dict as its terms: a node's ``succ`` takes that dict and returns the
-# position's own ids.  (Nodes are handed the dict rather than keeping their
-# owner: the reference cycle would keep every node alive until the cyclic
-# collector runs.)  Every operand is a ``_Process`` again, so a term's state
-# depends only on the term, however it was reached.  Parents ask each
+# over its operands' state ids.  Each node numbers its own states in the
+# position's id space: it keeps a table from operand ids to position ids and
+# appends a new state's tuple to the position's ``states`` list, so no tuple
+# is built or hashed per transition.  (Nodes are handed that list rather than
+# their owner: the reference cycle would keep every node alive until the
+# cyclic collector runs.)  Every operand is a ``_Process`` again, so a term's
+# state depends only on the term, however it was reached.  Parents ask each
 # state's transitions once, except that a parallel node revisits operand
 # states, so it alone keeps per-state tables.
 
+MAX_NESTING = 200  # operator positions nested in one another, about 3 stack frames each
+
 
 class _Numbering(dict):
-    """Numbers each key on its first lookup, appending it to ``states``."""
+    """Numbers each term on its first lookup, appending it to ``states``."""
 
-    def __init__(self) -> None:
+    def __init__(self, states: list) -> None:
         super().__init__()
-        self.states: list = []
+        self.states = states
 
     def __missing__(self, key) -> int:
         s = self[key] = len(self.states)
@@ -244,10 +255,14 @@ class _Numbering(dict):
 class _Process:
     """The states of one term position: terms, or states of operator nodes."""
 
-    def __init__(self, env: Mapping[str, Proc]) -> None:
-        self.env = env
-        self.ids = _Numbering()
-        self.states = self.ids.states  # a term, or a node state (k, ...)
+    def __init__(self, env: Mapping[str, Proc], depth: int = 0) -> None:
+        # Each operator recursion (``R = (a -> R) [|X|] Q``, say) nests one
+        # more position, and stepping a state recurses once per level.
+        if depth > MAX_NESTING:
+            raise ResourceLimitError(f"operator nesting cap {MAX_NESTING} exceeded")
+        self.env, self.depth = env, depth
+        self.states: list = []  # a term, or a node state (k, ...)
+        self.ids = _Numbering(self.states)  # term -> id; nodes number their own states
         self.nodes: list = []
         self.index: dict = {}  # (operator, parameter) -> k, the node's index in nodes
 
@@ -265,22 +280,42 @@ class _Process:
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.nodes)
+            args = k, self.states, self.env, self.depth + 1
             if cls is PPar:
-                node = _Par(k, self.env, term.sync)
+                node = _Par(*args, term.sync)
             elif cls is PRename:
-                node = _Relabel(k, self.env, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
+                node = _Relabel(*args, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
             else:
-                node = _Relabel(k, self.env, dict.fromkeys(term.hidden, TAU))
+                node = _Relabel(*args, dict.fromkeys(term.hidden, TAU))
             self.nodes.append(node)
-        return self.ids[self.nodes[k].enter(term)]
+        return self.nodes[k].enter(term)
 
     def succ(self, s: int) -> list[tuple[str, int]]:
         """Transitions of state ``s``."""
         state = self.states[s]
         if type(state) is tuple:
-            return self.nodes[state[0]].succ(state, self.ids)
+            return self.nodes[state[0]].succ(state)
         enter = self.enter
         return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
+
+
+class _Row(dict):
+    """The pairs of one left operand state: right id -> the position's id.
+
+    A pair is numbered on its first lookup, its ``(k, l, r)`` appended to the
+    position's ``states``.
+    """
+
+    __slots__ = ("states", "k", "l")
+
+    def __init__(self, states: list, k: int, l: int) -> None:
+        self.states, self.k, self.l = states, k, l
+
+    def __missing__(self, r: int) -> int:
+        states = self.states
+        s = self[r] = len(states)
+        states.append((self.k, self.l, r))
+        return s
 
 
 class _Par:
@@ -293,24 +328,36 @@ class _Par:
     both synchronised and a tick, as in the term-level rules.
     """
 
-    def __init__(self, k: int, env: Mapping[str, Proc], sync: frozenset[str]) -> None:
-        self.k, self.sync, self.special = k, sync, sync | {TICK}
-        self.left, self.right = _Process(env), _Process(env)
-        # Operand state -> its sync table, or None until first needed.  Both
-        # lists are as long as the operands' state lists (see ``_table``).
+    def __init__(
+        self, k: int, states: list, env: Mapping[str, Proc], depth: int, sync: frozenset[str]
+    ) -> None:
+        self.k, self.states, self.sync, self.special = k, states, sync, sync | {TICK}
+        self.left, self.right = _Process(env, depth), _Process(env, depth)
+        # Indexed by operand state, as long as the operands' state lists (see
+        # ``_fit``): the left state's pairs, and each side's sync table or
+        # None until first needed.
+        self.rows: list[_Row] = []
         self.ltabs: list = []  # (local moves, [(event, target)], [tick target])
         self.rtabs: list = []  # (local moves, {event: [target]}, [tick target])
 
-    def enter(self, term: PPar) -> tuple[int, int, int]:
-        state = self.k, self.left.enter(term.left), self.right.enter(term.right)
-        self.ltabs += [None] * (len(self.left.states) - len(self.ltabs))
+    def _fit(self) -> None:
+        """Extend the per-operand-state lists to the operands' state counts."""
+        n = len(self.left.states)
+        rows = self.rows
+        if len(rows) < n:
+            self.ltabs += [None] * (n - len(rows))
+            rows += [_Row(self.states, self.k, l) for l in range(len(rows), n)]
         self.rtabs += [None] * (len(self.right.states) - len(self.rtabs))
-        return state
+
+    def enter(self, term: PPar) -> int:
+        l, r = self.left.enter(term.left), self.right.enter(term.right)
+        self._fit()
+        return self.rows[l][r]
 
     def _table(self, side: _Process, tabs: list, s: int, by_event: bool) -> tuple:
         """The sync table of operand state ``s``, stored in ``tabs``."""
         steps = side.succ(s)
-        tabs += [None] * (len(side.states) - len(tabs))
+        self._fit()
         special = self.special
         local = [step for step in steps if step[0] not in special]
         if len(local) == len(steps):
@@ -327,36 +374,64 @@ class _Par:
         tabs[s] = table
         return table
 
-    def succ(self, state: tuple[int, int, int], ids: _Numbering) -> list[tuple[str, int]]:
-        k, l, r = state
+    def succ(self, state: tuple[int, int, int]) -> list[tuple[str, int]]:
+        _, l, r = state
         lloc, lsync, ltick = self.ltabs[l] or self._table(self.left, self.ltabs, l, False)
         rloc, rsync, rtick = self.rtabs[r] or self._table(self.right, self.rtabs, r, True)
-        out = [(a, ids[k, l2, r]) for a, l2 in lloc]
-        out += [(a, ids[k, l, r2]) for a, r2 in rloc]
+        rows = self.rows
+        row = rows[l]
+        out = [(a, rows[l2][r]) for a, l2 in lloc]
+        out += [(a, row[r2]) for a, r2 in rloc]
         if rsync:
             for a, l2 in lsync:
                 targets = rsync.get(a)
                 if targets:
-                    out += [(a, ids[k, l2, r2]) for r2 in targets]
+                    row2 = rows[l2]
+                    out += [(a, row2[r2]) for r2 in targets]
         # distributed termination: both operands must succeed together
         if rtick:
             for l2 in ltick:
-                out += [(TICK, ids[k, l2, r2]) for r2 in rtick]
+                row2 = rows[l2]
+                out += [(TICK, row2[r2]) for r2 in rtick]
         return out
 
 
 class _Relabel:
-    """Renaming or hiding: the operand's states, with events relabelled."""
+    """Renaming or hiding: the operand's states, with events relabelled.
 
-    def __init__(self, k: int, env: Mapping[str, Proc], relabel: dict[str, str]) -> None:
-        self.k, self.inner, self.relabel = k, _Process(env), relabel
+    The operand's states map one to one onto this node's.  A process gains
+    states only as its ``enter`` or ``succ`` returns them, numbered in the
+    order they first appear there, which is the order the position numbers
+    them in too.  So the states new to the operand after a call take the
+    next ids of the position, in the operand's order.
+    """
 
-    def enter(self, term: PRename | PHide) -> tuple[int, int]:
-        return self.k, self.inner.enter(term.inner)
+    def __init__(
+        self, k: int, states: list, env: Mapping[str, Proc], depth: int, relabel: dict[str, str]
+    ) -> None:
+        self.k, self.states, self.relabel = k, states, relabel
+        self.inner = _Process(env, depth)
+        self.ids: list[int] = []  # inner id -> the position's id
 
-    def succ(self, state: tuple[int, int], ids: _Numbering) -> list[tuple[str, int]]:
-        k, get = self.k, self.relabel.get
-        return [(get(a, a), ids[k, t]) for a, t in self.inner.succ(state[1])]
+    def _fit(self) -> None:
+        """Number the inner states that are new since the last call."""
+        ids, states = self.ids, self.states
+        old, n = len(ids), len(self.inner.states)
+        ids += range(len(states), len(states) + n - old)
+        states += [(self.k, t) for t in range(old, n)]
+
+    def enter(self, term: PRename | PHide) -> int:
+        t = self.inner.enter(term.inner)
+        self._fit()
+        return self.ids[t]
+
+    def succ(self, state: tuple[int, int]) -> list[tuple[str, int]]:
+        steps = self.inner.succ(state[1])
+        ids = self.ids
+        if len(ids) < len(self.inner.states):
+            self._fit()
+        get = self.relabel.get
+        return [(get(a, a), ids[t]) for a, t in steps]
 
 
 def compile_to_lts(
@@ -387,6 +462,9 @@ def compile_to_lts(
 # --- tau analysis -----------------------------------------------------------
 
 
+_OPEN, _SAFE, _DIVERGES = 1, 2, 3  # divergent_states' marks; _OPEN while on the stack
+
+
 def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
     seen = set(states)
     stack = list(seen)
@@ -402,28 +480,37 @@ def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
 def divergent_states(lts: Lts) -> list[bool]:
     """States from which an infinite tau path exists.
 
-    A state is safe once all its tau successors are: peel safe states off
-    from the tau-stable ones backwards; whatever is never peeled can always
-    take another tau step, so it diverges.
+    One iterative depth-first search over tau edges: a state diverges iff
+    one of its tau edges leads to a state on the search stack (a tau cycle)
+    or to a divergent state.  A state finished otherwise has only finished,
+    non-divergent tau successors, so it is safe.
     """
-    pending = [0] * lts.n_states  # tau successors not yet known to be safe
-    tau_preds: dict[int, list[int]] = {}  # only states with a tau predecessor
-    for s, out in enumerate(lts.adj):
-        for a, t in out:
-            if a == TAU:
-                pending[s] += 1
-                preds = tau_preds.get(t)
-                if preds is None:
-                    tau_preds[t] = [s]
-                else:
-                    preds.append(s)
-    safe = [s for s in range(lts.n_states) if not pending[s]]
-    while safe:
-        for s in tau_preds.get(safe.pop(), ()):
-            pending[s] -= 1
-            if not pending[s]:
-                safe.append(s)
-    return [n > 0 for n in pending]
+    adj = lts.adj
+    mark = bytearray(lts.n_states)  # 0 while unseen
+    for root, out in enumerate(adj):
+        if mark[root]:
+            continue
+        mark[root] = _OPEN
+        path, edges = [root], [iter(out)]
+        while path:
+            for a, t in edges[-1]:
+                if a == TAU:
+                    m = mark[t]
+                    if not m:
+                        mark[t] = _OPEN
+                        path.append(t)
+                        edges.append(iter(adj[t]))
+                        break
+                    if m != _SAFE:  # on the stack, or divergent
+                        mark[path[-1]] = _DIVERGES
+            else:
+                edges.pop()
+                s = path.pop()
+                if mark[s] == _OPEN:
+                    mark[s] = _SAFE
+                elif path:
+                    mark[path[-1]] = _DIVERGES
+    return [m == _DIVERGES for m in mark]
 
 
 def stable_ready(lts: Lts, state: int) -> Optional[frozenset[str]]:
@@ -451,54 +538,6 @@ class FdModel:
     @property
     def node_count(self) -> int:
         return len(self.divergent)
-
-    def node_after(self, trace: Sequence[str]) -> Optional[int]:
-        """Node reached by a visible trace; None if the trace is impossible.
-
-        Walking stops at the first divergent node (which absorbs everything)
-        and returns it.
-        """
-        node = self.initial
-        for a in trace:
-            if self.divergent[node]:
-                return node
-            nxt = self.transitions.get((node, a))
-            if nxt is None:
-                return None
-            node = nxt
-        return node
-
-    def is_divergence(self, trace: Sequence[str]) -> bool:
-        node = self.initial
-        for a in trace:
-            if self.divergent[node]:
-                return True
-            nxt = self.transitions.get((node, a))
-            if nxt is None:
-                return False
-            node = nxt
-        return self.divergent[node]
-
-    def refuses(self, trace: Sequence[str], refusal: Iterable[str]) -> bool:
-        """Is (trace, refusal) a failure of the normalized process?"""
-        if trace and trace[-1] == TICK:
-            prior = self.node_after(trace[:-1])
-            if prior is None:
-                return False
-            return self.divergent[prior] or (prior, TICK) in self.transitions
-        node = self.node_after(trace)
-        if node is None:
-            return False
-        if self.divergent[node]:
-            return True
-        ref = frozenset(refusal)
-        for acc in self.acceptances[node]:
-            if TICK in acc:
-                if TICK not in ref:
-                    return True
-            elif not (ref & acc):
-                return True
-        return False
 
 
 def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
@@ -592,9 +631,9 @@ def check_refinement_fd(
     start = spec.initial * n + impl.initial
     # 0-1 BFS: tau edges cost nothing, visible edges cost one, so the first
     # violating pair finalized sits at minimal visible-trace distance.
-    dist: dict[int, int] = {start: 0}
-    parents: dict[int, tuple[Optional[int], Optional[str]]] = {start: (None, None)}
-    done: set[int] = set()
+    # ``best`` maps a pair to (distance, parent pair, label of the edge from
+    # the parent); once the pair is finalized its distance reads -1.
+    best: dict[int, tuple[int, Optional[int], Optional[str]]] = {start: (0, None, None)}
     accepts: dict[tuple[int, frozenset[str]], bool] = {}  # _spec_accepts_refusal by (node, ready)
     explored = 0
 
@@ -602,7 +641,7 @@ def check_refinement_fd(
         labels: list[str] = []
         cur: Optional[int] = pair
         while cur is not None:
-            cur, label = parents[cur]
+            _, cur, label = best[cur]
             if label is not None and label != TAU:
                 labels.append(label)
         labels.reverse()
@@ -613,9 +652,10 @@ def check_refinement_fd(
     queue: deque[int] = deque([start])
     while queue:
         pair = queue.popleft()
-        if pair in done:
-            continue
-        done.add(pair)
+        cost, parent, label = best[pair]
+        if cost < 0:
+            continue  # a stale queue entry
+        best[pair] = (-1, parent, label)
         node, s = divmod(pair, n)
         explored += 1
         if spec_div[node]:
@@ -629,7 +669,6 @@ def check_refinement_fd(
                 ok = accepts[node, ready] = _spec_accepts_refusal(spec_accs[node], ready)
             if not ok:
                 return RefinementVerdict(False, (trace_of(pair), "failure"), explored)
-        cost = dist[pair]
         for a, t in adj[s]:
             if a == TAU:
                 nxt, nxt_cost = pair - s + t, cost
@@ -641,15 +680,14 @@ def check_refinement_fd(
                     continue  # nothing observable after successful termination
                 nxt, nxt_cost = spec_node * n + t, cost + 1
             # Pairs are finalized in order of distance, so a finalized pair
-            # never gets a lower cost: this test skips those too.
-            old = dist.get(nxt)
+            # would never get a lower cost; its -1 makes this test skip it.
+            old = best.get(nxt)
             if old is None:
-                if len(dist) >= max_pairs:
+                if len(best) >= max_pairs:
                     raise ResourceLimitError(f"product cap {max_pairs} exceeded")
-            elif old <= nxt_cost:
+            elif old[0] <= nxt_cost:
                 continue
-            dist[nxt] = nxt_cost
-            parents[nxt] = (pair, a)
+            best[nxt] = (nxt_cost, pair, a)
             if a == TAU:
                 queue.appendleft(nxt)
             else:
@@ -664,17 +702,31 @@ def check_assertion(
     alphabet: frozenset[str],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> RefinementVerdict:
-    """Compile both sides over the same alphabet and decide refinement."""
-    spec_lts = compile_to_lts(spec_term, env, max_states)
-    impl_lts = compile_to_lts(impl_term, env, max_states)
-    for side, lts in (("specification", spec_lts), ("implementation", impl_lts)):
-        extra = lts.labels - alphabet
-        if extra:
-            raise AlphabetMismatchError(
-                f"{side} performs events outside the assertion alphabet: {sorted(extra)}"
-            )
-    spec_fd = normalize_fd(spec_lts, max_states)
-    return check_refinement_fd(spec_fd, impl_lts, max_states)
+    """Compile both sides over the same alphabet and decide refinement.
+
+    The cyclic garbage collector is paused meanwhile and then restored (left
+    off if the caller had turned it off): these phases allocate many objects
+    but create no reference cycles, so collecting during them only walks
+    live data.  The switch is process-global, so a check running in another
+    thread at the same time may turn the collector back on early; that costs
+    speed, never correctness.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec_lts = compile_to_lts(spec_term, env, max_states)
+        impl_lts = compile_to_lts(impl_term, env, max_states)
+        for side, lts in (("specification", spec_lts), ("implementation", impl_lts)):
+            extra = lts.labels - alphabet
+            if extra:
+                raise AlphabetMismatchError(
+                    f"{side} performs events outside the assertion alphabet: {sorted(extra)}"
+                )
+        spec_fd = normalize_fd(spec_lts, max_states)
+        return check_refinement_fd(spec_fd, impl_lts, max_states)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- discharging many assertions ---------------------------------------------

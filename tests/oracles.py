@@ -16,6 +16,7 @@ from wright2csp.codegen import process_term
 from wright2csp.engine import (
     TAU,
     TICK,
+    FdModel,
     Lts,
     PExt,
     PExtN,
@@ -358,6 +359,60 @@ def brute_refines(spec: Lts, impl: Lts, depth: int, alphabet: frozenset[str]) ->
             if not any(x <= y for y in want):
                 return False
     return True
+
+
+# --- questions about a normalized machine ---------------------------------------
+
+
+def node_after(fd: FdModel, trace) -> int | None:
+    """Node reached by a visible trace; None if the trace is impossible.
+
+    Walking stops at the first divergent node (which absorbs everything)
+    and returns it.
+    """
+    node = fd.initial
+    for a in trace:
+        if fd.divergent[node]:
+            return node
+        nxt = fd.transitions.get((node, a))
+        if nxt is None:
+            return None
+        node = nxt
+    return node
+
+
+def is_divergence(fd: FdModel, trace) -> bool:
+    node = fd.initial
+    for a in trace:
+        if fd.divergent[node]:
+            return True
+        nxt = fd.transitions.get((node, a))
+        if nxt is None:
+            return False
+        node = nxt
+    return fd.divergent[node]
+
+
+def refuses(fd: FdModel, trace, refusal) -> bool:
+    """Is (trace, refusal) a failure of the normalized process?"""
+    if trace and trace[-1] == TICK:
+        prior = node_after(fd, trace[:-1])
+        if prior is None:
+            return False
+        return fd.divergent[prior] or (prior, TICK) in fd.transitions
+    node = node_after(fd, trace)
+    if node is None:
+        return False
+    if fd.divergent[node]:
+        return True
+    ref = frozenset(refusal)
+    for acc in fd.acceptances[node]:
+        if TICK in acc:
+            if TICK not in ref:
+                return True
+        elif not (ref & acc):
+            return True
+    return False
 
 
 # --- random transition systems -------------------------------------------------

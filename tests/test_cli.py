@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +184,21 @@ def test_check_passes_at_the_nesting_limit(tmp_path, capsys):
     assert code == 0
     verdicts = stdout.splitlines()
     assert len(verdicts) == 4 and all(v.startswith("PASS") for v in verdicts)
+
+
+def test_check_exits_quietly_when_stdout_closes_early(tmp_path):
+    # about 2 000 verdict lines (115 kB) overflow the pipe, so the check is
+    # still writing when the reader goes away
+    spec = tmp_path / "pipeline1000.wrt"
+    spec.write_text(perfbench_workloads().pipeline_case(1000, "t", False).source)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wright2csp.cli", "check", str(spec)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"PASS  ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

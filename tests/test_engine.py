@@ -10,9 +10,11 @@ from oracles import (
     brute_divergent,
     brute_refines,
     enumerate_behaviours,
+    is_divergence,
     random_lts,
     random_operator_term,
     reference_compile,
+    refuses,
     traces,
 )
 from wright2csp.engine import (
@@ -89,24 +91,24 @@ def test_rename_and_hide():
 def test_normalize_prefix_stop_failures():
     lts = compile_to_lts(PPrefix("a", PStop()))
     fd = normalize_fd(lts)
-    assert fd.refuses((), {TICK})
-    assert not fd.refuses((), {"a"})
-    assert fd.refuses(("a",), {"a", TICK})
-    assert not fd.is_divergence(())
+    assert refuses(fd, (), {TICK})
+    assert not refuses(fd, (), {"a"})
+    assert refuses(fd, ("a",), {"a", TICK})
+    assert not is_divergence(fd, ())
 
 
 def test_normalize_tick_behaviour():
     fd = normalize_fd(compile_to_lts(PPrefix("a", PSkip())))
-    assert fd.refuses(("a",), {"a"})        # may refuse regular events
-    assert not fd.refuses(("a",), {TICK})   # but never the success event
-    assert fd.refuses(("a", TICK), {"a", TICK})  # anything goes after termination
-    assert not fd.refuses((TICK,), set())   # cannot terminate before the prefix
+    assert refuses(fd, ("a",), {"a"})        # may refuse regular events
+    assert not refuses(fd, ("a",), {TICK})   # but never the success event
+    assert refuses(fd, ("a", TICK), {"a", TICK})  # anything goes after termination
+    assert not refuses(fd, (TICK,), set())   # cannot terminate before the prefix
 
 
 def test_tau_loop_diverges():
     lts = compile_to_lts(PRef("P"), {"P": PRef("P")})
     fd = normalize_fd(lts)
-    assert fd.is_divergence(())
+    assert is_divergence(fd, ())
 
 
 def test_deterministic_process_has_no_divergence():
@@ -123,8 +125,8 @@ def test_normalized_deterministic_machine_is_functional():
     assert not any(fd.divergent)
     for node in range(fd.node_count):
         assert len(fd.acceptances[node]) <= 1
-    assert fd.refuses(("a",), {"a", "c"})
-    assert not fd.refuses(("a",), {"b"})
+    assert refuses(fd, ("a",), {"a", "c"})
+    assert not refuses(fd, ("a",), {"b"})
 
 
 def test_refinement_reflexive_on_fixture_assertions():
@@ -275,15 +277,44 @@ def test_divergent_states_without_tau_moves():
 
 
 def test_compile_leaves_no_reference_cycles():
-    # a cycle among the operator nodes would keep them alive until the
-    # cyclic collector runs
-    plan = emit_plan("dt3.wrt")
+    # check_assertion pauses the cyclic collector, which is sound only while
+    # compile, normalize and refine create no reference cycles
+    plans = [emit_plan("dt3.wrt")]
+    spec, _ = parse_source(perfbench_workloads().star_case(3, "t").source)
+    alphabets.annotate(spec)
+    plans.append(codegen.emit(spec))
     gc.collect()
     gc.disable()
     try:
-        for a in plan.assertions:
-            compile_to_lts(a.impl_term, plan.definitions)
+        for plan in plans:
+            for a in plan.assertions:
+                spec_fd = normalize_fd(compile_to_lts(a.spec_term, plan.definitions))
+                check_refinement_fd(spec_fd, compile_to_lts(a.impl_term, plan.definitions))
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_check_assertion_leaves_the_collector_as_it_found_it():
+    env = dfa_definitions()
+    env["ODD"] = PPrefix("other", PStop())
+    env["P"] = PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))
+    alphabet = frozenset({"abstractEvent"})
+    calls = [
+        (None, lambda: check_assertion(PRef("DFA"), PRef("DFA"), env, alphabet)),
+        (AlphabetMismatchError, lambda: check_assertion(PRef("DFA"), PRef("ODD"), env, alphabet)),
+        (ResourceLimitError, lambda: check_assertion(PRef("DFA"), PRef("P"), env, alphabet, 20)),
+    ]
+    try:
+        for enabled in (True, False):
+            for error, call in calls:
+                gc.enable() if enabled else gc.disable()
+                if error is None:
+                    assert call().holds
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() == enabled, (enabled, error)
     finally:
         gc.enable()
 
@@ -297,6 +328,22 @@ def test_state_cap_raises_exactly_where_the_reference_does():
     for term, env in ((PStop(), {}), (PRef("P"), counter), (connector, dt3.definitions), (term, env)):
         for cap in range(-1, 45):
             assert _compiled(compile_to_lts, term, env, cap) == _compiled(reference_compile, term, env, cap), cap
+
+
+def test_unbounded_operator_nesting_is_a_resource_limit():
+    # each `a` nests one more parallel: the stack, not the state count, runs out
+    env = {"R0": PPar(PPrefix("a", PRef("R0")), frozenset({"b"}), PPrefix("b", PStop()))}
+    with pytest.raises(ResourceLimitError, match="state cap 100 exceeded"):
+        compile_to_lts(PRef("R0"), env, 100)
+    message = f"operator nesting cap {engine.MAX_NESTING} exceeded"
+    for cap in (1000, DEFAULT_MAX_STATES):
+        with pytest.raises(ResourceLimitError, match=message):
+            compile_to_lts(PRef("R0"), env, cap)
+    deep = SimpleNamespace(label="deep", spec_term=PRef("R0"), impl_term=PRef("R0"),
+                           alphabet=frozenset({"a", "b"}))
+    [(label, verdict)] = assertion_verdicts([deep], env)
+    assert label == "deep" and isinstance(verdict, ResourceLimitError)
+    assert str(verdict) == message
 
 
 def test_operator_directly_under_external_choice_is_an_error():
@@ -380,6 +427,34 @@ def test_divergent_states_match_brute_force():
         divergent += sum(got)
         calm += len(got) - sum(got)
     assert divergent > 200 and calm > 1000, (divergent, calm)
+    # tau-dense: long tau paths, many cycles and cross edges
+    divergent = calm = 0
+    for _ in range(300):
+        n, tau_share = rng.randint(1, 30), rng.uniform(0.3, 1.0)
+        lts = Lts(n, [(s, TAU if rng.random() < tau_share else "a", rng.randrange(n))
+                      for s in range(n) for _ in range(rng.randint(0, 3))])
+        got = divergent_states(lts)
+        assert got == brute_divergent(lts), lts.transitions
+        divergent += sum(got)
+        calm += len(got) - sum(got)
+    assert divergent > 1000 and calm > 1000, (divergent, calm)
+
+
+def test_divergence_through_states_the_search_finished_earlier():
+    # From 0 the search finishes 1 and 3 (divergent: 3 loops) before it
+    # reaches 2, whose only way to the loop is through 1; 4 is finished
+    # safe before 5 reaches it
+    lts = Lts(6, [(0, TAU, 1), (0, TAU, 2), (1, TAU, 3), (3, TAU, 3), (2, TAU, 1),
+                  (4, "a", 0), (5, TAU, 4)])
+    assert divergent_states(lts) == [True, True, True, True, False, False]
+    assert divergent_states(lts) == brute_divergent(lts)
+
+
+def test_divergence_at_the_end_of_a_long_tau_chain():
+    n = 100_000
+    chain = [(s, TAU, s + 1) for s in range(n - 1)]
+    assert divergent_states(Lts(n, chain + [(n - 1, TAU, n - 2)])) == [True] * n
+    assert divergent_states(Lts(n, chain)) == [False] * n
 
 
 # --- one verdict per distinct assertion ------------------------------------------

@@ -13,13 +13,17 @@ and the determinized role.
 
 Alongside the text, the same checks are produced as structured assertions
 over process terms, plus the full environment of named process definitions,
-so the embedded engine can discharge exactly what the file asserts.
+so the embedded engine can discharge exactly what the file asserts.  Emission
+records each equation's body with the names it resolves against and lowers
+those bodies to engine terms on first use of ``EmitPlan.definitions``, so a
+caller that only prints the text (``translate``) never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Union
 
 from .alphabets import base_event_names
@@ -71,12 +75,25 @@ class Assertion:
     alphabet: frozenset[str]
 
 
+# The right-hand side of a named process: an engine term, or an equation body
+# and the names it resolves against, lowered by ``body_term`` when needed.
+Definition = Union[Proc, tuple[ProcessExpr, dict[str, str]]]
+
+
 @dataclass
 class EmitPlan:
     text: str
     assertions: list[Assertion]
-    definitions: dict[str, Proc]
+    equations: dict[str, Definition]
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @cached_property
+    def definitions(self) -> dict[str, Proc]:
+        """Every named process as an engine term, lowered on first access."""
+        return {
+            name: body_term(*rhs) if isinstance(rhs, tuple) else rhs
+            for name, rhs in self.equations.items()
+        }
 
 
 class CodegenError(Exception):
@@ -149,7 +166,7 @@ class _Out:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.assertions: list[Assertion] = []
-        self.definitions: dict[str, Proc] = dict(dfa_definitions())
+        self.equations: dict[str, Definition] = dict(dfa_definitions())
         self.diagnostics: list[Diagnostic] = []
 
     def line(self, text: str = "") -> None:
@@ -158,8 +175,8 @@ class _Out:
     def blank(self) -> None:
         self.lines.append("")
 
-    def define(self, name: str, term: Proc) -> None:
-        if name in self.definitions:
+    def define(self, name: str, rhs: Definition) -> None:
+        if name in self.equations:
             self.diagnostics.append(
                 Diagnostic(
                     "warning",
@@ -167,7 +184,11 @@ class _Out:
                     f"process name '{name}' defined more than once in the output",
                 )
             )
-        self.definitions[name] = term
+        self.equations[name] = rhs
+
+    def equation(self, name: str, body: ProcessExpr, names: dict[str, str]) -> None:
+        self.line(f"{name} = {fdr_body(body, names)}")
+        self.define(name, (body, names))
 
     def assertion(self, a: Assertion) -> None:
         self.assertions.append(a)
@@ -208,10 +229,8 @@ def _local_names(decl: Declaration, head: str, suffix: str = "") -> dict[str, st
 def _emit_decl_equations(out: _Out, decl: Declaration, head: str, names: dict[str, str]) -> None:
     """Where-locals first, then the declaration's own equation."""
     for loc in decl.locals:
-        out.line(f"{names[loc.name]} = {fdr_body(loc.body, names)}")
-        out.define(names[loc.name], body_term(loc.body, names))
-    out.line(f"{head} = {fdr_body(decl.body, names)}")
-    out.define(head, body_term(decl.body, names))
+        out.equation(names[loc.name], loc.body, names)
+    out.equation(head, decl.body, names)
 
 
 # --- connectors ---------------------------------------------------------------
@@ -292,10 +311,8 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
             for loc in role.locals:
                 names[loc.name] = f"{loc.name}DET"
             for loc in role.locals:
-                out.line(f"{names[loc.name]} = {fdr_body(determinized(loc.body), names)}")
-                out.define(names[loc.name], body_term(determinized(loc.body), names))
-            out.line(f"ROLE{role.name}DET = {fdr_body(det, names)}")
-            out.define(f"ROLE{role.name}DET", body_term(det, names))
+                out.equation(names[loc.name], determinized(loc.body), names)
+            out.equation(f"ROLE{role.name}DET", det, names)
         out.blank()
 
 
@@ -338,12 +355,8 @@ def emit_component(out: _Out, comp: Component) -> None:
         for loc in restricted.locals:
             names[loc.name] = f"{loc.name}DETR"
         for loc in restricted.locals:
-            det_local = determinized(loc.body)
-            out.line(f"{names[loc.name]} = {fdr_body(det_local, names)}")
-            out.define(names[loc.name], body_term(det_local, names))
-        det = determinized(restricted.body)
-        out.line(f"PORT{port.name}DETR = {fdr_body(det, names)}")
-        out.define(f"PORT{port.name}DETR", body_term(det, names))
+            out.equation(names[loc.name], determinized(loc.body), names)
+        out.equation(f"PORT{port.name}DETR", determinized(restricted.body), names)
     out.blank()
 
     comp_total_names = comp.total_alphabet.qualified_names()
@@ -470,4 +483,4 @@ def emit(spec: ArchSpec) -> EmitPlan:
         out.line("-- No constraints")
         out.line("-- End Style")
     text = "\n".join(out.lines) + "\n"
-    return EmitPlan(text, out.assertions, out.definitions, out.diagnostics)
+    return EmitPlan(text, out.assertions, out.equations, out.diagnostics)

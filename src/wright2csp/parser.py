@@ -6,8 +6,9 @@ case-sensitive.  A leading underscore on a name in event position marks the
 event as initiated.  ``//`` starts a comment running to end of line, and the
 body of a Constraints clause is skipped without lexing.
 
-The lexer is one compiled pattern with a named group per token class, matched
-at the current offset; line and column come from the newline offsets skipped.
+The lexer is one compiled pattern, matched once per token: the blanks and
+comments before it, then a named group per token class.  Line and column come
+from counting the newlines passed over.
 Process expressions nest at most ``MAX_NESTING`` levels.
 """
 
@@ -103,14 +104,16 @@ class Token(NamedTuple):
         return f"Token({self.kind.name}, {self.value!r}, {self.pos})"
 
 
-# One alternative per token class; ``lastgroup`` names the class matched.
-# ``\w`` is exactly ``str.isalnum`` plus ``_``.  ``[^\W\d]`` also admits
-# numerals that are not letters, such as '²', which ``_letter_at`` rejects.
+# Blanks and comments, then one alternative per token class; ``lastgroup``
+# names the class matched, and is None where no token follows the blanks (end
+# of input or an illegal character).  ``\w`` is exactly ``str.isalnum`` plus
+# ``_``.  ``[^\W\d]`` also admits numerals that are not letters, such as '²',
+# which ``tokenize`` rejects.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)"
-    r"|_(?P<event>\w+)(?:\.(?P<scoped>[^\W\d]\w*))?"
+    r"((?:[ \t\r\n]+|//[^\n]*)*)"
+    r"(?:_(?P<event>\w+)(?:\.(?P<scoped>[^\W\d]\w*))?"
     r"|(?P<word>[^\W\d]\w*)(?:\.(?P<dotted>[^\W\d]\w*))?"
-    r"|(?P<op>->|\[\]|\|~\||[=.,:(){}])"
+    r"|(?P<op>->|\[\]|\|~\||[=.,:(){}]))?"
 )
 _OPS = {k.value: k for k in TokKind}
 # A Constraints body ends at the first identifier spelled `end` in any case.
@@ -126,56 +129,60 @@ def _constraints_end(source: str, i: int) -> int:
     return len(source)
 
 
-def _letter_at(source: str, j: int, line: int, line_start: int) -> None:
-    c = source[j]
-    if not (c.isalpha() or c == "_"):
-        raise ParseError(SourcePos(line, j - line_start + 1), f"illegal character {c!r}")
+def _illegal_character(source: str, j: int, line: int, line_start: int) -> ParseError:
+    return ParseError(SourcePos(line, j - line_start + 1), f"illegal character {source[j]!r}")
 
 
 def tokenize(source: str) -> list[Token]:
     """Split Wright source into tokens; the list always ends with EOF."""
     out: list[Token] = []
     i, line, line_start = 0, 1, 0
+    counted = 0  # ``line`` counts the newlines before this offset
     while True:
         m = _TOKEN_RE.match(source, i)
-        kind = m and m.lastgroup
-        if kind == "skip":
-            j = m.end()
-        else:
-            pos = SourcePos(line, i - line_start + 1)
-            if m is None:
-                if i == len(source):
-                    out.append(Token(TokKind.EOF, None, pos))
-                    return out
-                raise ParseError(pos, f"illegal character {source[i]!r}")
-            j = m.end()
-            if kind == "op":
-                out.append(Token(_OPS[m[0]], m[0], pos))
-            elif kind == "event":
-                out.append(Token(TokKind.INITEVENT, (m["event"], None), pos))
-            elif kind == "scoped":
-                _letter_at(source, m.start("scoped"), line, line_start)
-                out.append(Token(TokKind.INITEVENT, (m["scoped"], m["event"]), pos))
-            else:
-                word = m["word"]
-                _letter_at(source, i, line, line_start)
-                low = word.lower()
-                if low in KEYWORDS:
-                    # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
-                    out.append(Token(TokKind.KEYWORD, low, pos, word))
-                    j = m.end("word")
-                    if low == "constraints":
-                        j = _constraints_end(source, j)
-                elif kind == "dotted":
-                    _letter_at(source, m.start("dotted"), line, line_start)
-                    out.append(Token(TokKind.DOTTED, (word, m["dotted"]), pos))
-                else:
-                    out.append(Token(TokKind.IDENT, word, pos))
-        newlines = source.count("\n", i, j)
+        start = m.end(1)
+        # the previous token holds newlines only if it skipped a Constraints body
+        newlines = source.count("\n", counted, start)
         if newlines:
             line += newlines
-            line_start = source.rindex("\n", i, j) + 1
-        i = j
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        pos = SourcePos(line, start - line_start + 1)
+        kind = m.lastgroup
+        if kind is None:
+            if start == len(source):
+                out.append(Token(TokKind.EOF, None, pos))
+                return out
+            raise _illegal_character(source, start, line, line_start)
+        i = m.end()
+        if kind == "op":
+            out.append(Token(_OPS[m["op"]], m["op"], pos))
+        elif kind == "event":
+            out.append(Token(TokKind.INITEVENT, (m["event"], None), pos))
+        elif kind == "scoped":
+            c = m["scoped"][0]
+            if not (c.isalpha() or c == "_"):
+                raise _illegal_character(source, m.start("scoped"), line, line_start)
+            out.append(Token(TokKind.INITEVENT, (m["scoped"], m["event"]), pos))
+        else:
+            word = m["word"]
+            c = word[0]
+            if not (c.isalpha() or c == "_"):
+                raise _illegal_character(source, start, line, line_start)
+            low = word.lower()
+            if low in KEYWORDS:
+                # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
+                out.append(Token(TokKind.KEYWORD, low, pos, word))
+                i = m.end("word")
+                if low == "constraints":
+                    i = _constraints_end(source, i)
+            elif kind == "dotted":
+                c = m["dotted"][0]
+                if not (c.isalpha() or c == "_"):
+                    raise _illegal_character(source, m.start("dotted"), line, line_start)
+                out.append(Token(TokKind.DOTTED, (word, m["dotted"]), pos))
+            else:
+                out.append(Token(TokKind.IDENT, word, pos))
 
 
 class Parser:

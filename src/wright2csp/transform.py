@@ -67,27 +67,27 @@ def determinized(p: ProcessExpr) -> ProcessExpr:
 
 def project_to(p: ProcessExpr, keep: EventSet, self_name: str) -> ProcessExpr:
     """Restrict ``p`` to the events in ``keep`` by branch elimination."""
+    return _project(p, keep, self_name, False)
 
-    def walk(node: ProcessExpr, guarded: bool) -> ProcessExpr:
-        if isinstance(node, Prefix):
-            if node.event in keep:
-                return Prefix(node.event, walk(node.rest, True))
-            return walk(node.rest, guarded)
-        if isinstance(node, Choice):
-            left = walk(node.left, guarded)
-            right = walk(node.right, guarded)
-            if isinstance(left, Empty):
-                return right
-            if isinstance(right, Empty):
-                return left
-            return type(node)(left, right)
-        if isinstance(node, Ref):
-            if node.name == self_name and not guarded:
-                return EMPTY
-            return node
+
+def _project(node: ProcessExpr, keep: EventSet, self_name: str, guarded: bool) -> ProcessExpr:
+    if isinstance(node, Prefix):
+        if node.event in keep:
+            return Prefix(node.event, _project(node.rest, keep, self_name, True))
+        return _project(node.rest, keep, self_name, guarded)
+    if isinstance(node, Choice):
+        left = _project(node.left, keep, self_name, guarded)
+        right = _project(node.right, keep, self_name, guarded)
+        if isinstance(left, Empty):
+            return right
+        if isinstance(right, Empty):
+            return left
+        return type(node)(left, right)
+    if isinstance(node, Ref):
+        if node.name == self_name and not guarded:
+            return EMPTY
         return node
-
-    return walk(p, False)
+    return node
 
 
 def _substitute_dead_refs(expr: ProcessExpr, dead: set[str]) -> ProcessExpr:

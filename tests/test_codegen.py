@@ -1,4 +1,7 @@
-from conftest import assert_matches_golden, emit_plan, load_spec
+import gc
+import re
+
+from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perfbench_workloads
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit, emit_header
 from wright2csp.parser import parse_source
@@ -160,3 +163,58 @@ def test_duplicate_output_names_are_flagged():
     alphabets.annotate(spec)
     plan = codegen.emit(spec)
     assert any("defined more than once" in d.message for d in plan.diagnostics)
+
+
+# --- engine terms are lowered on first use of plan.definitions -------------------
+
+
+def _sources():
+    """(name, source) of every fixture, star(3), pipeline(3) and one translate-workload spec."""
+    workloads = perfbench_workloads()
+    sources = [(path.name, path.read_text()) for path in sorted(FIXTURES.glob("*.wrt"))]
+    sources += [
+        ("star(3)", workloads.star_case(3, "t").source),
+        ("pipeline(3)", workloads.pipeline_case(3, "t", True).source),
+        ("translate", next(workloads.blocks("translate", 1))[0].source),
+    ]
+    return sources
+
+
+def _front_end_plans(sources):
+    """(name, plan) for each source the front end accepts."""
+    for name, source in sources:
+        spec, _ = parse_source(source)
+        if not analyzer.has_errors(analyzer.analyze(spec) + alphabets.annotate(spec)):
+            yield name, emit(spec)
+
+
+def test_emit_lowers_no_term_until_definitions_are_read(monkeypatch):
+    calls = []
+    original = codegen.body_term
+    monkeypatch.setattr(codegen, "body_term", lambda *args: calls.append(args) or original(*args))
+    plan = emit_plan("dt3.wrt")
+    assert calls == []
+    definitions = plan.definitions
+    lowered = len(calls)
+    assert lowered > 0
+    assert plan.definitions is definitions  # lowered once, then cached
+    assert len(calls) == lowered
+
+
+def test_defined_process_names_match_the_text():
+    for name, plan in _front_end_plans(_sources()):
+        defined = set(re.findall(r"^(\w+) = ", plan.text, re.MULTILINE))
+        assert {n for n in defined if not n.startswith("ALPHA_")} == set(plan.definitions), name
+
+
+def test_front_end_leaves_no_reference_cycles():
+    # a tree walk that closes over itself is a cycle only the collector frees
+    sources = _sources()  # loading the workload module makes cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        for _, plan in _front_end_plans(sources):
+            plan.definitions
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,7 +13,11 @@ and the determinized role.
 
 Alongside the text, the same checks are produced as structured assertions
 over process terms, plus the full environment of named process definitions,
-so the embedded engine can discharge exactly what the file asserts.  Emission
+so the embedded engine can discharge exactly what the file asserts.  Every
+set a composite term uses is read from the declaration the text printed for
+it: ``ALPHA_x`` lines and ``channel p: {...}`` lines, where ``{|p|}`` covers
+the port's or role's own events and every other value the computation or
+glue uses under ``p``, so each channel declaration is well typed.  Emission
 records each equation's body with the names it resolves against and lowers
 those bodies to engine terms on first use of ``EmitPlan.definitions``, so a
 caller that only prints the text (``translate``) never builds them.
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 from .alphabets import base_event_names
 from .analyzer import Diagnostic
@@ -149,31 +153,22 @@ def body_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
     return process_term(expr, names)
 
 
-def _set_txt(names: Iterable[str]) -> str:
-    items = list(names)
-    return "{" + ", ".join(items) + "}"
-
-
-def _prod_txt(names: Iterable[str]) -> str:
-    items = list(names)
-    return "{|" + ", ".join(items) + "|}"
-
-
 # --- emission machinery ------------------------------------------------------
 
 
 class _Out:
+    """The output lines, the assertions and process definitions they carry,
+    and the events of every set name printed so far: ``ALPHA_x`` and ``{|p|}``."""
+
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.assertions: list[Assertion] = []
         self.equations: dict[str, Definition] = dict(dfa_definitions())
+        self.sets: dict[str, list[str]] = {}
         self.diagnostics: list[Diagnostic] = []
 
     def line(self, text: str = "") -> None:
         self.lines.append(text)
-
-    def blank(self) -> None:
-        self.lines.append("")
 
     def define(self, name: str, rhs: Definition) -> None:
         if name in self.equations:
@@ -193,6 +188,30 @@ class _Out:
     def assertion(self, a: Assertion) -> None:
         self.assertions.append(a)
         self.line(a.label)
+
+    def alpha(self, name: str, events: list[str], bar: bool = False) -> None:
+        """``ALPHA_name = {...}``, or ``{|...|}`` when ``bar``."""
+        self.sets[f"ALPHA_{name}"] = events
+        inner = ", ".join(events)
+        self.line(f"ALPHA_{name} = " + (f"{{|{inner}|}}" if bar else f"{{{inner}}}"))
+
+    def channel(self, point: Declaration, owner: Union[Component, Connector]) -> None:
+        """``channel p: {...}``: the port's or role's own events, then every
+        other value its owner's computation or glue uses under ``p``."""
+        values = dict.fromkeys(point.alphabet.total.qualified_names())
+        prefix = point.name + "."
+        for n in owner.total_alphabet.qualified_names():
+            if n.startswith(prefix):
+                values.setdefault(n[len(prefix):])
+        self.line(f"channel {point.name}: {{{', '.join(values)}}}")
+        self.sets[f"{{|{point.name}|}}"] = [prefix + v for v in values]
+
+
+def _fold(pairs: list[tuple[Proc, frozenset[str]]], last: Proc) -> Proc:
+    """``op1 [|s1|] (op2 [|s2|] (... last))`` from the (operand, sync) pairs."""
+    for operand, sync in reversed(pairs):
+        last = PPar(operand, sync, last)
+    return last
 
 
 HEADER_LINES = [
@@ -215,200 +234,144 @@ HEADER_LINES = [
 ]
 
 
-def emit_header() -> str:
-    return "\n".join(HEADER_LINES) + "\n"
-
-
-def _local_names(decl: Declaration, head: str, suffix: str = "") -> dict[str, str]:
+def _emit_decl_equations(
+    out: _Out, decl: Declaration, head: str, suffix: str = "", det: bool = False
+) -> None:
+    """Where-locals first, then the declaration's own equation as ``head``;
+    locals are renamed with ``suffix`` and, with ``det``, bodies determinized."""
     names = {decl.name: head}
     for loc in decl.locals:
         names[loc.name] = loc.name + suffix
-    return names
-
-
-def _emit_decl_equations(out: _Out, decl: Declaration, head: str, names: dict[str, str]) -> None:
-    """Where-locals first, then the declaration's own equation."""
     for loc in decl.locals:
-        out.equation(names[loc.name], loc.body, names)
-    out.equation(head, decl.body, names)
+        out.equation(names[loc.name], determinized(loc.body) if det else loc.body, names)
+    out.equation(head, determinized(decl.body) if det else decl.body, names)
+
+
+def _deadlock_check(out: _Out, kind: AssertionKind, name: str, process: str) -> None:
+    """``nameA``: ``process`` with ``ALPHA_name`` renamed onto abstractEvent, against DFA."""
+    out.line(f"{name}A = {process} [[ x <- abstractEvent | x <- ALPHA_{name} ]]")
+    out.define(f"{name}A", rename(PRef(process), dict.fromkeys(out.sets[f"ALPHA_{name}"], "abstractEvent")))
+    out.assertion(
+        Assertion(kind, f"assert DFA [FD= {name}A", PRef("DFA"), PRef(f"{name}A"), frozenset({"abstractEvent"}))
+    )
 
 
 # --- connectors ---------------------------------------------------------------
 
 
 def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
-    glue = conn.glue
     glue_head = "Glue" + (conn.name if in_configuration else "")
     out.line(f"-- Connector {conn.name}")
     out.line("-- generated definitions (to split long sets)")
-    out.line(f"ALPHA_{conn.name} = {_prod_txt(conn.total_alphabet.qualified_names())}")
-    out.blank()
-    _emit_decl_equations(out, glue, glue_head, _local_names(glue, glue_head))
-    out.blank()
+    out.alpha(conn.name, conn.total_alphabet.qualified_names(), bar=True)
+    out.line()
+    _emit_decl_equations(out, conn.glue, glue_head)
+    out.line()
 
     for role in conn.roles:
-        total = role.alphabet.total
-        out.line(f"ALPHA_{role.name} = {_set_txt(total.qualified_names())}")
-        names = _local_names(role, f"ROLE{role.name}")
-        _emit_decl_equations(out, role, f"ROLE{role.name}", names)
-        out.line(f"{role.name}A = ROLE{role.name} [[ x <- abstractEvent | x <- ALPHA_{role.name} ]]")
-        out.define(
-            f"{role.name}A",
-            rename(PRef(f"ROLE{role.name}"), {n: "abstractEvent" for n in total.qualified_names()}),
-        )
-        out.assertion(
-            Assertion(
-                AssertionKind.ROLE_DEADLOCK_FREE,
-                f"assert DFA [FD= {role.name}A",
-                PRef("DFA"),
-                PRef(f"{role.name}A"),
-                frozenset({"abstractEvent"}),
-            )
-        )
-        out.blank()
+        out.alpha(role.name, role.alphabet.total.qualified_names())
+        _emit_decl_equations(out, role, f"ROLE{role.name}")
+        _deadlock_check(out, AssertionKind.ROLE_DEADLOCK_FREE, role.name, f"ROLE{role.name}")
+        out.line()
 
     for role in conn.roles:
-        out.line(f"channel {role.name}: {_set_txt(role.alphabet.total.qualified_names())}")
+        out.channel(role, conn)
 
-    glue_names = set(glue.alphabet.total.qualified_names())
-    chain: Proc = PRef(glue_head)
+    glue_names = set(conn.glue.alphabet.total.qualified_names())
+    pairs = []
     for i, role in enumerate(conn.roles):
-        unscoped = role.alphabet.total.qualified_names()
+        r = role.name
+        own = out.sets[f"ALPHA_{r}"]
         internal = sorted(set(role.alphabet.param_total.qualified_names()) - glue_names)
         opener = f"{conn.name} = ( (" if i == 0 else "    ("
-        out.line(f"{opener}ROLE{role.name}[[ x <- {role.name}.x | x <- {{{', '.join(unscoped)} }} ]]")
-        out.line(f"    [| diff({{|{role.name}|}}, {{ {', '.join(internal)}}}) |]")
+        out.line(f"{opener}ROLE{r}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
+        out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
+        renamed = rename(PRef(f"ROLE{r}"), {n: f"{r}.{n}" for n in own})
+        pairs.append((renamed, frozenset(out.sets[f"{{|{r}|}}"]).difference(internal)))
     out.line("    " + glue_head + ")" * len(conn.roles) + " )")
-    for role in reversed(conn.roles):
-        unscoped = role.alphabet.total.qualified_names()
-        scoped = set(role.alphabet.param_total.qualified_names())
-        scoped |= {n for n in glue_names if n.startswith(role.name + ".")}
-        internal = set(role.alphabet.param_total.qualified_names()) - glue_names
-        renamed = rename(PRef(f"ROLE{role.name}"), {n: f"{role.name}.{n}" for n in unscoped})
-        chain = PPar(renamed, frozenset(scoped - internal), chain)
-    out.define(conn.name, chain)
+    out.define(conn.name, _fold(pairs, PRef(glue_head)))
 
-    out.line(f"{conn.name}A = {conn.name} [[ x <- abstractEvent | x <- ALPHA_{conn.name} ]]")
-    out.define(
-        f"{conn.name}A",
-        rename(PRef(conn.name), {n: "abstractEvent" for n in conn.total_alphabet.qualified_names()}),
-    )
-    out.assertion(
-        Assertion(
-            AssertionKind.CONNECTOR_DEADLOCK_FREE,
-            f"assert DFA [FD= {conn.name}A",
-            PRef("DFA"),
-            PRef(f"{conn.name}A"),
-            frozenset({"abstractEvent"}),
-        )
-    )
-    out.blank()
+    _deadlock_check(out, AssertionKind.CONNECTOR_DEADLOCK_FREE, conn.name, conn.name)
+    out.line()
 
     if in_configuration:
         for role in conn.roles:
-            det = determinized(role.body)
-            names = {role.name: f"ROLE{role.name}DET"}
-            for loc in role.locals:
-                names[loc.name] = f"{loc.name}DET"
-            for loc in role.locals:
-                out.equation(names[loc.name], determinized(loc.body), names)
-            out.equation(f"ROLE{role.name}DET", det, names)
-        out.blank()
+            _emit_decl_equations(out, role, f"ROLE{role.name}DET", "DET", det=True)
+        out.line()
 
 
 # --- components ---------------------------------------------------------------
 
 
 def emit_component(out: _Out, comp: Component) -> None:
-    computation = comp.computation
     comp_head = f"Computation{comp.name}"
     out.line(f"-- Component {comp.name}")
-    out.line(f"ALPHA_{comp.name} = {_prod_txt(comp.total_alphabet.qualified_names())}")
-    _emit_decl_equations(out, computation, comp_head, _local_names(computation, comp_head))
+    out.alpha(comp.name, comp.total_alphabet.qualified_names(), bar=True)
+    _emit_decl_equations(out, comp.computation, comp_head)
     out.line("--Port Process")
     for port in comp.ports:
-        a = port.alphabet
-        out.line(f"ALPHA_{port.name} = {_set_txt(a.total.qualified_names())}")
-        if a.observed:
-            out.line(f"ALPHA_{port.name}I = {_set_txt(a.initiated.qualified_names())}")
+        p = port.name
+        out.alpha(p, port.alphabet.total.qualified_names())
+        if port.alphabet.observed:
+            out.alpha(f"{p}I", port.alphabet.initiated.qualified_names())
         else:
             out.line("-- no events observed!")
-        names = _local_names(port, f"PORT{port.name}")
-        _emit_decl_equations(out, port, f"PORT{port.name}", names)
-        out.line(f"{port.name}G = PORT{port.name}[[ x <-{port.name}.x | x <- ALPHA_{port.name} ]]")
-        out.define(
-            f"{port.name}G",
-            rename(
-                PRef(f"PORT{port.name}"),
-                {n: f"{port.name}.{n}" for n in a.total.qualified_names()},
-            ),
-        )
-        out.blank()
+        _emit_decl_equations(out, port, f"PORT{p}")
+        out.line(f"{p}G = PORT{p}[[ x <-{p}.x | x <- ALPHA_{p} ]]")
+        out.define(f"{p}G", rename(PRef(f"PORT{p}"), {n: f"{p}.{n}" for n in out.sets[f"ALPHA_{p}"]}))
+        out.line()
 
     for port in comp.ports:
-        out.line(f"channel {port.name}: {_set_txt(port.alphabet.total.qualified_names())}")
+        out.channel(port, comp)
     out.line("--Deterministic Process restricted to the observed event")
     for port in comp.ports:
         restricted, diags = restrict_to_observed(port)
         out.diagnostics.extend(diags)
-        names = {port.name: f"PORT{port.name}DETR"}
-        for loc in restricted.locals:
-            names[loc.name] = f"{loc.name}DETR"
-        for loc in restricted.locals:
-            out.equation(names[loc.name], determinized(loc.body), names)
-        out.equation(f"PORT{port.name}DETR", determinized(restricted.body), names)
-    out.blank()
+        _emit_decl_equations(out, restricted, f"PORT{port.name}DETR", "DETR", det=True)
+    out.line()
 
-    comp_total_names = comp.total_alphabet.qualified_names()
-    computation_names = set(computation.alphabet.total.qualified_names())
+    computation_names = set(comp.computation.alphabet.total.qualified_names())
+    comp_events = frozenset(out.sets[f"ALPHA_{comp.name}"])
     for port in comp.ports:
-        others = [q for q in comp.ports if q is not port]
-        chain: Proc = PRef(comp_head)
-        first = f"COMP{port.name} = ("
-        for q in others:
+        p = port.name
+        first, pairs = f"COMP{p} = (", []
+        for q in comp.ports:
+            if q is port:
+                continue
             obs = q.alphabet.observed.qualified_names()
             scoped_obs = [f"{q.name}.{n}" for n in obs]
             internal = sorted(set(q.alphabet.param_total.qualified_names()) - computation_names)
-            seg = f"( PORT{q.name}DETR"
+            seg, term = f"( PORT{q.name}DETR", PRef(f"PORT{q.name}DETR")
             if obs:
                 seg += f" [[ x <- {q.name}.x | x <- {{{', '.join(obs)} }} ]]"
+                term = rename(term, dict(zip(obs, scoped_obs)))
             out.line(first + seg)
-            first = "  "
             out.line(f"  [| diff({{{', '.join(scoped_obs)}}}, {{ {', '.join(internal)}}}) |]")
-        for q in reversed(others):
-            obs = q.alphabet.observed.qualified_names()
-            scoped_obs = {f"{q.name}.{n}" for n in obs}
-            internal = set(q.alphabet.param_total.qualified_names()) - computation_names
-            qterm: Proc = PRef(f"PORT{q.name}DETR")
-            if obs:
-                qterm = rename(qterm, {n: f"{q.name}.{n}" for n in obs})
-            chain = PPar(qterm, frozenset(scoped_obs - internal), chain)
-        hidden = frozenset(n for n in comp_total_names if not n.startswith(port.name + "."))
-        impl = PHide(chain, hidden)
-        out.define(f"COMP{port.name}", impl)
-        closers = ")" * len(others) + ")"
-        out.line(f"{first}{comp_head}{closers}\\ diff(ALPHA_{comp.name}, {{ |{port.name}| }})")
-        alphabet = frozenset(n for n in comp_total_names if n.startswith(port.name + "."))
+            first = "  "
+            pairs.append((term, frozenset(scoped_obs).difference(internal)))
+        out.line(f"{first}{comp_head}{')' * (len(pairs) + 1)}\\ diff(ALPHA_{comp.name}, {{ |{p}| }})")
+        p_events = frozenset(out.sets[f"{{|{p}|}}"])
+        out.define(f"COMP{p}", PHide(_fold(pairs, PRef(comp_head)), comp_events - p_events))
         out.assertion(
             Assertion(
                 AssertionKind.PORT_COMPUTATION,
-                f"assert {port.name}G [FD= COMP{port.name}",
-                PRef(f"{port.name}G"),
-                PRef(f"COMP{port.name}"),
-                alphabet,
+                f"assert {p}G [FD= COMP{p}",
+                PRef(f"{p}G"),
+                PRef(f"COMP{p}"),
+                p_events,
             )
         )
-        out.blank()
+        out.line()
 
 
 # --- configurations and styles -------------------------------------------------
 
 
-def _attachment_decls(
+def _attachment_points(
     instances: dict[str, str], types: dict[str, Union[Component, Connector]], att
-) -> tuple[str, Declaration, str, Declaration]:
-    """The port and role an attachment joins, given the instance -> type name
-    and type name -> type maps of its configuration."""
+) -> tuple[str, str, str, str]:
+    """The instances, port and role an attachment joins, given the instance ->
+    type name and type name -> type maps of its configuration."""
     try:
         comp = types[instances[att.left.instance]]
         port = next(p for p in comp.ports if p.name == att.left.point)  # type: ignore[union-attr]
@@ -419,19 +382,17 @@ def _attachment_decls(
             f"attachment {att.left} As {att.right} does not resolve; "
             "run static analysis before code generation"
         ) from exc
-    return att.left.instance, port, att.right.instance, role
+    return att.left.instance, port.name, att.right.instance, role.name
 
 
 def emit_attachments(out: _Out, spec: Configuration) -> None:
     out.line("--Attachment Test")
-    out.blank()
+    out.line()
     instances = {i.name: i.type_name for i in spec.instances}
     types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
     for att in spec.attachments:
-        ci, port, ni, role = _attachment_decls(instances, types, att)
-        p, r = port.name, role.name
-        a_p = set(port.alphabet.total.qualified_names())
-        a_r = set(role.alphabet.total.qualified_names())
+        ci, p, ni, r = _attachment_points(instances, types, att)
+        a_p, a_r = set(out.sets[f"ALPHA_{p}"]), set(out.sets[f"ALPHA_{r}"])
         out.line(f"{ci}_{p}PLUS = PORT{p}")
         out.line(f"  [| diff( ALPHA_{r} , ALPHA_{p} ) |] STOP")
         out.define(f"{ci}_{p}PLUS", PPar(PRef(f"PORT{p}"), frozenset(a_r - a_p), PStop()))
@@ -441,20 +402,18 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
         out.line(f"{ci}_{p}PLUSDET = {ci}_{p}PLUS")
         out.line(f"  [| union(ALPHA_{p} , ALPHA_{r} ) |]")
         out.line(f"  ROLE{r}DET")
-        out.define(
-            f"{ci}_{p}PLUSDET",
-            PPar(PRef(f"{ci}_{p}PLUS"), frozenset(a_p | a_r), PRef(f"ROLE{r}DET")),
-        )
+        both = frozenset(a_p | a_r)
+        out.define(f"{ci}_{p}PLUSDET", PPar(PRef(f"{ci}_{p}PLUS"), both, PRef(f"ROLE{r}DET")))
         out.assertion(
             Assertion(
                 AssertionKind.PORT_ROLE,
                 f"assert {ni}_{r}PLUS [FD= {ci}_{p}PLUSDET",
                 PRef(f"{ni}_{r}PLUS"),
                 PRef(f"{ci}_{p}PLUSDET"),
-                frozenset(a_p | a_r),
+                both,
             )
         )
-        out.blank()
+        out.line()
 
 
 def emit(spec: ArchSpec) -> EmitPlan:
@@ -470,7 +429,7 @@ def emit(spec: ArchSpec) -> EmitPlan:
     out.line("-- Types declarations")
     out.line("-- events for abstract specification")
     out.line(f"channel {', '.join(base_event_names(spec))}")
-    out.blank()
+    out.line()
     for t in spec.types:
         if isinstance(t, Component):
             emit_component(out, t)

@@ -24,11 +24,6 @@ class SourcePos(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-class Polarity(Enum):
-    INITIATED = "initiated"
-    OBSERVED = "observed"
-
-
 @dataclass(frozen=True, eq=False)
 class EventRef:
     """A scoped event occurrence.

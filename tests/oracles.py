@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -634,3 +635,113 @@ def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ..
         return acc
 
     return explore(tau_closure(lts, [lts.initial]), depth)
+
+
+# --- the set sublanguage of emitted FDR text -----------------------------------
+
+_SET_TOKEN = re.compile(r"\s*([{}|(),]|[\w.]+)")
+_DEFINITION = re.compile(r"^(\w+) = ", re.MULTILINE)
+# ``[| S |]``, ``[[ x <- T | x <- S ]]`` and a trailing ``\ S``, in text order.
+_SET_SITE = re.compile(
+    r"\[\|(?P<sync>.*?)\|\]|\[\[\s*x\s*<-\s*(?P<target>[\w.]+)\s*\|\s*x\s*<-(?P<source>.*?)\]\]"
+    r"|\\(?P<hidden>.*)",
+    re.DOTALL,
+)
+
+
+class EmittedSets:
+    """The set names of an emitted FDR file and what its set expressions denote.
+
+    Reads the ``channel c: {...}`` and ``ALPHA_x = ...`` lines; ``{|c|}`` is
+    ``c.v`` for each declared value ``v``, or ``c`` itself for a bare channel
+    or a whole event.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.channels: dict[str, tuple[str, ...]] = {}
+        for line in text.splitlines():
+            if line.startswith("channel ") and ":" in line:
+                name, values = line[len("channel "):].split(":", 1)
+                self.channels[name.strip()] = tuple(v.strip() for v in values.strip()[1:-1].split(",") if v.strip())
+        self.alphas: dict[str, frozenset[str]] = {}
+        for m in re.finditer(r"^(ALPHA_\w+) = (.*)$", text, re.MULTILINE):
+            self.alphas[m.group(1)] = self.evaluate(m.group(2))
+
+    def evaluate(self, expr: str) -> frozenset[str]:
+        tokens = _SET_TOKEN.findall(expr)
+        assert "".join(tokens) == "".join(expr.split()), f"not a set expression: {expr!r}"
+        value, end = self._parse(tokens, 0)
+        assert end == len(tokens), f"trailing text in set expression {expr!r}"
+        return value
+
+    def productions(self, items) -> frozenset[str]:
+        out = set()
+        for item in items:
+            if item in self.channels:
+                out.update(f"{item}.{v}" for v in self.channels[item])
+            else:
+                out.add(item)
+        return frozenset(out)
+
+    def _parse(self, tokens: list[str], i: int) -> tuple[frozenset[str], int]:
+        tok = tokens[i]
+        if tok == "{":
+            bar = tokens[i + 1] == "|"
+            i += 1 + bar
+            items = []
+            while tokens[i] not in ("}", "|"):
+                items.append(tokens[i])
+                i += 1 + (tokens[i + 1] == ",")
+            if bar:
+                assert tokens[i] == "|", tokens
+                i += 1
+            assert tokens[i] == "}", tokens
+            return (self.productions(items) if bar else frozenset(items)), i + 1
+        if tok in ("diff", "union"):
+            assert tokens[i + 1] == "(", tokens
+            left, i = self._parse(tokens, i + 2)
+            assert tokens[i] == ",", tokens
+            right, i = self._parse(tokens, i + 1)
+            assert tokens[i] == ")", tokens
+            return (left - right if tok == "diff" else left | right), i + 1
+        return self.alphas[tok], i + 1
+
+    def sites(self, definition: str) -> list[tuple[str, object]]:
+        """("sync", set), ("rename", mapping) and ("hide", set) of a definition's text."""
+        out: list[tuple[str, object]] = []
+        for m in _SET_SITE.finditer(definition):
+            if m.group("sync") is not None:
+                out.append(("sync", self.evaluate(m.group("sync"))))
+            elif m.group("target") is not None:
+                source, target = self.evaluate(m.group("source")), m.group("target")
+                segments = target.split(".")
+                mapping = {v: ".".join(v if s == "x" else s for s in segments) for v in source}
+                out.append(("rename", mapping))
+            else:
+                out.append(("hide", self.evaluate(m.group("hidden"))))
+        return out
+
+
+def definition_texts(text: str) -> dict[str, str]:
+    """Each ``name = `` line of ``text`` with the indented lines that follow it."""
+    out: dict[str, str] = {}
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        m = _DEFINITION.match(line)
+        if m:
+            j = i + 1
+            while j < len(lines) and lines[j][:1] in (" ", "\t"):
+                j += 1
+            out[m.group(1)] = "\n".join(lines[i:j])
+    return out
+
+
+def term_sites(term: Proc) -> list[tuple[str, object]]:
+    """The sets of a composite term in the order its CSPm text prints them."""
+    if isinstance(term, PPar):
+        return term_sites(term.left) + [("sync", term.sync)] + term_sites(term.right)
+    if isinstance(term, PRename):
+        return term_sites(term.inner) + [("rename", dict(term.mapping))]
+    if isinstance(term, PHide):
+        return term_sites(term.inner) + [("hide", term.hidden)]
+    return []

@@ -2,14 +2,20 @@ import gc
 import re
 
 from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perfbench_workloads
+from oracles import EmittedSets, definition_texts, term_sites
 from wright2csp import codegen
-from wright2csp.codegen import AssertionKind, emit, emit_header
+from wright2csp.codegen import AssertionKind, emit
 from wright2csp.parser import parse_source
 from wright2csp import alphabets, analyzer
 
 
+def _header(text):
+    """Everything the emitted text of a Style holds before its ``-- Style`` line."""
+    return text[: text.index("\n-- Style ") + 1]
+
+
 def test_header_block():
-    header = emit_header()
+    header = _header(emit_plan("dt1.wrt").text)
     assert "DFA = abstractEvent -> DFA |~| SKIP" in header
     assert "transparent diamond" in header
     assert "transparent normalise" in header
@@ -17,7 +23,7 @@ def test_header_block():
     assert "quant_semi({},_) = SKIP" in header
     assert "power_set({}) = {{}}" in header
     assert header.splitlines()[0] == "-- FDR compression functions"
-    assert emit_header() == header  # deterministic
+    assert _header(emit_plan("dt1.wrt").text) == header  # deterministic
 
 
 def test_dt1_matches_expected_connector_output():
@@ -218,3 +224,70 @@ def test_front_end_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the terms' sets are the sets the text denotes --------------------------------
+
+
+def test_composite_sets_are_the_sets_the_text_denotes():
+    for name, plan in _front_end_plans(_sources()):
+        sets = EmittedSets(plan.text)
+        texts = definition_texts(plan.text)
+        for proc, term in plan.definitions.items():
+            assert sets.sites(texts[proc]) == term_sites(term), (name, proc)
+        for a in plan.assertions:
+            if a.kind is AssertionKind.PORT_COMPUTATION:
+                port = a.spec_term.name[: -len("G")]
+                assert a.alphabet == sets.evaluate(f"{{|{port}|}}"), (name, a.label)
+            elif a.kind is AssertionKind.PORT_ROLE:
+                union = re.search(r"\[\|\s*(union\(.*?\))\s*\|\]", texts[a.impl_term.name], re.DOTALL)
+                assert a.alphabet == sets.evaluate(union.group(1)), (name, a.label)
+
+
+def _ill_typed_events(text):
+    """``c.v`` tokens, outside channel and comment lines, whose channel ``c``
+    does not declare the value ``v``."""
+    channels = EmittedSets(text).channels
+    bad = []
+    for line in text.splitlines():
+        if line.startswith(("channel ", "--")):
+            continue
+        line = re.sub(r"<-\s*\w+\.x\b", "", line)  # the binder of ``x <- c.x``
+        for c, v in re.findall(r"(?<![\w.])(\w+)\.([\w.]*\w)", line):
+            if c in channels and v not in channels[c]:
+                bad.append(f"{c}.{v}")
+    return bad
+
+
+def test_channel_declarations_are_well_typed():
+    for name, plan in _front_end_plans(_sources()):
+        assert _ill_typed_events(plan.text) == [], name
+
+
+def test_channels_declare_values_used_only_by_computation_or_glue(tmp_path, capsys):
+    from wright2csp.cli import main
+
+    source = (FIXTURES / "dt3.wrt").read_text()
+    source = source.replace(
+        "Computation = _Output.a -> Computation |~| TICK",
+        "Computation = _Output.a -> Computation |~| _Output.zz -> TICK",
+    )
+    source = source.replace("[] TICK\nInstances", "[] _Origin.zz -> Glue [] TICK\nInstances")
+    [(_, plan)] = _front_end_plans([("zz", source)])
+    text = plan.text
+    assert "channel Output: {a, zz}" in text
+    assert "channel Origin: {a, zz}" in text
+    assert _ill_typed_events(text) == []
+
+    spec = tmp_path / "zz.wrt"
+    spec.write_text(source)
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  assert OutputG [FD= COMPOutput  (failure after trace <<empty>>)",
+        "PASS  assert InputG [FD= COMPInput",
+        "PASS  assert DFA [FD= OriginA",
+        "PASS  assert DFA [FD= TargetA",
+        "PASS  assert DFA [FD= CtypeA",
+        "PASS  assert C_OriginPLUS [FD= A_OutputPLUSDET",
+        "PASS  assert C_TargetPLUS [FD= B_InputPLUSDET",
+    ]

@@ -1,0 +1,64 @@
+"""Byte-for-byte pins of what ``translate`` writes and ``check`` prints.
+
+``golden/emitted/<fixture>.fdr2`` is the ``translate`` output of every fixture
+the front end accepts, and ``golden/emitted/check.txt`` holds the ``check``
+standard output and exit code of every fixture.  After a change that is meant
+to alter the output, regenerate both with
+``PYTHONPATH=src python tests/test_golden_output.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from wright2csp.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+EMITTED = Path(__file__).parent / "golden" / "emitted"
+CLEAN = [
+    "calculformule",
+    "deadconn",
+    "double",
+    "dt1",
+    "dt2",
+    "dt3",
+    "dt4",
+    "pipeconn",
+    "rule6",
+]
+
+
+def _quiet(argv):
+    """Run the CLI; returns (exit code, standard output)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def check_transcript() -> str:
+    parts = []
+    for path in sorted(FIXTURES.glob("*.wrt")):
+        code, stdout = _quiet(["check", str(path)])
+        parts.append(f"== {path.name} exit {code}\n{stdout}")
+    return "".join(parts)
+
+
+def test_translate_output_is_byte_identical_to_golden(tmp_path):
+    for name in CLEAN:
+        out = tmp_path / f"{name}.fdr2"
+        assert _quiet(["translate", str(FIXTURES / f"{name}.wrt"), str(out)])[0] == 0, name
+        assert out.read_bytes() == (EMITTED / f"{name}.fdr2").read_bytes(), name
+
+
+def test_check_output_is_byte_identical_to_golden():
+    assert check_transcript() == (EMITTED / "check.txt").read_text()
+
+
+if __name__ == "__main__":
+    EMITTED.mkdir(parents=True, exist_ok=True)
+    for name in CLEAN:
+        if _quiet(["translate", str(FIXTURES / f"{name}.wrt"), str(EMITTED / f"{name}.fdr2")])[0]:
+            sys.exit(f"{name}.wrt does not translate")
+    (EMITTED / "check.txt").write_text(check_transcript())

@@ -34,19 +34,30 @@ def _split_polarity(events: EventSet) -> tuple[EventSet, EventSet]:
     return initiated, observed
 
 
-def compute_declaration_alphabet(decl: Declaration) -> tuple[AlphabetInfo, list[Diagnostic]]:
-    """Alphabet of a declaration body plus everything reachable via its locals."""
-    diags: list[Diagnostic] = []
-    names = [decl.name] + decl.local_names()
-    bodies = {decl.name: decl.body}
-    for loc in decl.locals:
-        bodies[loc.name] = loc.body
+def compute_declaration_alphabet(
+    decl: Declaration, event_names: dict[str, None] | None = None
+) -> tuple[AlphabetInfo, list[Diagnostic]]:
+    """Alphabet of a declaration body plus everything reachable via its locals.
 
-    p2p: NameRelation = {n: {} for n in names}
-    p2e: EventRelation = {n: EventSet() for n in names}
+    Also adds the unscoped name of every event the bodies use to
+    ``event_names``, in first-use order.
+    """
+    if event_names is None:
+        event_names = {}
+    diags: list[Diagnostic] = []
+    named = [(decl.name, decl.body)] + [(loc.name, loc.body) for loc in decl.locals]
+    bodies = dict(named)
+
+    p2p: NameRelation = {n: {} for n in bodies}
+    p2e: EventRelation = {n: EventSet() for n in bodies}
     seen_polarity: dict[tuple[str, tuple[str, ...]], bool] = {}
-    for n in names:
-        for ref in walk_refs(bodies[n]):
+    for n, body in named:
+        if bodies[n] is not body:
+            # redefined later: references resolve to the last definition, but
+            # codegen still emits this equation, so its events need declaring
+            event_names.update(dict.fromkeys(ev.name for ev in walk_events(body)))
+            continue
+        for ref in walk_refs(body):
             if ref not in bodies:
                 diags.append(
                     Diagnostic(
@@ -58,7 +69,8 @@ def compute_declaration_alphabet(decl: Declaration) -> tuple[AlphabetInfo, list[
                 )
                 continue
             p2p[n][ref] = None
-        for ev in walk_events(bodies[n]):
+        for ev in walk_events(body):
+            event_names.setdefault(ev.name, None)
             key = ev.key()
             if key in seen_polarity and seen_polarity[key] != ev.initiated:
                 diags.append(
@@ -107,16 +119,17 @@ def _check_scoped_events(owner_kind: str, owner_name: str, decl: Declaration,
         )
 
 
-def compute_component_alphabet(comp: Component) -> tuple[EventSet, list[Diagnostic]]:
+def compute_component_alphabet(comp: Component,
+                               event_names: dict[str, None]) -> tuple[EventSet, list[Diagnostic]]:
     """Union of scoped port alphabets and the computation alphabet."""
     diags: list[Diagnostic] = []
     port_names = {p.name for p in comp.ports}
     for port in comp.ports:
-        info, d = compute_declaration_alphabet(port)
+        info, d = compute_declaration_alphabet(port, event_names)
         diags.extend(d)
         info.param_total = scope_set(info.total, port.name)
         port.alphabet = info
-    cinfo, d = compute_declaration_alphabet(comp.computation)
+    cinfo, d = compute_declaration_alphabet(comp.computation, event_names)
     diags.extend(d)
     comp.computation.alphabet = cinfo
     _check_scoped_events("component", comp.name, comp.computation, port_names, diags)
@@ -137,16 +150,17 @@ def compute_component_alphabet(comp: Component) -> tuple[EventSet, list[Diagnost
     return total, diags
 
 
-def compute_connector_alphabet(conn: Connector) -> tuple[EventSet, list[Diagnostic]]:
+def compute_connector_alphabet(conn: Connector,
+                               event_names: dict[str, None]) -> tuple[EventSet, list[Diagnostic]]:
     """The connector alphabet is the glue alphabet (role events arrive scoped)."""
     diags: list[Diagnostic] = []
     role_names = {r.name for r in conn.roles}
     for role in conn.roles:
-        info, d = compute_declaration_alphabet(role)
+        info, d = compute_declaration_alphabet(role, event_names)
         diags.extend(d)
         info.param_total = scope_set(info.total, role.name)
         role.alphabet = info
-    ginfo, d = compute_declaration_alphabet(conn.glue)
+    ginfo, d = compute_declaration_alphabet(conn.glue, event_names)
     diags.extend(d)
     conn.glue.alphabet = ginfo
     _check_scoped_events("connector", conn.name, conn.glue, role_names, diags)
@@ -155,24 +169,15 @@ def compute_connector_alphabet(conn: Connector) -> tuple[EventSet, list[Diagnost
 
 
 def annotate(spec: ArchSpec) -> list[Diagnostic]:
-    """Fill in alphabet info across the whole spec; returns diagnostics."""
+    """Fill in alphabet info across the whole spec, and ``spec.event_names``;
+    returns diagnostics."""
     diags: list[Diagnostic] = []
+    event_names: dict[str, None] = {}
     for t in spec.types:
         if isinstance(t, Component):
-            _, d = compute_component_alphabet(t)
+            _, d = compute_component_alphabet(t, event_names)
         else:
-            _, d = compute_connector_alphabet(t)
+            _, d = compute_connector_alphabet(t, event_names)
         diags.extend(d)
+    spec.event_names = list(event_names)
     return diags
-
-
-def base_event_names(spec: ArchSpec) -> list[str]:
-    """Every unscoped event name used anywhere, first-use order."""
-    names: dict[str, None] = {}
-    for t in spec.types:
-        decls = (t.ports + [t.computation]) if isinstance(t, Component) else (t.roles + [t.glue])
-        for decl in decls:
-            for body in [decl.body] + [loc.body for loc in decl.locals]:
-                for ev in walk_events(body):
-                    names.setdefault(ev.name, None)
-    return list(names)

@@ -30,7 +30,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
-from .alphabets import base_event_names
 from .analyzer import Diagnostic
 from .engine import (
     PExt,
@@ -428,7 +427,7 @@ def emit(spec: ArchSpec) -> EmitPlan:
     out.line(f"-- {kw} {spec.name}")
     out.line("-- Types declarations")
     out.line("-- events for abstract specification")
-    out.line(f"channel {', '.join(base_event_names(spec))}")
+    out.line(f"channel {', '.join(spec.event_names)}")
     out.line()
     for t in spec.types:
         if isinstance(t, Component):

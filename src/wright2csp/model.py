@@ -24,7 +24,7 @@ class SourcePos(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EventRef:
     """A scoped event occurrence.
 
@@ -72,37 +72,37 @@ class ProcessExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix(ProcessExpr):
     event: EventRef
     rest: ProcessExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalChoice(ProcessExpr):
     left: ProcessExpr
     right: ProcessExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalChoice(ProcessExpr):
     left: ProcessExpr
     right: ProcessExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(ProcessExpr):
     """Reference to a named process (the declaration itself or a local)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Success(ProcessExpr):
     """TICK: perform the success event and stop."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(ProcessExpr):
     """The eliminated process: the result of projecting everything away.
 
@@ -266,9 +266,6 @@ class Declaration:
     pos: SourcePos = SourcePos()
     alphabet: AlphabetInfo | None = None
 
-    def local_names(self) -> list[str]:
-        return [d.name for d in self.locals]
-
 
 @dataclass
 class Component:
@@ -319,6 +316,7 @@ class Configuration:
     instances: list[Instance]
     attachments: list[Attachment]
     pos: SourcePos = SourcePos()
+    event_names: list[str] = field(default_factory=list)  # filled by alphabets.annotate
 
 
 @dataclass
@@ -326,6 +324,7 @@ class Style:
     name: str
     types: list[Union[Component, Connector]]
     pos: SourcePos = SourcePos()
+    event_names: list[str] = field(default_factory=list)  # filled by alphabets.annotate
 
 
 ArchSpec = Union[Style, Configuration]

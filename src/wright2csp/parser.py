@@ -7,14 +7,19 @@ event as initiated.  ``//`` starts a comment running to end of line, and the
 body of a Constraints clause is skipped without lexing.
 
 The lexer is one compiled pattern, matched once per token: the blanks and
-comments before it, then a named group per token class.  Line and column come
-from counting the newlines passed over.
+comments before it, then a named group per token class.  It builds no object
+per token: it appends each token's kind, value and start offset to three
+parallel lists, which the parser reads by index.  A line and column are
+computed only where they are needed, for a node that stores a position or for
+a diagnostic, by searching a table of line starts.
 Process expressions nest at most ``MAX_NESTING`` levels.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -66,6 +71,7 @@ KEYWORDS = {
 # parenthesised group: deeper input would overflow Python's default 1000-frame
 # stack in the parser (three frames per parenthesis) or in later tree walks.
 MAX_NESTING = 200
+_TOO_DEEP = f"process expression nested deeper than {MAX_NESTING} levels"
 
 
 class ParseError(Exception):
@@ -115,7 +121,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>[^\W\d]\w*)(?:\.(?P<dotted>[^\W\d]\w*))?"
     r"|(?P<op>->|\[\]|\|~\||[=.,:(){}]))?"
 )
-_OPS = {k.value: k for k in TokKind}
+_OPS = {k.value: (k, k.value) for k in TokKind}
 # A Constraints body ends at the first identifier spelled `end` in any case.
 # Characters that cannot start an identifier (digits, as in `1end`) are not
 # part of it; the group must hold no letter or underscore.
@@ -129,103 +135,139 @@ def _constraints_end(source: str, i: int) -> int:
     return len(source)
 
 
-def _illegal_character(source: str, j: int, line: int, line_start: int) -> ParseError:
-    return ParseError(SourcePos(line, j - line_start + 1), f"illegal character {source[j]!r}")
+class Tokens(Sequence):
+    """The token stream as parallel lists: the kind, value and start offset of
+    each token.  ``tokens[k]`` builds the ``Token`` on demand, its position
+    looked up in a table of line starts made on first use."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.kinds: list[TokKind] = []
+        self.values: list[object] = []
+        self.starts: list[int] = []
+        self._line_starts: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, k: int) -> Token:
+        kind = self.kinds[k]
+        text = self.text(k) if kind is TokKind.KEYWORD else ""
+        return Token(kind, self.values[k], self.pos_at(self.starts[k]), text)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (Tokens, list)) else NotImplemented
+
+    def text(self, k: int) -> str:
+        """The spelling of keyword ``k``; its value is the same word case-folded."""
+        start = self.starts[k]
+        return self.source[start : start + len(self.values[k])]  # type: ignore[arg-type]
+
+    def pos_at(self, offset: int) -> SourcePos:
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
+        line = bisect_right(self._line_starts, offset)
+        return SourcePos(line, offset - self._line_starts[line - 1] + 1)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split Wright source into tokens; the list always ends with EOF."""
-    out: list[Token] = []
-    i, line, line_start = 0, 1, 0
-    counted = 0  # ``line`` counts the newlines before this offset
+def tokenize(source: str) -> Tokens:
+    """Split Wright source into tokens, ending with EOF: their kinds, values and
+    start offsets go to parallel lists, and positions are computed on demand."""
+    toks = Tokens(source)
+    kind_of, value_of, start_of = toks.kinds.append, toks.values.append, toks.starts.append
+    match, i = _TOKEN_RE.match, 0
     while True:
-        m = _TOKEN_RE.match(source, i)
-        start = m.end(1)
-        # the previous token holds newlines only if it skipped a Constraints body
-        newlines = source.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", counted, start) + 1
-        counted = start
-        pos = SourcePos(line, start - line_start + 1)
-        kind = m.lastgroup
-        if kind is None:
-            if start == len(source):
-                out.append(Token(TokKind.EOF, None, pos))
-                return out
-            raise _illegal_character(source, start, line, line_start)
-        i = m.end()
+        m = match(source, i)
+        start, i, kind = m.end(1), m.end(), m.lastgroup
         if kind == "op":
-            out.append(Token(_OPS[m["op"]], m["op"], pos))
+            tk, value = _OPS[m["op"]]
         elif kind == "event":
-            out.append(Token(TokKind.INITEVENT, (m["event"], None), pos))
+            tk, value = TokKind.INITEVENT, (m["event"], None)
         elif kind == "scoped":
-            c = m["scoped"][0]
-            if not (c.isalpha() or c == "_"):
-                raise _illegal_character(source, m.start("scoped"), line, line_start)
-            out.append(Token(TokKind.INITEVENT, (m["scoped"], m["event"]), pos))
+            scoped = m["scoped"]
+            if not (scoped[0].isalpha() or scoped[0] == "_"):
+                raise _illegal_character(toks, m.start("scoped"))
+            tk, value = TokKind.INITEVENT, (scoped, m["event"])
+        elif kind is None:
+            if start < len(source):
+                raise _illegal_character(toks, start)
+            tk, value = TokKind.EOF, None
         else:
             word = m["word"]
-            c = word[0]
-            if not (c.isalpha() or c == "_"):
-                raise _illegal_character(source, start, line, line_start)
-            low = word.lower()
-            if low in KEYWORDS:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise _illegal_character(toks, start)
+            value = word.lower()
+            if value in KEYWORDS:
                 # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
-                out.append(Token(TokKind.KEYWORD, low, pos, word))
-                i = m.end("word")
-                if low == "constraints":
+                tk, i = TokKind.KEYWORD, m.end("word")
+                if value == "constraints":
                     i = _constraints_end(source, i)
             elif kind == "dotted":
-                c = m["dotted"][0]
-                if not (c.isalpha() or c == "_"):
-                    raise _illegal_character(source, m.start("dotted"), line, line_start)
-                out.append(Token(TokKind.DOTTED, (word, m["dotted"]), pos))
+                dotted = m["dotted"]
+                if not (dotted[0].isalpha() or dotted[0] == "_"):
+                    raise _illegal_character(toks, m.start("dotted"))
+                tk, value = TokKind.DOTTED, (word, dotted)
             else:
-                out.append(Token(TokKind.IDENT, word, pos))
+                tk, value = TokKind.IDENT, word
+        kind_of(tk)
+        value_of(value)
+        start_of(start)
+        if tk is TokKind.EOF:
+            return toks
+
+
+def _illegal_character(toks: Tokens, offset: int) -> ParseError:
+    return ParseError(toks.pos_at(offset), f"illegal character {toks.source[offset]!r}")
 
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream, read by index ``k``."""
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: Tokens) -> None:
         self.toks = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
         self.k = 0
         self.warnings: list[str] = []
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.k + ahead]
+    def pos(self, k: int | None = None) -> SourcePos:
+        """Position of token ``k``, the current one by default."""
+        return self.toks.pos_at(self.toks.starts[self.k if k is None else k])
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind is not TokKind.EOF:
-            self.k += 1
-        return t
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        return ParseError(self.pos(k), message)
+
+    def found(self) -> str:
+        return _show(self.toks[self.k])
+
+    # A token is stepped past only once its kind is known, so never past EOF.
 
     def at_keyword(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind is TokKind.KEYWORD and t.value in words
+        return self.kinds[self.k] is TokKind.KEYWORD and self.values[self.k] in words
 
-    def expect_keyword(self, word: str) -> Token:
-        t = self.peek()
+    def expect_keyword(self, word: str) -> int:
+        """Step past keyword ``word``; returns its index."""
         if not self.at_keyword(word):
-            raise ParseError(t.pos, f"expected '{word}', found {_show(t)}")
-        return self.next()
+            raise self.error(f"expected '{word}', found {self.found()}")
+        self.k += 1
+        return self.k - 1
 
-    def expect(self, kind: TokKind) -> Token:
-        t = self.peek()
-        if t.kind is not kind:
-            raise ParseError(t.pos, f"expected {kind.value!r}, found {_show(t)}")
-        return self.next()
+    def expect(self, kind: TokKind) -> int:
+        """Step past a token of ``kind``; returns its index."""
+        k = self.k
+        if self.kinds[k] is not kind:
+            raise self.error(f"expected {kind.value!r}, found {self.found()}")
+        self.k = k + 1
+        return k
 
-    def expect_ident(self) -> tuple[str, SourcePos]:
-        t = self.peek()
-        if t.kind is not TokKind.IDENT:
-            raise ParseError(t.pos, f"expected identifier, found {_show(t)}")
-        self.next()
-        return str(t.value), t.pos
+    def expect_ident(self) -> str:
+        k = self.k
+        if self.kinds[k] is not TokKind.IDENT:
+            raise self.error(f"expected identifier, found {self.found()}")
+        self.k = k + 1
+        return self.values[k]  # type: ignore[return-value]
 
     # -- grammar -----------------------------------------------------------
 
@@ -235,37 +277,35 @@ class Parser:
         elif self.at_keyword("configuration"):
             spec = self.parse_configuration()
         else:
-            t = self.peek()
-            raise ParseError(t.pos, f"expected 'Style' or 'Configuration', found {_show(t)}")
-        t = self.peek()
-        if t.kind is not TokKind.EOF:
-            raise ParseError(t.pos, f"trailing input after specification: {_show(t)}")
+            raise self.error(f"expected 'Style' or 'Configuration', found {self.found()}")
+        if self.kinds[self.k] is not TokKind.EOF:
+            raise self.error(f"trailing input after specification: {self.found()}")
         return spec
 
     def parse_style(self) -> Style:
-        start = self.expect_keyword("style")
-        name, _ = self.expect_ident()
+        pos = self.pos(self.expect_keyword("style"))
+        name = self.expect_ident()
         types = self.parse_type_decls()
         self.expect_keyword("constraints")
         self.expect_keyword("end")
         self.expect_keyword("style")
-        return Style(name=name, types=types, pos=start.pos)
+        return Style(name=name, types=types, pos=pos)
 
     def parse_configuration(self) -> Configuration:
-        start = self.expect_keyword("configuration")
-        name, _ = self.expect_ident()
+        pos = self.pos(self.expect_keyword("configuration"))
+        name = self.expect_ident()
         types = self.parse_type_decls()
         self.expect_keyword("instances")
         instances: list[Instance] = []
-        while self.peek().kind is TokKind.IDENT:
+        while self.kinds[self.k] is TokKind.IDENT:
             instances.extend(self.parse_instance_line())
         self.expect_keyword("attachments")
         attachments: list[Attachment] = []
-        while self.peek().kind is TokKind.DOTTED:
+        while self.kinds[self.k] is TokKind.DOTTED:
             attachments.append(self.parse_attachment())
         self.expect_keyword("end")
         self.expect_keyword("configuration")
-        return Configuration(name, types, instances, attachments, pos=start.pos)
+        return Configuration(name, types, instances, attachments, pos=pos)
 
     def parse_type_decls(self) -> list[Component | Connector]:
         types: list[Component | Connector] = []
@@ -277,50 +317,44 @@ class Parser:
             else:
                 return types
 
+    def parse_declaration(self, kind: DeclKind, named: bool) -> Declaration:
+        """``Port P = ...``, ``Role R = ...``, ``Computation = ...`` or ``Glue = ...``."""
+        pos = self.pos(self.expect_keyword(kind.value.lower()))
+        name = self.expect_ident() if named else kind.value
+        self.expect(TokKind.EQUALS)
+        body, locals_ = self.parse_process_with_where()
+        return Declaration(kind, name, body, locals_, pos)
+
     def parse_component(self) -> Component:
-        start = self.expect_keyword("component")
-        name, _ = self.expect_ident()
+        pos = self.pos(self.expect_keyword("component"))
+        name = self.expect_ident()
         ports: list[Declaration] = []
         while self.at_keyword("port"):
-            pkw = self.next()
-            pname, _ = self.expect_ident()
-            self.expect(TokKind.EQUALS)
-            body, locals_ = self.parse_process_with_where()
-            ports.append(Declaration(DeclKind.PORT, pname, body, locals_, pkw.pos))
+            ports.append(self.parse_declaration(DeclKind.PORT, True))
         if not ports:
-            raise ParseError(self.peek().pos, f"component {name} declares no ports")
-        ckw = self.expect_keyword("computation")
-        self.expect(TokKind.EQUALS)
-        body, locals_ = self.parse_process_with_where()
-        computation = Declaration(DeclKind.COMPUTATION, "Computation", body, locals_, ckw.pos)
-        return Component(name, ports, computation, pos=start.pos)
+            raise self.error(f"component {name} declares no ports")
+        computation = self.parse_declaration(DeclKind.COMPUTATION, False)
+        return Component(name, ports, computation, pos=pos)
 
     def parse_connector(self) -> Connector:
-        start = self.expect_keyword("connector")
-        name, _ = self.expect_ident()
+        pos = self.pos(self.expect_keyword("connector"))
+        name = self.expect_ident()
         roles: list[Declaration] = []
         while self.at_keyword("role"):
-            rkw = self.next()
-            rname, _ = self.expect_ident()
-            self.expect(TokKind.EQUALS)
-            body, locals_ = self.parse_process_with_where()
-            roles.append(Declaration(DeclKind.ROLE, rname, body, locals_, rkw.pos))
+            roles.append(self.parse_declaration(DeclKind.ROLE, True))
         if not roles:
-            raise ParseError(self.peek().pos, f"connector {name} declares no roles")
-        gkw = self.expect_keyword("glue")
-        self.expect(TokKind.EQUALS)
-        body, locals_ = self.parse_process_with_where()
-        glue = Declaration(DeclKind.GLUE, "Glue", body, locals_, gkw.pos)
-        return Connector(name, roles, glue, pos=start.pos)
+            raise self.error(f"connector {name} declares no roles")
+        glue = self.parse_declaration(DeclKind.GLUE, False)
+        return Connector(name, roles, glue, pos=pos)
 
     def parse_instance_line(self) -> list[Instance]:
-        names: list[tuple[str, SourcePos]] = [self.expect_ident()]
-        while self.peek().kind is TokKind.COMMA:
-            self.next()
-            names.append(self.expect_ident())
+        names = [(self.pos(), self.expect_ident())]
+        while self.kinds[self.k] is TokKind.COMMA:
+            self.k += 1
+            names.append((self.pos(), self.expect_ident()))
         self.expect(TokKind.COLON)
-        tname, _ = self.expect_ident()
-        return [Instance(n, tname, p) for n, p in names]
+        tname = self.expect_ident()
+        return [Instance(n, tname, p) for p, n in names]
 
     def parse_attachment(self) -> Attachment:
         left = self.parse_interface()
@@ -329,21 +363,22 @@ class Parser:
         return Attachment(left, right, pos=left.pos)
 
     def parse_interface(self) -> InterfaceRef:
-        t = self.peek()
-        if t.kind is not TokKind.DOTTED:
-            raise ParseError(t.pos, f"expected instance.point interface, found {_show(t)}")
-        self.next()
-        inst, point = t.value  # type: ignore[misc]
-        return InterfaceRef(inst, point, t.pos)
+        k = self.k
+        if self.kinds[k] is not TokKind.DOTTED:
+            raise self.error(f"expected instance.point interface, found {self.found()}")
+        self.k = k + 1
+        inst, point = self.values[k]  # type: ignore[misc]
+        return InterfaceRef(inst, point, self.pos(k))
 
     def parse_process_with_where(self) -> tuple[ProcessExpr, list[Declaration]]:
         body, _ = self.parse_proc_expr()
         locals_: list[Declaration] = []
         if self.at_keyword("where"):
-            self.next()
+            self.k += 1
             self.expect(TokKind.LBRACE)
-            while self.peek().kind is TokKind.IDENT:
-                lname, lpos = self.expect_ident()
+            while self.kinds[self.k] is TokKind.IDENT:
+                lpos = self.pos()
+                lname = self.expect_ident()
                 self.expect(TokKind.EQUALS)
                 lbody, _ = self.parse_proc_expr()
                 locals_.append(Declaration(DeclKind.WHERE_LOCAL, lname, lbody, [], lpos))
@@ -353,66 +388,66 @@ class Parser:
     # The expression parsers take the level of the node they parse (the root
     # is level 1) and return the node with its height in levels.
 
-    def _check_nesting(self, t: Token, level: int) -> None:
-        if level > MAX_NESTING:
-            raise ParseError(t.pos, f"process expression nested deeper than {MAX_NESTING} levels")
-
     def parse_proc_expr(self, level: int = 1) -> tuple[ProcessExpr, int]:
         left, height = self.parse_prefix_expr(level)
-        ops_seen: set[TokKind] = set()
-        while self.peek().kind in (TokKind.ECHOICE, TokKind.ICHOICE):
-            op = self.next()
-            ops_seen.add(op.kind)
-            if len(ops_seen) == 2:
+        kinds = self.kinds
+        last = None  # the chain's previous operator
+        while kinds[self.k] in (TokKind.ECHOICE, TokKind.ICHOICE):
+            k = self.k
+            self.k = k + 1
+            op = kinds[k]
+            if last is not None and op is not last:
                 self.warnings.append(
-                    f"{op.pos}: '[]' and '|~|' mixed at the same level without "
+                    f"{self.pos(k)}: '[]' and '|~|' mixed at the same level without "
                     "parentheses; grouping left-to-right"
                 )
-                ops_seen = {op.kind}
+            last = op
             right, right_height = self.parse_prefix_expr(level + 1)
             # each operator pushes the whole chain so far one level down
             height = max(height, right_height) + 1
-            self._check_nesting(op, level + height - 1)
-            cls = ExternalChoice if op.kind is TokKind.ECHOICE else InternalChoice
+            if level + height - 1 > MAX_NESTING:
+                raise self.error(_TOO_DEEP, k)
+            cls = ExternalChoice if op is TokKind.ECHOICE else InternalChoice
             left = cls(left, right)
         return left, height
 
     def parse_prefix_expr(self, level: int) -> tuple[ProcessExpr, int]:
-        t = self.peek()
-        self._check_nesting(t, level)
-        if t.kind is TokKind.INITEVENT:
-            name, scope = t.value  # type: ignore[misc]
+        k = self.k
+        kind = self.kinds[k]
+        if level > MAX_NESTING:
+            raise self.error(_TOO_DEEP, k)
+        if kind is TokKind.INITEVENT:
+            name, scope = self.values[k]  # type: ignore[misc]
             ev = EventRef(name, True, (scope,) if scope else ())
-        elif t.kind is TokKind.DOTTED:
-            first, second = t.value  # type: ignore[misc]
+        elif kind is TokKind.DOTTED:
+            first, second = self.values[k]  # type: ignore[misc]
             ev = EventRef(second, False, (first,))
-        elif t.kind is TokKind.IDENT and self.peek(1).kind is TokKind.ARROW:
-            ev = EventRef(str(t.value), False, ())
+        elif kind is TokKind.IDENT and self.kinds[k + 1] is TokKind.ARROW:
+            ev = EventRef(self.values[k], False, ())  # type: ignore[arg-type]
         else:
             return self.parse_atom(level)
-        self.next()
+        self.k = k + 1
         self.expect(TokKind.ARROW)
         rest, height = self.parse_prefix_expr(level + 1)
         return Prefix(ev, rest), height + 1
 
     def parse_atom(self, level: int) -> tuple[ProcessExpr, int]:
-        t = self.peek()
-        if t.kind is TokKind.KEYWORD and t.value in ("tick", "skip"):
-            self.next()
+        k = self.k
+        kind, value = self.kinds[k], self.values[k]
+        self.k = k + 1
+        if kind is TokKind.KEYWORD and value in ("tick", "skip"):
             return SUCCESS, 1
-        if t.kind is TokKind.KEYWORD and t.value in ("glue", "computation"):
+        if kind is TokKind.KEYWORD and value in ("glue", "computation"):
             # the glue/computation processes may refer to themselves by name
-            self.next()
-            return Ref(t.text), 1
-        if t.kind is TokKind.IDENT:
-            self.next()
-            return Ref(str(t.value)), 1
-        if t.kind is TokKind.LPAREN:
-            self.next()
+            return Ref(self.toks.text(k)), 1
+        if kind is TokKind.IDENT:
+            return Ref(value), 1  # type: ignore[arg-type]
+        if kind is TokKind.LPAREN:
             inner, height = self.parse_proc_expr(level + 1)
             self.expect(TokKind.RPAREN)
             return inner, height + 1
-        raise ParseError(t.pos, f"expected a process expression, found {_show(t)}")
+        self.k = k
+        raise self.error(f"expected a process expression, found {self.found()}")
 
 
 def _show(t: Token) -> str:

@@ -569,6 +569,29 @@ def reference_tokenize(source: str) -> list[Token]:
     return _Lexer(source).tokens()
 
 
+def _spelling(t: Token) -> str:
+    if t.kind is TokKind.KEYWORD:
+        return t.text
+    if t.kind is TokKind.DOTTED:
+        return ".".join(t.value)
+    if t.kind is TokKind.INITEVENT:
+        name, scope = t.value
+        return "_" + (f"{scope}." if scope else "") + name
+    return t.value
+
+
+def token_spans(source: str) -> list[tuple[int, int]]:
+    """(start, end) offsets of every token but EOF, as ``reference_tokenize`` reads them."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+    spans = []
+    for t in reference_tokenize(source)[:-1]:
+        start = line_starts[t.pos.line - 1] + t.pos.column - 1
+        end = start + len(_spelling(t))
+        assert source[start:end] == _spelling(t), (t, source[start:end])
+        spans.append((start, end))
+    return spans
+
+
 # --- set, renaming and trace helpers used only by tests -----------------------
 
 

@@ -160,4 +160,4 @@ def test_mixed_polarity_is_a_warning():
 
 def test_base_event_names_cover_internal_events():
     spec = load_spec("dt3.wrt")
-    assert set(alphabets.base_event_names(spec)) == {"a", "b", "c"}
+    assert set(spec.event_names) == {"a", "b", "c"}

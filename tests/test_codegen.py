@@ -139,6 +139,19 @@ def test_channel_declarations():
     assert set(base[len("channel "):].split(", ")) == {"request", "result", "invoke", "return"}
 
 
+def test_channel_line_names_the_events_of_a_redefined_where_local():
+    # the first L is shadowed for alphabets, but its equation is still emitted
+    spec, _ = parse_source(
+        "Style S\nComponent C\n  Port In = a -> L where { L = b -> In  L = c -> In }\n"
+        "  Computation = In.a -> Computation [] TICK\nConstraints\nEnd Style"
+    )
+    alphabets.annotate(spec)
+    lines = codegen.emit(spec).text.splitlines()
+    assert "L = (b -> PORTIn)" in lines
+    assert "channel a, b, c" in lines
+    assert "channel In: {a, c}" in lines
+
+
 def test_glue_gets_connector_suffix_only_in_configurations():
     style_text = emit_plan("dt1.wrt").text
     assert "\nGlue = " in style_text

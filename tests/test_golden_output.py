@@ -2,8 +2,10 @@
 
 ``golden/emitted/<fixture>.fdr2`` is the ``translate`` output of every fixture
 the front end accepts, and ``golden/emitted/check.txt`` holds the ``check``
-standard output and exit code of every fixture.  After a change that is meant
-to alter the output, regenerate both with
+standard output and exit code of every fixture.  ``golden/positions.txt`` pins
+the source positions that reach only standard error: the ``lint`` output of
+every fixture, and the ``ParseError`` of every fixture cut after each token.
+After a change that is meant to alter the output, regenerate all three with
 ``PYTHONPATH=src python tests/test_golden_output.py`` and review the diff.
 """
 
@@ -12,10 +14,13 @@ import io
 import sys
 from pathlib import Path
 
+from oracles import token_spans
 from wright2csp.cli import main
+from wright2csp.parser import ParseError, parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EMITTED = Path(__file__).parent / "golden" / "emitted"
+POSITIONS = Path(__file__).parent / "golden" / "positions.txt"
 CLEAN = [
     "calculformule",
     "deadconn",
@@ -45,6 +50,26 @@ def check_transcript() -> str:
     return "".join(parts)
 
 
+def position_transcript() -> str:
+    parts = []
+    for path in sorted(FIXTURES.glob("*.wrt")):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["lint", str(path)])
+        parts.append(f"== {path.name} lint exit {code}\n" + err.getvalue().replace(str(path), path.name))
+    for path in sorted(FIXTURES.glob("*.wrt")):
+        source = path.read_text()
+        parts.append(f"== {path.name} cut after each token\n")
+        for _, end in token_spans(source):
+            try:
+                parse_source(source[:end])
+                outcome = "ok"
+            except ParseError as exc:
+                outcome = str(exc)
+            parts.append(f"{end} {outcome}\n")
+    return "".join(parts)
+
+
 def test_translate_output_is_byte_identical_to_golden(tmp_path):
     for name in CLEAN:
         out = tmp_path / f"{name}.fdr2"
@@ -56,9 +81,14 @@ def test_check_output_is_byte_identical_to_golden():
     assert check_transcript() == (EMITTED / "check.txt").read_text()
 
 
+def test_diagnostic_positions_are_identical_to_golden():
+    assert position_transcript() == POSITIONS.read_text()
+
+
 if __name__ == "__main__":
     EMITTED.mkdir(parents=True, exist_ok=True)
     for name in CLEAN:
         if _quiet(["translate", str(FIXTURES / f"{name}.wrt"), str(EMITTED / f"{name}.fdr2")])[0]:
             sys.exit(f"{name}.wrt does not translate")
     (EMITTED / "check.txt").write_text(check_transcript())
+    POSITIONS.write_text(position_transcript())

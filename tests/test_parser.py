@@ -3,8 +3,9 @@ import string
 
 import pytest
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, perfbench_workloads
 from oracles import reference_tokenize
+from wright2csp import parser
 from wright2csp.model import (
     Component,
     Configuration,
@@ -98,6 +99,27 @@ def test_tokenize_matches_reference_lexer():
     assert 1000 < errors < len(sources) - 1000  # both outcomes well covered
 
 
+def test_parse_source_tokenizes_once_through_the_module_attribute(monkeypatch):
+    # the benchmark's tracer times `parser.tokenize` by replacing the attribute
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    source = fixture_path("dt3.wrt").read_text()
+    parse_source(source)
+    assert calls == [source]
+
+
+def test_token_count_matches_reference_lexer():
+    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
+    sources.append(next(perfbench_workloads().blocks("translate", 1))[0].source)
+    for text in sources:
+        assert len(tokenize(text)) == len(reference_tokenize(text))
+
+
 def test_parse_dt1_structure():
     spec = parse_text(fixture_path("dt1.wrt").read_text())
     assert isinstance(spec, Style)
@@ -178,6 +200,14 @@ def test_mixed_choice_operators_warn():
                         "  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style"))
     p.parse_spec()
     assert any("mixed" in w for w in p.warnings)
+
+
+def test_mixed_choice_warning_is_at_each_operator_that_switches():
+    p = Parser(tokenize("Style S\nConnector K\n"
+                        "  Role R = a -> R [] b -> R |~| TICK |~| c -> R [] (d -> R |~| TICK)\n"
+                        "  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style"))
+    p.parse_spec()
+    assert [w.split(": ")[0] for w in p.warnings] == ["3:29", "3:49"]
 
 
 @pytest.mark.parametrize(

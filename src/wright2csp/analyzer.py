@@ -1,7 +1,8 @@
 """Static semantics: six structural rules checked over a hash-bucket symbol table.
 
 Rules (diagnosed with the tool's historical French messages):
-  1  an identifier names at most one architectural element
+  1  an identifier names at most one architectural element; a where-local
+     names neither its declaration nor another local of its where block
   2  instance types must be declared
   3  attachments may only use declared instances
   4  interface points must be ports/roles of the instance's declared type
@@ -23,6 +24,7 @@ from .model import (
     Component,
     Configuration,
     Connector,
+    Declaration,
     SourcePos,
     Style,
 )
@@ -56,10 +58,15 @@ class SymbolTable:
         self.buckets: list[list[SymbolEntry]] = [[] for _ in range(size)]
 
     def hash(self, name: str) -> int:
-        h = 0
-        for ch in name:
-            h = (h * 256 + ord(ch)) % self.size
-        return h
+        """``name`` read as a base-256 number, mod ``size``: the fold
+        ``h = (h * 256 + ord(c)) % size`` over its characters."""
+        try:
+            return int.from_bytes(name.encode("latin-1"), "big") % self.size
+        except UnicodeEncodeError:  # a code point above 255 is not one byte
+            h = 0
+            for ch in name:
+                h = (h * 256 + ord(ch)) % self.size
+            return h
 
     def insert(self, entry: SymbolEntry) -> None:
         self.buckets[self.hash(entry.name)].insert(0, entry)
@@ -96,6 +103,14 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
     table = SymbolTable()
     diags: list[Diagnostic] = []
 
+    def unique_locals(decl: Declaration) -> None:
+        """A where-local may name neither its declaration nor an earlier local."""
+        seen = {decl.name}
+        for loc in decl.locals:
+            if loc.name in seen:
+                diags.append(_diag("error", 1, loc.pos, "***Identificateur Redondant***"))
+            seen.add(loc.name)
+
     def insert_unique(name: str, nature: Nature, link: Optional[SymbolEntry], pos: SourcePos) -> Optional[SymbolEntry]:
         existing = table.lookup(name)
         if existing is not None and existing.nature not in (Nature.STYLE, Nature.CONFIGURATION):
@@ -115,10 +130,14 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
             owner = insert_unique(t.name, Nature.COMPONENT, None, t.pos)
             for p in t.ports:
                 insert_unique(p.name, Nature.PORT, owner, p.pos)
+                unique_locals(p)
+            unique_locals(t.computation)
         else:
             owner = insert_unique(t.name, Nature.CONNECTOR, None, t.pos)
             for r in t.roles:
                 insert_unique(r.name, Nature.ROLE, owner, r.pos)
+                unique_locals(r)
+            unique_locals(t.glue)
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
@@ -142,6 +161,13 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
             diags.append(_diag("error", 2, inst.pos, "***Type non Declarer***"))
 
     type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
+    # One set of "type point" strings; a container per type would be more
+    # live objects for the cyclic collector to walk.
+    points = {
+        f"{name} {d.name}"
+        for name, t in type_by_name.items()
+        for d in (t.ports if isinstance(t, Component) else t.roles)
+    }
 
     def resolve_interface(iref) -> tuple[Optional[str], bool]:
         """Returns (owner type nature name, ok).  Appends diagnostics on failure."""
@@ -155,8 +181,7 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         tdecl = type_by_name.get(inst_entry.link.name)
         if tdecl is None:
             return None, False
-        members = [p.name for p in tdecl.ports] if isinstance(tdecl, Component) else [r.name for r in tdecl.roles]
-        if iref.point in members:
+        if f"{tdecl.name} {iref.point}" in points:
             return ("Component" if isinstance(tdecl, Component) else "Connector"), True
         point_entry = table.lookup(iref.point)
         if point_entry is not None and point_entry.nature in (Nature.PORT, Nature.ROLE):

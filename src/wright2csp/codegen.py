@@ -385,30 +385,47 @@ def _attachment_points(
 
 
 def emit_attachments(out: _Out, spec: Configuration) -> None:
+    """One port/role compatibility check per attachment.
+
+    The ``…PLUS`` terms, the union sync set and the ``ROLE{r}DET`` reference
+    depend only on the (port, role) pair, so they are built once per pair,
+    keyed ``"p r"``, and every attachment of that pair shares them.
+    """
     out.line("--Attachment Test")
     out.line()
     instances = {i.name: i.type_name for i in spec.instances}
     types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
+    port_plus: dict[str, Proc] = {}
+    role_plus: dict[str, Proc] = {}
+    unions: dict[str, frozenset[str]] = {}
+    role_det: dict[str, Proc] = {}
     for att in spec.attachments:
         ci, p, ni, r = _attachment_points(instances, types, att)
-        a_p, a_r = set(out.sets[f"ALPHA_{p}"]), set(out.sets[f"ALPHA_{r}"])
-        out.line(f"{ci}_{p}PLUS = PORT{p}")
+        pair = f"{p} {r}"
+        both = unions.get(pair)
+        if both is None:
+            a_p, a_r = set(out.sets[f"ALPHA_{p}"]), set(out.sets[f"ALPHA_{r}"])
+            port_plus[pair] = PPar(PRef(f"PORT{p}"), frozenset(a_r - a_p), PStop())
+            role_plus[pair] = PPar(PRef(f"ROLE{r}"), frozenset(a_p - a_r), PStop())
+            both = unions[pair] = frozenset(a_p | a_r)
+            role_det[pair] = PRef(f"ROLE{r}DET")
+        port_name, role_name = f"{ci}_{p}PLUS", f"{ni}_{r}PLUS"
+        out.line(f"{port_name} = PORT{p}")
         out.line(f"  [| diff( ALPHA_{r} , ALPHA_{p} ) |] STOP")
-        out.define(f"{ci}_{p}PLUS", PPar(PRef(f"PORT{p}"), frozenset(a_r - a_p), PStop()))
-        out.line(f"{ni}_{r}PLUS = ROLE{r}")
+        out.define(port_name, port_plus[pair])
+        out.line(f"{role_name} = ROLE{r}")
         out.line(f"  [| diff( ALPHA_{p} , ALPHA_{r} ) |] STOP")
-        out.define(f"{ni}_{r}PLUS", PPar(PRef(f"ROLE{r}"), frozenset(a_p - a_r), PStop()))
-        out.line(f"{ci}_{p}PLUSDET = {ci}_{p}PLUS")
+        out.define(role_name, role_plus[pair])
+        out.line(f"{port_name}DET = {port_name}")
         out.line(f"  [| union(ALPHA_{p} , ALPHA_{r} ) |]")
         out.line(f"  ROLE{r}DET")
-        both = frozenset(a_p | a_r)
-        out.define(f"{ci}_{p}PLUSDET", PPar(PRef(f"{ci}_{p}PLUS"), both, PRef(f"ROLE{r}DET")))
+        out.define(f"{port_name}DET", PPar(PRef(port_name), both, role_det[pair]))
         out.assertion(
             Assertion(
                 AssertionKind.PORT_ROLE,
-                f"assert {ni}_{r}PLUS [FD= {ci}_{p}PLUSDET",
-                PRef(f"{ni}_{r}PLUS"),
-                PRef(f"{ci}_{p}PLUSDET"),
+                f"assert {role_name} [FD= {port_name}DET",
+                PRef(role_name),
+                PRef(f"{port_name}DET"),
                 both,
             )
         )

@@ -1,4 +1,5 @@
 import itertools
+import random
 import string
 
 from conftest import fixture_path
@@ -69,6 +70,54 @@ def test_duplicate_instance_names_violate_rule1():
     diags = analyzer.analyze(spec)
     assert 1 in error_rules(diags)
     assert any("Identificateur Redondant" in d.message for d in diags)
+
+
+def _where_source(port_locals: str, role_locals: str = "") -> str:
+    """A configuration whose port ``In`` and role ``R`` carry the given where-locals."""
+    port = "  Port In = a -> L where { " + port_locals + " }\n" if port_locals else "  Port In = a -> In [] TICK\n"
+    role = "  Role R = a -> M where { " + role_locals + " }\n" if role_locals else "  Role R = a -> R [] TICK\n"
+    return (
+        "Configuration W\nComponent T\n" + port + "  Computation = In.a -> Computation [] TICK\n"
+        "Connector K\n" + role + "  Glue = R.a -> Glue [] TICK\n"
+        "Instances\n  A : T\n  B : K\nAttachments\n  A.In As B.R\nEnd Configuration"
+    )
+
+
+def test_repeated_where_local_violates_rule1_at_the_repeat():
+    port_col = len("  Port In = a -> L where { ") + 1
+    role_col = len("  Role R = a -> M where { ") + 1
+    cases = [
+        # a local defined twice
+        (_where_source("L = b -> In  L = c -> In"), [(3, port_col + len("L = b -> In  "))]),
+        # a local named like its declaration
+        (_where_source("L = b -> In  In = c -> L"), [(3, port_col + len("L = b -> In  "))]),
+        (_where_source("", "M = b -> R  M = c -> R  M = TICK"),
+         [(6, role_col + len("M = b -> R  ")), (6, role_col + len("M = b -> R  M = c -> R  "))]),
+        (_where_source("", "R = b -> M  M = c -> R"), [(6, role_col)]),
+        (_where_source("L = b -> In  M = c -> In", "N = b -> R"), []),
+    ]
+    for source, positions in cases:
+        spec, _ = parse_source(source)
+        errors = [d for d in analyzer.analyze(spec) if d.severity == "error"]
+        assert [(d.pos.line, d.pos.column) for d in errors] == positions, source
+        assert all(d.rule == 1 and d.message == "***Identificateur Redondant***" for d in errors)
+
+
+def test_symbol_hash_is_the_per_character_fold():
+    def fold(name, size):
+        h = 0
+        for ch in name:
+            h = (h * 256 + ord(ch)) % size
+        return h
+
+    rng = random.Random(11)
+    alphabets = [string.ascii_letters + string.digits + "_", string.ascii_letters + "é", "abΩş", "Ωş"]
+    names = [""] + ["".join(rng.choice(chars) for _ in range(rng.randint(1, 40))) for chars in alphabets for _ in range(200)]
+    assert any(ord(c) > 255 for n in names for c in n) and any("é" in n for n in names)
+    for size in (211, 10):
+        table = SymbolTable(size)
+        for name in names:
+            assert table.hash(name) == fold(name, size), (name, size)
 
 
 def test_each_rule_fixture_yields_exactly_its_rule():

@@ -88,6 +88,20 @@ def test_lint_strict_attachments_elevates_rule6(tmp_path, capsys):
     assert "rule=6" in err
 
 
+def test_repeated_where_local_is_a_lint_error_and_translates_nothing(tmp_path, capsys):
+    spec = tmp_path / "dup.wrt"
+    spec.write_text(
+        "Style S\nComponent C\n  Port In = a -> L where { L = b -> In  L = c -> In }\n"
+        "  Computation = In.a -> Computation [] TICK\nConstraints\nEnd Style\n"
+    )
+    code, _, err = run(capsys, "lint", str(spec))
+    assert code == 2
+    assert "3:41: error: rule=1 ***Identificateur Redondant***" in err
+    out = tmp_path / "dup.fdr2"
+    assert run(capsys, "translate", str(spec), str(out))[0] == 2
+    assert not out.exists()
+
+
 def test_check_dt3_all_pass(tmp_path, capsys):
     out = tmp_path / "dt3.fdr2"
     code, stdout, _ = run(capsys, "check", str(fixture_path("dt3.wrt")), "-o", str(out))

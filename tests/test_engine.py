@@ -500,6 +500,39 @@ def test_memoized_discharge_equals_checking_each_assertion(monkeypatch):
     assert reused >= 20, reused
 
 
+# pipeline(5): the ``explored`` count of each assertion, in emission order: four
+# port/computation checks, two role and one connector deadlock check, then the
+# twelve attachments, Writer and Reader roles in turn.
+PIPELINE5_EXPLORED = [10, 15, 16, 6, 6, 4, 29] + [20, 12] * 6
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_pipeline_attachments_share_pair_terms_and_keep_the_verdict_memo(monkeypatch, fail):
+    spec, _ = parse_source(perfbench_workloads().pipeline_case(5, "t", fail).source)
+    assert not alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    defs = plan.definitions
+    by_pair: dict = {}
+    for att in spec.attachments:
+        pair = (att.left.point, att.right.point)
+        port_plus = f"{att.left.instance}_{att.left.point}PLUS"
+        role_plus = f"{att.right.instance}_{att.right.point}PLUS"
+        det = defs[port_plus + "DET"]
+        shared = (defs[port_plus], defs[role_plus], det.sync, det.right)
+        for first, this in zip(by_pair.setdefault(pair, shared), shared):
+            assert this is first, (pair, port_plus, role_plus)
+    assert len(by_pair) == 4
+
+    calls = []
+    monkeypatch.setattr(engine, "check_assertion", lambda *a: calls.append(a) or check_assertion(*a))
+    results = discharge_assertions(plan.assertions, plan.definitions)
+    expected = [(True, None, n) for n in PIPELINE5_EXPLORED]
+    if fail:
+        expected[-1] = (False, (("read_t",), "failure"), 11)
+    assert [(v.holds, v.counterexample, v.explored) for _, v in results] == expected
+    assert len(calls) == (10 if fail else 9)
+
+
 def _rename_refs(term, sigma):
     """``term`` with every reference renamed by ``sigma``, branch order kept as stored."""
     if isinstance(term, PRef):

@@ -2,18 +2,23 @@
 
 ``golden/emitted/<fixture>.fdr2`` is the ``translate`` output of every fixture
 the front end accepts, and ``golden/emitted/check.txt`` holds the ``check``
-standard output and exit code of every fixture.  ``golden/positions.txt`` pins
-the source positions that reach only standard error: the ``lint`` output of
-every fixture, and the ``ParseError`` of every fixture cut after each token.
-After a change that is meant to alter the output, regenerate all three with
-``PYTHONPATH=src python tests/test_golden_output.py`` and review the diff.
+standard output and exit code of every fixture.  ``golden/emitted/pipeline3*``
+pin the same two outputs for the benchmark's pipeline(3), passing and
+failing, where each (port type, role type) pair is attached several times.
+``golden/positions.txt`` pins the source positions that reach only standard
+error: the ``lint`` output of every fixture, and the ``ParseError`` of every
+fixture cut after each token.  After a change that is meant to alter the
+output, regenerate them all with ``PYTHONPATH=src python
+tests/test_golden_output.py`` and review the diff.
 """
 
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
+from conftest import perfbench_workloads
 from oracles import token_spans
 from wright2csp.cli import main
 from wright2csp.parser import ParseError, parse_source
@@ -32,6 +37,8 @@ CLEAN = [
     "pipeconn",
     "rule6",
 ]
+# Golden name -> whether pipeline(3) is the failing variant.
+PIPELINES = {"pipeline3": False, "pipeline3_fail": True}
 
 
 def _quiet(argv):
@@ -42,12 +49,23 @@ def _quiet(argv):
     return code, out.getvalue()
 
 
-def check_transcript() -> str:
+def check_transcript(paths=None) -> str:
     parts = []
-    for path in sorted(FIXTURES.glob("*.wrt")):
+    for path in sorted(FIXTURES.glob("*.wrt")) if paths is None else paths:
         code, stdout = _quiet(["check", str(path)])
         parts.append(f"== {path.name} exit {code}\n{stdout}")
     return "".join(parts)
+
+
+def write_pipelines(directory: Path) -> list[Path]:
+    """The pipeline(3) sources of ``PIPELINES`` as ``<name>.wrt`` in ``directory``."""
+    workloads = perfbench_workloads()
+    paths = []
+    for name, fail in PIPELINES.items():
+        path = directory / f"{name}.wrt"
+        path.write_text(workloads.pipeline_case(3, "t", fail).source)
+        paths.append(path)
+    return paths
 
 
 def position_transcript() -> str:
@@ -77,6 +95,15 @@ def test_translate_output_is_byte_identical_to_golden(tmp_path):
         assert out.read_bytes() == (EMITTED / f"{name}.fdr2").read_bytes(), name
 
 
+def test_repeated_pairs_translate_and_check_byte_identical_to_golden(tmp_path):
+    paths = write_pipelines(tmp_path)
+    for path in paths:
+        out = tmp_path / f"{path.stem}.fdr2"
+        assert _quiet(["translate", str(path), str(out)])[0] == 0, path.stem
+        assert out.read_bytes() == (EMITTED / out.name).read_bytes(), path.stem
+    assert check_transcript(paths) == (EMITTED / "pipeline3_check.txt").read_text()
+
+
 def test_check_output_is_byte_identical_to_golden():
     assert check_transcript() == (EMITTED / "check.txt").read_text()
 
@@ -91,4 +118,10 @@ if __name__ == "__main__":
         if _quiet(["translate", str(FIXTURES / f"{name}.wrt"), str(EMITTED / f"{name}.fdr2")])[0]:
             sys.exit(f"{name}.wrt does not translate")
     (EMITTED / "check.txt").write_text(check_transcript())
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_pipelines(Path(tmp))
+        for path in paths:
+            if _quiet(["translate", str(path), str(EMITTED / f"{path.stem}.fdr2")])[0]:
+                sys.exit(f"{path.name} does not translate")
+        (EMITTED / "pipeline3_check.txt").write_text(check_transcript(paths))
     POSITIONS.write_text(position_transcript())

@@ -2,7 +2,7 @@
 
 Rules (diagnosed with the tool's historical French messages):
   1  an identifier names at most one architectural element; a where-local
-     names neither its declaration nor another local of its where block
+     names no port, role or connector, nor another local of its where block
   2  instance types must be declared
   3  attachments may only use declared instances
   4  interface points must be ports/roles of the instance's declared type
@@ -24,7 +24,6 @@ from .model import (
     Component,
     Configuration,
     Connector,
-    Declaration,
     SourcePos,
     Style,
 )
@@ -40,6 +39,11 @@ class Nature(Enum):
     INSTANCE = "Instance"
     CONFIGURATION = "Configuration"
     STYLE = "Style"
+
+
+# Natures whose names the FDR output declares as they are (a channel per port
+# and role, a process per connector); a where-local may not reuse them.
+_PRINTED_BARE = (Nature.PORT, Nature.ROLE, Nature.CONNECTOR)
 
 
 @dataclass
@@ -58,15 +62,9 @@ class SymbolTable:
         self.buckets: list[list[SymbolEntry]] = [[] for _ in range(size)]
 
     def hash(self, name: str) -> int:
-        """``name`` read as a base-256 number, mod ``size``: the fold
-        ``h = (h * 256 + ord(c)) % size`` over its characters."""
-        try:
-            return int.from_bytes(name.encode("latin-1"), "big") % self.size
-        except UnicodeEncodeError:  # a code point above 255 is not one byte
-            h = 0
-            for ch in name:
-                h = (h * 256 + ord(ch)) % self.size
-            return h
+        # Bucket numbers never leave the table, so Python's own string hash
+        # (computed once per str object) serves.
+        return hash(name) % self.size
 
     def insert(self, entry: SymbolEntry) -> None:
         self.buckets[self.hash(entry.name)].insert(0, entry)
@@ -103,14 +101,6 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
     table = SymbolTable()
     diags: list[Diagnostic] = []
 
-    def unique_locals(decl: Declaration) -> None:
-        """A where-local may name neither its declaration nor an earlier local."""
-        seen = {decl.name}
-        for loc in decl.locals:
-            if loc.name in seen:
-                diags.append(_diag("error", 1, loc.pos, "***Identificateur Redondant***"))
-            seen.add(loc.name)
-
     def insert_unique(name: str, nature: Nature, link: Optional[SymbolEntry], pos: SourcePos) -> Optional[SymbolEntry]:
         existing = table.lookup(name)
         if existing is not None and existing.nature not in (Nature.STYLE, Nature.CONFIGURATION):
@@ -130,14 +120,10 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
             owner = insert_unique(t.name, Nature.COMPONENT, None, t.pos)
             for p in t.ports:
                 insert_unique(p.name, Nature.PORT, owner, p.pos)
-                unique_locals(p)
-            unique_locals(t.computation)
         else:
             owner = insert_unique(t.name, Nature.CONNECTOR, None, t.pos)
             for r in t.roles:
                 insert_unique(r.name, Nature.ROLE, owner, r.pos)
-                unique_locals(r)
-            unique_locals(t.glue)
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
@@ -145,6 +131,20 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
             link = type_entry if type_entry and type_entry.nature in (Nature.COMPONENT, Nature.CONNECTOR) else None
             insert_unique(inst.name, Nature.INSTANCE, link, inst.pos)
 
+    # A where-local is printed under its own name, beside the channel of every
+    # port and role and the process of every connector, so it may name none of
+    # these (its own port or role included), nor an earlier local of its block.
+    # Locals are checked once the table is whole, so a port declared after the
+    # local counts too; the sort puts their findings in document order.
+    for t in spec.types:
+        for decl in (*t.ports, t.computation) if isinstance(t, Component) else (*t.roles, t.glue):
+            seen: set[str] = set()
+            for loc in decl.locals:
+                entry = table.lookup(loc.name)
+                if loc.name in seen or (entry is not None and entry.nature in _PRINTED_BARE):
+                    diags.append(_diag("error", 1, loc.pos, "***Identificateur Redondant***"))
+                seen.add(loc.name)
+    diags.sort(key=lambda d: d.pos)
     return table, diags
 
 
@@ -161,13 +161,6 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
             diags.append(_diag("error", 2, inst.pos, "***Type non Declarer***"))
 
     type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
-    # One set of "type point" strings; a container per type would be more
-    # live objects for the cyclic collector to walk.
-    points = {
-        f"{name} {d.name}"
-        for name, t in type_by_name.items()
-        for d in (t.ports if isinstance(t, Component) else t.roles)
-    }
 
     def resolve_interface(iref) -> tuple[Optional[str], bool]:
         """Returns (owner type nature name, ok).  Appends diagnostics on failure."""
@@ -181,7 +174,8 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         tdecl = type_by_name.get(inst_entry.link.name)
         if tdecl is None:
             return None, False
-        if f"{tdecl.name} {iref.point}" in points:
+        members = [p.name for p in tdecl.ports] if isinstance(tdecl, Component) else [r.name for r in tdecl.roles]
+        if iref.point in members:
             return ("Component" if isinstance(tdecl, Component) else "Connector"), True
         point_entry = table.lookup(iref.point)
         if point_entry is not None and point_entry.nature in (Nature.PORT, Nature.ROLE):

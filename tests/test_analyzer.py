@@ -94,6 +94,14 @@ def test_repeated_where_local_violates_rule1_at_the_repeat():
         (_where_source("", "M = b -> R  M = c -> R  M = TICK"),
          [(6, role_col + len("M = b -> R  ")), (6, role_col + len("M = b -> R  M = c -> R  "))]),
         (_where_source("", "R = b -> M  M = c -> R"), [(6, role_col)]),
+        # a local named like a role, a port or a connector elsewhere
+        (_where_source("L = b -> In  R = c -> In"), [(3, port_col + len("L = b -> In  "))]),
+        (_where_source("", "M = b -> R  In = c -> R"), [(6, role_col + len("M = b -> R  "))]),
+        (_where_source("", "K = b -> R"), [(6, role_col)]),
+        # ... or like a port declared after it
+        ("Style S\nComponent C\n  Port In = a -> Out where { Out = b -> In }\n  Port Out = c -> Out [] TICK\n"
+         "  Computation = In.a -> Computation [] TICK\nConstraints\nEnd Style\n",
+         [(3, len("  Port In = a -> Out where { ") + 1)]),
         (_where_source("L = b -> In  M = c -> In", "N = b -> R"), []),
     ]
     for source, positions in cases:
@@ -103,21 +111,20 @@ def test_repeated_where_local_violates_rule1_at_the_repeat():
         assert all(d.rule == 1 and d.message == "***Identificateur Redondant***" for d in errors)
 
 
-def test_symbol_hash_is_the_per_character_fold():
-    def fold(name, size):
-        h = 0
-        for ch in name:
-            h = (h * 256 + ord(ch)) % size
-        return h
-
+def test_every_inserted_name_is_found():
     rng = random.Random(11)
     alphabets = [string.ascii_letters + string.digits + "_", string.ascii_letters + "é", "abΩş", "Ωş"]
     names = [""] + ["".join(rng.choice(chars) for _ in range(rng.randint(1, 40))) for chars in alphabets for _ in range(200)]
+    names = list(dict.fromkeys(names))
     assert any(ord(c) > 255 for n in names for c in n) and any("é" in n for n in names)
     for size in (211, 10):
         table = SymbolTable(size)
-        for name in names:
-            assert table.hash(name) == fold(name, size), (name, size)
+        entries = [SymbolEntry(name, Nature.PORT) for name in names]
+        for entry in entries:
+            table.insert(entry)
+        for entry in entries:
+            assert table.lookup(entry.name) is entry, (entry.name, size)
+        assert table.lookup("absent name") is None
 
 
 def test_each_rule_fixture_yields_exactly_its_rule():

@@ -108,7 +108,7 @@ class CodegenError(Exception):
 
 def fdr_expr(expr: ProcessExpr, names: dict[str, str]) -> str:
     if isinstance(expr, Prefix):
-        return f"({expr.event.qualified} -> {fdr_expr(expr.rest, names)})"
+        return f"({expr.event} -> {fdr_expr(expr.rest, names)})"
     if isinstance(expr, Choice):
         op = "[]" if isinstance(expr, ExternalChoice) else "|~|"
         return f"({fdr_expr(expr.left, names)} {op} {fdr_expr(expr.right, names)})"
@@ -131,7 +131,7 @@ def fdr_body(expr: ProcessExpr, names: dict[str, str]) -> str:
 def process_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
     """Lower a process expression to an engine term (Empty behaves as STOP)."""
     if isinstance(expr, Prefix):
-        return PPrefix(expr.event.qualified, process_term(expr.rest, names))
+        return PPrefix(expr.event, process_term(expr.rest, names))
     if isinstance(expr, ExternalChoice):
         return PExt(process_term(expr.left, names), process_term(expr.right, names))
     if isinstance(expr, Choice):
@@ -164,6 +164,7 @@ class _Out:
         self.assertions: list[Assertion] = []
         self.equations: dict[str, Definition] = dict(dfa_definitions())
         self.sets: dict[str, list[str]] = {}
+        self.local_names: dict[tuple[str, str], str] = {}  # (owner's base, local) -> name
         self.diagnostics: list[Diagnostic] = []
 
     def line(self, text: str = "") -> None:
@@ -197,9 +198,9 @@ class _Out:
     def channel(self, point: Declaration, owner: Union[Component, Connector]) -> None:
         """``channel p: {...}``: the port's or role's own events, then every
         other value its owner's computation or glue uses under ``p``."""
-        values = dict.fromkeys(point.alphabet.total.qualified_names())
+        values = dict.fromkeys(point.alphabet.total)
         prefix = point.name + "."
-        for n in owner.total_alphabet.qualified_names():
+        for n in owner.total_alphabet:
             if n.startswith(prefix):
                 values.setdefault(n[len(prefix):])
         self.line(f"channel {point.name}: {{{', '.join(values)}}}")
@@ -234,13 +235,23 @@ HEADER_LINES = [
 
 
 def _emit_decl_equations(
-    out: _Out, decl: Declaration, head: str, suffix: str = "", det: bool = False
+    out: _Out, decl: Declaration, base: str, suffix: str = "", det: bool = False
 ) -> None:
-    """Where-locals first, then the declaration's own equation as ``head``;
-    locals are renamed with ``suffix`` and, with ``det``, bodies determinized."""
+    """Where-locals first, then the declaration's own equation as ``base + suffix``;
+    locals are renamed with ``suffix`` and, with ``det``, bodies determinized.
+
+    A local keeps its plain name unless that name is already defined, as by
+    a local of another port or role; it is then suffixed with its owner's
+    name.  Its ``DET``/``DETR`` names follow the name its first emission chose.
+    """
+    head = base + suffix
     names = {decl.name: head}
     for loc in decl.locals:
-        names[loc.name] = loc.name + suffix
+        key = (base, loc.name)
+        if key not in out.local_names:
+            taken = loc.name in out.equations
+            out.local_names[key] = loc.name + decl.name if taken else loc.name
+        names[loc.name] = out.local_names[key] + suffix
     for loc in decl.locals:
         out.equation(names[loc.name], determinized(loc.body) if det else loc.body, names)
     out.equation(head, determinized(decl.body) if det else decl.body, names)
@@ -259,16 +270,17 @@ def _deadlock_check(out: _Out, kind: AssertionKind, name: str, process: str) -> 
 
 
 def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
-    glue_head = "Glue" + (conn.name if in_configuration else "")
+    # a second glue in a style is named after its connector, as in configurations
+    glue_head = "Glue" + conn.name if in_configuration or "Glue" in out.equations else "Glue"
     out.line(f"-- Connector {conn.name}")
     out.line("-- generated definitions (to split long sets)")
-    out.alpha(conn.name, conn.total_alphabet.qualified_names(), bar=True)
+    out.alpha(conn.name, list(conn.total_alphabet), bar=True)
     out.line()
     _emit_decl_equations(out, conn.glue, glue_head)
     out.line()
 
     for role in conn.roles:
-        out.alpha(role.name, role.alphabet.total.qualified_names())
+        out.alpha(role.name, list(role.alphabet.total))
         _emit_decl_equations(out, role, f"ROLE{role.name}")
         _deadlock_check(out, AssertionKind.ROLE_DEADLOCK_FREE, role.name, f"ROLE{role.name}")
         out.line()
@@ -276,12 +288,12 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
     for role in conn.roles:
         out.channel(role, conn)
 
-    glue_names = set(conn.glue.alphabet.total.qualified_names())
+    glue_events = conn.glue.alphabet.total
     pairs = []
     for i, role in enumerate(conn.roles):
         r = role.name
         own = out.sets[f"ALPHA_{r}"]
-        internal = sorted(set(role.alphabet.param_total.qualified_names()) - glue_names)
+        internal = sorted(e for e in role.alphabet.param_total if e not in glue_events)
         opener = f"{conn.name} = ( (" if i == 0 else "    ("
         out.line(f"{opener}ROLE{r}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
         out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
@@ -295,7 +307,7 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
 
     if in_configuration:
         for role in conn.roles:
-            _emit_decl_equations(out, role, f"ROLE{role.name}DET", "DET", det=True)
+            _emit_decl_equations(out, role, f"ROLE{role.name}", "DET", det=True)
         out.line()
 
 
@@ -305,14 +317,14 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
 def emit_component(out: _Out, comp: Component) -> None:
     comp_head = f"Computation{comp.name}"
     out.line(f"-- Component {comp.name}")
-    out.alpha(comp.name, comp.total_alphabet.qualified_names(), bar=True)
+    out.alpha(comp.name, list(comp.total_alphabet), bar=True)
     _emit_decl_equations(out, comp.computation, comp_head)
     out.line("--Port Process")
     for port in comp.ports:
         p = port.name
-        out.alpha(p, port.alphabet.total.qualified_names())
+        out.alpha(p, list(port.alphabet.total))
         if port.alphabet.observed:
-            out.alpha(f"{p}I", port.alphabet.initiated.qualified_names())
+            out.alpha(f"{p}I", list(port.alphabet.initiated))
         else:
             out.line("-- no events observed!")
         _emit_decl_equations(out, port, f"PORT{p}")
@@ -326,10 +338,10 @@ def emit_component(out: _Out, comp: Component) -> None:
     for port in comp.ports:
         restricted, diags = restrict_to_observed(port)
         out.diagnostics.extend(diags)
-        _emit_decl_equations(out, restricted, f"PORT{port.name}DETR", "DETR", det=True)
+        _emit_decl_equations(out, restricted, f"PORT{port.name}", "DETR", det=True)
     out.line()
 
-    computation_names = set(comp.computation.alphabet.total.qualified_names())
+    computation_events = comp.computation.alphabet.total
     comp_events = frozenset(out.sets[f"ALPHA_{comp.name}"])
     for port in comp.ports:
         p = port.name
@@ -337,9 +349,9 @@ def emit_component(out: _Out, comp: Component) -> None:
         for q in comp.ports:
             if q is port:
                 continue
-            obs = q.alphabet.observed.qualified_names()
+            obs = list(q.alphabet.observed)
             scoped_obs = [f"{q.name}.{n}" for n in obs]
-            internal = sorted(set(q.alphabet.param_total.qualified_names()) - computation_names)
+            internal = sorted(e for e in q.alphabet.param_total if e not in computation_events)
             seg, term = f"( PORT{q.name}DETR", PRef(f"PORT{q.name}DETR")
             if obs:
                 seg += f" [[ x <- {q.name}.x | x <- {{{', '.join(obs)} }} ]]"

@@ -1,17 +1,19 @@
-"""Core data model: structural and behavioural AST plus set/relation machinery.
+"""Core data model: structural and behavioural AST.
 
 Structural side: Component / Connector / Configuration / Style.  Behavioural
-side: ProcessExpr trees whose leaves are events, named references and the
-success process.  EventSet and the relation helpers are the workhorses of
-alphabet computation; they keep insertion order so that generated output is
-reproducible run to run.
+side: ProcessExpr trees whose leaves are named references and the success
+process.  An event is its qualified name as a plain string (``read``,
+``In.read``); a prefix also records whether its use is initiated (``_read``),
+but prefixes compare equal regardless.  An alphabet is an insertion-ordered
+``dict`` from qualified name to the polarity of its first use, so generated
+output is reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 
 class SourcePos(NamedTuple):
@@ -22,45 +24,6 @@ class SourcePos(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class EventRef:
-    """A scoped event occurrence.
-
-    ``scope`` holds 0, 1 or 2 qualifying segments (local, port-scoped,
-    instance.port-scoped).  Identity deliberately ignores polarity: alphabets
-    mix initiated and observed uses of one event and keep the polarity of the
-    first occurrence as metadata.
-    """
-
-    name: str
-    initiated: bool = False
-    scope: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.scope) > 2:
-            raise ValueError(f"event {self.name} over-qualified: {self.scope}")
-
-    def key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.name, self.scope)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventRef):
-            return NotImplemented
-        return self.name == other.name and self.scope == other.scope
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.scope))
-
-    @property
-    def qualified(self) -> str:
-        """Dotted rendering without the polarity marker, e.g. ``In.read``."""
-        return ".".join(self.scope + (self.name,))
-
-    def __repr__(self) -> str:
-        bar = "_" if self.initiated else ""
-        return f"EventRef({bar}{self.qualified})"
 
 
 # --- behavioural AST ------------------------------------------------------
@@ -74,8 +37,12 @@ class ProcessExpr:
 
 @dataclass(frozen=True, slots=True)
 class Prefix(ProcessExpr):
-    event: EventRef
+    """``event -> rest``.  The event is its qualified name (``read``,
+    ``In.read``); equality and hashing ignore its polarity."""
+
+    event: str
     rest: ProcessExpr
+    initiated: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,126 +83,6 @@ EMPTY = Empty()
 Choice = (ExternalChoice, InternalChoice)
 
 
-def walk_events(expr: ProcessExpr) -> Iterator[EventRef]:
-    """Yield every event occurrence in prefix position, left to right."""
-    if isinstance(expr, Prefix):
-        yield expr.event
-        yield from walk_events(expr.rest)
-    elif isinstance(expr, Choice):
-        yield from walk_events(expr.left)
-        yield from walk_events(expr.right)
-
-
-def walk_refs(expr: ProcessExpr) -> Iterator[str]:
-    """Yield every named-process reference in the expression."""
-    if isinstance(expr, Prefix):
-        yield from walk_refs(expr.rest)
-    elif isinstance(expr, Choice):
-        yield from walk_refs(expr.left)
-        yield from walk_refs(expr.right)
-    elif isinstance(expr, Ref):
-        yield expr.name
-
-
-# --- event sets and relations ---------------------------------------------
-
-
-class EventSet:
-    """Finite, duplicate-free, insertion-ordered set of EventRef.
-
-    Membership is polarity-blind (EventRef equality); the first occurrence
-    decides the stored polarity.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Iterable[EventRef] = ()) -> None:
-        self._items: dict[EventRef, None] = {}
-        for e in items:
-            self.add(e)
-
-    def add(self, e: EventRef) -> None:
-        if e not in self._items:
-            self._items[e] = None
-
-    def __contains__(self, e: EventRef) -> bool:
-        return e in self._items
-
-    def __iter__(self) -> Iterator[EventRef]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventSet):
-            return NotImplemented
-        return set(self._items) == set(other._items)
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(repr(e) for e in self) + "}"
-
-    def copy(self) -> "EventSet":
-        return EventSet(self)
-
-    def union(self, other: "EventSet") -> "EventSet":
-        out = self.copy()
-        for e in other:
-            out.add(e)
-        return out
-
-    def minus(self, other: "EventSet") -> "EventSet":
-        return EventSet(e for e in self if e not in other)
-
-    def qualified_names(self) -> list[str]:
-        return [e.qualified for e in self]
-
-
-# A name-to-name relation is an ordered mapping from process names to the
-# (ordered) names they reference; a name-to-events relation maps names to
-# EventSets.  Plain dicts keep things deterministic.
-NameRelation = dict[str, dict[str, None]]
-EventRelation = dict[str, EventSet]
-
-
-def relation_closure(rel: NameRelation) -> NameRelation:
-    """Transitive closure of a name-to-name relation."""
-    out: NameRelation = {k: dict(v) for k, v in rel.items()}
-    changed = True
-    while changed:
-        changed = False
-        for src in out:
-            for mid in list(out[src]):
-                for dst in out.get(mid, ()):
-                    if dst not in out[src]:
-                        out[src][dst] = None
-                        changed = True
-    return out
-
-
-def relation_compose(p2p: NameRelation, p2e: EventRelation) -> EventRelation:
-    """Events of each name plus events of every name reachable from it."""
-    out: EventRelation = {}
-    for name in p2e:
-        acc = p2e[name].copy()
-        seen: set[str] = {name}
-        frontier = [name]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in p2p.get(cur, ()):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-                if nxt in p2e:
-                    acc = acc.union(p2e[nxt])
-        out[name] = acc
-    return out
-
-
 # --- declarations and structural types -------------------------------------
 
 
@@ -247,14 +94,19 @@ class DeclKind(Enum):
     WHERE_LOCAL = "WhereLocal"
 
 
+# An alphabet maps each event's qualified name to whether its first use is
+# initiated; dicts keep insertion order, so generated output is reproducible.
+Alphabet = dict[str, bool]
+
+
 @dataclass
 class AlphabetInfo:
     """Total alphabet plus its initiated/observed split and the scoped form."""
 
-    total: EventSet
-    initiated: EventSet
-    observed: EventSet
-    param_total: EventSet
+    total: Alphabet
+    initiated: Alphabet
+    observed: Alphabet
+    param_total: Alphabet
 
 
 @dataclass
@@ -273,7 +125,7 @@ class Component:
     ports: list[Declaration]
     computation: Declaration
     pos: SourcePos = SourcePos()
-    total_alphabet: EventSet | None = None
+    total_alphabet: Alphabet | None = None
 
 
 @dataclass
@@ -282,7 +134,7 @@ class Connector:
     roles: list[Declaration]
     glue: Declaration
     pos: SourcePos = SourcePos()
-    total_alphabet: EventSet | None = None
+    total_alphabet: Alphabet | None = None
 
 
 @dataclass
@@ -328,21 +180,3 @@ class Style:
 
 
 ArchSpec = Union[Style, Configuration]
-
-
-# --- scoping helpers --------------------------------------------------------
-
-
-def scope_event(e: EventRef, owner: str) -> EventRef:
-    """Extend the event's scope at the front with ``owner``.
-
-    A two-segment scope is already fully qualified; qualifying further is a
-    contract violation.
-    """
-    if len(e.scope) >= 2:
-        raise ValueError(f"cannot scope {e.qualified}: already fully qualified")
-    return EventRef(e.name, e.initiated, (owner,) + e.scope)
-
-
-def scope_set(events: EventSet, owner: str) -> EventSet:
-    return EventSet(scope_event(e, owner) for e in events)

@@ -31,7 +31,6 @@ from .model import (
     Connector,
     DeclKind,
     Declaration,
-    EventRef,
     ExternalChoice,
     InterfaceRef,
     InternalChoice,
@@ -418,18 +417,18 @@ class Parser:
             raise self.error(_TOO_DEEP, k)
         if kind is TokKind.INITEVENT:
             name, scope = self.values[k]  # type: ignore[misc]
-            ev = EventRef(name, True, (scope,) if scope else ())
+            ev, initiated = f"{scope}.{name}" if scope else name, True
         elif kind is TokKind.DOTTED:
             first, second = self.values[k]  # type: ignore[misc]
-            ev = EventRef(second, False, (first,))
+            ev, initiated = f"{first}.{second}", False
         elif kind is TokKind.IDENT and self.kinds[k + 1] is TokKind.ARROW:
-            ev = EventRef(self.values[k], False, ())  # type: ignore[arg-type]
+            ev, initiated = self.values[k], False
         else:
             return self.parse_atom(level)
         self.k = k + 1
         self.expect(TokKind.ARROW)
         rest, height = self.parse_prefix_expr(level + 1)
-        return Prefix(ev, rest), height + 1
+        return Prefix(ev, rest, initiated), height + 1  # type: ignore[arg-type]
 
     def parse_atom(self, level: int) -> tuple[ProcessExpr, int]:
         k = self.k
@@ -474,13 +473,9 @@ def parse_source(source: str) -> tuple[ArchSpec, list[str]]:
 # --- canonical Wright printing (round-trip support) -------------------------
 
 
-def _event_src(e: EventRef) -> str:
-    return ("_" if e.initiated else "") + e.qualified
-
-
 def _expr_src(expr: ProcessExpr) -> str:
     if isinstance(expr, Prefix):
-        return f"{_event_src(expr.event)} -> {_operand_src(expr.rest)}"
+        return f"{'_' if expr.initiated else ''}{expr.event} -> {_operand_src(expr.rest)}"
     if isinstance(expr, Choice):
         op = "[]" if isinstance(expr, ExternalChoice) else "|~|"
         return f"{_operand_src(expr.left, type(expr))} {op} {_operand_src(expr.right)}"

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from .analyzer import Diagnostic
 from .model import (
+    Alphabet,
     Choice,
     Declaration,
     EMPTY,
     Empty,
-    EventSet,
     ExternalChoice,
     InternalChoice,
     Prefix,
@@ -43,10 +43,11 @@ def normalize_for_det(p: ProcessExpr) -> ProcessExpr:
         left = normalize_for_det(p.left)
         right = normalize_for_det(p.right)
         if isinstance(left, Prefix) and isinstance(right, Prefix) and left.event == right.event:
-            return Prefix(left.event, normalize_for_det(ExternalChoice(left.rest, right.rest)))
+            merged = normalize_for_det(ExternalChoice(left.rest, right.rest))
+            return Prefix(left.event, merged, left.initiated)
         return type(p)(left, right)
     if isinstance(p, Prefix):
-        return Prefix(p.event, normalize_for_det(p.rest))
+        return Prefix(p.event, normalize_for_det(p.rest), p.initiated)
     return p
 
 
@@ -57,7 +58,7 @@ def determinize(p: ProcessExpr) -> ProcessExpr:
     if isinstance(p, ExternalChoice):
         return ExternalChoice(determinize(p.left), determinize(p.right))
     if isinstance(p, Prefix):
-        return Prefix(p.event, determinize(p.rest))
+        return Prefix(p.event, determinize(p.rest), p.initiated)
     return p
 
 
@@ -65,15 +66,15 @@ def determinized(p: ProcessExpr) -> ProcessExpr:
     return determinize(normalize_for_det(p))
 
 
-def project_to(p: ProcessExpr, keep: EventSet, self_name: str) -> ProcessExpr:
-    """Restrict ``p`` to the events in ``keep`` by branch elimination."""
+def project_to(p: ProcessExpr, keep: Alphabet, self_name: str) -> ProcessExpr:
+    """Restrict ``p`` to the events in ``keep`` (qualified names) by branch elimination."""
     return _project(p, keep, self_name, False)
 
 
-def _project(node: ProcessExpr, keep: EventSet, self_name: str, guarded: bool) -> ProcessExpr:
+def _project(node: ProcessExpr, keep: Alphabet, self_name: str, guarded: bool) -> ProcessExpr:
     if isinstance(node, Prefix):
         if node.event in keep:
-            return Prefix(node.event, _project(node.rest, keep, self_name, True))
+            return Prefix(node.event, _project(node.rest, keep, self_name, True), node.initiated)
         return _project(node.rest, keep, self_name, guarded)
     if isinstance(node, Choice):
         left = _project(node.left, keep, self_name, guarded)
@@ -92,8 +93,7 @@ def _project(node: ProcessExpr, keep: EventSet, self_name: str, guarded: bool) -
 
 def _substitute_dead_refs(expr: ProcessExpr, dead: set[str]) -> ProcessExpr:
     if isinstance(expr, Prefix):
-        rest = _substitute_dead_refs(expr.rest, dead)
-        return Prefix(expr.event, rest)
+        return Prefix(expr.event, _substitute_dead_refs(expr.rest, dead), expr.initiated)
     if isinstance(expr, Choice):
         left = _substitute_dead_refs(expr.left, dead)
         right = _substitute_dead_refs(expr.right, dead)
@@ -107,7 +107,7 @@ def _substitute_dead_refs(expr: ProcessExpr, dead: set[str]) -> ProcessExpr:
     return expr
 
 
-def project_declaration(decl: Declaration, keep: EventSet) -> tuple[Declaration, list[Diagnostic]]:
+def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration, list[Diagnostic]]:
     """Project a declaration and its where-locals onto ``keep``.
 
     Locals whose bodies erase completely are removed; references to them are

@@ -37,10 +37,9 @@ from wright2csp.engine import (
     tau_closure,
 )
 from wright2csp.model import (
+    Alphabet,
     Choice,
     Declaration,
-    EventRef,
-    EventSet,
     ExternalChoice,
     InternalChoice,
     Prefix,
@@ -48,8 +47,6 @@ from wright2csp.model import (
     Ref,
     SUCCESS,
     SourcePos,
-    scope_event,
-    walk_events,
 )
 from wright2csp.parser import KEYWORDS, ParseError, Token, TokKind
 
@@ -75,9 +72,9 @@ def random_expr(rng: random.Random, alphabet=("a", "b", "c"), max_ops: int = 6) 
             return leaf(), budget
         kind = rng.randrange(3)
         if kind == 0:
-            ev = EventRef(rng.choice(alphabet), rng.random() < 0.4)
+            event, initiated = rng.choice(alphabet), rng.random() < 0.4
             rest, budget = build(budget - 1)
-            return Prefix(ev, rest), budget
+            return Prefix(event, rest, initiated), budget
         left, budget = build(budget - 1)
         right, budget = build(budget)
         cls = ExternalChoice if kind == 1 else InternalChoice
@@ -140,12 +137,13 @@ def expr_lts(expr: ProcessExpr, max_states: int = 50_000) -> Lts:
     return compile_to_lts(term, {SELF: term}, max_states)
 
 
-def keep_set(names) -> EventSet:
-    return EventSet(EventRef(n) for n in names)
+def keep_set(names) -> Alphabet:
+    """An alphabet of the given (observed) event names, for ``project_to``."""
+    return dict.fromkeys(names, False)
 
 
 def expr_event_names(expr: ProcessExpr) -> set[str]:
-    return {e.qualified for e in walk_events(expr)}
+    return {p.event for p in walk_events(expr)}
 
 
 def hide_semantically(lts: Lts, hidden: set[str]) -> Lts:
@@ -592,22 +590,108 @@ def token_spans(source: str) -> list[tuple[int, int]]:
     return spans
 
 
-# --- set, renaming and trace helpers used only by tests -----------------------
+# --- alphabets: reference walks, relations and set operations ------------------
+#
+# ``alphabets`` walks each body once, iteratively, and merges each name's
+# reachable events in one loop.  These are the direct definitions: recursive
+# walks, a transitive closure and a composition, which fix the event order and
+# the polarity each name's alphabet must have.
 
 
-def set_union(a: EventSet, b: EventSet) -> EventSet:
-    """Members of a then b's new members, in order."""
-    return a.union(b)
+def walk_events(expr: ProcessExpr):
+    """Every prefix of the expression, left to right."""
+    if isinstance(expr, Prefix):
+        yield expr
+        yield from walk_events(expr.rest)
+    elif isinstance(expr, Choice):
+        yield from walk_events(expr.left)
+        yield from walk_events(expr.right)
 
 
-def set_minus(a: EventSet, b: EventSet) -> EventSet:
-    """Members of a not in b, a's order preserved."""
-    return a.minus(b)
+def walk_refs(expr: ProcessExpr):
+    """Every named-process reference in the expression, left to right."""
+    if isinstance(expr, Prefix):
+        yield from walk_refs(expr.rest)
+    elif isinstance(expr, Choice):
+        yield from walk_refs(expr.left)
+        yield from walk_refs(expr.right)
+    elif isinstance(expr, Ref):
+        yield expr.name
+
+
+def set_union(a: Alphabet, b: Alphabet) -> Alphabet:
+    """Members of a then b's new members, in order; a member of both keeps a's polarity."""
+    out = dict(a)
+    for e, initiated in b.items():
+        if e not in out:
+            out[e] = initiated
+    return out
+
+
+def set_minus(a: Alphabet, b) -> Alphabet:
+    """Members of a not in b, a's order and polarities preserved."""
+    return {e: initiated for e, initiated in a.items() if e not in b}
+
+
+def relation_closure(rel: dict[str, dict[str, None]]) -> dict[str, dict[str, None]]:
+    """Transitive closure of a name-to-name relation."""
+    out = {k: dict(v) for k, v in rel.items()}
+    changed = True
+    while changed:
+        changed = False
+        for src in out:
+            for mid in list(out[src]):
+                for dst in out.get(mid, ()):
+                    if dst not in out[src]:
+                        out[src][dst] = None
+                        changed = True
+    return out
+
+
+def relation_compose(p2p: dict[str, dict[str, None]], p2e: dict[str, Alphabet]) -> dict[str, Alphabet]:
+    """Events of each name plus events of every name reachable from it."""
+    out: dict[str, Alphabet] = {}
+    for name in p2e:
+        acc = dict(p2e[name])
+        seen: set[str] = {name}
+        frontier = [name]
+        while frontier:
+            cur = frontier.pop()
+            for nxt in p2p.get(cur, ()):
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                frontier.append(nxt)
+                if nxt in p2e:
+                    acc = set_union(acc, p2e[nxt])
+        out[name] = acc
+    return out
+
+
+def reference_alphabets(decl: Declaration) -> dict[str, Alphabet]:
+    """Each name's total alphabet, from the relations of the declaration's bodies.
+
+    A name defined twice resolves to its last body; unresolved references are
+    left out of the relation.
+    """
+    bodies = {decl.name: decl.body}
+    for loc in decl.locals:
+        bodies[loc.name] = loc.body
+    p2p = {n: {r: None for r in walk_refs(b) if r in bodies} for n, b in bodies.items()}
+    p2e: dict[str, Alphabet] = {}
+    for n, b in bodies.items():
+        p2e[n] = {}
+        for p in walk_events(b):
+            p2e[n].setdefault(p.event, p.initiated)
+    return relation_compose(relation_closure(p2p), p2e)
+
+
+# --- renaming and trace helpers used only by tests ------------------------------
 
 
 def _map_events(expr: ProcessExpr, fn) -> ProcessExpr:
     if isinstance(expr, Prefix):
-        return Prefix(fn(expr.event), _map_events(expr.rest, fn))
+        return Prefix(fn(expr.event), _map_events(expr.rest, fn), expr.initiated)
     if isinstance(expr, Choice):
         return type(expr)(_map_events(expr.left, fn), _map_events(expr.right, fn))
     return expr
@@ -615,14 +699,10 @@ def _map_events(expr: ProcessExpr, fn) -> ProcessExpr:
 
 def rename_with_prefix(decl: Declaration, prefix: str) -> Declaration:
     """Copy of the declaration with every event scoped by ``prefix``."""
-
-    def ren(e: EventRef) -> EventRef:
-        return scope_event(e, prefix)
-
     return Declaration(
         kind=decl.kind,
         name=decl.name,
-        body=_map_events(decl.body, ren),
+        body=_map_events(decl.body, lambda e: f"{prefix}.{e}"),
         locals=[rename_with_prefix(d, prefix) for d in decl.locals],
         pos=decl.pos,
         alphabet=None,

@@ -265,11 +265,11 @@ def test_criterion_8_alphabet_fidelity():
         spec = load_spec(fixture)
         computed = {}
         for t in spec.types:
-            computed[t.name] = set(t.total_alphabet.qualified_names())
+            computed[t.name] = set(t.total_alphabet)
             decls = t.ports if hasattr(t, "ports") else t.roles
             for d in decls:
-                computed[d.name] = set(d.alphabet.total.qualified_names())
-                computed[f"{d.name}.initiated"] = set(d.alphabet.initiated.qualified_names())
+                computed[d.name] = set(d.alphabet.total)
+                computed[f"{d.name}.initiated"] = set(d.alphabet.initiated)
         for key, want in expected.items():
             total += 1
             if computed.get(key) == want:

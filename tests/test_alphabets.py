@@ -1,14 +1,15 @@
-import pytest
+import random
 
 from conftest import fixture_path, load_spec
 from wright2csp import alphabets
 from wright2csp.alphabets import compute_declaration_alphabet
-from wright2csp.model import walk_events, walk_refs
+from oracles import reference_alphabets, set_minus, walk_events, walk_refs
+from wright2csp.model import Declaration, DeclKind, ExternalChoice, InternalChoice, Prefix, Ref, SUCCESS
 from wright2csp.parser import parse_source
 
 
-def names(event_set):
-    return set(event_set.qualified_names())
+def names(alphabet):
+    return set(alphabet)
 
 
 def test_pipeconn_role_alphabets():
@@ -30,7 +31,7 @@ def test_writer_has_no_role_internal_events():
     spec = load_spec("pipeconn.wrt")
     pipe = spec.types[0]
     writer = pipe.roles[0]
-    internal = writer.alphabet.param_total.minus(pipe.glue.alphabet.total)
+    internal = set_minus(writer.alphabet.param_total, pipe.glue.alphabet.total)
     assert len(internal) == 0
 
 
@@ -88,8 +89,8 @@ def brute_force_alphabet(decl):
         if name in seen or name not in bodies:
             continue
         seen.add(name)
-        for e in walk_events(bodies[name]):
-            events.add(e.qualified)
+        for p in walk_events(bodies[name]):
+            events.add(p.event)
         todo.extend(walk_refs(bodies[name]))
     return events
 
@@ -161,3 +162,89 @@ def test_mixed_polarity_is_a_warning():
 def test_base_event_names_cover_internal_events():
     spec = load_spec("dt3.wrt")
     assert set(spec.event_names) == {"a", "b", "c"}
+
+
+# --- the walk against the closure-then-compose oracle -----------------------------
+
+
+def random_declaration(rng, n_locals):
+    """A role ``D`` with ``n_locals`` where-locals whose bodies reference any of
+    the names (itself included) or an undeclared one, and prefix events of
+    either polarity, scoped or not.  A local is sometimes defined twice."""
+    names = ["D"] + [f"L{i}" for i in range(n_locals)]
+    events = ["a", "b", "c", "d", "e", "P.x", "Q.y"]
+
+    def build(budget):
+        if budget <= 0 or rng.random() < 0.2:
+            roll = rng.random()
+            if roll < 0.15:
+                return SUCCESS
+            return Ref("Missing" if roll < 0.2 else rng.choice(names))
+        kind = rng.randrange(3)
+        if kind == 0:
+            event, initiated = rng.choice(events), rng.random() < 0.4
+            return Prefix(event, build(budget - 1), initiated)
+        cls = ExternalChoice if kind == 1 else InternalChoice
+        return cls(build(budget // 2), build(budget - 1 - budget // 2))
+
+    locals_ = [Declaration(DeclKind.WHERE_LOCAL, n, build(5)) for n in names[1:]]
+    if locals_ and rng.random() < 0.1:
+        again = Declaration(DeclKind.WHERE_LOCAL, rng.choice(names[1:]), build(5))
+        locals_.insert(rng.randrange(len(locals_)), again)
+    return Declaration(DeclKind.ROLE, "D", build(5), locals_)
+
+
+def test_alphabet_walk_matches_closure_oracle_on_random_relations():
+    rng = random.Random(11)
+    for _ in range(600):
+        decl = random_declaration(rng, rng.randrange(8))
+        event_names = {}
+        info, diags = compute_declaration_alphabet(decl, event_names)
+        expected = reference_alphabets(decl)
+        assert list(info.total.items()) == list(expected["D"].items()), decl
+        for loc in decl.locals:
+            assert list(loc.alphabet.total.items()) == list(expected[loc.name].items()), decl
+        assert info.initiated == {e: True for e, i in expected["D"].items() if i}
+        assert info.observed == {e: False for e, i in expected["D"].items() if not i}
+        bodies = [decl.body] + [loc.body for loc in decl.locals]
+        unscoped = [p.event.rpartition(".")[2] for b in bodies for p in walk_events(b)]
+        assert list(event_names) == list(dict.fromkeys(unscoped))
+        last = {"D": decl.body, **{loc.name: loc.body for loc in decl.locals}}
+        missing = sum(r == "Missing" for b in last.values() for r in walk_refs(b))
+        assert sum(d.severity == "error" for d in diags) == missing
+
+
+# --- the two diagnostics alphabets writes, pinned -------------------------------
+
+
+def test_polarity_warning_text_severity_and_position():
+    spec, _ = parse_source(
+        "Style S\nConnector K\n  Role R = a -> R [] TICK\n"
+        "  Role Q = Go |~| TICK\n    where { Go = _b -> Q.c -> Q [] b -> Go }\n"
+        "  Glue = R.a -> Glue [] Q.b -> Glue [] TICK\nConstraints\nEnd Style"
+    )
+    diags = alphabets.annotate(spec)
+    assert [(d.severity, str(d.pos), d.message) for d in diags] == [
+        ("warning", "4:3", "event 'b' used both initiated and observed in Role Q; keeping the first use"),
+    ]
+    assert str(diags[0]) == (
+        "4:3: warning: event 'b' used both initiated and observed in Role Q; keeping the first use"
+    )
+
+
+def test_scoped_event_warning_text_severity_and_position():
+    spec, _ = parse_source(
+        "Style S\nComponent C\n  Port P = a -> P [] TICK\n"
+        "  Computation = P.a -> Computation\n   [] X.y -> TICK [] _Q.z -> X.y -> TICK\n"
+        "Connector K\n  Role R = a -> R [] TICK\n  Glue = R.a -> Glue [] S.b -> TICK\n"
+        "Constraints\nEnd Style"
+    )
+    diags = alphabets.annotate(spec)
+    assert [(d.severity, str(d.pos), d.message) for d in diags] == [
+        ("warning", "4:3", "event 'X.y' in component C names no declared interface point; "
+         "removed from the alphabet"),
+        ("warning", "4:3", "event 'Q.z' in component C names no declared interface point; "
+         "removed from the alphabet"),
+        ("warning", "8:3", "event 'S.b' in connector K names no declared interface point; "
+         "removed from the alphabet"),
+    ]

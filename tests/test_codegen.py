@@ -6,7 +6,7 @@ from oracles import EmittedSets, definition_texts, term_sites
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit
 from wright2csp.parser import parse_source
-from wright2csp import alphabets, analyzer
+from wright2csp import alphabets, analyzer, cli
 
 
 def _header(text):
@@ -169,19 +169,104 @@ def test_emitted_definitions_resolve_everywhere():
             compile_to_lts(term, plan.definitions)  # raises if a reference dangles
 
 
-def test_duplicate_output_names_are_flagged():
-    spec, _ = parse_source(
+def _check(tmp_path, capsys, source):
+    """Exit code, standard output and standard error of ``wright2csp check``."""
+    path = tmp_path / "spec.wrt"
+    path.write_text(source)
+    code = cli.main(["check", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _defined_names(text):
+    return re.findall(r"^(\w+) = ", text, re.M)
+
+
+ROLE_LOCALS = (
+    "Style S\n"
+    "Connector K\n"
+    "  Role R = Work |~| TICK where { Work = a -> R }\n"
+    "  Role S2 = Work |~| TICK where { Work = b -> S2 }\n"
+    "  Glue = R.a -> Glue [] S2.b -> Glue [] TICK\n"
+    "Constraints\nEnd Style"
+)
+
+
+def test_where_locals_of_two_roles_get_distinct_output_names(tmp_path, capsys):
+    spec, _ = parse_source(ROLE_LOCALS)
+    analyzer.analyze(spec)
+    alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    assert plan.diagnostics == []
+    names = _defined_names(plan.text)
+    assert len(names) == len(set(names))
+    assert {"Work", "WorkS2"} <= set(names)
+    apart = ROLE_LOCALS.replace("Work |~| TICK where { Work = b", "Other |~| TICK where { Other = b")
+    code, out, err = _check(tmp_path, capsys, ROLE_LOCALS)
+    assert "defined more than once" not in err
+    assert (code, out) == _check(tmp_path, capsys, apart)[:2]
+    assert code == 0
+
+
+def test_where_locals_of_two_ports_get_distinct_output_names_and_follow_to_detr(tmp_path, capsys):
+    source = (
         "Style S\n"
+        "Component C\n"
+        "  Port In = a -> L where { L = b -> In [] TICK }\n"
+        "  Port Out = c -> L where { L = d -> Out [] TICK }\n"
+        "  Computation = In.a -> Out.c -> In.b -> Out.d -> Computation [] TICK\n"
+        "Constraints\nEnd Style"
+    )
+    spec, _ = parse_source(source)
+    analyzer.analyze(spec)
+    alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    assert plan.diagnostics == []
+    names = _defined_names(plan.text)
+    assert len(names) == len(set(names))
+    assert "\nLOut = ((d -> PORTOut) [] SKIP)\nPORTOut = (c -> LOut)\n" in plan.text
+    assert "\nLOutDETR = ((d -> PORTOutDETR) [] SKIP)\nPORTOutDETR = (c -> LOutDETR)\n" in plan.text
+    apart = source.replace("c -> L where { L = d", "c -> M where { M = d")
+    code, out, err = _check(tmp_path, capsys, source)
+    assert "defined more than once" not in err
+    assert (code, out) == _check(tmp_path, capsys, apart)[:2]
+
+
+def test_role_local_det_names_follow_the_renamed_local():
+    spec, _ = parse_source(
+        "Configuration Cfg\n"
         "Connector K\n"
         "  Role R = Work |~| TICK where { Work = a -> R }\n"
         "  Role S2 = Work |~| TICK where { Work = b -> S2 }\n"
         "  Glue = R.a -> Glue [] S2.b -> Glue [] TICK\n"
-        "Constraints\nEnd Style"
+        "Instances\n  k : K\nAttachments\nEnd Configuration"
     )
     analyzer.analyze(spec)
     alphabets.annotate(spec)
     plan = codegen.emit(spec)
-    assert any("defined more than once" in d.message for d in plan.diagnostics)
+    assert plan.diagnostics == []
+    names = _defined_names(plan.text)
+    assert len(names) == len(set(names))
+    assert {"Work", "WorkS2", "WorkDET", "WorkS2DET"} <= set(names)
+    assert "\nWorkS2DET = (b -> ROLES2DET)\nROLES2DET = (WorkS2DET [] SKIP)\n" in plan.text
+
+
+def test_two_connectors_of_a_style_get_distinct_glue_names(tmp_path, capsys):
+    k1 = "Connector K1\n  Role R = _e -> R |~| TICK\n  Glue = R.e -> Glue [] TICK\n"
+    k2 = "Connector K2\n  Role S = _f -> S |~| TICK\n  Glue = S.f -> Glue [] TICK\n"
+    style = "Style S\n{}Constraints\nEnd Style"
+    code, out, err = _check(tmp_path, capsys, style.format(k1 + k2))
+    assert code == 0
+    assert "defined more than once" not in err
+    alone = _check(tmp_path, capsys, style.format(k1))[1] + _check(tmp_path, capsys, style.format(k2))[1]
+    verdicts = [line for line in out.splitlines() if "DFA [FD= K" in line]
+    assert verdicts == [line for line in alone.splitlines() if "DFA [FD= K" in line]
+    assert verdicts == ["PASS  assert DFA [FD= K1A", "PASS  assert DFA [FD= K2A"]
+    spec, _ = parse_source(style.format(k1 + k2))
+    alphabets.annotate(spec)
+    text = codegen.emit(spec).text
+    assert "\nGlue = ((R.e -> Glue) [] SKIP)\n" in text
+    assert "\nGlueK2 = ((S.f -> GlueK2) [] SKIP)\n" in text
 
 
 # --- engine terms are lowered on first use of plan.definitions -------------------

@@ -1,85 +1,122 @@
 import random
 
-import pytest
-
-from oracles import rename_with_prefix, set_minus, set_union
-from wright2csp.model import (
-    EventRef,
-    EventSet,
+from conftest import load_spec
+from oracles import (
+    reference_alphabets,
     relation_closure,
     relation_compose,
-    scope_event,
+    rename_with_prefix,
+    set_minus,
+    set_union,
+)
+from wright2csp import alphabets
+from wright2csp.alphabets import compute_declaration_alphabet
+from wright2csp.model import (
     Declaration,
     DeclKind,
+    ExternalChoice,
     Prefix,
     Ref,
     SUCCESS,
 )
+from wright2csp.parser import parse_source
+from wright2csp.transform import project_to
 
 
-def ev(name, initiated=False, scope=()):
-    return EventRef(name, initiated, tuple(scope))
+def pf(event, rest, initiated=False):
+    return Prefix(event, rest, initiated)
 
 
-def test_eventref_equality_ignores_polarity():
-    assert ev("close", True) == ev("close", False)
-    assert hash(ev("close", True)) == hash(ev("close", False))
-    assert ev("close") != ev("close", scope=("In",))
-    assert ev("read") != ev("close")
+def chain(events, rest=SUCCESS):
+    """``e1 -> e2 -> ... -> rest``; an event spelled ``_e`` is initiated."""
+    for e in reversed(events):
+        rest = pf(e.lstrip("_"), rest, e.startswith("_"))
+    return rest
 
 
-def test_eventset_first_occurrence_wins_and_order_is_stable():
-    s = EventSet([ev("a", True), ev("b"), ev("a", False)])
-    assert len(s) == 2
-    stored = list(s)
-    assert [e.name for e in stored] == ["a", "b"]
-    assert stored[0].initiated  # the first occurrence's polarity is kept
+def ordered(relation):
+    return [(name, list(reached)) for name, reached in relation.items()]
+
+
+def test_prefix_equality_ignores_polarity():
+    assert pf("close", SUCCESS, True) == pf("close", SUCCESS, False)
+    assert hash(pf("close", SUCCESS, True)) == hash(pf("close", SUCCESS, False))
+    assert pf("close", SUCCESS) != pf("In.close", SUCCESS)
+    assert pf("read", SUCCESS) != pf("close", SUCCESS)
+    # membership in an alphabet is polarity-blind: an initiated use is kept
+    # by projection onto an alphabet that holds the event as observed
+    body = chain(["_a", "b"], Ref("P"))
+    assert project_to(body, {"a": False}, "P") == pf("a", Ref("P"), True)
+    assert project_to(body, {"a": False}, "P").initiated
+
+
+def test_alphabet_first_use_wins_and_order_is_stable():
+    decl = Declaration(DeclKind.ROLE, "R", chain(["_a", "b", "a"], Ref("R")))
+    info, diags = compute_declaration_alphabet(decl)
+    assert list(info.total.items()) == [("a", True), ("b", False)]
+    assert info.initiated == {"a": True}
+    assert info.observed == {"b": False}
+    assert [d.severity for d in diags] == ["warning"]
 
 
 def test_set_union_examples():
-    empty = EventSet()
-    s = set_union(empty, EventSet([ev("close"), ev("write")]))
-    assert s.qualified_names() == ["close", "write"]
-    a = EventSet([ev("close"), ev("read")])
-    b = EventSet([ev("close"), ev("write")])
-    assert set_union(a, b).qualified_names() == ["close", "read", "write"]
+    assert list(set_union({}, {"close": False, "write": False})) == ["close", "write"]
+    a = {"close": False, "read": False}
+    b = {"close": True, "write": True}
+    assert list(set_union(a, b).items()) == [("close", False), ("read", False), ("write", True)]
+    # a component's alphabet is this union: the computation's events, then
+    # each port's scoped events, in port order
+    comp = load_spec("double.wrt").types[0]
+    parts = [comp.computation.alphabet.total] + [p.alphabet.param_total for p in comp.ports]
+    expected = parts[0]
+    for part in parts[1:]:
+        expected = set_union(expected, part)
+    assert list(comp.total_alphabet.items()) == list(expected.items())
 
 
 def test_set_union_calculformule_port_alphabets():
     # ALPHA_In and ALPHA_Out combine to the three base events, polarity-blind
-    alpha_in = EventSet([ev("close"), ev("read")])
-    alpha_out = EventSet([ev("close", True), ev("write", True)])
-    assert set(set_union(alpha_in, alpha_out).qualified_names()) == {"close", "read", "write"}
+    p_in, p_out = load_spec("calculformule.wrt").types[0].ports
+    assert set(set_union(p_in.alphabet.total, p_out.alphabet.total)) == {"close", "read", "write"}
 
 
 def test_set_minus_examples():
-    ab = EventSet([ev("a"), ev("b")])
-    assert set_minus(ab, EventSet([ev("b")])).qualified_names() == ["a"]
-    assert set_minus(ab, EventSet()).qualified_names() == ["a", "b"]
+    ab = {"a": True, "b": False}
+    assert set_minus(ab, {"b": True}) == {"a": True}
+    assert list(set_minus(ab, {})) == ["a", "b"]
+    # dropping the events that name no port keeps the order of the rest
+    spec, _ = parse_source(
+        "Style S\nComponent C\n  Port P = a -> P [] b -> TICK\n"
+        "  Computation = P.a -> X.y -> _P.b -> Q.z -> Computation [] TICK\n"
+        "Constraints\nEnd Style"
+    )
+    alphabets.annotate(spec)
+    total = spec.types[0].computation.alphabet.total
+    assert list(total.items()) == [("P.a", False), ("P.b", True)]
 
 
 def test_set_ops_agree_with_sorted_list_reference():
-    # reference model: ordered lists deduplicated by (name, scope)
+    # reference model: ordered lists deduplicated by name, first use kept
     rng = random.Random(20240817)
     names = [f"e{i}" for i in range(8)]
+
+    def ref_dedupe(seq):
+        out = []
+        for e in seq:
+            if e[0] not in [n for n, _ in out]:
+                out.append(e)
+        return out
+
     for _ in range(200):
-        xs = [ev(rng.choice(names)) for _ in range(rng.randint(0, 32))]
-        ys = [ev(rng.choice(names)) for _ in range(rng.randint(0, 32))]
-
-        def ref_dedupe(seq):
-            seen, out = set(), []
-            for e in seq:
-                if e.name not in seen:
-                    seen.add(e.name)
-                    out.append(e.name)
-            return out
-
-        a, b = EventSet(xs), EventSet(ys)
+        xs = [(rng.choice(names), rng.random() < 0.5) for _ in range(rng.randint(0, 32))]
+        ys = [(rng.choice(names), rng.random() < 0.5) for _ in range(rng.randint(0, 32))]
         ref_a, ref_b = ref_dedupe(xs), ref_dedupe(ys)
-        ref_union = ref_a + [n for n in ref_b if n not in ref_a]
-        ref_minus = [n for n in ref_a if n not in ref_b]
-        assert set_union(a, b).qualified_names() == ref_union
-        assert set_minus(a, b).qualified_names() == ref_minus
+        a, b = dict(ref_a), dict(ref_b)
+        ref_union = ref_a + [(n, i) for n, i in ref_b if n not in a]
+        ref_minus = [(n, i) for n, i in ref_a if n not in b]
+        assert list(set_union(a, b).items()) == ref_union
+        assert list(alphabets._union([a, b]).items()) == ref_union
+        assert list(set_minus(a, b).items()) == ref_minus
 
 
 def test_relation_closure_examples():
@@ -96,6 +133,7 @@ def test_relation_closure_examples():
     closed = relation_closure(reader)
     assert set(closed["Reader"]) == {"DoRead", "ExitOnly", "Reader"}
     assert set(closed["DoRead"]) == {"DoRead", "ExitOnly", "Reader"}
+    assert ordered(alphabets._reach(reader)) == ordered(closed)
 
 
 def test_relation_closure_idempotent():
@@ -105,10 +143,11 @@ def test_relation_closure_idempotent():
         rel = {n: {m: None for m in rng.sample(names, rng.randint(0, 3))} for n in names}
         once = relation_closure(rel)
         assert relation_closure(once) == once
+        assert ordered(alphabets._reach(rel)) == ordered(once)
 
 
 def test_relation_compose_examples():
-    assert relation_compose({}, {"P": EventSet([ev("a")])})["P"].qualified_names() == ["a"]
+    assert relation_compose({}, {"P": {"a": False}})["P"] == {"a": False}
     # role with where-locals: events of everything reachable
     p2p = {
         "Reader": {"DoRead": None, "ExitOnly": None},
@@ -116,36 +155,38 @@ def test_relation_compose_examples():
         "ExitOnly": {},
     }
     p2e = {
-        "Reader": EventSet(),
-        "DoRead": EventSet([ev("read"), ev("readEOF")]),
-        "ExitOnly": EventSet([ev("close")]),
+        "Reader": {},
+        "DoRead": {"read": False, "readEOF": False},
+        "ExitOnly": {"close": False},
     }
     out = relation_compose(relation_closure(p2p), p2e)
-    assert set(out["Reader"].qualified_names()) == {"readEOF", "read", "close"}
+    assert set(out["Reader"]) == {"readEOF", "read", "close"}
     # compose reaches through the relation it is given, so the closure call
     # may be dropped without changing the result
     assert relation_compose(p2p, p2e)["Reader"] == out["Reader"]
+    # the same role as a declaration: the walk gives the same ordered alphabet
+    reader = load_spec("pipeconn.wrt").types[0].roles[1]
+    info, _ = compute_declaration_alphabet(reader)
+    assert list(info.total.items()) == list(reference_alphabets(reader)[reader.name].items())
+    assert set(info.total) == set(out["Reader"])
 
 
-def test_scope_event_levels():
-    scoped = scope_event(ev("read"), "In")
-    assert scoped.qualified == "In.read"
-    full = scope_event(scoped, "A")
-    assert full.qualified == "A.In.read"
-    with pytest.raises(ValueError):
-        scope_event(full, "Z")
+def test_point_alphabets_are_scoped_by_a_name_prefix():
+    p_in, p_out = load_spec("calculformule.wrt").types[0].ports
+    assert list(p_in.alphabet.param_total.items()) == [
+        ("In." + e, i) for e, i in p_in.alphabet.total.items()
+    ]
+    assert set(p_out.alphabet.param_total) == {"Out.write", "Out.close"}
+    assert all(p_out.alphabet.param_total.values())  # both initiated
 
 
 def test_rename_with_prefix():
-    decl = Declaration(
-        DeclKind.GLUE,
-        "Glue",
-        Prefix(ev("a", scope=("Origin",)), Ref("Glue")),
-    )
+    decl = Declaration(DeclKind.GLUE, "Glue", ExternalChoice(pf("Origin.a", Ref("Glue"), True), SUCCESS))
     # the attachment A.Output As C.Origin renames Origin.a to Output.a and
     # then qualifies with the instance name
     renamed = rename_with_prefix(decl, "A")
-    event = renamed.body.event
-    assert event.qualified == "A.Origin.a"
+    event = renamed.body.left
+    assert event.event == "A.Origin.a"
+    assert event.initiated
     empty = Declaration(DeclKind.PORT, "P", SUCCESS)
     assert rename_with_prefix(empty, "A").body == SUCCESS

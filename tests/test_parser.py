@@ -142,7 +142,7 @@ def test_parse_port_choice_shape():
     body = port.body
     assert isinstance(body, ExternalChoice)
     assert body.left == Prefix(body.left.event, Ref("In"))
-    assert body.left.event.qualified == "read"
+    assert body.left.event == "read"
     assert isinstance(body.right.rest, Success)
 
 

@@ -15,7 +15,6 @@ from wright2csp.codegen import fdr_body, process_term
 from wright2csp.engine import compile_to_lts
 from wright2csp.model import (
     EMPTY,
-    EventRef,
     ExternalChoice,
     InternalChoice,
     Prefix,
@@ -31,18 +30,14 @@ from wright2csp.transform import (
 )
 
 
-def ev(name, initiated=False):
-    return EventRef(name, initiated)
-
-
-def pf(name, rest):
-    return Prefix(ev(name), rest)
+def pf(name, rest, initiated=False):
+    return Prefix(name, rest, initiated)
 
 
 def test_normalize_merges_same_event_internal_choice():
     p = InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q")))
     out = normalize_for_det(p)
-    assert out == Prefix(ev("a"), ExternalChoice(Ref("P"), Ref("Q")))
+    assert out == pf("a", ExternalChoice(Ref("P"), Ref("Q")))
 
 
 def test_normalize_leaves_distinct_events_alone():
@@ -53,7 +48,7 @@ def test_normalize_leaves_distinct_events_alone():
 def test_normalize_applies_to_fixpoint():
     p = InternalChoice(InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q"))), pf("a", Ref("R")))
     out = normalize_for_det(p)
-    expected = Prefix(ev("a"), ExternalChoice(ExternalChoice(Ref("P"), Ref("Q")), Ref("R")))
+    expected = pf("a", ExternalChoice(ExternalChoice(Ref("P"), Ref("Q")), Ref("R")))
     assert out == expected
 
 
@@ -126,7 +121,7 @@ def test_restrict_to_observed_all_observed_port_unchanged():
 
 def test_restrict_mixed_polarity_port():
     # read (observed), ack (initiated): read -> _ack -> P projects to read -> P
-    body = Prefix(ev("read"), Prefix(ev("ack", True), Ref("P")))
+    body = pf("read", pf("ack", Ref("P"), True))
     out = project_to(body, keep_set(["read"]), "P")
     assert out == pf("read", Ref("P"))
     # the trace-level oracle agrees
@@ -163,14 +158,13 @@ def test_projection_matches_machine_level_hiding_on_random_terms():
 
 
 def test_projection_keeps_references_to_other_names():
-    from wright2csp.model import EventSet
     from wright2csp.transform import project_declaration
 
     spec = load_spec("pipeconn.wrt")
     reader = spec.types[0].roles[1]
     # hiding everything eliminates the prefixes but keeps cross references,
     # so no local erases here
-    projected, diags = project_declaration(reader, EventSet())
+    projected, diags = project_declaration(reader, {})
     assert not diags
     assert [loc.name for loc in projected.locals] == ["DoRead", "ExitOnly"]
 
@@ -185,5 +179,5 @@ def test_projected_where_local_erasure_warns():
     decl = Declaration(DeclKind.ROLE, "R", pf("a", Ref("L")), [local])
     projected, diags = project_declaration(decl, keep_set(["a"]))
     assert projected.locals == []
-    assert projected.body == Prefix(ev("a"), EMPTY)
+    assert projected.body == pf("a", EMPTY)
     assert any("erased" in d.message for d in diags)

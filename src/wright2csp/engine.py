@@ -2,20 +2,23 @@
 
 Process terms (prefix, choices, synchronized parallel, renaming, hiding,
 STOP/SKIP, named references) compile to finite labelled transition systems by
-explicit-state exploration.  Sequential terms (prefix, both choices,
-references, STOP/SKIP) are stepped as terms; parallel, renaming and hiding
-are composed as products over integer states of their operands, in the style
-of FDR3's supercombinators: a parallel node splits each operand state's moves
-once into a sync table (local moves, synchronised moves by event, tick
-targets), so each pair of states only joins two tables.  Each operator node
-numbers its own states through a table from operand ids to ids of its
-position (a dict of right ids per left id for parallel, a list for renaming
-and hiding), so no transition builds or hashes a state tuple.  The LTS is
-the one a breadth-first search with whole terms as states would build, state
-numbering included; it is stored as adjacency lists only, and its transition
-triples are derived when read.  An operator directly under an external
-choice is not supported (codegen never emits one), and operators nested more
-than ``MAX_NESTING`` deep by recursion are a ``ResourceLimitError``.
+explicit-state exploration, in the style of FDR3's supercombinators.  Each
+term position numbers its own states.  Sequential terms (prefix, choices,
+references, STOP/SKIP) are stepped as terms.  Renaming and hiding only
+relabel moves, so they are contexts of a position rather than nodes: a term
+under them is stepped in place, its moves relabelled by the context's
+composed map.  A parallel composition is a product over integer states of
+two operand positions: it splits each operand state's moves once into a sync
+table (local moves, synchronised moves by event, tick targets) holding
+labels already relabelled by its context, joins two tables per pair of
+states, and numbers pairs through a dict of right ids per left id, so none
+of its moves builds or hashes a state tuple.  Each move is built once, with
+its final label and id.  The LTS is the one a breadth-first search with
+whole terms as states would build, state numbering included (the argument
+precedes ``MAX_NESTING``); it is stored as adjacency lists, and its
+transition triples are derived when read.  An operator directly under an external choice is not
+supported (codegen never emits one), and operators nested more than
+``MAX_NESTING`` deep by recursion are a ``ResourceLimitError``.
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
@@ -220,27 +223,29 @@ def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
     raise TypeError(f"unknown process term {term!r}")
 
 
-# Operator nodes.  Parallel, renaming and hiding never change while a process
-# runs; only their operands move, so compilation works on integer states.  A
-# ``_Process`` numbers the states of whatever term fills one position: it
-# steps sequential terms with ``_step`` and hands operator terms to the node
-# for that operator and parameter.  The node with index k in a position has
-# states ``(k, left, right)`` (parallel) or ``(k, inner)`` (renaming, hiding)
-# over its operands' state ids.  Each node numbers its own states in the
-# position's id space: it keeps a table from operand ids to position ids and
-# appends a new state's tuple to the position's ``states`` list, so no tuple
-# is built or hashed per transition.  (Nodes are handed that list rather than
-# their owner: the reference cycle would keep every node alive until the
-# cyclic collector runs.)  Every operand is a ``_Process`` again, so a term's
-# state depends only on the term, however it was reached.  Parents ask each
-# state's transitions once, except that a parallel node revisits operand
-# states, so it alone keeps per-state tables.
+# Positions, contexts and parallel nodes.  Operators never change while a
+# process runs; only their operands move.  A ``_Process`` numbers the states
+# of one term position, each on its first lookup, by appending its key to
+# ``states``.  A term under a chain of renamings and hidings is keyed
+# (context, term): the context is numbered by (parent context, operator,
+# parameter) and holds the chain's composed relabelling; context 0, the
+# empty chain, keys the bare term.  A parallel in context c is a state
+# ``(k, l, r)`` of the ``_Par`` node k keyed by (c, sync) over two operand
+# positions; it synchronises on its operands' labels and relabels the moves
+# it builds by c.  (Nodes are handed ``states`` rather than their owner: the
+# reference cycle would keep every node alive until the cyclic collector
+# runs.)  Keys correspond one to one to terms, and a key's moves are its
+# term's moves under the operational rules, in order.  A state is numbered
+# only as the target of a move being built, and the root's moves are asked
+# for once per state in id order, so ids follow a term-level breadth-first
+# search.  Only parallel nodes ask an operand state's moves twice; they keep
+# per-state sync tables.
 
-MAX_NESTING = 200  # operator positions nested in one another, about 3 stack frames each
+MAX_NESTING = 200  # nested positions and contexts; a position costs about 3 stack frames
 
 
 class _Numbering(dict):
-    """Numbers each term on its first lookup, appending it to ``states``."""
+    """Numbers each key on its first lookup, appending it to ``states``."""
 
     def __init__(self, states: list) -> None:
         super().__init__()
@@ -252,51 +257,73 @@ class _Numbering(dict):
         return s
 
 
+def _too_deep(depth: int) -> None:
+    # Each operator recursion (``R = (a -> R) [|X|] Q``, say) nests one more
+    # position or context, and stepping a state recurses once per position.
+    if depth > MAX_NESTING:
+        raise ResourceLimitError(f"operator nesting cap {MAX_NESTING} exceeded")
+
+
 class _Process:
-    """The states of one term position: terms, or states of operator nodes."""
+    """The states of one term position: terms in contexts, or parallel node states."""
 
     def __init__(self, env: Mapping[str, Proc], depth: int = 0) -> None:
-        # Each operator recursion (``R = (a -> R) [|X|] Q``, say) nests one
-        # more position, and stepping a state recurses once per level.
-        if depth > MAX_NESTING:
-            raise ResourceLimitError(f"operator nesting cap {MAX_NESTING} exceeded")
-        self.env, self.depth = env, depth
-        self.states: list = []  # a term, or a node state (k, ...)
-        self.ids = _Numbering(self.states)  # term -> id; nodes number their own states
-        self.nodes: list = []
-        self.index: dict = {}  # (operator, parameter) -> k, the node's index in nodes
+        _too_deep(depth)
+        self.env = env
+        self.states: list = []  # a term, (context, term), or a node state (k, l, r)
+        self.ids = _Numbering(self.states)  # term or (context, term) -> id
+        self.contexts: dict = {}  # (context, operator, parameter) -> context
+        self.maps: list[dict[str, str]] = [{}]  # context -> composed relabelling
+        self.depths = [depth]  # context -> nesting level
+        self.nodes: list[_Par] = []
+        self.index: dict = {}  # (context, sync) -> k, the node's index in nodes
 
-    def enter(self, term: Proc) -> int:
-        """The state of ``term`` (every node has ``enter`` and ``succ``)."""
+    def enter(self, term: Proc, c: int = 0) -> int:
+        """The state of ``term`` in context ``c``."""
         cls = type(term)
-        if cls is PPar:
-            key = (PPar, term.sync)
-        elif cls is PRename:
-            key = (PRename, term.mapping)
-        elif cls is PHide:
-            key = (PHide, term.hidden)
-        else:
-            return self.ids[term]
+        while cls is PRename or cls is PHide:
+            c = self._context(c, term)
+            term = term.inner
+            cls = type(term)
+        if cls is not PPar:
+            return self.ids[(c, term) if c else term]
+        key = (c, term.sync)
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.nodes)
-            args = k, self.states, self.env, self.depth + 1
-            if cls is PPar:
-                node = _Par(*args, term.sync)
-            elif cls is PRename:
-                node = _Relabel(*args, {a: b for a, b in term.mapping if a not in (TAU, TICK)})
-            else:
-                node = _Relabel(*args, dict.fromkeys(term.hidden, TAU))
-            self.nodes.append(node)
+            depth = self.depths[c] + 1
+            self.nodes.append(_Par(k, self.states, self.env, depth, term.sync, self.maps[c]))
         return self.nodes[k].enter(term)
+
+    def _context(self, c: int, term: PRename | PHide) -> int:
+        """The context of the operand of ``term`` (renaming or hiding) in context ``c``."""
+        cls = type(term)
+        key = (c, cls, term.mapping if cls is PRename else term.hidden)
+        inner = self.contexts.get(key)
+        if inner is None:
+            depth = self.depths[c] + 1
+            _too_deep(depth)
+            if cls is PRename:
+                first = {a: b for a, b in term.mapping if a not in (TAU, TICK)}
+            else:
+                first = dict.fromkeys(term.hidden, TAU)
+            outer = self.maps[c]
+            inner = self.contexts[key] = len(self.maps)
+            self.maps.append({**outer, **{a: outer.get(b, b) for a, b in first.items()}})
+            self.depths.append(depth)
+        return inner
 
     def succ(self, s: int) -> list[tuple[str, int]]:
         """Transitions of state ``s``."""
         state = self.states[s]
-        if type(state) is tuple:
-            return self.nodes[state[0]].succ(state)
         enter = self.enter
-        return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
+        if type(state) is not tuple:
+            return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
+        if len(state) == 3:
+            return self.nodes[state[0]].succ(state)
+        c, term = state
+        get = self.maps[c].get
+        return [(get(a, a), enter(nxt, c)) for a, nxt in _step(term, self.env)]
 
 
 class _Row(dict):
@@ -325,19 +352,23 @@ class _Par:
     local moves (neither tick nor synchronised), synchronised moves and tick
     targets.  The right operand's synchronised moves are grouped by event, so
     a pair joins the two tables without filtering.  A tick in the sync set is
-    both synchronised and a tick, as in the term-level rules.
+    both synchronised and a tick, as in the term-level rules.  Synchronisation
+    is decided on the operands' labels; the tables hold the labels of the
+    moves this node builds, relabelled by its context.
     """
 
     def __init__(
-        self, k: int, states: list, env: Mapping[str, Proc], depth: int, sync: frozenset[str]
+        self, k: int, states: list, env: Mapping[str, Proc], depth: int,
+        sync: frozenset[str], relabel: dict[str, str],
     ) -> None:
         self.k, self.states, self.sync, self.special = k, states, sync, sync | {TICK}
+        self.relabel, self.tick = relabel, relabel.get(TICK, TICK)
         self.left, self.right = _Process(env, depth), _Process(env, depth)
         # Indexed by operand state, as long as the operands' state lists (see
         # ``_fit``): the left state's pairs, and each side's sync table or
         # None until first needed.
         self.rows: list[_Row] = []
-        self.ltabs: list = []  # (local moves, [(event, target)], [tick target])
+        self.ltabs: list = []  # (local moves, [(event, label, target)], [tick target])
         self.rtabs: list = []  # (local moves, {event: [target]}, [tick target])
 
     def _fit(self) -> None:
@@ -358,18 +389,23 @@ class _Par:
         """The sync table of operand state ``s``, stored in ``tabs``."""
         steps = side.succ(s)
         self._fit()
-        special = self.special
-        local = [step for step in steps if step[0] not in special]
+        special, relabel = self.special, self.relabel
+        get = relabel.get
+        if relabel:
+            local = [(get(a, a), t) for a, t in steps if a not in special]
+        else:
+            local = [step for step in steps if step[0] not in special]
         if len(local) == len(steps):
             table = local, (), ()
         else:
             sync = self.sync
-            synced = [(a, t) for a, t in steps if a in sync]
             if by_event:
-                grouped: dict[str, list[int]] = {}
-                for a, t in synced:
-                    grouped.setdefault(a, []).append(t)
-                synced = grouped
+                synced: dict[str, list[int]] = {}
+                for a, t in steps:
+                    if a in sync:
+                        synced.setdefault(a, []).append(t)
+            else:
+                synced = [(a, get(a, a), t) for a, t in steps if a in sync]
             table = local, synced, [t for a, t in steps if a == TICK]
         tabs[s] = table
         return table
@@ -383,55 +419,18 @@ class _Par:
         out = [(a, rows[l2][r]) for a, l2 in lloc]
         out += [(a, row[r2]) for a, r2 in rloc]
         if rsync:
-            for a, l2 in lsync:
+            for a, label, l2 in lsync:
                 targets = rsync.get(a)
                 if targets:
                     row2 = rows[l2]
-                    out += [(a, row2[r2]) for r2 in targets]
+                    out += [(label, row2[r2]) for r2 in targets]
         # distributed termination: both operands must succeed together
         if rtick:
+            tick = self.tick
             for l2 in ltick:
                 row2 = rows[l2]
-                out += [(TICK, row2[r2]) for r2 in rtick]
+                out += [(tick, row2[r2]) for r2 in rtick]
         return out
-
-
-class _Relabel:
-    """Renaming or hiding: the operand's states, with events relabelled.
-
-    The operand's states map one to one onto this node's.  A process gains
-    states only as its ``enter`` or ``succ`` returns them, numbered in the
-    order they first appear there, which is the order the position numbers
-    them in too.  So the states new to the operand after a call take the
-    next ids of the position, in the operand's order.
-    """
-
-    def __init__(
-        self, k: int, states: list, env: Mapping[str, Proc], depth: int, relabel: dict[str, str]
-    ) -> None:
-        self.k, self.states, self.relabel = k, states, relabel
-        self.inner = _Process(env, depth)
-        self.ids: list[int] = []  # inner id -> the position's id
-
-    def _fit(self) -> None:
-        """Number the inner states that are new since the last call."""
-        ids, states = self.ids, self.states
-        old, n = len(ids), len(self.inner.states)
-        ids += range(len(states), len(states) + n - old)
-        states += [(self.k, t) for t in range(old, n)]
-
-    def enter(self, term: PRename | PHide) -> int:
-        t = self.inner.enter(term.inner)
-        self._fit()
-        return self.ids[t]
-
-    def succ(self, state: tuple[int, int]) -> list[tuple[str, int]]:
-        steps = self.inner.succ(state[1])
-        ids = self.ids
-        if len(ids) < len(self.inner.states):
-            self._fit()
-        get = self.relabel.get
-        return [(get(a, a), ids[t]) for a, t in steps]
 
 
 def compile_to_lts(

@@ -346,6 +346,89 @@ def test_unbounded_operator_nesting_is_a_resource_limit():
     assert str(verdict) == message
 
 
+@pytest.mark.parametrize("wrap", ["rename", "hide", "hide of rename"])
+def test_unbounded_nesting_through_renaming_and_hiding_is_a_resource_limit(wrap):
+    # R = (a -> R)[[a <- b]] and the like: each unfolding nests one more relabelling
+    body = PPrefix("a", PRef("R"))
+    env = {"R": {"rename": rename(body, {"a": "b"}),
+                 "hide": PHide(body, frozenset({"a"})),
+                 "hide of rename": PHide(rename(body, {"a": "b"}), frozenset({"b"}))}[wrap]}
+    for cap in range(-1, 60):
+        want = _compiled(reference_compile, PRef("R"), env, cap)
+        assert want == f"state cap {cap} exceeded"
+        assert _compiled(compile_to_lts, PRef("R"), env, cap) == want, cap
+    message = f"operator nesting cap {engine.MAX_NESTING} exceeded"
+    for cap in (1000, DEFAULT_MAX_STATES):
+        with pytest.raises(ResourceLimitError, match=message):
+            compile_to_lts(PRef("R"), env, cap)
+
+
+def test_hide_over_rename_over_hide_with_tick_in_the_sets():
+    env = {"P": PExt(PPrefix("a", PPrefix("b", PRef("P"))), PPrefix("c", PSkip())),
+           "Q": PExt(PPrefix("a", PSkip()), PPrefix("b", PRef("Q")))}
+    par = PPar(PRef("P"), frozenset({"a", TICK}), PRef("Q"))
+    last = []
+    for inner in (frozenset({"b"}), frozenset({"b", TICK})):
+        for outer in (frozenset({"x"}), frozenset({"x", TICK}), frozenset({TICK, "c"})):
+            # renaming never applies to tick, so its TICK -> a entry is inert
+            term = PHide(rename(PHide(par, inner), {"a": "x", TICK: "a", "c": "b"}), outer)
+            transitions = _compiled_as_reference(term, env)
+            assert "a" not in {a for _, a, _ in transitions}
+            last.append((transitions[9][1], transitions[-1][1]))
+    # the synchronised a shows as x unless hidden; the tick, unless either hiding takes it
+    assert last == [(TAU, TICK), (TAU, TAU), ("x", TAU), (TAU, TAU), (TAU, TAU), ("x", TAU)]
+
+
+def test_renaming_over_a_parallel_synchronises_on_the_events_before_renaming():
+    # the left side's b is renamed to the synchronised a, the shared a to x
+    par = PPar(PExt(PPrefix("a", PPrefix("b", PStop())), PPrefix("b", PStop())), frozenset({"a"}),
+               PPrefix("a", PPrefix("c", PStop())))
+    assert _compiled_as_reference(rename(par, {"a": "x", "b": "a"})) == [
+        (0, "a", 1), (0, "x", 2), (2, "a", 3), (2, "c", 4), (3, "c", 5), (4, "a", 5)]
+
+
+def test_equal_renamings_built_apart_reach_one_state():
+    body = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    env = {"X": body}
+    first, second = rename(PRef("X"), {"a": "c"}), rename(body, {"a": "c"})
+    assert first.mapping == second.mapping and first.mapping is not second.mapping
+    transitions = _compiled_as_reference(PInt(first, second), env)
+    assert transitions[:3] == [(0, TAU, 1), (0, TAU, 2), (1, TAU, 2)]
+    assert compile_to_lts(PInt(first, second), env).n_states == 6
+
+
+def test_star_connector_and_computation_sides_match_the_reference():
+    workloads = perfbench_workloads()
+    sides = 0
+    for fail in (None, 2):
+        spec, _ = parse_source(workloads.star_case(4, "t", fail).source)
+        assert not alphabets.annotate(spec)
+        plan = codegen.emit(spec)
+        for a in plan.assertions:
+            if a.label.endswith("Bus_tA") or "COMPP" in a.label:
+                _compiled_as_reference(a.impl_term, plan.definitions)
+                sides += 1
+    assert sides == 10
+
+
+def test_compile_matches_the_reference_on_deeper_random_operator_terms():
+    rng = random.Random(41)
+    cases = [random_operator_term(rng, depth=4) for _ in range(100)]
+    wanted = [_compiled(reference_compile, term, env, 200) for term, env in cases]
+    capped = sum(isinstance(w, str) for w in wanted)
+    assert 10 <= capped <= 90, capped
+    # compiling creates no reference cycles (check_assertion pauses the collector)
+    gc.collect()
+    gc.disable()
+    try:
+        got = [_compiled(compile_to_lts, term, env, 200) for term, env in cases]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for (term, _), want, outcome in zip(cases, wanted, got):
+        assert outcome == want, term
+
+
 def test_operator_directly_under_external_choice_is_an_error():
     par = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
     with pytest.raises(EngineError, match="external choice") as info:

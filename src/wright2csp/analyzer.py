@@ -15,7 +15,6 @@ violation.  Rule 6 reports warnings unless ``strict`` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -26,6 +25,7 @@ from .model import (
     Connector,
     SourcePos,
     Style,
+    slotted,
 )
 
 TABLE_SIZE = 211  # prime; keeps bucket chains short for realistic inputs
@@ -46,12 +46,21 @@ class Nature(Enum):
 _PRINTED_BARE = (Nature.PORT, Nature.ROLE, Nature.CONNECTOR)
 
 
-@dataclass
+@slotted(frozen=False)
 class SymbolEntry:
-    name: str
-    nature: Nature
-    link: Optional["SymbolEntry"] = None  # port->component, role->connector, instance->type
-    pos: SourcePos = SourcePos()
+    __slots__ = ("name", "nature", "link", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        nature: Nature,
+        link: Optional[SymbolEntry] = None,  # port->component, role->connector, instance->type
+        pos: SourcePos = SourcePos(),
+    ) -> None:
+        self.name = name
+        self.nature = nature
+        self.link = link
+        self.pos = pos
 
 
 class SymbolTable:
@@ -76,12 +85,15 @@ class SymbolTable:
         return None
 
 
-@dataclass
+@slotted(frozen=False)
 class Diagnostic:
-    severity: str  # "error" | "warning"
-    pos: SourcePos
-    message: str
-    rule: Optional[int] = None
+    __slots__ = ("severity", "pos", "message", "rule")
+
+    def __init__(self, severity: str, pos: SourcePos, message: str, rule: Optional[int] = None) -> None:
+        self.severity = severity  # "error" | "warning"
+        self.pos = pos
+        self.message = message
+        self.rule = rule
 
     def __str__(self) -> str:
         prefix = f"rule={self.rule} " if self.rule is not None else ""

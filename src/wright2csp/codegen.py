@@ -25,7 +25,6 @@ caller that only prints the text (``translate``) never builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -58,6 +57,7 @@ from .model import (
     Ref,
     SourcePos,
     Success,
+    slotted,
 )
 from .transform import determinized, restrict_to_observed
 
@@ -69,13 +69,18 @@ class AssertionKind(Enum):
     PORT_ROLE = "P8"
 
 
-@dataclass
+@slotted(frozen=False)
 class Assertion:
-    kind: AssertionKind
-    label: str  # the exact "assert X [FD= Y" line
-    spec_term: Proc
-    impl_term: Proc
-    alphabet: frozenset[str]
+    __slots__ = ("kind", "label", "spec_term", "impl_term", "alphabet")
+
+    def __init__(
+        self, kind: AssertionKind, label: str, spec_term: Proc, impl_term: Proc, alphabet: frozenset[str]
+    ) -> None:
+        self.kind = kind
+        self.label = label  # the exact "assert X [FD= Y" line
+        self.spec_term = spec_term
+        self.impl_term = impl_term
+        self.alphabet = alphabet
 
 
 # The right-hand side of a named process: an engine term, or an equation body
@@ -83,12 +88,22 @@ class Assertion:
 Definition = Union[Proc, tuple[ProcessExpr, dict[str, str]]]
 
 
-@dataclass
+@slotted(frozen=False)
 class EmitPlan:
-    text: str
-    assertions: list[Assertion]
-    equations: dict[str, Definition]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    # ``__dict__`` holds only the cached ``definitions``
+    __slots__ = ("text", "assertions", "equations", "diagnostics", "__dict__")
+
+    def __init__(
+        self,
+        text: str,
+        assertions: list[Assertion],
+        equations: dict[str, Definition],
+        diagnostics: list[Diagnostic] | None = None,
+    ) -> None:
+        self.text = text
+        self.assertions = assertions
+        self.equations = equations
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @cached_property
     def definitions(self) -> dict[str, Proc]:

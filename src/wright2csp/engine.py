@@ -27,7 +27,9 @@ edges.  ``check_assertion`` pauses the cyclic garbage collector while it
 compiles, normalizes and refines: none of these creates a reference cycle.
 When many assertions are discharged together, each distinct one is checked
 once: an assertion whose sides equal an earlier one's up to a renaming of
-process names (``term_key``) reuses that verdict.
+process names (``term_key``) reuses that verdict.  Process terms are plain
+slotted classes, immutable and hashable (``model.slotted``); their ``repr``,
+which orders the branches of an external choice, is the dataclass one.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .model import slotted
 
 TAU = "τ"
 TICK = "✓"
@@ -78,23 +81,26 @@ class Proc:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PStop(Proc):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PSkip(Proc):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PPrefix(Proc):
-    event: str
-    rest: Proc
+    __slots__ = ("event", "rest")
+
+    def __init__(self, event: str, rest: Proc) -> None:
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "rest", rest)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PExtN(Proc):
     """External choice, kept flat and canonically ordered.
 
@@ -104,7 +110,10 @@ class PExtN(Proc):
     reproduces the same canonical term, closing a tau cycle).
     """
 
-    branches: tuple[Proc, ...]
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: tuple[Proc, ...]) -> None:
+        object.__setattr__(self, "branches", branches)
 
 
 def PExt(*operands: Proc) -> Proc:
@@ -120,34 +129,49 @@ def PExt(*operands: Proc) -> Proc:
     return PExtN(tuple(sorted(branches, key=repr)))
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PInt(Proc):
-    left: Proc
-    right: Proc
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Proc, right: Proc) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PRef(Proc):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PPar(Proc):
-    left: Proc
-    sync: frozenset[str]
-    right: Proc
+    __slots__ = ("left", "sync", "right")
+
+    def __init__(self, left: Proc, sync: frozenset[str], right: Proc) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "sync", sync)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PRename(Proc):
-    inner: Proc
-    mapping: tuple[tuple[str, str], ...]
+    __slots__ = ("inner", "mapping")
+
+    def __init__(self, inner: Proc, mapping: tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "mapping", mapping)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class PHide(Proc):
-    inner: Proc
-    hidden: frozenset[str]
+    __slots__ = ("inner", "hidden")
+
+    def __init__(self, inner: Proc, hidden: frozenset[str]) -> None:
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "hidden", hidden)
 
 
 def rename(p: Proc, mapping: Mapping[str, str]) -> PRename:
@@ -525,14 +549,23 @@ def stable_ready(lts: Lts, state: int) -> Optional[frozenset[str]]:
 # --- failures-divergences normalization -------------------------------------
 
 
-@dataclass
+@slotted(frozen=False)
 class FdModel:
     """Normalized machine: tau-closed subsets with acceptance/divergence info."""
 
-    initial: int
-    divergent: list[bool]
-    acceptances: list[tuple[frozenset[str], ...]]
-    transitions: dict[tuple[int, str], int]
+    __slots__ = ("initial", "divergent", "acceptances", "transitions")
+
+    def __init__(
+        self,
+        initial: int,
+        divergent: list[bool],
+        acceptances: list[tuple[frozenset[str], ...]],
+        transitions: dict[tuple[int, str], int],
+    ) -> None:
+        self.initial = initial
+        self.divergent = divergent
+        self.acceptances = acceptances
+        self.transitions = transitions
 
     @property
     def node_count(self) -> int:
@@ -596,11 +629,19 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
 # --- refinement -------------------------------------------------------------
 
 
-@dataclass
+@slotted(frozen=False)
 class RefinementVerdict:
-    holds: bool
-    counterexample: Optional[tuple[tuple[str, ...], str]] = None  # (trace, kind)
-    explored: int = 0
+    __slots__ = ("holds", "counterexample", "explored")
+
+    def __init__(
+        self,
+        holds: bool,
+        counterexample: Optional[tuple[tuple[str, ...], str]] = None,  # (trace, kind)
+        explored: int = 0,
+    ) -> None:
+        self.holds = holds
+        self.counterexample = counterexample
+        self.explored = explored
 
     def __bool__(self) -> bool:
         return self.holds

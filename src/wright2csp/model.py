@@ -7,13 +7,68 @@ process.  An event is its qualified name as a plain string (``read``,
 but prefixes compare equal regardless.  An alphabet is an insertion-ordered
 ``dict`` from qualified name to the polarity of its first use, so generated
 output is reproducible run to run.
+
+The expression and structural classes are plain slotted classes with a
+written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
+hashing ``@dataclass`` would give them from their ``__slots__``, without
+generating code at import.  Process expressions are immutable values, the
+structural records are mutable and unhashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Union
+from operator import attrgetter
+from typing import Callable, NamedTuple, Union
+
+# --- plain slotted classes --------------------------------------------------
+
+
+def _read_only(self, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def _getter(names: tuple[str, ...]):
+    """``self -> tuple`` of the named attributes (``attrgetter`` gives a bare
+    value for one name)."""
+    if len(names) == 1:
+        one = attrgetter(names[0])
+        return lambda self: (one(self),)
+    return attrgetter(*names) if names else lambda self: ()
+
+
+def slotted(frozen: bool, compare: tuple[str, ...] | None = None) -> Callable[[type], type]:
+    """Class decorator: the methods ``@dataclass`` would write, from ``__slots__``.
+
+    ``repr`` shows every field as ``name=value``; ``==`` compares the
+    ``compare`` fields (all by default) of two instances of the same class.
+    A frozen class hashes those fields and refuses assignment, so its
+    ``__init__`` stores through ``object.__setattr__``; any other class is
+    unhashable.  The methods are closures: nothing is compiled at import.
+    """
+
+    def derive(cls: type) -> type:
+        names = tuple(n for n in cls.__slots__ if n != "__dict__")
+        fields, key = _getter(names), _getter(compare or names)
+        template = ("{}(%s)" % ", ".join(n + "={!r}" for n in names)).format
+
+        def __repr__(self) -> str:
+            return template(type(self).__qualname__, *fields(self))
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__repr__, cls.__eq__ = __repr__, __eq__
+        if frozen:
+            cls.__hash__ = lambda self: hash(key(self))
+            cls.__setattr__ = cls.__delattr__ = _read_only
+        else:
+            cls.__hash__ = None
+        return cls
+
+    return derive
 
 
 class SourcePos(NamedTuple):
@@ -35,46 +90,62 @@ class ProcessExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True, compare=("event", "rest"))
 class Prefix(ProcessExpr):
     """``event -> rest``.  The event is its qualified name (``read``,
     ``In.read``); equality and hashing ignore its polarity."""
 
-    event: str
-    rest: ProcessExpr
-    initiated: bool = field(default=False, compare=False)
+    __slots__ = ("event", "rest", "initiated")
+
+    def __init__(self, event: str, rest: ProcessExpr, initiated: bool = False) -> None:
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "rest", rest)
+        object.__setattr__(self, "initiated", initiated)
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True)
 class ExternalChoice(ProcessExpr):
-    left: ProcessExpr
-    right: ProcessExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ProcessExpr, right: ProcessExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True)
 class InternalChoice(ProcessExpr):
-    left: ProcessExpr
-    right: ProcessExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ProcessExpr, right: ProcessExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True)
 class Ref(ProcessExpr):
     """Reference to a named process (the declaration itself or a local)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True)
 class Success(ProcessExpr):
     """TICK: perform the success event and stop."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
+@slotted(frozen=True)
 class Empty(ProcessExpr):
     """The eliminated process: the result of projecting everything away.
 
     Behaves like STOP; printed as SKIP only when it is a whole body.
     """
+
+    __slots__ = ()
 
 
 SUCCESS = Success()
@@ -99,84 +170,147 @@ class DeclKind(Enum):
 Alphabet = dict[str, bool]
 
 
-@dataclass
+@slotted(frozen=False)
 class AlphabetInfo:
     """Total alphabet plus its initiated/observed split and the scoped form."""
 
-    total: Alphabet
-    initiated: Alphabet
-    observed: Alphabet
-    param_total: Alphabet
+    __slots__ = ("total", "initiated", "observed", "param_total")
+
+    def __init__(self, total: Alphabet, initiated: Alphabet, observed: Alphabet, param_total: Alphabet) -> None:
+        self.total = total
+        self.initiated = initiated
+        self.observed = observed
+        self.param_total = param_total
 
 
-@dataclass
+@slotted(frozen=False)
 class Declaration:
-    kind: DeclKind
-    name: str
-    body: ProcessExpr
-    locals: list["Declaration"] = field(default_factory=list)
-    pos: SourcePos = SourcePos()
-    alphabet: AlphabetInfo | None = None
+    __slots__ = ("kind", "name", "body", "locals", "pos", "alphabet")
+
+    def __init__(
+        self,
+        kind: DeclKind,
+        name: str,
+        body: ProcessExpr,
+        locals: list[Declaration] | None = None,
+        pos: SourcePos = SourcePos(),
+        alphabet: AlphabetInfo | None = None,
+    ) -> None:
+        self.kind = kind
+        self.name = name
+        self.body = body
+        self.locals = [] if locals is None else locals
+        self.pos = pos
+        self.alphabet = alphabet
 
 
-@dataclass
+@slotted(frozen=False)
 class Component:
-    name: str
-    ports: list[Declaration]
-    computation: Declaration
-    pos: SourcePos = SourcePos()
-    total_alphabet: Alphabet | None = None
+    __slots__ = ("name", "ports", "computation", "pos", "total_alphabet")
+
+    def __init__(
+        self,
+        name: str,
+        ports: list[Declaration],
+        computation: Declaration,
+        pos: SourcePos = SourcePos(),
+        total_alphabet: Alphabet | None = None,
+    ) -> None:
+        self.name = name
+        self.ports = ports
+        self.computation = computation
+        self.pos = pos
+        self.total_alphabet = total_alphabet
 
 
-@dataclass
+@slotted(frozen=False)
 class Connector:
-    name: str
-    roles: list[Declaration]
-    glue: Declaration
-    pos: SourcePos = SourcePos()
-    total_alphabet: Alphabet | None = None
+    __slots__ = ("name", "roles", "glue", "pos", "total_alphabet")
+
+    def __init__(
+        self,
+        name: str,
+        roles: list[Declaration],
+        glue: Declaration,
+        pos: SourcePos = SourcePos(),
+        total_alphabet: Alphabet | None = None,
+    ) -> None:
+        self.name = name
+        self.roles = roles
+        self.glue = glue
+        self.pos = pos
+        self.total_alphabet = total_alphabet
 
 
-@dataclass
+@slotted(frozen=False)
 class Instance:
-    name: str
-    type_name: str
-    pos: SourcePos = SourcePos()
+    __slots__ = ("name", "type_name", "pos")
+
+    def __init__(self, name: str, type_name: str, pos: SourcePos = SourcePos()) -> None:
+        self.name = name
+        self.type_name = type_name
+        self.pos = pos
 
 
-@dataclass
+@slotted(frozen=False)
 class InterfaceRef:
-    instance: str
-    point: str
-    pos: SourcePos = SourcePos()
+    __slots__ = ("instance", "point", "pos")
+
+    def __init__(self, instance: str, point: str, pos: SourcePos = SourcePos()) -> None:
+        self.instance = instance
+        self.point = point
+        self.pos = pos
 
     def __str__(self) -> str:
         return f"{self.instance}.{self.point}"
 
 
-@dataclass
+@slotted(frozen=False)
 class Attachment:
-    left: InterfaceRef
-    right: InterfaceRef
-    pos: SourcePos = SourcePos()
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: InterfaceRef, right: InterfaceRef, pos: SourcePos = SourcePos()) -> None:
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass
+@slotted(frozen=False)
 class Configuration:
-    name: str
-    types: list[Union[Component, Connector]]
-    instances: list[Instance]
-    attachments: list[Attachment]
-    pos: SourcePos = SourcePos()
-    event_names: list[str] = field(default_factory=list)  # filled by alphabets.annotate
+    __slots__ = ("name", "types", "instances", "attachments", "pos", "event_names")
+
+    def __init__(
+        self,
+        name: str,
+        types: list[Union[Component, Connector]],
+        instances: list[Instance],
+        attachments: list[Attachment],
+        pos: SourcePos = SourcePos(),
+        event_names: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.types = types
+        self.instances = instances
+        self.attachments = attachments
+        self.pos = pos
+        self.event_names = [] if event_names is None else event_names  # filled by alphabets.annotate
 
 
-@dataclass
+@slotted(frozen=False)
 class Style:
-    name: str
-    types: list[Union[Component, Connector]]
-    pos: SourcePos = SourcePos()
-    event_names: list[str] = field(default_factory=list)  # filled by alphabets.annotate
+    __slots__ = ("name", "types", "pos", "event_names")
+
+    def __init__(
+        self,
+        name: str,
+        types: list[Union[Component, Connector]],
+        pos: SourcePos = SourcePos(),
+        event_names: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.types = types
+        self.pos = pos
+        self.event_names = [] if event_names is None else event_names  # filled by alphabets.annotate
 
 
 ArchSpec = Union[Style, Configuration]

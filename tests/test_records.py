@@ -1,0 +1,330 @@
+"""Contract of the package's record and value classes.
+
+Engine terms and the behavioural AST are immutable, hashable values; the
+structural model, diagnostics, assertions and results are mutable records.
+Both kinds print, compare and construct as dataclasses would: the ``repr``
+fixes transition order (``PExt`` sorts branches by it), so it is pinned here
+byte for byte.
+"""
+
+import inspect
+import os
+import subprocess
+import sys
+from functools import cached_property
+from pathlib import Path
+
+import pytest
+
+from wright2csp import codegen
+from wright2csp.analyzer import Diagnostic, Nature, SymbolEntry
+from wright2csp.codegen import Assertion, AssertionKind, EmitPlan
+from wright2csp.engine import (
+    FdModel,
+    PExt,
+    PExtN,
+    PHide,
+    PInt,
+    PPar,
+    PPrefix,
+    PRef,
+    PRename,
+    PSkip,
+    PStop,
+    RefinementVerdict,
+    rename,
+)
+from wright2csp.model import (
+    EMPTY,
+    SUCCESS,
+    AlphabetInfo,
+    Attachment,
+    Component,
+    Configuration,
+    Connector,
+    Declaration,
+    DeclKind,
+    Empty,
+    ExternalChoice,
+    Instance,
+    InterfaceRef,
+    InternalChoice,
+    Prefix,
+    Ref,
+    SourcePos,
+    Style,
+    Success,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+POS = SourcePos(2, 3)
+NO_POS = "pos=SourcePos(line=1, column=1)"
+
+
+def _decl(kind, name, body):
+    return Declaration(kind, name, body)
+
+
+# (value, its exact repr); each value class appears at least once.
+VALUES = [
+    (Prefix("In.read", Ref("P"), True), "Prefix(event='In.read', rest=Ref(name='P'), initiated=True)"),
+    (ExternalChoice(Ref("A"), SUCCESS), "ExternalChoice(left=Ref(name='A'), right=Success())"),
+    (InternalChoice(EMPTY, Ref("B")), "InternalChoice(left=Empty(), right=Ref(name='B'))"),
+    (Ref("P"), "Ref(name='P')"),
+    (Success(), "Success()"),
+    (Empty(), "Empty()"),
+    (PStop(), "PStop()"),
+    (PSkip(), "PSkip()"),
+    (PPrefix("a", PPrefix("b", PStop())), "PPrefix(event='a', rest=PPrefix(event='b', rest=PStop()))"),
+    (
+        PExt(PPrefix("b", PSkip()), PRef("X"), PPrefix("a", PStop())),
+        "PExtN(branches=(PPrefix(event='a', rest=PStop()), PPrefix(event='b', rest=PSkip()), PRef(name='X')))",
+    ),
+    (PInt(PRef("A"), PSkip()), "PInt(left=PRef(name='A'), right=PSkip())"),
+    (PRef("A"), "PRef(name='A')"),
+    (
+        PPar(PRef("A"), frozenset({"a"}), PRef("B")),
+        "PPar(left=PRef(name='A'), sync=frozenset({'a'}), right=PRef(name='B'))",
+    ),
+    (rename(PRef("A"), {"b": "x", "a": "x"}), "PRename(inner=PRef(name='A'), mapping=(('a', 'x'), ('b', 'x')))"),
+    (PHide(PRef("A"), frozenset({"a"})), "PHide(inner=PRef(name='A'), hidden=frozenset({'a'}))"),
+]
+
+# (record built positionally, the same record built by keyword, its exact repr)
+RECORDS = [
+    (
+        AlphabetInfo({"a": True}, {"a": True}, {}, {"In.a": True}),
+        AlphabetInfo(total={"a": True}, initiated={"a": True}, observed={}, param_total={"In.a": True}),
+        "AlphabetInfo(total={'a': True}, initiated={'a': True}, observed={}, param_total={'In.a': True})",
+    ),
+    (
+        Declaration(DeclKind.PORT, "In", Ref("In")),
+        Declaration(kind=DeclKind.PORT, name="In", body=Ref("In")),
+        f"Declaration(kind=<DeclKind.PORT: 'Port'>, name='In', body=Ref(name='In'), locals=[], {NO_POS}, alphabet=None)",
+    ),
+    (
+        Component("C", [], _decl(DeclKind.COMPUTATION, "Computation", SUCCESS), POS),
+        Component(name="C", ports=[], computation=_decl(DeclKind.COMPUTATION, "Computation", SUCCESS), pos=POS),
+        "Component(name='C', ports=[], computation=Declaration(kind=<DeclKind.COMPUTATION: 'Computation'>, "
+        f"name='Computation', body=Success(), locals=[], {NO_POS}, alphabet=None), "
+        "pos=SourcePos(line=2, column=3), total_alphabet=None)",
+    ),
+    (
+        Connector("K", [], _decl(DeclKind.GLUE, "Glue", EMPTY)),
+        Connector(name="K", roles=[], glue=_decl(DeclKind.GLUE, "Glue", EMPTY)),
+        "Connector(name='K', roles=[], glue=Declaration(kind=<DeclKind.GLUE: 'Glue'>, name='Glue', "
+        f"body=Empty(), locals=[], {NO_POS}, alphabet=None), {NO_POS}, total_alphabet=None)",
+    ),
+    (
+        Instance("c", "C", POS),
+        Instance(name="c", type_name="C", pos=POS),
+        "Instance(name='c', type_name='C', pos=SourcePos(line=2, column=3))",
+    ),
+    (
+        InterfaceRef("c", "In"),
+        InterfaceRef(instance="c", point="In"),
+        f"InterfaceRef(instance='c', point='In', {NO_POS})",
+    ),
+    (
+        Attachment(InterfaceRef("c", "In"), InterfaceRef("k", "R")),
+        Attachment(left=InterfaceRef("c", "In"), right=InterfaceRef("k", "R")),
+        f"Attachment(left=InterfaceRef(instance='c', point='In', {NO_POS}), "
+        f"right=InterfaceRef(instance='k', point='R', {NO_POS}), {NO_POS})",
+    ),
+    (
+        Configuration("Cfg", [], [], []),
+        Configuration(name="Cfg", types=[], instances=[], attachments=[]),
+        f"Configuration(name='Cfg', types=[], instances=[], attachments=[], {NO_POS}, event_names=[])",
+    ),
+    (Style("S", []), Style(name="S", types=[]), f"Style(name='S', types=[], {NO_POS}, event_names=[])"),
+    (
+        FdModel(0, [False], [(frozenset({"a"}),)], {(0, "a"): 0}),
+        FdModel(initial=0, divergent=[False], acceptances=[(frozenset({"a"}),)], transitions={(0, "a"): 0}),
+        "FdModel(initial=0, divergent=[False], acceptances=[(frozenset({'a'}),)], transitions={(0, 'a'): 0})",
+    ),
+    (
+        RefinementVerdict(False, (("a",), "failure"), 3),
+        RefinementVerdict(holds=False, counterexample=(("a",), "failure"), explored=3),
+        "RefinementVerdict(holds=False, counterexample=(('a',), 'failure'), explored=3)",
+    ),
+    (
+        SymbolEntry("In", Nature.PORT),
+        SymbolEntry(name="In", nature=Nature.PORT),
+        f"SymbolEntry(name='In', nature=<Nature.PORT: 'Port'>, link=None, {NO_POS})",
+    ),
+    (
+        Diagnostic("error", POS, "bad", 1),
+        Diagnostic(severity="error", pos=POS, message="bad", rule=1),
+        "Diagnostic(severity='error', pos=SourcePos(line=2, column=3), message='bad', rule=1)",
+    ),
+    (
+        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", PRef("A"), PRef("B"), frozenset({"a"})),
+        Assertion(
+            kind=AssertionKind.PORT_ROLE,
+            label="assert A [FD= B",
+            spec_term=PRef("A"),
+            impl_term=PRef("B"),
+            alphabet=frozenset({"a"}),
+        ),
+        "Assertion(kind=<AssertionKind.PORT_ROLE: 'P8'>, label='assert A [FD= B', spec_term=PRef(name='A'), "
+        "impl_term=PRef(name='B'), alphabet=frozenset({'a'}))",
+    ),
+    (
+        EmitPlan("text", [], {"A": PStop()}),
+        EmitPlan(text="text", assertions=[], equations={"A": PStop()}),
+        "EmitPlan(text='text', assertions=[], equations={'A': PStop()}, diagnostics=[])",
+    ),
+]
+
+
+def _fields(obj):
+    """Field names in declaration order: the constructor's parameters."""
+    return list(inspect.signature(type(obj)).parameters)
+
+
+VALUE_IDS = [type(case[0]).__name__ for case in VALUES]
+RECORD_IDS = [type(case[0]).__name__ for case in RECORDS]
+
+
+def _shows_fields_in_order(obj, text):
+    """The repr names every field, in constructor order, as a keyword."""
+    at = text.find("(")
+    for name in _fields(obj):
+        at = text.find(f"{name}=", at)
+        if at < 0:
+            return False
+    return text.startswith(f"{type(obj).__name__}(")
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def test_value_repr_is_pinned(value, text):
+    assert repr(value) == text
+    assert _shows_fields_in_order(value, text)
+
+
+@pytest.mark.parametrize("record, by_keyword, text", RECORDS, ids=RECORD_IDS)
+def test_record_repr_is_pinned(record, by_keyword, text):
+    assert repr(record) == text
+    assert repr(by_keyword) == text
+    assert _shows_fields_in_order(record, text)
+
+
+def test_pext_orders_branches_by_repr():
+    a, b, x = PPrefix("a", PStop()), PPrefix("b", PSkip()), PRef("X")
+    for operands in [(b, x, a), (x, a, b), (a, PExt(x, b))]:
+        assert PExt(*operands).branches == (a, b, x)
+    assert PExt(a, a) is a
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def test_values_compare_and_hash_by_their_fields(value, text):
+    again = eval(text)  # the repr rebuilds an equal, separate value (PExtN, PRename are imported for it)
+    assert again == value and again is not value
+    assert hash(again) == hash(value)
+    assert {value: 1}[again] == 1
+    assert value != object() and value.__eq__(object()) is NotImplemented
+
+
+def test_equality_ignores_prefix_polarity_and_never_crosses_classes():
+    assert Prefix("a", SUCCESS, True) == Prefix("a", SUCCESS, False)
+    assert hash(Prefix("a", SUCCESS, True)) == hash(Prefix("a", SUCCESS))
+    assert Prefix("a", SUCCESS) != Prefix("a", EMPTY)
+    assert PPrefix("a", PStop()) != PPrefix("a", PSkip())
+    assert PStop() != PSkip() and PStop().__eq__(PSkip()) is NotImplemented
+    assert Success() != Empty() and Success().__eq__(Empty()) is NotImplemented
+    assert Success() == SUCCESS and Empty() == EMPTY
+    assert Ref("A") != PRef("A")
+    assert ExternalChoice(Ref("A"), SUCCESS) != InternalChoice(Ref("A"), SUCCESS)
+    assert len({PStop(), PSkip(), PStop(), Success(), Empty(), SUCCESS}) == 4
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def test_values_are_immutable(value, text):
+    for name in _fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("record, by_keyword, text", RECORDS, ids=RECORD_IDS)
+def test_records_are_mutable_unhashable_and_compare_by_fields(record, by_keyword, text):
+    assert record == by_keyword and record is not by_keyword
+    assert record != object() and record.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(record)
+    for name in _fields(record):
+        setattr(by_keyword, name, "changed")
+        assert getattr(by_keyword, name) == "changed"
+        assert record != by_keyword
+        setattr(by_keyword, name, getattr(record, name))
+        assert record == by_keyword
+
+
+def test_default_lists_are_fresh_per_record():
+    pairs = [
+        (Declaration(DeclKind.PORT, "P", SUCCESS), Declaration(DeclKind.PORT, "P", SUCCESS), "locals"),
+        (Configuration("C", [], [], []), Configuration("C", [], [], []), "event_names"),
+        (Style("S", []), Style("S", []), "event_names"),
+        (EmitPlan("", [], {}), EmitPlan("", [], {}), "diagnostics"),
+    ]
+    for first, second, name in pairs:
+        getattr(first, name).append("x")
+        assert getattr(second, name) == []
+
+
+def test_defaults_match_the_dataclass_signatures():
+    assert RefinementVerdict(True) == RefinementVerdict(True, None, 0)
+    assert SymbolEntry("X", Nature.PORT) == SymbolEntry("X", Nature.PORT, None, SourcePos())
+    assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
+    assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos(), None)
+    assert Prefix("a", SUCCESS).initiated is False
+
+
+def test_record_helpers_survive():
+    assert str(InterfaceRef("c", "In")) == "c.In"
+    assert str(Diagnostic("error", POS, "bad", 1)) == "2:3: error: rule=1 bad"
+    assert not RefinementVerdict(False) and RefinementVerdict(True)
+    assert FdModel(0, [False, True], [(), ()], {}).node_count == 2
+
+
+def test_emit_plan_definitions_are_computed_once(monkeypatch):
+    lowered = []
+
+    def counting_body_term(expr, names):
+        lowered.append(expr)
+        return PRef(names.get(expr.name, expr.name))
+
+    monkeypatch.setattr(codegen, "body_term", counting_body_term)
+    plan = EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": PStop()})
+    assert isinstance(vars(EmitPlan)["definitions"], cached_property)
+    first = plan.definitions
+    assert first == {"A": PRef("B"), "S": PStop()}
+    assert plan.definitions is first and lowered == [Ref("B")]
+    # the cached lowering is not a field: it changes neither repr nor equality
+    assert plan == EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": PStop()})
+    assert "definitions" not in repr(plan)
+
+
+# --- start-up: the classes are written out, not generated at import ---------------
+
+LAYERS = ["model", "parser", "analyzer", "alphabets", "transform", "codegen", "engine"]
+
+
+def test_import_loads_every_layer_and_no_class_generator():
+    # -S keeps site hooks (.pth files) from importing anything first
+    code = "import sys, wright2csp; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert [layer for layer in LAYERS if f"wright2csp.{layer}" not in loaded] == []
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("obj", [case[0] for case in VALUES + RECORDS], ids=VALUE_IDS + RECORD_IDS)
+def test_every_class_declares_its_slots(obj):
+    assert "__slots__" in vars(type(obj))
+    # EmitPlan keeps a __dict__ only for its cached lowering
+    assert hasattr(obj, "__dict__") == (type(obj) is EmitPlan)

@@ -84,7 +84,7 @@ class Assertion:
 
 
 # The right-hand side of a named process: an engine term, or an equation body
-# and the names it resolves against, lowered by ``body_term`` when needed.
+# and the names it resolves against, lowered by ``process_term`` when needed.
 Definition = Union[Proc, tuple[ProcessExpr, dict[str, str]]]
 
 
@@ -109,7 +109,7 @@ class EmitPlan:
     def definitions(self) -> dict[str, Proc]:
         """Every named process as an engine term, lowered on first access."""
         return {
-            name: body_term(*rhs) if isinstance(rhs, tuple) else rhs
+            name: process_term(*rhs) if isinstance(rhs, tuple) else rhs
             for name, rhs in self.equations.items()
         }
 
@@ -136,13 +136,6 @@ def fdr_expr(expr: ProcessExpr, names: dict[str, str]) -> str:
     raise CodegenError(f"cannot render {expr!r}")
 
 
-def fdr_body(expr: ProcessExpr, names: dict[str, str]) -> str:
-    """Whole equation right-hand side; an erased body prints as SKIP."""
-    if isinstance(expr, (Empty, Success)):
-        return "SKIP"
-    return fdr_expr(expr, names)
-
-
 def process_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
     """Lower a process expression to an engine term (Empty behaves as STOP)."""
     if isinstance(expr, Prefix):
@@ -158,13 +151,6 @@ def process_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
     if isinstance(expr, Empty):
         return PStop()
     raise CodegenError(f"cannot lower {expr!r}")
-
-
-def body_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
-    """Term for a whole equation; mirrors fdr_body (erased body = SKIP)."""
-    if isinstance(expr, Empty):
-        return PSkip()
-    return process_term(expr, names)
 
 
 # --- emission machinery ------------------------------------------------------
@@ -197,7 +183,7 @@ class _Out:
         self.equations[name] = rhs
 
     def equation(self, name: str, body: ProcessExpr, names: dict[str, str]) -> None:
-        self.line(f"{name} = {fdr_body(body, names)}")
+        self.line(f"{name} = {fdr_expr(body, names)}")
         self.define(name, (body, names))
 
     def assertion(self, a: Assertion) -> None:

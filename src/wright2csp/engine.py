@@ -580,16 +580,14 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
     divergent: list[bool] = []
     acceptances: list[tuple[frozenset[str], ...]] = []
     transitions: dict[tuple[int, str], int] = {}
-    queue: deque[frozenset[int]] = deque([initial])
-    while queue:
-        subset = queue.popleft()
-        n = node_index[subset]
-        while len(divergent) <= n:
-            divergent.append(False)
-            acceptances.append(())
+    # Subsets are visited in the order they are numbered (the loop also
+    # visits those appended while it runs), so node n's entries are appended.
+    subsets = [initial]
+    for n, subset in enumerate(subsets):
         is_div = any(div[s] for s in subset)
-        divergent[n] = is_div
+        divergent.append(is_div)
         if is_div:
+            acceptances.append(())
             continue  # divergence absorbs all behaviour
         accs: list[frozenset[str]] = []
         for s in subset:
@@ -604,7 +602,7 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
         minimal = [a for a in tick_free if not any(b < a for b in tick_free)]
         if any(TICK in a for a in accs) and frozenset() not in minimal:
             minimal.append(frozenset({TICK}))
-        acceptances[n] = tuple(minimal)
+        acceptances.append(tuple(minimal))
         moves: dict[str, set[int]] = {}
         for s in subset:
             for a, t in lts.adj[s]:
@@ -618,11 +616,8 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
                     raise ResourceLimitError(f"normalization cap {max_nodes} exceeded")
                 t_idx = len(node_index)
                 node_index[nxt] = t_idx
-                queue.append(nxt)
+                subsets.append(nxt)
             transitions[(n, a)] = t_idx
-    while len(divergent) < len(node_index):
-        divergent.append(False)
-        acceptances.append(())
     return FdModel(initial=0, divergent=divergent, acceptances=acceptances, transitions=transitions)
 
 

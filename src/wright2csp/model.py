@@ -142,7 +142,8 @@ class Success(ProcessExpr):
 class Empty(ProcessExpr):
     """The eliminated process: the result of projecting everything away.
 
-    Behaves like STOP; printed as SKIP only when it is a whole body.
+    Behaves like STOP; a declaration body that projects to it becomes
+    SUCCESS (``transform.project_declaration``).
     """
 
     __slots__ = ()

@@ -1,27 +1,33 @@
 """Syntactic process transformations: determinization and projection.
 
-Determinization happens in two steps.  ``normalize_for_det`` merges choices
-whose branches prefix the same event (e -> Q [choice] e -> S becomes
-e -> (Q [] S)), bottom-up until no rewrite applies; ``determinize`` then
-turns every remaining internal choice into an external one.  The composition
-preserves the trace set while removing internal decisions.
+Each rewrite is one bottom-up walk over the body.
+
+Determinization turns every choice into an external one.  Where both
+determinized operands prefix the same event, the choice becomes that one
+prefix over the determinized choice of their continuations
+(e -> Q [choice] e -> S becomes e -> (Q [] S)), so no internal decision is
+left and the trace set is kept.
 
 Projection onto a kept event set works by branch elimination over the tree:
 
   rule 1  a prefix on a hidden event disappears, keeping its continuation;
-  rule 2  a reference back to the process's own name is erased unless some
-          surviving prefix above it guards it (references to other names are
-          always kept);
+  rule 2  an unguarded reference (no surviving prefix above it) is erased
+          when it closes a cycle of unguarded references through the
+          declaration and its where-locals, a reference back to the
+          process's own name being the shortest such cycle; every other
+          reference is kept;
   rule 3  a choice with an erased operand collapses to the other operand,
           and to Empty if both were erased.
 
-Rules are applied in a single postorder walk.  Where-locals are projected
-under their own names; a local whose body erases completely is deleted and
-dangling references to it become Empty (with a warning).
+Where-locals are projected under their own names.  A local whose body
+erases completely is deleted, references to it become Empty wherever they
+stand (with a warning), and the bodies are projected again until no further
+local erases.  A declaration body that erases completely becomes SKIP.
 """
 
 from __future__ import annotations
 
+from .alphabets import _reach
 from .analyzer import Diagnostic
 from .model import (
     Alphabet,
@@ -30,99 +36,96 @@ from .model import (
     EMPTY,
     Empty,
     ExternalChoice,
-    InternalChoice,
     Prefix,
     ProcessExpr,
     Ref,
+    SUCCESS,
 )
 
 
-def normalize_for_det(p: ProcessExpr) -> ProcessExpr:
-    """Merge same-event choice branches so determinization is trace-safe."""
-    if isinstance(p, Choice):
-        left = normalize_for_det(p.left)
-        right = normalize_for_det(p.right)
-        if isinstance(left, Prefix) and isinstance(right, Prefix) and left.event == right.event:
-            merged = normalize_for_det(ExternalChoice(left.rest, right.rest))
-            return Prefix(left.event, merged, left.initiated)
-        return type(p)(left, right)
-    if isinstance(p, Prefix):
-        return Prefix(p.event, normalize_for_det(p.rest), p.initiated)
-    return p
-
-
-def determinize(p: ProcessExpr) -> ProcessExpr:
-    """Replace every internal choice by an external one (run normalize first)."""
-    if isinstance(p, InternalChoice):
-        return ExternalChoice(determinize(p.left), determinize(p.right))
-    if isinstance(p, ExternalChoice):
-        return ExternalChoice(determinize(p.left), determinize(p.right))
-    if isinstance(p, Prefix):
-        return Prefix(p.event, determinize(p.rest), p.initiated)
-    return p
-
-
 def determinized(p: ProcessExpr) -> ProcessExpr:
-    return determinize(normalize_for_det(p))
+    """``p`` with every choice external and same-event branches merged."""
+    if isinstance(p, Choice):
+        left = determinized(p.left)
+        right = determinized(p.right)
+        if isinstance(left, Prefix) and isinstance(right, Prefix) and left.event == right.event:
+            return Prefix(left.event, determinized(ExternalChoice(left.rest, right.rest)), left.initiated)
+        return ExternalChoice(left, right)
+    if isinstance(p, Prefix):
+        return Prefix(p.event, determinized(p.rest), p.initiated)
+    return p
 
 
 def project_to(p: ProcessExpr, keep: Alphabet, self_name: str) -> ProcessExpr:
     """Restrict ``p`` to the events in ``keep`` (qualified names) by branch elimination."""
-    return _project(p, keep, self_name, False)
+    return _project(p, keep, {self_name}, set())
 
 
-def _project(node: ProcessExpr, keep: Alphabet, self_name: str, guarded: bool) -> ProcessExpr:
+def _project(node: ProcessExpr, keep: Alphabet, erase: set[str], dead: set[str]) -> ProcessExpr:
+    """Rules 1-3 on ``node``: a reference to a name in ``erase`` becomes Empty.
+
+    Below a kept prefix only the names in ``dead`` still erase.
+    """
     if isinstance(node, Prefix):
         if node.event in keep:
-            return Prefix(node.event, _project(node.rest, keep, self_name, True), node.initiated)
-        return _project(node.rest, keep, self_name, guarded)
+            return Prefix(node.event, _project(node.rest, keep, dead, dead), node.initiated)
+        return _project(node.rest, keep, erase, dead)
     if isinstance(node, Choice):
-        left = _project(node.left, keep, self_name, guarded)
-        right = _project(node.right, keep, self_name, guarded)
+        left = _project(node.left, keep, erase, dead)
+        right = _project(node.right, keep, erase, dead)
         if isinstance(left, Empty):
             return right
         if isinstance(right, Empty):
             return left
         return type(node)(left, right)
-    if isinstance(node, Ref):
-        if node.name == self_name and not guarded:
-            return EMPTY
-        return node
+    if isinstance(node, Ref) and node.name in erase:
+        return EMPTY
     return node
 
 
-def _substitute_dead_refs(expr: ProcessExpr, dead: set[str]) -> ProcessExpr:
-    if isinstance(expr, Prefix):
-        return Prefix(expr.event, _substitute_dead_refs(expr.rest, dead), expr.initiated)
-    if isinstance(expr, Choice):
-        left = _substitute_dead_refs(expr.left, dead)
-        right = _substitute_dead_refs(expr.right, dead)
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        return type(expr)(left, right)
-    if isinstance(expr, Ref) and expr.name in dead:
-        return EMPTY
-    return expr
+def _unguarded_refs(body: ProcessExpr, keep: Alphabet) -> list[str]:
+    """The names ``body`` references with no kept prefix above them."""
+    refs: list[str] = []
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prefix):
+            if node.event not in keep:
+                stack.append(node.rest)
+        elif isinstance(node, Choice):
+            stack += (node.right, node.left)
+        elif isinstance(node, Ref):
+            refs.append(node.name)
+    return refs
+
+
+def _cycles(decl: Declaration, keep: Alphabet) -> dict[str, set[str]]:
+    """For each body's name, the names whose unguarded reference there closes
+    a cycle of unguarded references: its own and those that reach it back."""
+    if not decl.locals:
+        return {decl.name: {decl.name}}
+    named = [decl] + decl.locals
+    names = {d.name for d in named}
+    refs = {d.name: {m: None for m in _unguarded_refs(d.body, keep) if m in names} for d in named}
+    reach = _reach(refs)
+    return {n: {m for m in found if n in reach[m]} | {n} for n, found in refs.items()}
 
 
 def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration, list[Diagnostic]]:
     """Project a declaration and its where-locals onto ``keep``.
 
-    Locals whose bodies erase completely are removed; references to them are
-    rewritten to Empty and choices re-collapsed, iterating because one removal
-    can empty another body.
+    Locals whose bodies erase completely are removed and every reference to
+    them erased; the original bodies are projected again until no further
+    local erases.  A wholly erased declaration body becomes SKIP.
     """
     diags: list[Diagnostic] = []
-    body = project_to(decl.body, keep, decl.name)
-    locals_ = [
-        Declaration(loc.kind, loc.name, project_to(loc.body, keep, loc.name), [], loc.pos)
-        for loc in decl.locals
-    ]
+    cycles = _cycles(decl, keep)
+    dead: set[str] = set()
     while True:
-        dead = {loc.name for loc in locals_ if isinstance(loc.body, Empty)}
-        if not dead:
+        body = _project(decl.body, keep, cycles[decl.name] | dead, dead)
+        locals_ = [(loc, _project(loc.body, keep, cycles[loc.name] | dead, dead)) for loc in decl.locals]
+        erased = sorted({loc.name for loc, b in locals_ if isinstance(b, Empty) and loc.name not in dead})
+        if not erased:
             break
         diags.extend(
             Diagnostic(
@@ -131,13 +134,13 @@ def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration,
                 f"where-local '{name}' of {decl.name} erased entirely by projection; "
                 "references to it behave as STOP",
             )
-            for name in sorted(dead)
+            for name in erased
         )
-        locals_ = [loc for loc in locals_ if loc.name not in dead]
-        body = _substitute_dead_refs(body, dead)
-        for loc in locals_:
-            loc.body = _substitute_dead_refs(loc.body, dead)
-    return Declaration(decl.kind, decl.name, body, locals_, decl.pos, None), diags
+        dead.update(erased)
+    kept = [Declaration(loc.kind, loc.name, b, [], loc.pos) for loc, b in locals_ if loc.name not in dead]
+    if isinstance(body, Empty):
+        body = SUCCESS
+    return Declaration(decl.kind, decl.name, body, kept, decl.pos, None), diags
 
 
 def restrict_to_observed(decl: Declaration) -> tuple[Declaration, list[Diagnostic]]:

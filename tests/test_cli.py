@@ -162,6 +162,24 @@ def test_check_fail_outranks_unknown_in_the_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "port",
+    ["_c -> L where {\n    L = _d -> Out |~| TICK\n  }", "_c -> (_d -> Out |~| TICK)"],
+    ids=["where-local", "inline"],
+)
+def test_check_port_recursing_through_a_where_local_restricts_without_divergence(tmp_path, capsys, port):
+    # all of Out is initiated, so its restriction erases the cycle Out -> L -> Out
+    # as it erases the inline self-reference, and In's check sees no divergence
+    path = tmp_path / "cycle.wrt"
+    path.write_text(
+        f"Style Cycle\nComponent C\n  Port Out = {port}\n  Port In = a -> In [] TICK\n"
+        "  Computation = In.a -> _Out.c -> (_Out.d -> Computation |~| TICK) [] TICK\n"
+        "Constraints\n  // no constraints\nEnd Style\n"
+    )
+    _, stdout, _ = run(capsys, "check", str(path))
+    assert "PASS  assert InG [FD= COMPIn\n" in stdout
+
+
 def _deep_spec(tmp_path, port, computation, role="a -> R [] TICK", glue="R.a -> Glue [] TICK"):
     path = tmp_path / "deep.wrt"
     path.write_text(

@@ -294,8 +294,8 @@ def _front_end_plans(sources):
 
 def test_emit_lowers_no_term_until_definitions_are_read(monkeypatch):
     calls = []
-    original = codegen.body_term
-    monkeypatch.setattr(codegen, "body_term", lambda *args: calls.append(args) or original(*args))
+    original = codegen.process_term
+    monkeypatch.setattr(codegen, "process_term", lambda *args: calls.append(args) or original(*args))
     plan = emit_plan("dt3.wrt")
     assert calls == []
     definitions = plan.definitions

@@ -292,11 +292,11 @@ def test_record_helpers_survive():
 def test_emit_plan_definitions_are_computed_once(monkeypatch):
     lowered = []
 
-    def counting_body_term(expr, names):
+    def counting_process_term(expr, names):
         lowered.append(expr)
         return PRef(names.get(expr.name, expr.name))
 
-    monkeypatch.setattr(codegen, "body_term", counting_body_term)
+    monkeypatch.setattr(codegen, "process_term", counting_process_term)
     plan = EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": PStop()})
     assert isinstance(vars(EmitPlan)["definitions"], cached_property)
     first = plan.definitions

@@ -11,7 +11,7 @@ from oracles import (
     random_expr,
     traces,
 )
-from wright2csp.codegen import fdr_body, process_term
+from wright2csp.codegen import fdr_expr, process_term
 from wright2csp.engine import compile_to_lts
 from wright2csp.model import (
     EMPTY,
@@ -22,9 +22,7 @@ from wright2csp.model import (
     SUCCESS,
 )
 from wright2csp.transform import (
-    determinize,
     determinized,
-    normalize_for_det,
     project_to,
     restrict_to_observed,
 )
@@ -36,33 +34,42 @@ def pf(name, rest, initiated=False):
 
 def test_normalize_merges_same_event_internal_choice():
     p = InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q")))
-    out = normalize_for_det(p)
+    out = determinized(p)
     assert out == pf("a", ExternalChoice(Ref("P"), Ref("Q")))
 
 
 def test_normalize_leaves_distinct_events_alone():
+    # distinct-event branches stay, as an external choice
     p = InternalChoice(pf("a", Ref("P")), pf("b", Ref("Q")))
-    assert normalize_for_det(p) == p
+    assert determinized(p) == ExternalChoice(pf("a", Ref("P")), pf("b", Ref("Q")))
 
 
 def test_normalize_applies_to_fixpoint():
     p = InternalChoice(InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q"))), pf("a", Ref("R")))
-    out = normalize_for_det(p)
+    out = determinized(p)
     expected = pf("a", ExternalChoice(ExternalChoice(Ref("P"), Ref("Q")), Ref("R")))
     assert out == expected
 
 
+def test_normalize_merges_below_a_merge():
+    # the merged continuations a -> P and a -> Q merge again
+    p = InternalChoice(pf("a", pf("a", Ref("P"))), pf("a", pf("a", Ref("Q"), True)))
+    out = determinized(p)
+    assert out == pf("a", pf("a", ExternalChoice(Ref("P"), Ref("Q"))))
+    assert out.initiated is False and out.rest.initiated is False  # the left prefix's polarity
+
+
 def test_determinize_replaces_internal_choice():
     p = InternalChoice(pf("a", Ref(SELF)), SUCCESS)
-    out = determinize(p)
+    out = determinized(p)
     assert out == ExternalChoice(pf("a", Ref(SELF)), SUCCESS)
 
 
 def test_determinize_identity_without_choice():
     p = pf("a", SUCCESS)
-    assert determinize(p) == p
+    assert determinized(p) == p
     already = ExternalChoice(pf("read", Ref("In")), pf("close", SUCCESS))
-    assert determinize(already) == already
+    assert determinized(already) == already
 
 
 def count_internal(expr):
@@ -109,7 +116,8 @@ def test_restrict_to_observed_fully_initiated_port_prints_skip():
     p_out = spec.types[0].ports[1]
     restricted, diags = restrict_to_observed(p_out)
     assert not diags
-    assert fdr_body(determinized(restricted.body), {}) == "SKIP"
+    assert restricted.body == SUCCESS  # wholly erased
+    assert fdr_expr(determinized(restricted.body), {}) == "SKIP"
 
 
 def test_restrict_to_observed_all_observed_port_unchanged():
@@ -181,3 +189,59 @@ def test_projected_where_local_erasure_warns():
     assert projected.locals == []
     assert projected.body == pf("a", EMPTY)
     assert any("erased" in d.message for d in diags)
+
+
+def test_projection_erases_an_unguarded_cycle_through_a_where_local():
+    from wright2csp.model import Declaration, DeclKind
+    from wright2csp.transform import project_declaration
+
+    # Out = _c -> L where { L = _d -> Out |~| TICK }: with c and d hidden the
+    # references Out -> L -> Out form an unguarded cycle, as the inline
+    # Out = _c -> (_d -> Out |~| TICK) has Out -> Out
+    local = Declaration(DeclKind.WHERE_LOCAL, "L", InternalChoice(pf("d", Ref("Out"), True), SUCCESS))
+    decl = Declaration(DeclKind.PORT, "Out", pf("c", Ref("L"), True), [local])
+    projected, diags = project_declaration(decl, {})
+    assert not diags
+    assert projected.body == SUCCESS  # wholly erased
+    assert [(loc.name, loc.body) for loc in projected.locals] == [("L", SUCCESS)]
+    # a kept prefix on the cycle guards it, and a reference that closes no
+    # cycle is kept
+    projected, _ = project_declaration(decl, keep_set(["d"]))
+    assert projected.body == Ref("L")
+    assert projected.locals[0].body == InternalChoice(pf("d", Ref("Out")), SUCCESS)
+
+
+def _retarget(expr, rng, local):
+    """``expr`` with each reference to SELF pointed at ``local`` half the time."""
+    if isinstance(expr, Prefix):
+        return Prefix(expr.event, _retarget(expr.rest, rng, local), expr.initiated)
+    if isinstance(expr, (ExternalChoice, InternalChoice)):
+        return type(expr)(_retarget(expr.left, rng, local), _retarget(expr.right, rng, local))
+    if isinstance(expr, Ref) and rng.random() < 0.5:
+        return Ref(local)
+    return expr
+
+
+def test_restricted_ports_with_a_where_local_never_diverge():
+    from wright2csp import alphabets
+    from wright2csp.codegen import emit
+    from wright2csp.engine import PRef, divergent_states
+    from wright2csp.model import Component, Declaration, DeclKind, Style
+
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        local = Declaration(DeclKind.WHERE_LOCAL, "L", _retarget(random_expr(rng), rng, "L"))
+        port = Declaration(DeclKind.PORT, SELF, _retarget(random_expr(rng), rng, "L"), [local])
+        other = Declaration(DeclKind.PORT, "Y", pf("e", Ref("Y")))
+        computation = Declaration(DeclKind.COMPUTATION, "Computation", SUCCESS)
+        spec = Style("S", [Component("C", [port, other], computation)])
+        alphabets.annotate(spec)
+        plan = emit(spec)
+        env = plan.definitions
+        for name in env:
+            if name.endswith("DETR"):
+                lts = compile_to_lts(PRef(name), env)
+                assert not any(divergent_states(lts)), (name, port, plan.text)
+                checked += 1
+    assert checked >= 600

@@ -1,4 +1,4 @@
-"""Static semantics: six structural rules checked over a hash-bucket symbol table.
+"""Static semantics: six structural rules checked over a name -> entry symbol table.
 
 Rules (diagnosed with the tool's historical French messages):
   1  an identifier names at most one architectural element; a where-local
@@ -27,8 +27,6 @@ from .model import (
     Style,
     slotted,
 )
-
-TABLE_SIZE = 211  # prime; keeps bucket chains short for realistic inputs
 
 
 class Nature(Enum):
@@ -63,28 +61,6 @@ class SymbolEntry:
         self.pos = pos
 
 
-class SymbolTable:
-    """Fixed-size bucket array with most-recent-first chains."""
-
-    def __init__(self, size: int = TABLE_SIZE) -> None:
-        self.size = size
-        self.buckets: list[list[SymbolEntry]] = [[] for _ in range(size)]
-
-    def hash(self, name: str) -> int:
-        # Bucket numbers never leave the table, so Python's own string hash
-        # (computed once per str object) serves.
-        return hash(name) % self.size
-
-    def insert(self, entry: SymbolEntry) -> None:
-        self.buckets[self.hash(entry.name)].insert(0, entry)
-
-    def lookup(self, name: str) -> Optional[SymbolEntry]:
-        for entry in self.buckets[self.hash(name)]:
-            if entry.name == name:
-                return entry
-        return None
-
-
 @slotted(frozen=False)
 class Diagnostic:
     __slots__ = ("severity", "pos", "message", "rule")
@@ -100,32 +76,26 @@ class Diagnostic:
         return f"{self.pos}: {self.severity}: {prefix}{self.message}"
 
 
-def _diag(sev: str, rule: Optional[int], pos: SourcePos, text: str) -> Diagnostic:
-    return Diagnostic(sev, pos, text, rule)
-
-
-def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
+def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, SymbolEntry], list[Diagnostic]]:
     """Populate the table in document order, reporting rule-1 duplicates.
 
-    The style/configuration name itself names the whole description, not an
-    element inside it, so it does not participate in the duplicate check.
+    A name maps to its latest entry.  The style/configuration name itself
+    names the whole description, not an element inside it, so it does not
+    participate in the duplicate check.
     """
-    table = SymbolTable()
+    table: dict[str, SymbolEntry] = {}
     diags: list[Diagnostic] = []
 
     def insert_unique(name: str, nature: Nature, link: Optional[SymbolEntry], pos: SourcePos) -> Optional[SymbolEntry]:
-        existing = table.lookup(name)
+        existing = table.get(name)
         if existing is not None and existing.nature not in (Nature.STYLE, Nature.CONFIGURATION):
-            diags.append(_diag("error", 1, pos, "***Identificateur Redondant***"))
+            diags.append(Diagnostic("error", pos, "***Identificateur Redondant***", 1))
             return existing
-        entry = SymbolEntry(name, nature, link, pos)
-        table.insert(entry)
-        return entry
+        table[name] = SymbolEntry(name, nature, link, pos)
+        return table[name]
 
-    if isinstance(spec, Style):
-        table.insert(SymbolEntry(spec.name, Nature.STYLE, None, spec.pos))
-    else:
-        table.insert(SymbolEntry(spec.name, Nature.CONFIGURATION, None, spec.pos))
+    nature = Nature.STYLE if isinstance(spec, Style) else Nature.CONFIGURATION
+    table[spec.name] = SymbolEntry(spec.name, nature, None, spec.pos)
 
     for t in spec.types:
         if isinstance(t, Component):
@@ -139,7 +109,7 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
-            type_entry = table.lookup(inst.type_name)
+            type_entry = table.get(inst.type_name)
             link = type_entry if type_entry and type_entry.nature in (Nature.COMPONENT, Nature.CONNECTOR) else None
             insert_unique(inst.name, Nature.INSTANCE, link, inst.pos)
 
@@ -152,9 +122,9 @@ def build_symbol_table(spec: ArchSpec) -> tuple[SymbolTable, list[Diagnostic]]:
         for decl in (*t.ports, t.computation) if isinstance(t, Component) else (*t.roles, t.glue):
             seen: set[str] = set()
             for loc in decl.locals:
-                entry = table.lookup(loc.name)
+                entry = table.get(loc.name)
                 if loc.name in seen or (entry is not None and entry.nature in _PRINTED_BARE):
-                    diags.append(_diag("error", 1, loc.pos, "***Identificateur Redondant***"))
+                    diags.append(Diagnostic("error", loc.pos, "***Identificateur Redondant***", 1))
                 seen.add(loc.name)
     diags.sort(key=lambda d: d.pos)
     return table, diags
@@ -168,17 +138,17 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
 
     # rule 2: instance types declared
     for inst in spec.instances:
-        entry = table.lookup(inst.type_name)
+        entry = table.get(inst.type_name)
         if entry is None or entry.nature not in (Nature.COMPONENT, Nature.CONNECTOR):
-            diags.append(_diag("error", 2, inst.pos, "***Type non Declarer***"))
+            diags.append(Diagnostic("error", inst.pos, "***Type non Declarer***", 2))
 
     type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
 
     def resolve_interface(iref) -> tuple[Optional[str], bool]:
         """Returns (owner type nature name, ok).  Appends diagnostics on failure."""
-        inst_entry = table.lookup(iref.instance)
+        inst_entry = table.get(iref.instance)
         if inst_entry is None or inst_entry.nature is not Nature.INSTANCE:
-            diags.append(_diag("error", 3, iref.pos, "***Identificateur non declarer***"))
+            diags.append(Diagnostic("error", iref.pos, "***Identificateur non declarer***", 3))
             return None, False
         if inst_entry.link is None:
             # type was undeclared; already reported under rule 2
@@ -189,12 +159,12 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         members = [p.name for p in tdecl.ports] if isinstance(tdecl, Component) else [r.name for r in tdecl.roles]
         if iref.point in members:
             return ("Component" if isinstance(tdecl, Component) else "Connector"), True
-        point_entry = table.lookup(iref.point)
+        point_entry = table.get(iref.point)
         if point_entry is not None and point_entry.nature in (Nature.PORT, Nature.ROLE):
-            diags.append(_diag("error", 4, iref.pos, "***L'Instance et l'Interface non pas le meme Type***"))
+            diags.append(Diagnostic("error", iref.pos, "***L'Instance et l'Interface non pas le meme Type***", 4))
         else:
             diags.append(
-                _diag("error", 4, iref.pos, "***La deusieme partie doit etre soit un Port soit un Role***")
+                Diagnostic("error", iref.pos, "***La deusieme partie doit etre soit un Port soit un Role***", 4)
             )
         return None, False
 
@@ -207,17 +177,15 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         if not (left_ok and right_ok):
             continue
         if left_kind != "Component" or right_kind != "Connector":
-            diags.append(
-                _diag("error", 5, att.pos, "***Attachement: Composant.Port as Connecteur.Role***")
-            )
+            diags.append(Diagnostic("error", att.pos, "***Attachement: Composant.Port as Connecteur.Role***", 5))
             continue
         port_key = (att.left.instance, att.left.point)
         role_key = (att.right.instance, att.right.point)
         sev = "error" if strict else "warning"
         if port_uses.get(port_key):
-            diags.append(_diag(sev, 6, att.pos, "***Port deja relier***"))
+            diags.append(Diagnostic(sev, att.pos, "***Port deja relier***", 6))
         if role_uses.get(role_key):
-            diags.append(_diag(sev, 6, att.pos, "***Role deja relier***"))
+            diags.append(Diagnostic(sev, att.pos, "***Role deja relier***", 6))
         port_uses[port_key] = port_uses.get(port_key, 0) + 1
         role_uses[role_key] = role_uses.get(role_key, 0) + 1
 
@@ -230,11 +198,11 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         if isinstance(tdecl, Component):
             for p in tdecl.ports:
                 if not port_uses.get((inst.name, p.name)):
-                    diags.append(_diag(sev, 6, inst.pos, "***Port non relier***"))
+                    diags.append(Diagnostic(sev, inst.pos, "***Port non relier***", 6))
         else:
             for r in tdecl.roles:
                 if not role_uses.get((inst.name, r.name)):
-                    diags.append(_diag(sev, 6, inst.pos, "***Role non relier***"))
+                    diags.append(Diagnostic(sev, inst.pos, "***Role non relier***", 6))
 
     return diags
 

@@ -71,16 +71,24 @@ class AssertionKind(Enum):
 
 @slotted(frozen=False)
 class Assertion:
-    __slots__ = ("kind", "label", "spec_term", "impl_term", "alphabet")
+    __slots__ = ("kind", "label", "spec_term", "impl_term", "alphabet", "key")
 
     def __init__(
-        self, kind: AssertionKind, label: str, spec_term: Proc, impl_term: Proc, alphabet: frozenset[str]
+        self,
+        kind: AssertionKind,
+        label: str,
+        spec_term: Proc,
+        impl_term: Proc,
+        alphabet: frozenset[str],
+        key: str | None = None,
     ) -> None:
         self.kind = kind
         self.label = label  # the exact "assert X [FD= Y" line
         self.spec_term = spec_term
         self.impl_term = impl_term
         self.alphabet = alphabet
+        # assertions with equal keys and alphabets have equal verdicts; None promises nothing
+        self.key = key
 
 
 # The right-hand side of a named process: an engine term, or an equation body
@@ -167,12 +175,14 @@ class _Out:
         self.sets: dict[str, list[str]] = {}
         self.local_names: dict[tuple[str, str], str] = {}  # (owner's base, local) -> name
         self.diagnostics: list[Diagnostic] = []
+        self.clashed = False  # some name was defined twice, the later definition winning
 
     def line(self, text: str = "") -> None:
         self.lines.append(text)
 
     def define(self, name: str, rhs: Definition) -> None:
         if name in self.equations:
+            self.clashed = True
             self.diagnostics.append(
                 Diagnostic(
                     "warning",
@@ -402,7 +412,8 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
 
     The ``…PLUS`` terms, the union sync set and the ``ROLE{r}DET`` reference
     depend only on the (port, role) pair, so they are built once per pair,
-    keyed ``"p r"``, and every attachment of that pair shares them.
+    keyed ``"p r"``, and every attachment of that pair shares them.  So
+    does its verdict: the pair is the assertion's ``key``.
     """
     out.line("--Attachment Test")
     out.line()
@@ -440,6 +451,7 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
                 PRef(role_name),
                 PRef(f"{port_name}DET"),
                 both,
+                pair,
             )
         )
         out.line()
@@ -470,5 +482,10 @@ def emit(spec: ArchSpec) -> EmitPlan:
     else:
         out.line("-- No constraints")
         out.line("-- End Style")
+    if out.clashed:
+        # a reference may then denote another attachment's definition, so
+        # an attachment's verdict is no longer its pair's
+        for a in out.assertions:
+            a.key = None
     text = "\n".join(out.lines) + "\n"
     return EmitPlan(text, out.assertions, out.equations, out.diagnostics)

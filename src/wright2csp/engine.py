@@ -25,9 +25,8 @@ product of the normalized specification with the raw implementation.
 Divergent states are found by one iterative depth-first search over tau
 edges.  ``check_assertion`` pauses the cyclic garbage collector while it
 compiles, normalizes and refines: none of these creates a reference cycle.
-When many assertions are discharged together, each distinct one is checked
-once: an assertion whose sides equal an earlier one's up to a renaming of
-process names (``term_key``) reuses that verdict.  Process terms are plain
+When many assertions are discharged together, those the caller keys alike
+share one check (see ``assertion_verdicts``).  Process terms are plain
 slotted classes, immutable and hashable (``model.slotted``); their ``repr``,
 which orders the branches of an external choice, is the dataclass one.
 
@@ -767,68 +766,6 @@ def check_assertion(
 # --- discharging many assertions ---------------------------------------------
 
 
-def term_key(term: Proc, env: Mapping[str, Proc]) -> Optional[tuple]:
-    """A key of ``term`` and the definitions it reaches that ignores their names.
-
-    The walk visits ``term``, then each definition it reaches in the order
-    it first meets the name, each in pre-order, and writes a reference as
-    that order number.  Events, sync and hide sets, rename mappings and the
-    stored order of external-choice branches are kept as they are.  Two
-    terms with equal keys differ only by a one-to-one renaming of the names
-    they reach, so ``compile_to_lts`` builds the same LTS for both, state
-    numbering and transition order included: it sees a name only through
-    the definition it denotes, except where ``_step`` re-sorts an external
-    choice by ``repr`` (which shows names) after a branch takes a tau step.
-
-    Returns None, meaning "no key", for a term that reaches an external
-    choice with a reference or internal-choice branch (the branches that
-    can take a tau step), an unresolved reference or an unknown term type.
-    """
-    out: list = []
-    order: dict[str, int] = {}
-    names: list[str] = []
-    stack = [term]
-    walked = 0
-    while True:
-        while stack:
-            t = stack.pop()
-            cls = type(t)
-            out.append(cls)
-            if cls is PPrefix:
-                out.append(t.event)
-                stack.append(t.rest)
-            elif cls is PRef:
-                k = order.get(t.name)
-                if k is None:
-                    if t.name not in env:
-                        return None
-                    k = order[t.name] = len(names)
-                    names.append(t.name)
-                out.append(k)
-            elif cls is PExtN:
-                if any(type(b) is PRef or type(b) is PInt for b in t.branches):
-                    return None
-                out.append(len(t.branches))
-                stack += reversed(t.branches)
-            elif cls is PInt:
-                stack += (t.right, t.left)
-            elif cls is PPar:
-                out.append(t.sync)
-                stack += (t.right, t.left)
-            elif cls is PRename:
-                out.append(t.mapping)
-                stack.append(t.inner)
-            elif cls is PHide:
-                out.append(t.hidden)
-                stack.append(t.inner)
-            elif cls is not PStop and cls is not PSkip:
-                return None
-        if walked == len(names):
-            return tuple(out)
-        stack.append(env[names[walked]])
-        walked += 1
-
-
 def assertion_verdicts(
     assertions: Iterable,
     env: Mapping[str, Proc],
@@ -836,18 +773,17 @@ def assertion_verdicts(
 ) -> Iterator[tuple[str, RefinementVerdict | EngineError]]:
     """(label, verdict) per assertion, in order; an undecided one has its error.
 
-    Each assertion exposes ``label``, ``spec_term``, ``impl_term`` and
-    ``alphabet``.  An assertion whose sides have the same ``term_key`` as an
-    earlier one's, over the same alphabet, gets that assertion's verdict
-    object: same ``holds``, counterexample and ``explored``.  An
-    ``EngineError`` is never reused, since its message may name a
-    definition; an assertion with no key is always checked on its own.
+    Each assertion exposes ``label``, ``spec_term``, ``impl_term``,
+    ``alphabet`` and ``key``.  An equal ``key`` is the caller's promise of an
+    equal verdict: an assertion whose key and alphabet equal an earlier
+    one's gets that assertion's verdict object (same ``holds``,
+    counterexample and ``explored``) unchecked.  An ``EngineError`` is never
+    reused, since its message may name a definition; an assertion whose key
+    is None is always checked on its own.
     """
     memo: dict[tuple, RefinementVerdict] = {}
     for a in assertions:
-        spec_key = term_key(a.spec_term, env)
-        impl_key = None if spec_key is None else term_key(a.impl_term, env)
-        key = None if impl_key is None else (spec_key, impl_key, a.alphabet)
+        key = None if a.key is None else (a.key, a.alphabet)
         verdict = memo.get(key)
         if verdict is None:
             try:

@@ -1,10 +1,5 @@
-import itertools
-import random
-import string
-
 from conftest import fixture_path
 from wright2csp import analyzer
-from wright2csp.analyzer import Nature, SymbolEntry, SymbolTable
 from wright2csp.model import SourcePos
 from wright2csp.parser import parse_source
 
@@ -16,36 +11,6 @@ def analyze_fixture(name, strict=False):
 
 def error_rules(diags):
     return [d.rule for d in diags if d.severity == "error"]
-
-
-def test_table_insert_and_lookup():
-    t = SymbolTable()
-    conn = SymbolEntry("Ctype", Nature.CONNECTOR)
-    t.insert(conn)
-    t.insert(SymbolEntry("Origin", Nature.ROLE, link=conn))
-    entry = t.lookup("Origin")
-    assert entry is not None and entry.nature is Nature.ROLE
-    assert entry.link is conn
-    assert t.lookup("Nowhere") is None
-
-
-def test_table_collision_both_retrievable():
-    t = SymbolTable(size=10)
-    # brute-force search for two distinct names in the same bucket
-    names = ["".join(p) for p in itertools.product(string.ascii_uppercase, repeat=2)]
-    a = names[0]
-    b = next(n for n in names[1:] if t.hash(n) == t.hash(a))
-    t.insert(SymbolEntry(a, Nature.COMPONENT))
-    t.insert(SymbolEntry(b, Nature.CONNECTOR))
-    assert t.lookup(a).nature is Nature.COMPONENT
-    assert t.lookup(b).nature is Nature.CONNECTOR
-
-
-def test_table_lookup_returns_most_recent():
-    t = SymbolTable()
-    t.insert(SymbolEntry("X", Nature.STYLE))
-    t.insert(SymbolEntry("X", Nature.COMPONENT))
-    assert t.lookup("X").nature is Nature.COMPONENT
 
 
 def test_dt4_accepted():
@@ -109,22 +74,6 @@ def test_repeated_where_local_violates_rule1_at_the_repeat():
         errors = [d for d in analyzer.analyze(spec) if d.severity == "error"]
         assert [(d.pos.line, d.pos.column) for d in errors] == positions, source
         assert all(d.rule == 1 and d.message == "***Identificateur Redondant***" for d in errors)
-
-
-def test_every_inserted_name_is_found():
-    rng = random.Random(11)
-    alphabets = [string.ascii_letters + string.digits + "_", string.ascii_letters + "é", "abΩş", "Ωş"]
-    names = [""] + ["".join(rng.choice(chars) for _ in range(rng.randint(1, 40))) for chars in alphabets for _ in range(200)]
-    names = list(dict.fromkeys(names))
-    assert any(ord(c) > 255 for n in names for c in n) and any("é" in n for n in names)
-    for size in (211, 10):
-        table = SymbolTable(size)
-        entries = [SymbolEntry(name, Nature.PORT) for name in names]
-        for entry in entries:
-            table.insert(entry)
-        for entry in entries:
-            assert table.lookup(entry.name) is entry, (entry.name, size)
-        assert table.lookup("absent name") is None
 
 
 def test_each_rule_fixture_yields_exactly_its_rule():

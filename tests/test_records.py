@@ -158,16 +158,17 @@ RECORDS = [
         "Diagnostic(severity='error', pos=SourcePos(line=2, column=3), message='bad', rule=1)",
     ),
     (
-        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", PRef("A"), PRef("B"), frozenset({"a"})),
+        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", PRef("A"), PRef("B"), frozenset({"a"}), "p r"),
         Assertion(
             kind=AssertionKind.PORT_ROLE,
             label="assert A [FD= B",
             spec_term=PRef("A"),
             impl_term=PRef("B"),
             alphabet=frozenset({"a"}),
+            key="p r",
         ),
         "Assertion(kind=<AssertionKind.PORT_ROLE: 'P8'>, label='assert A [FD= B', spec_term=PRef(name='A'), "
-        "impl_term=PRef(name='B'), alphabet=frozenset({'a'}))",
+        "impl_term=PRef(name='B'), alphabet=frozenset({'a'}), key='p r')",
     ),
     (
         EmitPlan("text", [], {"A": PStop()}),
@@ -278,6 +279,8 @@ def test_defaults_match_the_dataclass_signatures():
     assert RefinementVerdict(True) == RefinementVerdict(True, None, 0)
     assert SymbolEntry("X", Nature.PORT) == SymbolEntry("X", Nature.PORT, None, SourcePos())
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
+    kind, alphabet = AssertionKind.ROLE_DEADLOCK_FREE, frozenset({"a"})
+    assert Assertion(kind, "l", PStop(), PStop(), alphabet) == Assertion(kind, "l", PStop(), PStop(), alphabet, None)
     assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos(), None)
     assert Prefix("a", SUCCESS).initiated is False
 

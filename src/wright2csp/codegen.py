@@ -17,10 +17,13 @@ so the embedded engine can discharge exactly what the file asserts.  Every
 set a composite term uses is read from the declaration the text printed for
 it: ``ALPHA_x`` lines and ``channel p: {...}`` lines, where ``{|p|}`` covers
 the port's or role's own events and every other value the computation or
-glue uses under ``p``, so each channel declaration is well typed.  Emission
-records each equation's body with the names it resolves against and lowers
-those bodies to engine terms on first use of ``EmitPlan.definitions``, so a
-caller that only prints the text (``translate``) never builds them.
+glue uses under ``p``, so each channel declaration is well typed.  An
+engine term is a ``model.ProcessExpr``: the behavioural AST's classes with
+every reference resolved to an emitted name, external choice flattened into
+the engine's ``PExtN``, and the engine's parallel, renaming and hiding.
+Emission records each equation's body with the names it resolves against and
+lowers those bodies on first use of ``EmitPlan.definitions``, so a caller
+that only prints the text (``translate``) never builds them.
 """
 
 from __future__ import annotations
@@ -30,20 +33,9 @@ from functools import cached_property
 from typing import Union
 
 from .analyzer import Diagnostic
-from .engine import (
-    PExt,
-    PHide,
-    PInt,
-    PPar,
-    PPrefix,
-    PRef,
-    PSkip,
-    PStop,
-    Proc,
-    dfa_definitions,
-    rename,
-)
+from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
+    EMPTY,
     ArchSpec,
     Choice,
     Component,
@@ -52,6 +44,7 @@ from .model import (
     Declaration,
     Empty,
     ExternalChoice,
+    InternalChoice,
     Prefix,
     ProcessExpr,
     Ref,
@@ -77,8 +70,8 @@ class Assertion:
         self,
         kind: AssertionKind,
         label: str,
-        spec_term: Proc,
-        impl_term: Proc,
+        spec_term: ProcessExpr,
+        impl_term: ProcessExpr,
         alphabet: frozenset[str],
         key: str | None = None,
     ) -> None:
@@ -93,7 +86,7 @@ class Assertion:
 
 # The right-hand side of a named process: an engine term, or an equation body
 # and the names it resolves against, lowered by ``process_term`` when needed.
-Definition = Union[Proc, tuple[ProcessExpr, dict[str, str]]]
+Definition = Union[ProcessExpr, tuple[ProcessExpr, dict[str, str]]]
 
 
 @slotted(frozen=False)
@@ -114,7 +107,7 @@ class EmitPlan:
         self.diagnostics = [] if diagnostics is None else diagnostics
 
     @cached_property
-    def definitions(self) -> dict[str, Proc]:
+    def definitions(self) -> dict[str, ProcessExpr]:
         """Every named process as an engine term, lowered on first access."""
         return {
             name: process_term(*rhs) if isinstance(rhs, tuple) else rhs
@@ -144,20 +137,19 @@ def fdr_expr(expr: ProcessExpr, names: dict[str, str]) -> str:
     raise CodegenError(f"cannot render {expr!r}")
 
 
-def process_term(expr: ProcessExpr, names: dict[str, str]) -> Proc:
-    """Lower a process expression to an engine term (Empty behaves as STOP)."""
+def process_term(expr: ProcessExpr, names: dict[str, str]) -> ProcessExpr:
+    """Lower an equation body to an engine term: references resolved through
+    ``names``, external choice flattened by ``PExt``, prefix polarity dropped."""
     if isinstance(expr, Prefix):
-        return PPrefix(expr.event, process_term(expr.rest, names))
+        return Prefix(expr.event, process_term(expr.rest, names))
     if isinstance(expr, ExternalChoice):
         return PExt(process_term(expr.left, names), process_term(expr.right, names))
-    if isinstance(expr, Choice):
-        return PInt(process_term(expr.left, names), process_term(expr.right, names))
+    if isinstance(expr, InternalChoice):
+        return InternalChoice(process_term(expr.left, names), process_term(expr.right, names))
     if isinstance(expr, Ref):
-        return PRef(names.get(expr.name, expr.name))
-    if isinstance(expr, Success):
-        return PSkip()
-    if isinstance(expr, Empty):
-        return PStop()
+        return Ref(names.get(expr.name, expr.name))
+    if isinstance(expr, (Success, Empty)):
+        return expr
     raise CodegenError(f"cannot lower {expr!r}")
 
 
@@ -218,7 +210,7 @@ class _Out:
         self.sets[f"{{|{point.name}|}}"] = [prefix + v for v in values]
 
 
-def _fold(pairs: list[tuple[Proc, frozenset[str]]], last: Proc) -> Proc:
+def _fold(pairs: list[tuple[ProcessExpr, frozenset[str]]], last: ProcessExpr) -> ProcessExpr:
     """``op1 [|s1|] (op2 [|s2|] (... last))`` from the (operand, sync) pairs."""
     for operand, sync in reversed(pairs):
         last = PPar(operand, sync, last)
@@ -271,9 +263,9 @@ def _emit_decl_equations(
 def _deadlock_check(out: _Out, kind: AssertionKind, name: str, process: str) -> None:
     """``nameA``: ``process`` with ``ALPHA_name`` renamed onto abstractEvent, against DFA."""
     out.line(f"{name}A = {process} [[ x <- abstractEvent | x <- ALPHA_{name} ]]")
-    out.define(f"{name}A", rename(PRef(process), dict.fromkeys(out.sets[f"ALPHA_{name}"], "abstractEvent")))
+    out.define(f"{name}A", rename(Ref(process), dict.fromkeys(out.sets[f"ALPHA_{name}"], "abstractEvent")))
     out.assertion(
-        Assertion(kind, f"assert DFA [FD= {name}A", PRef("DFA"), PRef(f"{name}A"), frozenset({"abstractEvent"}))
+        Assertion(kind, f"assert DFA [FD= {name}A", Ref("DFA"), Ref(f"{name}A"), frozenset({"abstractEvent"}))
     )
 
 
@@ -308,10 +300,10 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
         opener = f"{conn.name} = ( (" if i == 0 else "    ("
         out.line(f"{opener}ROLE{r}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
         out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
-        renamed = rename(PRef(f"ROLE{r}"), {n: f"{r}.{n}" for n in own})
+        renamed = rename(Ref(f"ROLE{r}"), {n: f"{r}.{n}" for n in own})
         pairs.append((renamed, frozenset(out.sets[f"{{|{r}|}}"]).difference(internal)))
     out.line("    " + glue_head + ")" * len(conn.roles) + " )")
-    out.define(conn.name, _fold(pairs, PRef(glue_head)))
+    out.define(conn.name, _fold(pairs, Ref(glue_head)))
 
     _deadlock_check(out, AssertionKind.CONNECTOR_DEADLOCK_FREE, conn.name, conn.name)
     out.line()
@@ -340,7 +332,7 @@ def emit_component(out: _Out, comp: Component) -> None:
             out.line("-- no events observed!")
         _emit_decl_equations(out, port, f"PORT{p}")
         out.line(f"{p}G = PORT{p}[[ x <-{p}.x | x <- ALPHA_{p} ]]")
-        out.define(f"{p}G", rename(PRef(f"PORT{p}"), {n: f"{p}.{n}" for n in out.sets[f"ALPHA_{p}"]}))
+        out.define(f"{p}G", rename(Ref(f"PORT{p}"), {n: f"{p}.{n}" for n in out.sets[f"ALPHA_{p}"]}))
         out.line()
 
     for port in comp.ports:
@@ -363,7 +355,7 @@ def emit_component(out: _Out, comp: Component) -> None:
             obs = list(q.alphabet.observed)
             scoped_obs = [f"{q.name}.{n}" for n in obs]
             internal = sorted(e for e in q.alphabet.param_total if e not in computation_events)
-            seg, term = f"( PORT{q.name}DETR", PRef(f"PORT{q.name}DETR")
+            seg, term = f"( PORT{q.name}DETR", Ref(f"PORT{q.name}DETR")
             if obs:
                 seg += f" [[ x <- {q.name}.x | x <- {{{', '.join(obs)} }} ]]"
                 term = rename(term, dict(zip(obs, scoped_obs)))
@@ -373,13 +365,13 @@ def emit_component(out: _Out, comp: Component) -> None:
             pairs.append((term, frozenset(scoped_obs).difference(internal)))
         out.line(f"{first}{comp_head}{')' * (len(pairs) + 1)}\\ diff(ALPHA_{comp.name}, {{ |{p}| }})")
         p_events = frozenset(out.sets[f"{{|{p}|}}"])
-        out.define(f"COMP{p}", PHide(_fold(pairs, PRef(comp_head)), comp_events - p_events))
+        out.define(f"COMP{p}", PHide(_fold(pairs, Ref(comp_head)), comp_events - p_events))
         out.assertion(
             Assertion(
                 AssertionKind.PORT_COMPUTATION,
                 f"assert {p}G [FD= COMP{p}",
-                PRef(f"{p}G"),
-                PRef(f"COMP{p}"),
+                Ref(f"{p}G"),
+                Ref(f"COMP{p}"),
                 p_events,
             )
         )
@@ -419,20 +411,20 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
     out.line()
     instances = {i.name: i.type_name for i in spec.instances}
     types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
-    port_plus: dict[str, Proc] = {}
-    role_plus: dict[str, Proc] = {}
+    port_plus: dict[str, ProcessExpr] = {}
+    role_plus: dict[str, ProcessExpr] = {}
     unions: dict[str, frozenset[str]] = {}
-    role_det: dict[str, Proc] = {}
+    role_det: dict[str, ProcessExpr] = {}
     for att in spec.attachments:
         ci, p, ni, r = _attachment_points(instances, types, att)
         pair = f"{p} {r}"
         both = unions.get(pair)
         if both is None:
             a_p, a_r = set(out.sets[f"ALPHA_{p}"]), set(out.sets[f"ALPHA_{r}"])
-            port_plus[pair] = PPar(PRef(f"PORT{p}"), frozenset(a_r - a_p), PStop())
-            role_plus[pair] = PPar(PRef(f"ROLE{r}"), frozenset(a_p - a_r), PStop())
+            port_plus[pair] = PPar(Ref(f"PORT{p}"), frozenset(a_r - a_p), EMPTY)
+            role_plus[pair] = PPar(Ref(f"ROLE{r}"), frozenset(a_p - a_r), EMPTY)
             both = unions[pair] = frozenset(a_p | a_r)
-            role_det[pair] = PRef(f"ROLE{r}DET")
+            role_det[pair] = Ref(f"ROLE{r}DET")
         port_name, role_name = f"{ci}_{p}PLUS", f"{ni}_{r}PLUS"
         out.line(f"{port_name} = PORT{p}")
         out.line(f"  [| diff( ALPHA_{r} , ALPHA_{p} ) |] STOP")
@@ -443,13 +435,13 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
         out.line(f"{port_name}DET = {port_name}")
         out.line(f"  [| union(ALPHA_{p} , ALPHA_{r} ) |]")
         out.line(f"  ROLE{r}DET")
-        out.define(f"{port_name}DET", PPar(PRef(port_name), both, role_det[pair]))
+        out.define(f"{port_name}DET", PPar(Ref(port_name), both, role_det[pair]))
         out.assertion(
             Assertion(
                 AssertionKind.PORT_ROLE,
                 f"assert {role_name} [FD= {port_name}DET",
-                PRef(role_name),
-                PRef(f"{port_name}DET"),
+                Ref(role_name),
+                Ref(f"{port_name}DET"),
                 both,
                 pair,
             )

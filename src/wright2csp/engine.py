@@ -1,8 +1,10 @@
 """Desk-scale failures-divergences refinement engine.
 
-Process terms (prefix, choices, synchronized parallel, renaming, hiding,
-STOP/SKIP, named references) compile to finite labelled transition systems by
-explicit-state exploration, in the style of FDR3's supercombinators.  Each
+Process terms compile to finite labelled transition systems by
+explicit-state exploration, in the style of FDR3's supercombinators.  A term
+is a ``model.ProcessExpr``: the behavioural AST's prefix, internal choice,
+reference, ``Success`` (SKIP) and ``Empty`` (STOP), plus this module's
+synchronized parallel, renaming, hiding and flat external choice.  Each
 term position numbers its own states.  Sequential terms (prefix, choices,
 references, STOP/SKIP) are stepped as terms.  Renaming and hiding only
 relabel moves, so they are contexts of a position rather than nodes: a term
@@ -27,8 +29,9 @@ edges.  ``check_assertion`` pauses the cyclic garbage collector while it
 compiles, normalizes and refines: none of these creates a reference cycle.
 When many assertions are discharged together, those the caller keys alike
 share one check (see ``assertion_verdicts``).  Process terms are plain
-slotted classes, immutable and hashable (``model.slotted``); their ``repr``,
-which orders the branches of an external choice, is the dataclass one.
+slotted classes, immutable and hashable (``model.slotted``).  ``PExt``
+orders the branches of an external choice by their ``repr``; a state is
+keyed by term equality, which ignores a prefix's polarity.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
@@ -47,7 +50,7 @@ import gc
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .model import slotted
+from .model import EMPTY, SUCCESS, Empty, InternalChoice, Prefix, ProcessExpr, Ref, Success, slotted
 
 TAU = "τ"
 TICK = "✓"
@@ -76,31 +79,8 @@ class AlphabetMismatchError(EngineError):
 # --- process terms ----------------------------------------------------------
 
 
-class Proc:
-    __slots__ = ()
-
-
 @slotted(frozen=True)
-class PStop(Proc):
-    __slots__ = ()
-
-
-@slotted(frozen=True)
-class PSkip(Proc):
-    __slots__ = ()
-
-
-@slotted(frozen=True)
-class PPrefix(Proc):
-    __slots__ = ("event", "rest")
-
-    def __init__(self, event: str, rest: Proc) -> None:
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "rest", rest)
-
-
-@slotted(frozen=True)
-class PExtN(Proc):
+class PExtN(ProcessExpr):
     """External choice, kept flat and canonically ordered.
 
     External choice is associative, commutative and idempotent, so nested
@@ -111,13 +91,13 @@ class PExtN(Proc):
 
     __slots__ = ("branches",)
 
-    def __init__(self, branches: tuple[Proc, ...]) -> None:
+    def __init__(self, branches: tuple[ProcessExpr, ...]) -> None:
         object.__setattr__(self, "branches", branches)
 
 
-def PExt(*operands: Proc) -> Proc:
+def PExt(*operands: ProcessExpr) -> ProcessExpr:
     """External choice of the operands, flattened into one canonical PExtN."""
-    branches: set[Proc] = set()
+    branches: set[ProcessExpr] = set()
     for operand in operands:
         if isinstance(operand, PExtN):
             branches.update(operand.branches)
@@ -129,57 +109,40 @@ def PExt(*operands: Proc) -> Proc:
 
 
 @slotted(frozen=True)
-class PInt(Proc):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Proc, right: Proc) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-@slotted(frozen=True)
-class PRef(Proc):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-
-
-@slotted(frozen=True)
-class PPar(Proc):
+class PPar(ProcessExpr):
     __slots__ = ("left", "sync", "right")
 
-    def __init__(self, left: Proc, sync: frozenset[str], right: Proc) -> None:
+    def __init__(self, left: ProcessExpr, sync: frozenset[str], right: ProcessExpr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "sync", sync)
         object.__setattr__(self, "right", right)
 
 
 @slotted(frozen=True)
-class PRename(Proc):
+class PRename(ProcessExpr):
     __slots__ = ("inner", "mapping")
 
-    def __init__(self, inner: Proc, mapping: tuple[tuple[str, str], ...]) -> None:
+    def __init__(self, inner: ProcessExpr, mapping: tuple[tuple[str, str], ...]) -> None:
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "mapping", mapping)
 
 
 @slotted(frozen=True)
-class PHide(Proc):
+class PHide(ProcessExpr):
     __slots__ = ("inner", "hidden")
 
-    def __init__(self, inner: Proc, hidden: frozenset[str]) -> None:
+    def __init__(self, inner: ProcessExpr, hidden: frozenset[str]) -> None:
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "hidden", hidden)
 
 
-def rename(p: Proc, mapping: Mapping[str, str]) -> PRename:
+def rename(p: ProcessExpr, mapping: Mapping[str, str]) -> PRename:
     return PRename(p, tuple(sorted(mapping.items())))
 
 
-def dfa_definitions() -> dict[str, Proc]:
+def dfa_definitions() -> dict[str, ProcessExpr]:
     """The canonical deadlock-freedom specification over one abstract event."""
-    return {"DFA": PInt(PPrefix("abstractEvent", PRef("DFA")), PSkip())}
+    return {"DFA": InternalChoice(Prefix("abstractEvent", Ref("DFA")), SUCCESS)}
 
 
 # --- compilation to a labelled transition system ----------------------------
@@ -213,23 +176,23 @@ class Lts:
         return [(s, a, t) for s, out in enumerate(self.adj) for a, t in out]
 
 
-def _step(term: Proc, env: Mapping[str, Proc]) -> list[tuple[str, Proc]]:
+def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> list[tuple[str, ProcessExpr]]:
     """Initial transitions of a sequential term (no operator at its head).
 
     Successors may be operator terms (a reference to a parallel composition,
     say); the ``_Process`` that owns the term enters them.
     """
-    if isinstance(term, PStop):
+    if isinstance(term, Empty):
         return []
-    if isinstance(term, PSkip):
-        return [(TICK, PStop())]
-    if isinstance(term, PPrefix):
+    if isinstance(term, Success):
+        return [(TICK, EMPTY)]
+    if isinstance(term, Prefix):
         return [(term.event, term.rest)]
-    if isinstance(term, PRef):
+    if isinstance(term, Ref):
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         return [(TAU, env[term.name])]
-    if isinstance(term, PInt):
+    if isinstance(term, InternalChoice):
         return [(TAU, term.left), (TAU, term.right)]
     if isinstance(term, PExtN):
         out = []
@@ -290,7 +253,7 @@ def _too_deep(depth: int) -> None:
 class _Process:
     """The states of one term position: terms in contexts, or parallel node states."""
 
-    def __init__(self, env: Mapping[str, Proc], depth: int = 0) -> None:
+    def __init__(self, env: Mapping[str, ProcessExpr], depth: int = 0) -> None:
         _too_deep(depth)
         self.env = env
         self.states: list = []  # a term, (context, term), or a node state (k, l, r)
@@ -301,7 +264,7 @@ class _Process:
         self.nodes: list[_Par] = []
         self.index: dict = {}  # (context, sync) -> k, the node's index in nodes
 
-    def enter(self, term: Proc, c: int = 0) -> int:
+    def enter(self, term: ProcessExpr, c: int = 0) -> int:
         """The state of ``term`` in context ``c``."""
         cls = type(term)
         while cls is PRename or cls is PHide:
@@ -381,7 +344,7 @@ class _Par:
     """
 
     def __init__(
-        self, k: int, states: list, env: Mapping[str, Proc], depth: int,
+        self, k: int, states: list, env: Mapping[str, ProcessExpr], depth: int,
         sync: frozenset[str], relabel: dict[str, str],
     ) -> None:
         self.k, self.states, self.sync, self.special = k, states, sync, sync | {TICK}
@@ -457,8 +420,8 @@ class _Par:
 
 
 def compile_to_lts(
-    term: Proc,
-    env: Mapping[str, Proc] | None = None,
+    term: ProcessExpr,
+    env: Mapping[str, ProcessExpr] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Lts:
     """Explore the reachable state space of ``term``.
@@ -730,9 +693,9 @@ def check_refinement_fd(
 
 
 def check_assertion(
-    spec_term: Proc,
-    impl_term: Proc,
-    env: Mapping[str, Proc],
+    spec_term: ProcessExpr,
+    impl_term: ProcessExpr,
+    env: Mapping[str, ProcessExpr],
     alphabet: frozenset[str],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> RefinementVerdict:
@@ -768,7 +731,7 @@ def check_assertion(
 
 def assertion_verdicts(
     assertions: Iterable,
-    env: Mapping[str, Proc],
+    env: Mapping[str, ProcessExpr],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Iterator[tuple[str, RefinementVerdict | EngineError]]:
     """(label, verdict) per assertion, in order; an undecided one has its error.
@@ -798,7 +761,7 @@ def assertion_verdicts(
 
 def discharge_assertions(
     assertions: Sequence,
-    env: Mapping[str, Proc],
+    env: Mapping[str, ProcessExpr],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> list[tuple[str, RefinementVerdict]]:
     """One verdict per assertion, in emission order (see ``assertion_verdicts``).

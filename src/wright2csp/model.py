@@ -2,7 +2,7 @@
 
 Structural side: Component / Connector / Configuration / Style.  Behavioural
 side: ProcessExpr trees whose leaves are named references and the success
-process.  An event is its qualified name as a plain string (``read``,
+process; the engine steps these same classes as its sequential terms.  An event is its qualified name as a plain string (``read``,
 ``In.read``); a prefix also records whether its use is initiated (``_read``),
 but prefixes compare equal regardless.  An alphabet is an insertion-ordered
 ``dict`` from qualified name to the polarity of its first use, so generated

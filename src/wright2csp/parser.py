@@ -42,7 +42,6 @@ from .model import (
     Style,
     SUCCESS,
     Success,
-    Empty,
     Choice,
 )
 
@@ -483,8 +482,6 @@ def _expr_src(expr: ProcessExpr) -> str:
         return expr.name
     if isinstance(expr, Success):
         return "TICK"
-    if isinstance(expr, Empty):
-        return "SKIP"
     raise TypeError(f"unprintable expression {expr!r}")
 
 

@@ -22,14 +22,8 @@ from wright2csp.engine import (
     PExt,
     PExtN,
     PHide,
-    PInt,
     PPar,
-    PPrefix,
-    PRef,
     PRename,
-    PSkip,
-    PStop,
-    Proc,
     ResourceLimitError,
     UnresolvedProcessError,
     compile_to_lts,
@@ -40,6 +34,8 @@ from wright2csp.model import (
     Alphabet,
     Choice,
     Declaration,
+    EMPTY,
+    Empty,
     ExternalChoice,
     InternalChoice,
     Prefix,
@@ -47,6 +43,7 @@ from wright2csp.model import (
     Ref,
     SUCCESS,
     SourcePos,
+    Success,
 )
 from wright2csp.parser import KEYWORDS, ParseError, Token, TokKind
 
@@ -92,7 +89,7 @@ def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"
     prefix, an internal choice or a reference), and some recurse through an
     operator, so the state space may be infinite.
     """
-    env: dict[str, Proc] = {}
+    env: dict[str, ProcessExpr] = {}
     names = itertools.count()
 
     def fresh(prefix: str) -> str:
@@ -102,12 +99,12 @@ def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"
         # tick included: the operators must treat it exactly as the reference does
         return frozenset(e for e in alphabet + (TICK,) if rng.random() < p)
 
-    def leaf() -> Proc:
+    def leaf() -> ProcessExpr:
         name = fresh("X")
         env[name] = process_term(random_expr(rng, alphabet, max_ops=4), {SELF: name})
-        return env[name] if rng.random() < 0.5 else PRef(name)
+        return env[name] if rng.random() < 0.5 else Ref(name)
 
-    def build(d: int) -> Proc:
+    def build(d: int) -> ProcessExpr:
         if d == 0 or rng.random() < 0.2:
             return leaf()
         kind = rng.randrange(6)
@@ -119,14 +116,14 @@ def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"
         if kind == 2:
             return PHide(build(d - 1), events(0.4))
         if kind == 3:
-            return PPrefix(rng.choice(alphabet), build(d - 1))
+            return Prefix(rng.choice(alphabet), build(d - 1))
         if kind == 4:
             name = fresh("Y")
             env[name] = build(d - 1)
-            return PInt(PRef(name), build(d - 1))
+            return InternalChoice(Ref(name), build(d - 1))
         name = fresh("R")
-        env[name] = PPar(PPrefix(rng.choice(alphabet), PRef(name)), events(0.6), build(d - 1))
-        return PRef(name)
+        env[name] = PPar(Prefix(rng.choice(alphabet), Ref(name)), events(0.6), build(d - 1))
+        return Ref(name)
 
     return build(depth), env
 
@@ -162,23 +159,23 @@ def hide_semantically(lts: Lts, hidden: set[str]) -> Lts:
 # transition order included).
 
 
-def _reference_step(term: Proc, env, memo: dict) -> tuple[tuple[str, Proc], ...]:
+def _reference_step(term: ProcessExpr, env, memo: dict) -> tuple[tuple[str, ProcessExpr], ...]:
     """Initial transitions of a term under the standard operational rules."""
     cached = memo.get(term)
     if cached is not None:
         return cached
-    out: list[tuple[str, Proc]]
-    if isinstance(term, PStop):
+    out: list[tuple[str, ProcessExpr]]
+    if isinstance(term, Empty):
         out = []
-    elif isinstance(term, PSkip):
-        out = [(TICK, PStop())]
-    elif isinstance(term, PPrefix):
+    elif isinstance(term, Success):
+        out = [(TICK, EMPTY)]
+    elif isinstance(term, Prefix):
         out = [(term.event, term.rest)]
-    elif isinstance(term, PRef):
+    elif isinstance(term, Ref):
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         out = [(TAU, env[term.name])]
-    elif isinstance(term, PInt):
+    elif isinstance(term, InternalChoice):
         out = [(TAU, term.left), (TAU, term.right)]
     elif isinstance(term, PExtN):
         out = []
@@ -232,13 +229,13 @@ def _reference_step(term: Proc, env, memo: dict) -> tuple[tuple[str, Proc], ...]
     return result
 
 
-def reference_compile(term: Proc, env=None, max_states: int = 200_000) -> Lts:
+def reference_compile(term: ProcessExpr, env=None, max_states: int = 200_000) -> Lts:
     """Breadth-first exploration with whole terms as states."""
     env = env or {}
     memo: dict = {}
-    index: dict[Proc, int] = {term: 0}
+    index: dict[ProcessExpr, int] = {term: 0}
     transitions: list[tuple[int, str, int]] = []
-    queue: deque[Proc] = deque([term])
+    queue: deque[ProcessExpr] = deque([term])
     while queue:
         cur = queue.popleft()
         s = index[cur]
@@ -740,6 +737,39 @@ def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ..
     return explore(tau_closure(lts, [lts.initial]), depth)
 
 
+# --- the process sublanguage of emitted FDR text --------------------------------
+
+_PROCESS_TOKEN = re.compile(r"\s*(->|\[\]|\|~\||[()]|[\w.]+)")
+
+
+def read_process(text: str) -> ProcessExpr:
+    """The expression a fully parenthesised ``fdr_expr`` line denotes:
+    ``(e -> P)``, ``(P [] Q)``, ``(P |~| Q)``, a name, ``SKIP`` or ``STOP``."""
+    tokens = _PROCESS_TOKEN.findall(text)
+    assert "".join(tokens) == "".join(text.split()), f"not a process expression: {text!r}"
+
+    def read(i: int) -> tuple[ProcessExpr, int]:
+        tok = tokens[i]
+        if tok != "(":
+            return (SUCCESS if tok == "SKIP" else EMPTY if tok == "STOP" else Ref(tok)), i + 1
+        if tokens[i + 2] == "->":
+            event = tokens[i + 1]
+            rest, i = read(i + 3)
+            expr = Prefix(event, rest)
+        else:
+            left, i = read(i + 1)
+            op = tokens[i]
+            assert op in ("[]", "|~|"), f"no operator at token {i} of {text!r}"
+            right, i = read(i + 1)
+            expr = (ExternalChoice if op == "[]" else InternalChoice)(left, right)
+        assert tokens[i] == ")", f"unclosed group at token {i} of {text!r}"
+        return expr, i + 1
+
+    expr, end = read(0)
+    assert end == len(tokens), f"trailing text in process expression {text!r}"
+    return expr
+
+
 # --- the set sublanguage of emitted FDR text -----------------------------------
 
 _SET_TOKEN = re.compile(r"\s*([{}|(),]|[\w.]+)")
@@ -839,7 +869,7 @@ def definition_texts(text: str) -> dict[str, str]:
     return out
 
 
-def term_sites(term: Proc) -> list[tuple[str, object]]:
+def term_sites(term: ProcessExpr) -> list[tuple[str, object]]:
     """The sets of a composite term in the order its CSPm text prints them."""
     if isinstance(term, PPar):
         return term_sites(term.left) + [("sync", term.sync)] + term_sites(term.right)

@@ -2,7 +2,7 @@ import gc
 import re
 
 from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perfbench_workloads
-from oracles import EmittedSets, definition_texts, term_sites
+from oracles import EmittedSets, definition_texts, read_process, term_sites
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit
 from wright2csp.parser import parse_source
@@ -340,6 +340,32 @@ def test_composite_sets_are_the_sets_the_text_denotes():
             elif a.kind is AssertionKind.PORT_ROLE:
                 union = re.search(r"\[\|\s*(union\(.*?\))\s*\|\]", texts[a.impl_term.name], re.DOTALL)
                 assert a.alphabet == sets.evaluate(union.group(1)), (name, a.label)
+
+
+# --- the terms' processes are the processes the text denotes ---------------------
+
+
+def test_sequential_definitions_are_the_processes_the_text_denotes():
+    workloads = perfbench_workloads()
+    sources = _sources() + [
+        ("star(4)", workloads.star_case(4, "t").source),
+        ("star(4) failing", workloads.star_case(4, "t", 2).source),
+        ("pipeline(20) failing", workloads.pipeline_case(20, "t", True).source),
+    ]
+    read = 0
+    for name, plan in _front_end_plans(sources):
+        # the header's DFA line is written by hand; its term is ``dfa_definitions``
+        body = "\n".join(plan.text.splitlines()[len(codegen.HEADER_LINES):])
+        lines = {
+            proc: text.split(" = ", 1)[1]
+            for proc, text in definition_texts(body).items()
+            if "\n" not in text and "[[" not in text and "{" not in text
+        }
+        denoted = {proc: codegen.process_term(read_process(expr), {}) for proc, expr in lines.items()}
+        sequential = {proc for proc, rhs in plan.equations.items() if isinstance(rhs, tuple)}
+        assert denoted == {proc: plan.definitions[proc] for proc in sequential}, name
+        read += len(denoted)
+    assert read > 4000
 
 
 def _ill_typed_events(text):

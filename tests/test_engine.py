@@ -26,12 +26,7 @@ from wright2csp.engine import (
     Lts,
     PExt,
     PHide,
-    PInt,
     PPar,
-    PPrefix,
-    PRef,
-    PSkip,
-    PStop,
     ResourceLimitError,
     assertion_verdicts,
     check_assertion,
@@ -43,19 +38,20 @@ from wright2csp.engine import (
     normalize_fd,
     rename,
 )
+from wright2csp.model import EMPTY, SUCCESS, InternalChoice, Prefix, Ref
 from wright2csp.parser import parse_source
 from wright2csp import alphabets, codegen
 from wright2csp.cli import main
 
 
 def test_stop_compiles_to_single_dead_state():
-    lts = compile_to_lts(PStop())
+    lts = compile_to_lts(EMPTY)
     assert lts.n_states == 1
     assert lts.transitions == []
 
 
 def test_skip_ticks_once():
-    lts = compile_to_lts(PSkip())
+    lts = compile_to_lts(SUCCESS)
     assert [(s, a) for s, a, _ in lts.transitions] == [(0, TICK)]
 
 
@@ -71,15 +67,15 @@ def test_dfa_shape():
 
 def test_synchronized_parallel_collapses_to_loop():
     # P = (e -> f -> P) [] (g -> P),  Q = e -> (f -> Q [] g -> Q)
-    p = PExt(PPrefix("e", PPrefix("f", PRef("P"))), PPrefix("g", PRef("P")))
-    q = PPrefix("e", PExt(PPrefix("f", PRef("Q")), PPrefix("g", PRef("Q"))))
-    env = {"P": p, "Q": q, "R": PPrefix("e", PPrefix("f", PRef("R")))}
-    par = PPar(PRef("P"), frozenset({"e", "f", "g"}), PRef("Q"))
-    assert traces(compile_to_lts(par, env), 6) == traces(compile_to_lts(PRef("R"), env), 6)
+    p = PExt(Prefix("e", Prefix("f", Ref("P"))), Prefix("g", Ref("P")))
+    q = Prefix("e", PExt(Prefix("f", Ref("Q")), Prefix("g", Ref("Q"))))
+    env = {"P": p, "Q": q, "R": Prefix("e", Prefix("f", Ref("R")))}
+    par = PPar(Ref("P"), frozenset({"e", "f", "g"}), Ref("Q"))
+    assert traces(compile_to_lts(par, env), 6) == traces(compile_to_lts(Ref("R"), env), 6)
 
 
 def test_rename_and_hide():
-    p = PPrefix("a", PPrefix("b", PSkip()))
+    p = Prefix("a", Prefix("b", SUCCESS))
     renamed = rename(p, {"a": "In.a"})
     assert ("In.a",) in traces(compile_to_lts(renamed), 2)
     hidden = PHide(p, frozenset({"a"}))
@@ -87,7 +83,7 @@ def test_rename_and_hide():
 
 
 def test_normalize_prefix_stop_failures():
-    lts = compile_to_lts(PPrefix("a", PStop()))
+    lts = compile_to_lts(Prefix("a", EMPTY))
     fd = normalize_fd(lts)
     assert refuses(fd, (), {TICK})
     assert not refuses(fd, (), {"a"})
@@ -96,7 +92,7 @@ def test_normalize_prefix_stop_failures():
 
 
 def test_normalize_tick_behaviour():
-    fd = normalize_fd(compile_to_lts(PPrefix("a", PSkip())))
+    fd = normalize_fd(compile_to_lts(Prefix("a", SUCCESS)))
     assert refuses(fd, ("a",), {"a"})        # may refuse regular events
     assert not refuses(fd, ("a",), {TICK})   # but never the success event
     assert refuses(fd, ("a", TICK), {"a", TICK})  # anything goes after termination
@@ -104,13 +100,13 @@ def test_normalize_tick_behaviour():
 
 
 def test_tau_loop_diverges():
-    lts = compile_to_lts(PRef("P"), {"P": PRef("P")})
+    lts = compile_to_lts(Ref("P"), {"P": Ref("P")})
     fd = normalize_fd(lts)
     assert is_divergence(fd, ())
 
 
 def test_deterministic_process_has_no_divergence():
-    p = PExt(PPrefix("a", PSkip()), PPrefix("b", PStop()))
+    p = PExt(Prefix("a", SUCCESS), Prefix("b", EMPTY))
     fd = normalize_fd(compile_to_lts(p))
     assert not any(fd.divergent)
 
@@ -118,7 +114,7 @@ def test_deterministic_process_has_no_divergence():
 def test_normalized_deterministic_machine_is_functional():
     # deterministic, divergence-free: one node per trace, refusals are ready
     # complements
-    p = PExt(PPrefix("a", PPrefix("b", PSkip())), PPrefix("c", PStop()))
+    p = PExt(Prefix("a", Prefix("b", SUCCESS)), Prefix("c", EMPTY))
     fd = normalize_fd(compile_to_lts(p))
     assert not any(fd.divergent)
     for node in range(fd.node_count):
@@ -139,8 +135,8 @@ def test_refinement_reflexive_on_fixture_assertions():
 
 def test_dfa_refinement_catches_deadlock():
     env = dfa_definitions()
-    env["DEAD"] = rename(PPrefix("x", PStop()), {"x": "abstractEvent"})
-    verdict = check_assertion(PRef("DFA"), PRef("DEAD"), env, frozenset({"abstractEvent"}))
+    env["DEAD"] = rename(Prefix("x", EMPTY), {"x": "abstractEvent"})
+    verdict = check_assertion(Ref("DFA"), Ref("DEAD"), env, frozenset({"abstractEvent"}))
     assert not verdict.holds
     trace, kind = verdict.counterexample
     assert kind == "failure"
@@ -156,16 +152,16 @@ def test_dfa_refinement_accepts_deadlock_free_role():
 
 def test_alphabet_mismatch_is_an_error():
     env = dfa_definitions()
-    env["ODD"] = PPrefix("other", PStop())
+    env["ODD"] = Prefix("other", EMPTY)
     with pytest.raises(AlphabetMismatchError):
-        check_assertion(PRef("DFA"), PRef("ODD"), env, frozenset({"abstractEvent"}))
+        check_assertion(Ref("DFA"), Ref("ODD"), env, frozenset({"abstractEvent"}))
 
 
 def test_state_cap_is_enforced():
     # an unbounded counter: left operand keeps spawning interleaved copies
-    env = {"P": PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))}
+    env = {"P": PPar(Prefix("a", Ref("P")), frozenset(), Prefix("a", EMPTY))}
     with pytest.raises(ResourceLimitError):
-        compile_to_lts(PRef("P"), env, max_states=50)
+        compile_to_lts(Ref("P"), env, max_states=50)
 
 
 FIXTURES_WITH_ASSERTIONS = (
@@ -210,10 +206,10 @@ def test_compile_matches_term_level_reference_on_random_operator_terms():
 
 def test_operator_term_reached_two_ways_is_one_state():
     # X unfolds inside the first branch to exactly the second branch
-    body = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    body = PPar(Prefix("a", EMPTY), frozenset(), Prefix("b", EMPTY))
     env = {"X": body}
-    right = PPrefix("c", PStop())
-    term = PInt(PPar(PRef("X"), frozenset({"c"}), right), PPar(body, frozenset({"c"}), right))
+    right = Prefix("c", EMPTY)
+    term = InternalChoice(PPar(Ref("X"), frozenset({"c"}), right), PPar(body, frozenset({"c"}), right))
     lts = compile_to_lts(term, env)
     assert _compiled(compile_to_lts, term, env) == _compiled(reference_compile, term, env)
     assert lts.n_states == 6
@@ -228,7 +224,7 @@ def _compiled_as_reference(term, env=None):
 
 
 def test_tick_in_the_sync_set_is_both_synchronised_and_distributed():
-    term = PPar(PExt(PPrefix("a", PSkip()), PSkip()), frozenset({TICK}), PSkip())
+    term = PPar(PExt(Prefix("a", SUCCESS), SUCCESS), frozenset({TICK}), SUCCESS)
     # the sync pass and the tick pass each join the two ticks
     assert _compiled_as_reference(term) == [
         (0, "a", 1), (0, TICK, 2), (0, TICK, 2), (1, TICK, 2), (1, TICK, 2)]
@@ -236,13 +232,13 @@ def test_tick_in_the_sync_set_is_both_synchronised_and_distributed():
 
 def test_sync_event_offered_by_one_side_only_is_blocked():
     for left, right in (("a", "b"), ("b", "a")):
-        term = PPar(PPrefix(left, PStop()), frozenset({"a"}), PPrefix(right, PStop()))
+        term = PPar(Prefix(left, EMPTY), frozenset({"a"}), Prefix(right, EMPTY))
         assert _compiled_as_reference(term) == [(0, "b", 1)]
 
 
 def test_sync_joins_each_left_move_with_every_right_move_in_order():
-    left = PExt(PPrefix("a", PPrefix("d", PStop())), PPrefix("a", PPrefix("e", PStop())))
-    right = PExt(PPrefix("a", PPrefix("b", PStop())), PPrefix("a", PPrefix("c", PStop())))
+    left = PExt(Prefix("a", Prefix("d", EMPTY)), Prefix("a", Prefix("e", EMPTY)))
+    right = PExt(Prefix("a", Prefix("b", EMPTY)), Prefix("a", Prefix("c", EMPTY)))
     # states 1..4 are (d, b), (d, c), (e, b), (e, c): left-major order
     assert _compiled_as_reference(PPar(left, frozenset({"a"}), right)) == [
         (0, "a", 1), (0, "a", 2), (0, "a", 3), (0, "a", 4),
@@ -252,8 +248,8 @@ def test_sync_joins_each_left_move_with_every_right_move_in_order():
 
 
 def test_hiding_and_renaming_over_a_parallel_whose_operands_unfold_references():
-    env = {"P": PPrefix("a", PPrefix("b", PRef("P"))), "Q": PPrefix("a", PRef("Q"))}
-    par = PPar(PRef("P"), frozenset({"a"}), PRef("Q"))
+    env = {"P": Prefix("a", Prefix("b", Ref("P"))), "Q": Prefix("a", Ref("Q"))}
+    par = PPar(Ref("P"), frozenset({"a"}), Ref("Q"))
     term = PHide(rename(par, {"a": "x", "b": "y"}), frozenset({"y"}))
     assert _compiled_as_reference(term, env) == [
         (0, TAU, 1), (0, TAU, 2), (1, TAU, 3), (2, TAU, 3),
@@ -295,13 +291,13 @@ def test_compile_leaves_no_reference_cycles():
 
 def test_check_assertion_leaves_the_collector_as_it_found_it():
     env = dfa_definitions()
-    env["ODD"] = PPrefix("other", PStop())
-    env["P"] = PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))
+    env["ODD"] = Prefix("other", EMPTY)
+    env["P"] = PPar(Prefix("a", Ref("P")), frozenset(), Prefix("a", EMPTY))
     alphabet = frozenset({"abstractEvent"})
     calls = [
-        (None, lambda: check_assertion(PRef("DFA"), PRef("DFA"), env, alphabet)),
-        (AlphabetMismatchError, lambda: check_assertion(PRef("DFA"), PRef("ODD"), env, alphabet)),
-        (ResourceLimitError, lambda: check_assertion(PRef("DFA"), PRef("P"), env, alphabet, 20)),
+        (None, lambda: check_assertion(Ref("DFA"), Ref("DFA"), env, alphabet)),
+        (AlphabetMismatchError, lambda: check_assertion(Ref("DFA"), Ref("ODD"), env, alphabet)),
+        (ResourceLimitError, lambda: check_assertion(Ref("DFA"), Ref("P"), env, alphabet, 20)),
     ]
     try:
         for enabled in (True, False):
@@ -318,26 +314,26 @@ def test_check_assertion_leaves_the_collector_as_it_found_it():
 
 
 def test_state_cap_raises_exactly_where_the_reference_does():
-    counter = {"P": PPar(PPrefix("a", PRef("P")), frozenset(), PPrefix("a", PStop()))}
+    counter = {"P": PPar(Prefix("a", Ref("P")), frozenset(), Prefix("a", EMPTY))}
     dt3 = emit_plan("dt3.wrt")
     connector = max((a.impl_term for a in dt3.assertions),
                     key=lambda t: compile_to_lts(t, dt3.definitions).n_states)
     term, env = random_operator_term(random.Random(5), depth=3)
-    for term, env in ((PStop(), {}), (PRef("P"), counter), (connector, dt3.definitions), (term, env)):
+    for term, env in ((EMPTY, {}), (Ref("P"), counter), (connector, dt3.definitions), (term, env)):
         for cap in range(-1, 45):
             assert _compiled(compile_to_lts, term, env, cap) == _compiled(reference_compile, term, env, cap), cap
 
 
 def test_unbounded_operator_nesting_is_a_resource_limit():
     # each `a` nests one more parallel: the stack, not the state count, runs out
-    env = {"R0": PPar(PPrefix("a", PRef("R0")), frozenset({"b"}), PPrefix("b", PStop()))}
+    env = {"R0": PPar(Prefix("a", Ref("R0")), frozenset({"b"}), Prefix("b", EMPTY))}
     with pytest.raises(ResourceLimitError, match="state cap 100 exceeded"):
-        compile_to_lts(PRef("R0"), env, 100)
+        compile_to_lts(Ref("R0"), env, 100)
     message = f"operator nesting cap {engine.MAX_NESTING} exceeded"
     for cap in (1000, DEFAULT_MAX_STATES):
         with pytest.raises(ResourceLimitError, match=message):
-            compile_to_lts(PRef("R0"), env, cap)
-    deep = SimpleNamespace(label="deep", spec_term=PRef("R0"), impl_term=PRef("R0"),
+            compile_to_lts(Ref("R0"), env, cap)
+    deep = SimpleNamespace(label="deep", spec_term=Ref("R0"), impl_term=Ref("R0"),
                            alphabet=frozenset({"a", "b"}), key=None)
     [(label, verdict)] = assertion_verdicts([deep], env)
     assert label == "deep" and isinstance(verdict, ResourceLimitError)
@@ -347,24 +343,24 @@ def test_unbounded_operator_nesting_is_a_resource_limit():
 @pytest.mark.parametrize("wrap", ["rename", "hide", "hide of rename"])
 def test_unbounded_nesting_through_renaming_and_hiding_is_a_resource_limit(wrap):
     # R = (a -> R)[[a <- b]] and the like: each unfolding nests one more relabelling
-    body = PPrefix("a", PRef("R"))
+    body = Prefix("a", Ref("R"))
     env = {"R": {"rename": rename(body, {"a": "b"}),
                  "hide": PHide(body, frozenset({"a"})),
                  "hide of rename": PHide(rename(body, {"a": "b"}), frozenset({"b"}))}[wrap]}
     for cap in range(-1, 60):
-        want = _compiled(reference_compile, PRef("R"), env, cap)
+        want = _compiled(reference_compile, Ref("R"), env, cap)
         assert want == f"state cap {cap} exceeded"
-        assert _compiled(compile_to_lts, PRef("R"), env, cap) == want, cap
+        assert _compiled(compile_to_lts, Ref("R"), env, cap) == want, cap
     message = f"operator nesting cap {engine.MAX_NESTING} exceeded"
     for cap in (1000, DEFAULT_MAX_STATES):
         with pytest.raises(ResourceLimitError, match=message):
-            compile_to_lts(PRef("R"), env, cap)
+            compile_to_lts(Ref("R"), env, cap)
 
 
 def test_hide_over_rename_over_hide_with_tick_in_the_sets():
-    env = {"P": PExt(PPrefix("a", PPrefix("b", PRef("P"))), PPrefix("c", PSkip())),
-           "Q": PExt(PPrefix("a", PSkip()), PPrefix("b", PRef("Q")))}
-    par = PPar(PRef("P"), frozenset({"a", TICK}), PRef("Q"))
+    env = {"P": PExt(Prefix("a", Prefix("b", Ref("P"))), Prefix("c", SUCCESS)),
+           "Q": PExt(Prefix("a", SUCCESS), Prefix("b", Ref("Q")))}
+    par = PPar(Ref("P"), frozenset({"a", TICK}), Ref("Q"))
     last = []
     for inner in (frozenset({"b"}), frozenset({"b", TICK})):
         for outer in (frozenset({"x"}), frozenset({"x", TICK}), frozenset({TICK, "c"})):
@@ -379,20 +375,20 @@ def test_hide_over_rename_over_hide_with_tick_in_the_sets():
 
 def test_renaming_over_a_parallel_synchronises_on_the_events_before_renaming():
     # the left side's b is renamed to the synchronised a, the shared a to x
-    par = PPar(PExt(PPrefix("a", PPrefix("b", PStop())), PPrefix("b", PStop())), frozenset({"a"}),
-               PPrefix("a", PPrefix("c", PStop())))
+    par = PPar(PExt(Prefix("a", Prefix("b", EMPTY)), Prefix("b", EMPTY)), frozenset({"a"}),
+               Prefix("a", Prefix("c", EMPTY)))
     assert _compiled_as_reference(rename(par, {"a": "x", "b": "a"})) == [
         (0, "a", 1), (0, "x", 2), (2, "a", 3), (2, "c", 4), (3, "c", 5), (4, "a", 5)]
 
 
 def test_equal_renamings_built_apart_reach_one_state():
-    body = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    body = PPar(Prefix("a", EMPTY), frozenset(), Prefix("b", EMPTY))
     env = {"X": body}
-    first, second = rename(PRef("X"), {"a": "c"}), rename(body, {"a": "c"})
+    first, second = rename(Ref("X"), {"a": "c"}), rename(body, {"a": "c"})
     assert first.mapping == second.mapping and first.mapping is not second.mapping
-    transitions = _compiled_as_reference(PInt(first, second), env)
+    transitions = _compiled_as_reference(InternalChoice(first, second), env)
     assert transitions[:3] == [(0, TAU, 1), (0, TAU, 2), (1, TAU, 2)]
-    assert compile_to_lts(PInt(first, second), env).n_states == 6
+    assert compile_to_lts(InternalChoice(first, second), env).n_states == 6
 
 
 def test_star_connector_and_computation_sides_match_the_reference():
@@ -428,9 +424,9 @@ def test_compile_matches_the_reference_on_deeper_random_operator_terms():
 
 
 def test_operator_directly_under_external_choice_is_an_error():
-    par = PPar(PPrefix("a", PStop()), frozenset(), PPrefix("b", PStop()))
+    par = PPar(Prefix("a", EMPTY), frozenset(), Prefix("b", EMPTY))
     with pytest.raises(EngineError, match="external choice") as info:
-        compile_to_lts(PExt(par, PPrefix("c", PStop())))
+        compile_to_lts(PExt(par, Prefix("c", EMPTY)))
     assert repr(par) in str(info.value)
 
 
@@ -445,7 +441,7 @@ def test_augmentation_preserves_traces_when_disjoint():
         term = process_term(expr, {})
         env = {SELF: term}
         plain = traces(compile_to_lts(term, env), 6, include_tick=False)
-        augmented = PPar(term, frozenset({"zz1", "zz2"}), PStop())
+        augmented = PPar(term, frozenset({"zz1", "zz2"}), EMPTY)
         aug = traces(compile_to_lts(augmented, env), 6, include_tick=False)
         assert aug == plain
 
@@ -618,11 +614,11 @@ def test_erroring_duplicate_is_rechecked_and_names_itself():
     env = {}
     assertions = []
     for i in (1, 2):
-        env[f"A{i}"] = PPrefix("a", PRef(f"A{i}"))
-        env[f"S{i}"] = PExt(PPar(PRef(f"A{i}"), frozenset(), PStop()), PPrefix("c", PStop()))
+        env[f"A{i}"] = Prefix("a", Ref(f"A{i}"))
+        env[f"S{i}"] = PExt(PPar(Ref(f"A{i}"), frozenset(), EMPTY), Prefix("c", EMPTY))
         # equal keys: were the verdict not an error, the second would reuse it
-        assertions.append(SimpleNamespace(label=f"assert {i}", spec_term=PRef(f"S{i}"),
-                                          impl_term=PRef(f"S{i}"), alphabet=frozenset("ac"), key="S"))
+        assertions.append(SimpleNamespace(label=f"assert {i}", spec_term=Ref(f"S{i}"),
+                                          impl_term=Ref(f"S{i}"), alphabet=frozenset("ac"), key="S"))
     (label1, err1), (label2, err2) = assertion_verdicts(assertions, env)
     assert isinstance(err1, EngineError) and isinstance(err2, EngineError)
     assert (label1, label2) == ("assert 1", "assert 2")
@@ -630,8 +626,8 @@ def test_erroring_duplicate_is_rechecked_and_names_itself():
     with pytest.raises(EngineError, match="A1"):
         discharge_assertions(assertions, env)
     # the same terms over a smaller alphabet are a different assertion
-    env["A3"] = PPrefix("a", PRef("A3"))
-    same = [SimpleNamespace(label=f"assert {i}", spec_term=PRef(f"A{i}"), impl_term=PRef(f"A{i}"),
+    env["A3"] = Prefix("a", Ref("A3"))
+    same = [SimpleNamespace(label=f"assert {i}", spec_term=Ref(f"A{i}"), impl_term=Ref(f"A{i}"),
                             alphabet=frozenset(alphabet), key="A") for i, alphabet in ((1, "a"), (2, ""), (3, "a"))]
     (_, v1), (_, v2), (_, v3) = assertion_verdicts(same, env)
     assert v1.holds and v3 is v1

@@ -7,6 +7,7 @@ from conftest import FIXTURES, fixture_path, perfbench_workloads
 from oracles import reference_tokenize
 from wright2csp import parser
 from wright2csp.model import (
+    EMPTY,
     Component,
     Configuration,
     Connector,
@@ -256,6 +257,14 @@ def test_printed_text_parses_to_the_same_body_up_to_the_nesting_limit(body):
         spec = role_spec(body(k))
         reparsed = role_spec(to_wright(spec).split("Role R = ")[1].split("\n")[0])
         assert repr(reparsed.types[0].roles[0].body) == repr(spec.types[0].roles[0].body), k
+
+
+def test_stop_is_unprintable_rather_than_printed_as_success():
+    # Wright spells no STOP; printed as SKIP, it would read back as successful termination
+    spec = parse_text("Style S\nConnector K\n  Role R = TICK\n  Glue = TICK\nConstraints\nEnd Style")
+    spec.types[0].roles[0].body = Prefix("a", EMPTY)
+    with pytest.raises(TypeError, match="unprintable expression"):
+        to_wright(spec)
 
 
 def test_parse_error_has_position_and_stops():

@@ -24,13 +24,8 @@ from wright2csp.engine import (
     PExt,
     PExtN,
     PHide,
-    PInt,
     PPar,
-    PPrefix,
-    PRef,
     PRename,
-    PSkip,
-    PStop,
     RefinementVerdict,
     rename,
 )
@@ -73,21 +68,17 @@ VALUES = [
     (Ref("P"), "Ref(name='P')"),
     (Success(), "Success()"),
     (Empty(), "Empty()"),
-    (PStop(), "PStop()"),
-    (PSkip(), "PSkip()"),
-    (PPrefix("a", PPrefix("b", PStop())), "PPrefix(event='a', rest=PPrefix(event='b', rest=PStop()))"),
     (
-        PExt(PPrefix("b", PSkip()), PRef("X"), PPrefix("a", PStop())),
-        "PExtN(branches=(PPrefix(event='a', rest=PStop()), PPrefix(event='b', rest=PSkip()), PRef(name='X')))",
+        PExt(Prefix("b", SUCCESS), Ref("X"), Prefix("a", EMPTY)),
+        "PExtN(branches=(Prefix(event='a', rest=Empty(), initiated=False), "
+        "Prefix(event='b', rest=Success(), initiated=False), Ref(name='X')))",
     ),
-    (PInt(PRef("A"), PSkip()), "PInt(left=PRef(name='A'), right=PSkip())"),
-    (PRef("A"), "PRef(name='A')"),
     (
-        PPar(PRef("A"), frozenset({"a"}), PRef("B")),
-        "PPar(left=PRef(name='A'), sync=frozenset({'a'}), right=PRef(name='B'))",
+        PPar(Ref("A"), frozenset({"a"}), Ref("B")),
+        "PPar(left=Ref(name='A'), sync=frozenset({'a'}), right=Ref(name='B'))",
     ),
-    (rename(PRef("A"), {"b": "x", "a": "x"}), "PRename(inner=PRef(name='A'), mapping=(('a', 'x'), ('b', 'x')))"),
-    (PHide(PRef("A"), frozenset({"a"})), "PHide(inner=PRef(name='A'), hidden=frozenset({'a'}))"),
+    (rename(Ref("A"), {"b": "x", "a": "x"}), "PRename(inner=Ref(name='A'), mapping=(('a', 'x'), ('b', 'x')))"),
+    (PHide(Ref("A"), frozenset({"a"})), "PHide(inner=Ref(name='A'), hidden=frozenset({'a'}))"),
 ]
 
 # (record built positionally, the same record built by keyword, its exact repr)
@@ -158,22 +149,22 @@ RECORDS = [
         "Diagnostic(severity='error', pos=SourcePos(line=2, column=3), message='bad', rule=1)",
     ),
     (
-        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", PRef("A"), PRef("B"), frozenset({"a"}), "p r"),
+        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", Ref("A"), Ref("B"), frozenset({"a"}), "p r"),
         Assertion(
             kind=AssertionKind.PORT_ROLE,
             label="assert A [FD= B",
-            spec_term=PRef("A"),
-            impl_term=PRef("B"),
+            spec_term=Ref("A"),
+            impl_term=Ref("B"),
             alphabet=frozenset({"a"}),
             key="p r",
         ),
-        "Assertion(kind=<AssertionKind.PORT_ROLE: 'P8'>, label='assert A [FD= B', spec_term=PRef(name='A'), "
-        "impl_term=PRef(name='B'), alphabet=frozenset({'a'}), key='p r')",
+        "Assertion(kind=<AssertionKind.PORT_ROLE: 'P8'>, label='assert A [FD= B', spec_term=Ref(name='A'), "
+        "impl_term=Ref(name='B'), alphabet=frozenset({'a'}), key='p r')",
     ),
     (
-        EmitPlan("text", [], {"A": PStop()}),
-        EmitPlan(text="text", assertions=[], equations={"A": PStop()}),
-        "EmitPlan(text='text', assertions=[], equations={'A': PStop()}, diagnostics=[])",
+        EmitPlan("text", [], {"A": EMPTY}),
+        EmitPlan(text="text", assertions=[], equations={"A": EMPTY}),
+        "EmitPlan(text='text', assertions=[], equations={'A': Empty()}, diagnostics=[])",
     ),
 ]
 
@@ -183,7 +174,27 @@ def _fields(obj):
     return list(inspect.signature(type(obj)).parameters)
 
 
-VALUE_IDS = [type(case[0]).__name__ for case in VALUES]
+# The engine states that Wright behaviour lowers to, one per engine class
+# these model values replaced and under its name: lowering keeps the term's
+# class, resolves its names and drops prefix polarity.
+LOWERED = [
+    ("PStop", codegen.process_term(Empty(), {}), "Empty()"),
+    ("PSkip", codegen.process_term(Success(), {}), "Success()"),
+    (
+        "PPrefix",
+        codegen.process_term(Prefix("a", Prefix("b", EMPTY, True), True), {}),
+        "Prefix(event='a', rest=Prefix(event='b', rest=Empty(), initiated=False), initiated=False)",
+    ),
+    (
+        "PInt",
+        codegen.process_term(InternalChoice(Ref("A"), SUCCESS), {}),
+        "InternalChoice(left=Ref(name='A'), right=Success())",
+    ),
+    ("PRef", codegen.process_term(Ref("A"), {"A": "C_A"}), "Ref(name='C_A')"),
+]
+VALUES += [(value, text) for _, value, text in LOWERED]
+
+VALUE_IDS = [type(case[0]).__name__ for case in VALUES[: -len(LOWERED)]] + [case[0] for case in LOWERED]
 RECORD_IDS = [type(case[0]).__name__ for case in RECORDS]
 
 
@@ -211,7 +222,7 @@ def test_record_repr_is_pinned(record, by_keyword, text):
 
 
 def test_pext_orders_branches_by_repr():
-    a, b, x = PPrefix("a", PStop()), PPrefix("b", PSkip()), PRef("X")
+    a, b, x = Prefix("a", EMPTY), Prefix("b", SUCCESS), Ref("X")
     for operands in [(b, x, a), (x, a, b), (a, PExt(x, b))]:
         assert PExt(*operands).branches == (a, b, x)
     assert PExt(a, a) is a
@@ -230,13 +241,10 @@ def test_equality_ignores_prefix_polarity_and_never_crosses_classes():
     assert Prefix("a", SUCCESS, True) == Prefix("a", SUCCESS, False)
     assert hash(Prefix("a", SUCCESS, True)) == hash(Prefix("a", SUCCESS))
     assert Prefix("a", SUCCESS) != Prefix("a", EMPTY)
-    assert PPrefix("a", PStop()) != PPrefix("a", PSkip())
-    assert PStop() != PSkip() and PStop().__eq__(PSkip()) is NotImplemented
     assert Success() != Empty() and Success().__eq__(Empty()) is NotImplemented
     assert Success() == SUCCESS and Empty() == EMPTY
-    assert Ref("A") != PRef("A")
     assert ExternalChoice(Ref("A"), SUCCESS) != InternalChoice(Ref("A"), SUCCESS)
-    assert len({PStop(), PSkip(), PStop(), Success(), Empty(), SUCCESS}) == 4
+    assert len({EMPTY, SUCCESS, EMPTY, Success(), Empty(), SUCCESS}) == 2
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
@@ -280,7 +288,7 @@ def test_defaults_match_the_dataclass_signatures():
     assert SymbolEntry("X", Nature.PORT) == SymbolEntry("X", Nature.PORT, None, SourcePos())
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
     kind, alphabet = AssertionKind.ROLE_DEADLOCK_FREE, frozenset({"a"})
-    assert Assertion(kind, "l", PStop(), PStop(), alphabet) == Assertion(kind, "l", PStop(), PStop(), alphabet, None)
+    assert Assertion(kind, "l", EMPTY, EMPTY, alphabet) == Assertion(kind, "l", EMPTY, EMPTY, alphabet, None)
     assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos(), None)
     assert Prefix("a", SUCCESS).initiated is False
 
@@ -297,16 +305,16 @@ def test_emit_plan_definitions_are_computed_once(monkeypatch):
 
     def counting_process_term(expr, names):
         lowered.append(expr)
-        return PRef(names.get(expr.name, expr.name))
+        return Ref(names.get(expr.name, expr.name))
 
     monkeypatch.setattr(codegen, "process_term", counting_process_term)
-    plan = EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": PStop()})
+    plan = EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": EMPTY})
     assert isinstance(vars(EmitPlan)["definitions"], cached_property)
     first = plan.definitions
-    assert first == {"A": PRef("B"), "S": PStop()}
+    assert first == {"A": Ref("B"), "S": EMPTY}
     assert plan.definitions is first and lowered == [Ref("B")]
     # the cached lowering is not a field: it changes neither repr nor equality
-    assert plan == EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": PStop()})
+    assert plan == EmitPlan("A = B", [], {"A": (Ref("B"), {}), "S": EMPTY})
     assert "definitions" not in repr(plan)
 
 

@@ -225,7 +225,7 @@ def _retarget(expr, rng, local):
 def test_restricted_ports_with_a_where_local_never_diverge():
     from wright2csp import alphabets
     from wright2csp.codegen import emit
-    from wright2csp.engine import PRef, divergent_states
+    from wright2csp.engine import divergent_states
     from wright2csp.model import Component, Declaration, DeclKind, Style
 
     rng = random.Random(5)
@@ -241,7 +241,7 @@ def test_restricted_ports_with_a_where_local_never_diverge():
         env = plan.definitions
         for name in env:
             if name.endswith("DETR"):
-                lts = compile_to_lts(PRef(name), env)
+                lts = compile_to_lts(Ref(name), env)
                 assert not any(divergent_states(lts)), (name, port, plan.text)
                 checked += 1
     assert checked >= 600

@@ -220,7 +220,8 @@ def compute_connector_alphabet(conn: Connector,
 
 def annotate(spec: ArchSpec) -> list[Diagnostic]:
     """Fill in alphabet info across the whole spec, and ``spec.event_names``;
-    returns diagnostics."""
+    returns diagnostics.  An event named like a port or role is an error:
+    both name a channel in CSPM's one namespace."""
     diags: list[Diagnostic] = []
     event_names: dict[str, None] = {}
     for t in spec.types:
@@ -230,4 +231,7 @@ def annotate(spec: ArchSpec) -> list[Diagnostic]:
             _, d = compute_connector_alphabet(t, event_names)
         diags.extend(d)
     spec.event_names = list(event_names)
+    points = [p for t in spec.types for p in (t.ports if isinstance(t, Component) else t.roles)]
+    diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} is also the name of an event, so the output "
+                         "would declare its channel twice") for p in points if p.name in event_names]
     return diags

@@ -24,6 +24,16 @@ the engine's ``PExtN``, and the engine's parallel, renaming and hiding.
 Emission records each equation's body with the names it resolves against and
 lowers those bodies on first use of ``EmitPlan.definitions``, so a caller
 that only prints the text (``translate``) never builds them.
+
+Every process and ``ALPHA_`` set name the text defines comes from
+``_Out.name``: one table over CSPM's single namespace, which starts with the
+header's names and the event, port and role channels, all fixed.  A
+definition gets the name it wants if that is free, else that name plus its
+owner's (``LOut`` for local ``L`` of port ``Out``, ``GlueK2``, and an
+attachment's other end in ``A_x_yPLUSP2_Reader``), numbered from 2 on while
+taken.  Derived forms (``…DET``, ``…DETR``, ``…PLUSDET``) want their first
+emission's name plus the suffix, and a name another function references
+(``PORTp``, ``ROLErDET``, ``ALPHA_p``) is looked up by its Wright element.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from .model import (
     Prefix,
     ProcessExpr,
     Ref,
-    SourcePos,
     Success,
     slotted,
 )
@@ -158,45 +167,57 @@ def process_term(expr: ProcessExpr, names: dict[str, str]) -> ProcessExpr:
 
 class _Out:
     """The output lines, the assertions and process definitions they carry,
-    and the events of every set name printed so far: ``ALPHA_x`` and ``{|p|}``."""
+    the events of every set name printed so far (``ALPHA_x`` and ``{|p|}``),
+    and the table of every name the text defines."""
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+    def __init__(self, spec: ArchSpec) -> None:
+        self.lines: list[str] = list(HEADER_LINES)
         self.assertions: list[Assertion] = []
         self.equations: dict[str, Definition] = dict(dfa_definitions())
         self.sets: dict[str, list[str]] = {}
-        self.local_names: dict[tuple[str, str], str] = {}  # (owner's base, local) -> name
+        # the header's names and every channel (event, port or role) are fixed
+        self.taken = {"DFA", "abstractEvent", "quant_semi", "power_set", *spec.event_names}
+        for t in spec.types:
+            self.taken.update(d.name for d in (t.ports if isinstance(t, Component) else t.roles))
+        # form ("" for a first emission, DET, DETR) -> id of a declaration -> its names
+        self.scopes: dict[str, dict[int, dict[str, str]]] = {"": {}, "DET": {}, "DETR": {}}
+        self.alphas: dict[int, str] = {}  # id of a Wright element -> its ALPHA_ set's name
         self.diagnostics: list[Diagnostic] = []
-        self.clashed = False  # some name was defined twice, the later definition winning
+
+    def name(self, wanted: str, owner: str) -> str:
+        """A name nothing has taken yet, by the rule of the module docstring."""
+        if wanted in self.taken:
+            base, i = wanted + owner, 2
+            wanted = base
+            while wanted in self.taken:
+                wanted, i = f"{base}{i}", i + 1
+        self.taken.add(wanted)
+        return wanted
+
+    def process(self, decl: Declaration, form: str = "") -> str:
+        """The name ``decl``'s equation got in the emission of ``form``."""
+        return self.scopes[form][id(decl)][decl.name]
 
     def line(self, text: str = "") -> None:
         self.lines.append(text)
 
-    def define(self, name: str, rhs: Definition) -> None:
-        if name in self.equations:
-            self.clashed = True
-            self.diagnostics.append(
-                Diagnostic(
-                    "warning",
-                    SourcePos(),
-                    f"process name '{name}' defined more than once in the output",
-                )
-            )
-        self.equations[name] = rhs
-
     def equation(self, name: str, body: ProcessExpr, names: dict[str, str]) -> None:
         self.line(f"{name} = {fdr_expr(body, names)}")
-        self.define(name, (body, names))
+        self.equations[name] = (body, names)
 
     def assertion(self, a: Assertion) -> None:
         self.assertions.append(a)
         self.line(a.label)
 
-    def alpha(self, name: str, events: list[str], bar: bool = False) -> None:
-        """``ALPHA_name = {...}``, or ``{|...|}`` when ``bar``."""
-        self.sets[f"ALPHA_{name}"] = events
+    def alpha(self, element: Union[Declaration, Component, Connector], form: str, events: list[str],
+              bar: bool = False) -> str:
+        """``ALPHA_x = {...}``, or ``{|...|}`` when ``bar``, where ``x`` is
+        ``element``'s name plus ``form``; returns the set's name."""
+        name = self.name(f"ALPHA_{element.name}{form}", element.name)
+        self.sets[name] = events
         inner = ", ".join(events)
-        self.line(f"ALPHA_{name} = " + (f"{{|{inner}|}}" if bar else f"{{{inner}}}"))
+        self.line(f"{name} = " + (f"{{|{inner}|}}" if bar else f"{{{inner}}}"))
+        return name
 
     def channel(self, point: Declaration, owner: Union[Component, Connector]) -> None:
         """``channel p: {...}``: the port's or role's own events, then every
@@ -238,79 +259,77 @@ HEADER_LINES = [
 
 
 def _emit_decl_equations(
-    out: _Out, decl: Declaration, base: str, suffix: str = "", det: bool = False
-) -> None:
-    """Where-locals first, then the declaration's own equation as ``base + suffix``;
-    locals are renamed with ``suffix`` and, with ``det``, bodies determinized.
+    out: _Out, decl: Declaration, owner: str, wanted: str = "", form: str = "", source: Declaration | None = None
+) -> str:
+    """Where-locals first, then the declaration's own equation, which wants
+    the name ``wanted``; returns the name it got.  Each local wants its own
+    name, and references resolve to a redefined local's last definition.
 
-    A local keeps its plain name unless that name is already defined, as by
-    a local of another port or role; it is then suffixed with its owner's
-    name.  Its ``DET``/``DETR`` names follow the name its first emission chose.
+    A derived form (``DET`` or ``DETR``) determinizes every body, and each
+    name wants the one the first emission of ``source`` (``decl`` itself by
+    default) chose, plus ``form``.
     """
-    head = base + suffix
-    names = {decl.name: head}
-    for loc in decl.locals:
-        key = (base, loc.name)
-        if key not in out.local_names:
-            taken = loc.name in out.equations
-            out.local_names[key] = loc.name + decl.name if taken else loc.name
-        names[loc.name] = out.local_names[key] + suffix
-    for loc in decl.locals:
-        out.equation(names[loc.name], determinized(loc.body) if det else loc.body, names)
-    out.equation(head, determinized(decl.body) if det else decl.body, names)
+    key, own = id(source or decl), []
+    first = out.scopes[""][key] if form else {decl.name: wanted}
+    names = out.scopes[form][key] = {}
+    for d in (decl, *decl.locals):
+        own.append(out.name(first.get(d.name, d.name) + form, owner))
+        names[d.name] = own[-1]
+    for loc, name in zip(decl.locals, own[1:]):
+        out.equation(name, determinized(loc.body) if form else loc.body, names)
+    out.equation(own[0], determinized(decl.body) if form else decl.body, names)
+    return own[0]
 
 
-def _deadlock_check(out: _Out, kind: AssertionKind, name: str, process: str) -> None:
-    """``nameA``: ``process`` with ``ALPHA_name`` renamed onto abstractEvent, against DFA."""
-    out.line(f"{name}A = {process} [[ x <- abstractEvent | x <- ALPHA_{name} ]]")
-    out.define(f"{name}A", rename(Ref(process), dict.fromkeys(out.sets[f"ALPHA_{name}"], "abstractEvent")))
-    out.assertion(
-        Assertion(kind, f"assert DFA [FD= {name}A", Ref("DFA"), Ref(f"{name}A"), frozenset({"abstractEvent"}))
-    )
+def _deadlock_check(out: _Out, kind: AssertionKind, element: Union[Declaration, Connector], process: str) -> None:
+    """``process`` with ``element``'s ``ALPHA_`` set renamed onto abstractEvent, against DFA."""
+    alpha = out.alphas[id(element)]
+    name = out.name(f"{element.name}A", element.name)
+    out.line(f"{name} = {process} [[ x <- abstractEvent | x <- {alpha} ]]")
+    out.equations[name] = rename(Ref(process), dict.fromkeys(out.sets[alpha], "abstractEvent"))
+    out.assertion(Assertion(kind, f"assert DFA [FD= {name}", Ref("DFA"), Ref(name), frozenset({"abstractEvent"})))
 
 
 # --- connectors ---------------------------------------------------------------
 
 
 def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
-    # a second glue in a style is named after its connector, as in configurations
-    glue_head = "Glue" + conn.name if in_configuration or "Glue" in out.equations else "Glue"
     out.line(f"-- Connector {conn.name}")
     out.line("-- generated definitions (to split long sets)")
-    out.alpha(conn.name, list(conn.total_alphabet), bar=True)
+    out.alphas[id(conn)] = out.alpha(conn, "", list(conn.total_alphabet), bar=True)
     out.line()
-    _emit_decl_equations(out, conn.glue, glue_head)
+    glue = _emit_decl_equations(out, conn.glue, conn.name, "Glue" + conn.name if in_configuration else "Glue")
     out.line()
 
     for role in conn.roles:
-        out.alpha(role.name, list(role.alphabet.total))
-        _emit_decl_equations(out, role, f"ROLE{role.name}")
-        _deadlock_check(out, AssertionKind.ROLE_DEADLOCK_FREE, role.name, f"ROLE{role.name}")
+        out.alphas[id(role)] = out.alpha(role, "", list(role.alphabet.total))
+        process = _emit_decl_equations(out, role, role.name, f"ROLE{role.name}")
+        _deadlock_check(out, AssertionKind.ROLE_DEADLOCK_FREE, role, process)
         out.line()
 
     for role in conn.roles:
         out.channel(role, conn)
 
-    glue_events = conn.glue.alphabet.total
+    name = out.name(conn.name, conn.name)
     pairs = []
     for i, role in enumerate(conn.roles):
-        r = role.name
-        own = out.sets[f"ALPHA_{r}"]
-        internal = sorted(e for e in role.alphabet.param_total if e not in glue_events)
-        opener = f"{conn.name} = ( (" if i == 0 else "    ("
-        out.line(f"{opener}ROLE{r}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
+        r, process = role.name, out.process(role)
+        own = out.sets[out.alphas[id(role)]]
+        internal = sorted(e for e in role.alphabet.param_total if e not in conn.glue.alphabet.total)
+        opener = f"{name} = ( (" if i == 0 else "    ("
+        out.line(f"{opener}{process}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
         out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
-        renamed = rename(Ref(f"ROLE{r}"), {n: f"{r}.{n}" for n in own})
+        renamed = rename(Ref(process), {n: f"{r}.{n}" for n in own})
         pairs.append((renamed, frozenset(out.sets[f"{{|{r}|}}"]).difference(internal)))
-    out.line("    " + glue_head + ")" * len(conn.roles) + " )")
-    out.define(conn.name, _fold(pairs, Ref(glue_head)))
+    out.line("    " + glue + ")" * len(conn.roles) + " )")
+    out.equations[name] = _fold(pairs, Ref(glue))
 
-    _deadlock_check(out, AssertionKind.CONNECTOR_DEADLOCK_FREE, conn.name, conn.name)
+    _deadlock_check(out, AssertionKind.CONNECTOR_DEADLOCK_FREE, conn, name)
     out.line()
 
     if in_configuration:
         for role in conn.roles:
-            _emit_decl_equations(out, role, f"ROLE{role.name}", "DET", det=True)
+            _emit_decl_equations(out, role, role.name, form="DET")
         out.line()
 
 
@@ -318,21 +337,23 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
 
 
 def emit_component(out: _Out, comp: Component) -> None:
-    comp_head = f"Computation{comp.name}"
     out.line(f"-- Component {comp.name}")
-    out.alpha(comp.name, list(comp.total_alphabet), bar=True)
-    _emit_decl_equations(out, comp.computation, comp_head)
+    comp_alpha = out.alpha(comp, "", list(comp.total_alphabet), bar=True)
+    computation = _emit_decl_equations(out, comp.computation, comp.name, f"Computation{comp.name}")
     out.line("--Port Process")
+    renamed = []  # each port's ``…G`` name
     for port in comp.ports:
         p = port.name
-        out.alpha(p, list(port.alphabet.total))
+        alpha = out.alphas[id(port)] = out.alpha(port, "", list(port.alphabet.total))
         if port.alphabet.observed:
-            out.alpha(f"{p}I", list(port.alphabet.initiated))
+            out.alpha(port, "I", list(port.alphabet.initiated))
         else:
             out.line("-- no events observed!")
-        _emit_decl_equations(out, port, f"PORT{p}")
-        out.line(f"{p}G = PORT{p}[[ x <-{p}.x | x <- ALPHA_{p} ]]")
-        out.define(f"{p}G", rename(Ref(f"PORT{p}"), {n: f"{p}.{n}" for n in out.sets[f"ALPHA_{p}"]}))
+        process = _emit_decl_equations(out, port, p, f"PORT{p}")
+        g = out.name(f"{p}G", p)
+        renamed.append(g)
+        out.line(f"{g} = {process}[[ x <-{p}.x | x <- {alpha} ]]")
+        out.equations[g] = rename(Ref(process), {n: f"{p}.{n}" for n in out.sets[alpha]})
         out.line()
 
     for port in comp.ports:
@@ -341,21 +362,23 @@ def emit_component(out: _Out, comp: Component) -> None:
     for port in comp.ports:
         restricted, diags = restrict_to_observed(port)
         out.diagnostics.extend(diags)
-        _emit_decl_equations(out, restricted, f"PORT{port.name}", "DETR", det=True)
+        _emit_decl_equations(out, restricted, port.name, form="DETR", source=port)
     out.line()
 
     computation_events = comp.computation.alphabet.total
-    comp_events = frozenset(out.sets[f"ALPHA_{comp.name}"])
-    for port in comp.ports:
+    comp_events = frozenset(out.sets[comp_alpha])
+    for port, g in zip(comp.ports, renamed):
         p = port.name
-        first, pairs = f"COMP{p} = (", []
+        name = out.name(f"COMP{p}", p)
+        first, pairs = f"{name} = (", []
         for q in comp.ports:
             if q is port:
                 continue
             obs = list(q.alphabet.observed)
             scoped_obs = [f"{q.name}.{n}" for n in obs]
             internal = sorted(e for e in q.alphabet.param_total if e not in computation_events)
-            seg, term = f"( PORT{q.name}DETR", Ref(f"PORT{q.name}DETR")
+            restricted = out.process(q, "DETR")
+            seg, term = f"( {restricted}", Ref(restricted)
             if obs:
                 seg += f" [[ x <- {q.name}.x | x <- {{{', '.join(obs)} }} ]]"
                 term = rename(term, dict(zip(obs, scoped_obs)))
@@ -363,40 +386,16 @@ def emit_component(out: _Out, comp: Component) -> None:
             out.line(f"  [| diff({{{', '.join(scoped_obs)}}}, {{ {', '.join(internal)}}}) |]")
             first = "  "
             pairs.append((term, frozenset(scoped_obs).difference(internal)))
-        out.line(f"{first}{comp_head}{')' * (len(pairs) + 1)}\\ diff(ALPHA_{comp.name}, {{ |{p}| }})")
+        out.line(f"{first}{computation}{')' * (len(pairs) + 1)}\\ diff({comp_alpha}, {{ |{p}| }})")
         p_events = frozenset(out.sets[f"{{|{p}|}}"])
-        out.define(f"COMP{p}", PHide(_fold(pairs, Ref(comp_head)), comp_events - p_events))
+        out.equations[name] = PHide(_fold(pairs, Ref(computation)), comp_events - p_events)
         out.assertion(
-            Assertion(
-                AssertionKind.PORT_COMPUTATION,
-                f"assert {p}G [FD= COMP{p}",
-                Ref(f"{p}G"),
-                Ref(f"COMP{p}"),
-                p_events,
-            )
+            Assertion(AssertionKind.PORT_COMPUTATION, f"assert {g} [FD= {name}", Ref(g), Ref(name), p_events)
         )
         out.line()
 
 
 # --- configurations and styles -------------------------------------------------
-
-
-def _attachment_points(
-    instances: dict[str, str], types: dict[str, Union[Component, Connector]], att
-) -> tuple[str, str, str, str]:
-    """The instances, port and role an attachment joins, given the instance ->
-    type name and type name -> type maps of its configuration."""
-    try:
-        comp = types[instances[att.left.instance]]
-        port = next(p for p in comp.ports if p.name == att.left.point)  # type: ignore[union-attr]
-        conn = types[instances[att.right.instance]]
-        role = next(r for r in conn.roles if r.name == att.right.point)  # type: ignore[union-attr]
-    except (KeyError, AttributeError, StopIteration) as exc:
-        raise CodegenError(
-            f"attachment {att.left} As {att.right} does not resolve; "
-            "run static analysis before code generation"
-        ) from exc
-    return att.left.instance, port.name, att.right.instance, role.name
 
 
 def emit_attachments(out: _Out, spec: Configuration) -> None:
@@ -409,43 +408,46 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
     """
     out.line("--Attachment Test")
     out.line()
-    instances = {i.name: i.type_name for i in spec.instances}
-    types: dict[str, Union[Component, Connector]] = {t.name: t for t in spec.types}
-    port_plus: dict[str, ProcessExpr] = {}
-    role_plus: dict[str, ProcessExpr] = {}
-    unions: dict[str, frozenset[str]] = {}
-    role_det: dict[str, ProcessExpr] = {}
+    by_name = {t.name: t for t in spec.types}
+    types = {i.name: by_name.get(i.type_name) for i in spec.instances}
+    shared: dict[str, tuple] = {}  # "p r" -> the pair's names in the text, then its terms
     for att in spec.attachments:
-        ci, p, ni, r = _attachment_points(instances, types, att)
-        pair = f"{p} {r}"
-        both = unions.get(pair)
-        if both is None:
-            a_p, a_r = set(out.sets[f"ALPHA_{p}"]), set(out.sets[f"ALPHA_{r}"])
-            port_plus[pair] = PPar(Ref(f"PORT{p}"), frozenset(a_r - a_p), EMPTY)
-            role_plus[pair] = PPar(Ref(f"ROLE{r}"), frozenset(a_p - a_r), EMPTY)
-            both = unions[pair] = frozenset(a_p | a_r)
-            role_det[pair] = Ref(f"ROLE{r}DET")
-        port_name, role_name = f"{ci}_{p}PLUS", f"{ni}_{r}PLUS"
-        out.line(f"{port_name} = PORT{p}")
-        out.line(f"  [| diff( ALPHA_{r} , ALPHA_{p} ) |] STOP")
-        out.define(port_name, port_plus[pair])
-        out.line(f"{role_name} = ROLE{r}")
-        out.line(f"  [| diff( ALPHA_{p} , ALPHA_{r} ) |] STOP")
-        out.define(role_name, role_plus[pair])
-        out.line(f"{port_name}DET = {port_name}")
-        out.line(f"  [| union(ALPHA_{p} , ALPHA_{r} ) |]")
-        out.line(f"  ROLE{r}DET")
-        out.define(f"{port_name}DET", PPar(Ref(port_name), both, role_det[pair]))
-        out.assertion(
-            Assertion(
-                AssertionKind.PORT_ROLE,
-                f"assert {role_name} [FD= {port_name}DET",
-                Ref(role_name),
-                Ref(f"{port_name}DET"),
-                both,
-                pair,
+        left, right = att.left, att.right
+        try:
+            port = next(p for p in types[left.instance].ports if p.name == left.point)  # type: ignore[union-attr]
+            role = next(r for r in types[right.instance].roles if r.name == right.point)  # type: ignore[union-attr]
+        except (KeyError, AttributeError, StopIteration) as exc:
+            raise CodegenError(
+                f"attachment {left} As {right} does not resolve; run static analysis before code generation"
+            ) from exc
+        pair = f"{port.name} {role.name}"
+        if pair not in shared:
+            a_p, a_r = out.alphas[id(port)], out.alphas[id(role)]
+            e_p, e_r = set(out.sets[a_p]), set(out.sets[a_r])
+            names = out.process(port), out.process(role), out.process(role, "DET"), a_p, a_r
+            shared[pair] = names, (
+                PPar(Ref(names[0]), frozenset(e_r - e_p), EMPTY),
+                PPar(Ref(names[1]), frozenset(e_p - e_r), EMPTY),
+                frozenset(e_p | e_r),
+                Ref(names[2]),
             )
-        )
+        (port_process, role_process, det, a_p, a_r), (port_plus, role_plus, both, role_det) = shared[pair]
+        port_end, role_end = f"{left.instance}_{port.name}", f"{right.instance}_{role.name}"
+        port_name = out.name(port_end + "PLUS", role_end)
+        role_name = out.name(role_end + "PLUS", port_end)
+        port_det = out.name(port_name + "DET", role_end)
+        out.line(f"{port_name} = {port_process}")
+        out.line(f"  [| diff( {a_r} , {a_p} ) |] STOP")
+        out.equations[port_name] = port_plus
+        out.line(f"{role_name} = {role_process}")
+        out.line(f"  [| diff( {a_p} , {a_r} ) |] STOP")
+        out.equations[role_name] = role_plus
+        out.line(f"{port_det} = {port_name}")
+        out.line(f"  [| union({a_p} , {a_r} ) |]")
+        out.line(f"  {det}")
+        out.equations[port_det] = PPar(Ref(port_name), both, role_det)
+        label = f"assert {role_name} [FD= {port_det}"
+        out.assertion(Assertion(AssertionKind.PORT_ROLE, label, Ref(role_name), Ref(port_det), both, pair))
         out.line()
 
 
@@ -454,8 +456,7 @@ def emit(spec: ArchSpec) -> EmitPlan:
 
     Alphabets must already be annotated (see ``alphabets.annotate``).
     """
-    out = _Out()
-    out.lines.extend(HEADER_LINES)
+    out = _Out(spec)
     in_config = isinstance(spec, Configuration)
     kw = "Configuration" if in_config else "Style"
     out.line(f"-- {kw} {spec.name}")
@@ -474,10 +475,5 @@ def emit(spec: ArchSpec) -> EmitPlan:
     else:
         out.line("-- No constraints")
         out.line("-- End Style")
-    if out.clashed:
-        # a reference may then denote another attachment's definition, so
-        # an attachment's verdict is no longer its pair's
-        for a in out.assertions:
-            a.key = None
     text = "\n".join(out.lines) + "\n"
     return EmitPlan(text, out.assertions, out.equations, out.diagnostics)

@@ -206,7 +206,7 @@ def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> list[tuple[str, 
                 else:
                     out.append((a, nxt))
         return out
-    raise TypeError(f"unknown process term {term!r}")
+    raise EngineError(f"unknown process term {term!r}")
 
 
 # Positions, contexts and parallel nodes.  Operators never change while a

@@ -102,6 +102,19 @@ def test_repeated_where_local_is_a_lint_error_and_translates_nothing(tmp_path, c
     assert not out.exists()
 
 
+def test_an_event_named_like_a_port_is_a_lint_error(tmp_path, capsys):
+    # ``channel read, In`` beside ``channel In: {read}``: no renaming keeps the events
+    spec = tmp_path / "channels.wrt"
+    spec.write_text(
+        "Style S\nComponent C\n  Port In = read -> In\n  Port read = In -> read\n"
+        "  Computation = In.read -> read.In -> Computation\nConstraints\nEnd Style\n"
+    )
+    code, _, err = run(capsys, "lint", str(spec))
+    assert code == 2
+    assert "3:3: error: Port In is also the name of an event" in err
+    assert "4:3: error: Port read is also the name of an event" in err
+
+
 def test_check_dt3_all_pass(tmp_path, capsys):
     out = tmp_path / "dt3.fdr2"
     code, stdout, _ = run(capsys, "check", str(fixture_path("dt3.wrt")), "-o", str(out))

@@ -251,6 +251,15 @@ def test_role_local_det_names_follow_the_renamed_local():
     assert "\nWorkS2DET = (b -> ROLES2DET)\nROLES2DET = (WorkS2DET [] SKIP)\n" in plan.text
 
 
+def test_a_taken_name_gets_its_owners_name_and_then_a_number():
+    spec, _ = parse_source(ROLE_LOCALS)
+    alphabets.annotate(spec)
+    out = codegen._Out(spec)
+    # R is a role channel, a an event, DFA the header's: all three stay fixed
+    wanted = ["R", "a", "DFA", "X", "X", "X", "XK"]
+    assert [out.name(w, "K") for w in wanted] == ["RK", "aK", "DFAK", "X", "XK", "XK2", "XKK"]
+
+
 def test_two_connectors_of_a_style_get_distinct_glue_names(tmp_path, capsys):
     k1 = "Connector K1\n  Role R = _e -> R |~| TICK\n  Glue = R.e -> Glue [] TICK\n"
     k2 = "Connector K2\n  Role S = _f -> S |~| TICK\n  Glue = S.f -> Glue [] TICK\n"
@@ -273,12 +282,14 @@ def test_two_connectors_of_a_style_get_distinct_glue_names(tmp_path, capsys):
 
 
 def _sources():
-    """(name, source) of every fixture, star(3), pipeline(3) and one translate-workload spec."""
+    """(name, source) of every fixture, star(3), pipeline(3) passing and failing, and one
+    translate-workload spec."""
     workloads = perfbench_workloads()
     sources = [(path.name, path.read_text()) for path in sorted(FIXTURES.glob("*.wrt"))]
     sources += [
         ("star(3)", workloads.star_case(3, "t").source),
-        ("pipeline(3)", workloads.pipeline_case(3, "t", True).source),
+        ("pipeline(3)", workloads.pipeline_case(3, "t", False).source),
+        ("pipeline(3) failing", workloads.pipeline_case(3, "t", True).source),
         ("translate", next(workloads.blocks("translate", 1))[0].source),
     ]
     return sources
@@ -306,9 +317,12 @@ def test_emit_lowers_no_term_until_definitions_are_read(monkeypatch):
 
 
 def test_defined_process_names_match_the_text():
+    # one definition line per equation, and no name defined twice
     for name, plan in _front_end_plans(_sources()):
-        defined = set(re.findall(r"^(\w+) = ", plan.text, re.MULTILINE))
-        assert {n for n in defined if not n.startswith("ALPHA_")} == set(plan.definitions), name
+        defined = _defined_names(plan.text)
+        assert len(defined) == len(set(defined)), name
+        processes = [n for n in defined if not n.startswith("ALPHA_")]
+        assert set(processes) == set(plan.equations) and len(processes) == len(plan.equations), name
 
 
 def test_front_end_leaves_no_reference_cycles():

@@ -1,5 +1,7 @@
 import gc
 import random
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -38,9 +40,9 @@ from wright2csp.engine import (
     normalize_fd,
     rename,
 )
-from wright2csp.model import EMPTY, SUCCESS, InternalChoice, Prefix, Ref
+from wright2csp.model import EMPTY, SUCCESS, ExternalChoice, InternalChoice, Prefix, Ref
 from wright2csp.parser import parse_source
-from wright2csp import alphabets, codegen
+from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
 
 
@@ -634,9 +636,20 @@ def test_erroring_duplicate_is_rechecked_and_names_itself():
     assert isinstance(v2, AlphabetMismatchError)
 
 
-# Attachments ``A_x.y`` and ``A.x_y`` both name their port process ``A_x_yPLUS``,
-# so the second definition replaces the first: attachment 1 checks Bad's port.
-# Attachment 3 has attachment 1's (port, role) pair, but its own verdict.
+def test_an_unknown_term_is_an_engine_error_of_its_own_assertion():
+    # ``ExternalChoice`` is lowered to ``PExtN`` before it reaches the engine
+    unknown = ExternalChoice(Prefix("a", EMPTY), SUCCESS)
+    assertions = [SimpleNamespace(label=f"assert {i}", spec_term=term, impl_term=term,
+                                  alphabet=frozenset("a"), key=None)
+                  for i, term in enumerate((unknown, Prefix("a", EMPTY)))]
+    (_, error), (_, verdict) = assertion_verdicts(assertions, {})
+    assert isinstance(error, EngineError) and "unknown process term" in str(error)
+    assert verdict.holds
+
+
+# Attachments ``A_x.y`` and ``A.x_y`` both want the port process name
+# ``A_x_yPLUS``; the second gets ``A_x_yPLUSP2_Reader``, owned by its role end.
+# Attachment 3 has attachment 1's (port, role) pair, and so its verdict.
 CLASH_SOURCE = """Configuration Clash
 Component Good
   Port y = a -> y
@@ -662,14 +675,12 @@ End Configuration
 """
 
 
-def test_a_process_name_defined_twice_keys_no_assertion(tmp_path, capsys):
+def test_clashing_attachment_names_keep_the_verdict_and_pair_keys(tmp_path, capsys):
     spec, _ = parse_source(CLASH_SOURCE)
     assert not alphabets.annotate(spec)
     plan = codegen.emit(spec)
-    assert [d.message for d in plan.diagnostics] == [
-        f"process name '{name}' defined more than once in the output" for name in ("A_x_yPLUS", "A_x_yPLUSDET")
-    ]
-    assert [a.key for a in plan.assertions] == [None] * 7
+    assert plan.diagnostics == []
+    assert [a.key for a in plan.assertions][-3:] == ["y Reader", "x_y Reader", "y Reader"]
     each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions, a.alphabet))
             for a in plan.assertions]
     assert _outcomes(discharge_assertions(plan.assertions, plan.definitions)) == _outcomes(each)
@@ -679,7 +690,67 @@ def test_a_process_name_defined_twice_keys_no_assertion(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     attachments = capsys.readouterr().out.splitlines()[-3:]
     assert attachments == [
-        "FAIL  assert P1_ReaderPLUS [FD= A_x_yPLUSDET  (failure after trace <<empty>>)",
-        "FAIL  assert P2_ReaderPLUS [FD= A_x_yPLUSDET  (failure after trace <<empty>>)",
+        "PASS  assert P1_ReaderPLUS [FD= A_x_yPLUSDET",
+        "FAIL  assert P2_ReaderPLUS [FD= A_x_yPLUSP2_ReaderDET  (failure after trace <<empty>>)",
         "PASS  assert P3_ReaderPLUS [FD= B_yPLUSDET",
     ]
+
+
+# Specs where two Wright elements want one output name, each beside the same
+# spec with the clash renamed apart: an attachment's port process
+# (``A_x_yPLUS``), one port attached twice (``B_InputPLUS``), a role's
+# deadlock check and its connector (``RA``), a where-local and another port's
+# renamed process (``OutG``), and a role's determinized form and another
+# role's process (``ROLERDET``).
+RULE6 = (Path(__file__).parent / "fixtures" / "rule6.wrt").read_text()
+ROLE_CHECK = (
+    "Style S\nConnector RA\n  Role R = _a -> R |~| TICK\n  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style\n"
+)
+LOCAL_G = (
+    "Style S\nComponent C\n  Port In = a -> OutG where { OutG = b -> In }\n  Port Out = c -> Out\n"
+    "  Computation = In.a -> In.b -> Out.c -> Computation\nConstraints\nEnd Style\n"
+)
+ROLES_DET = """Configuration Cfg
+Component Cm
+  Port P = _a -> P |~| TICK
+  Port Q = _b -> Q |~| TICK
+  Computation = _P.a -> _Q.b -> Computation |~| TICK
+Connector K
+  Role R = _a -> R |~| TICK
+  Role RDET = _b -> RDET |~| TICK
+  Glue = R.a -> Glue [] RDET.b -> Glue [] TICK
+Instances
+  c : Cm
+  k : K
+Attachments
+  c.P As k.R
+  c.Q As k.RDET
+End Configuration
+"""
+CLASHES = {
+    "attachment": (CLASH_SOURCE, CLASH_SOURCE.replace("A_x", "C")),
+    "rule6": (
+        RULE6, RULE6.replace("C : Ctype", "C : Ctype\n  B2 : Btype").replace("B.Input As C.T", "B2.Input As C.T")
+    ),
+    "role check": (ROLE_CHECK, ROLE_CHECK.replace("RA", "K")),
+    "where-local": (LOCAL_G, LOCAL_G.replace("OutG", "M")),
+    "role DET": (ROLES_DET, ROLES_DET.replace("RDET", "S")),
+}
+
+
+def _names_and_verdicts(source):
+    """The names the emitted text defines, and (holds, trace length) per assertion."""
+    spec, _ = parse_source(source)
+    assert not analyzer.has_errors(analyzer.analyze(spec) + alphabets.annotate(spec))
+    plan = codegen.emit(spec)
+    verdicts = [v if isinstance(v, EngineError) else (v.holds, len(v.counterexample[0]) if v.counterexample else 0)
+                for _, v in assertion_verdicts(plan.assertions, plan.definitions)]
+    return re.findall(r"^(\w+) = ", plan.text, re.MULTILINE), verdicts
+
+
+@pytest.mark.parametrize("case", CLASHES)
+def test_a_name_two_elements_want_is_defined_once_and_keeps_the_verdicts(case):
+    source, apart = CLASHES[case]
+    names, verdicts = _names_and_verdicts(source)
+    assert len(names) == len(set(names))
+    assert verdicts == _names_and_verdicts(apart)[1]

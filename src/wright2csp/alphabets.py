@@ -28,6 +28,11 @@ from .model import (
 )
 
 
+# The names the generated file's header defines (see ``codegen.HEADER_LINES``):
+# they share CSPM's one namespace with every channel and process.
+HEADER_NAMES = ("DFA", "abstractEvent", "quant_semi", "power_set")
+
+
 def _walk(body: ProcessExpr) -> tuple[list[str], list[Prefix]]:
     """The names referenced and the prefixes of a body, left to right."""
     refs: list[str] = []
@@ -218,10 +223,26 @@ def compute_connector_alphabet(conn: Connector,
     return conn.total_alphabet, diags
 
 
+def _header_clashes(spec: ArchSpec, names: list[str]) -> list[Diagnostic]:
+    """An error at the first declaration whose body uses each event of ``names``."""
+    diags: list[Diagnostic] = []
+    for t in spec.types:
+        points, main = (t.ports, t.computation) if isinstance(t, Component) else (t.roles, t.glue)
+        for owner in points + [main]:
+            for d in [owner] + owner.locals:
+                used = {prefix.event.rpartition(".")[2] for prefix in _walk(d.body)[1]}
+                for e in [e for e in names if e in used]:
+                    names.remove(e)
+                    diags.append(Diagnostic("error", d.pos, f"event {e} in {d.kind.value} {d.name} is also a name "
+                                            "the output's header defines, so the output would define it twice"))
+    return diags
+
+
 def annotate(spec: ArchSpec) -> list[Diagnostic]:
     """Fill in alphabet info across the whole spec, and ``spec.event_names``;
-    returns diagnostics.  An event named like a port or role is an error:
-    both name a channel in CSPM's one namespace."""
+    returns diagnostics.  An event named like a port, a role or a name of the
+    output's header (``HEADER_NAMES``) is an error: they share CSPM's one
+    namespace."""
     diags: list[Diagnostic] = []
     event_names: dict[str, None] = {}
     for t in spec.types:
@@ -234,4 +255,7 @@ def annotate(spec: ArchSpec) -> list[Diagnostic]:
     points = [p for t in spec.types for p in (t.ports if isinstance(t, Component) else t.roles)]
     diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} is also the name of an event, so the output "
                          "would declare its channel twice") for p in points if p.name in event_names]
+    header = [e for e in HEADER_NAMES if e in event_names]
+    if header:
+        diags += _header_clashes(spec, header)
     return diags

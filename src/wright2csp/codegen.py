@@ -42,6 +42,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
+from .alphabets import HEADER_NAMES
 from .analyzer import Diagnostic
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
@@ -176,7 +177,7 @@ class _Out:
         self.equations: dict[str, Definition] = dict(dfa_definitions())
         self.sets: dict[str, list[str]] = {}
         # the header's names and every channel (event, port or role) are fixed
-        self.taken = {"DFA", "abstractEvent", "quant_semi", "power_set", *spec.event_names}
+        self.taken = {*HEADER_NAMES, *spec.event_names}
         for t in spec.types:
             self.taken.update(d.name for d in (t.ports if isinstance(t, Component) else t.roles))
         # form ("" for a first emission, DET, DETR) -> id of a declaration -> its names

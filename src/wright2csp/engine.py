@@ -17,10 +17,12 @@ states, and numbers pairs through a dict of right ids per left id, so none
 of its moves builds or hashes a state tuple.  Each move is built once, with
 its final label and id.  The LTS is the one a breadth-first search with
 whole terms as states would build, state numbering included (the argument
-precedes ``MAX_NESTING``); it is stored as adjacency lists, and its
-transition triples are derived when read.  An operator directly under an external choice is not
-supported (codegen never emits one), and operators nested more than
-``MAX_NESTING`` deep by recursion are a ``ResourceLimitError``.
+precedes ``MAX_NESTING``).  It keeps each state's moves as two parallel
+lists, one of events and one of target states, so no move is stored as a
+tuple; its transition triples are derived when read.  An operator directly
+under an external choice is not supported (codegen never emits one), and
+operators nested more than ``MAX_NESTING`` deep by recursion are a
+``ResourceLimitError``.
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
@@ -149,9 +151,10 @@ def dfa_definitions() -> dict[str, ProcessExpr]:
 
 
 class Lts:
-    """A labelled transition system stored as adjacency lists.
+    """A labelled transition system stored as two parallel lists per state.
 
-    ``adj[s]`` holds the moves ``(event, target)`` of state ``s`` in order.
+    ``events[s]`` and ``targets[s]`` hold the labels and target states of
+    the moves of state ``s``, in order; no move is stored as a tuple.
     ``Lts(n, transitions)`` builds it from ``(source, event, target)``
     triples; ``transitions`` lists them back, by source state.  ``labels``
     holds the regular events (neither tau nor tick) that label a move.
@@ -162,50 +165,54 @@ class Lts:
         n_states: int,
         transitions: Iterable[tuple[int, str, int]] = (),
         initial: int = 0,
-        adj: Optional[list[list[tuple[str, int]]]] = None,
+        events: Optional[list[list[str]]] = None,
+        targets: Optional[list[list[int]]] = None,
     ) -> None:
-        if adj is None:
-            adj = [[] for _ in range(n_states)]
+        if events is None:
+            events, targets = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
             for s, a, t in transitions:
-                adj[s].append((a, t))
-        self.n_states, self.initial, self.adj = n_states, initial, adj
-        self.labels = frozenset({a for out in adj for a, _ in out} - {TAU, TICK})
+                events[s].append(a)
+                targets[s].append(t)
+        self.n_states, self.initial, self.events, self.targets = n_states, initial, events, targets
+        self.labels = frozenset().union(*events) - {TAU, TICK}
 
     @property
     def transitions(self) -> list[tuple[int, str, int]]:
-        return [(s, a, t) for s, out in enumerate(self.adj) for a, t in out]
+        return [(s, a, t) for s, ev in enumerate(self.events) for a, t in zip(ev, self.targets[s])]
 
 
-def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> list[tuple[str, ProcessExpr]]:
-    """Initial transitions of a sequential term (no operator at its head).
+def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> tuple[list[str], list[ProcessExpr]]:
+    """Initial transitions of a sequential term (no operator at its head):
+    their events and their successor terms, in order.
 
     Successors may be operator terms (a reference to a parallel composition,
     say); the ``_Process`` that owns the term enters them.
     """
     if isinstance(term, Empty):
-        return []
+        return [], []
     if isinstance(term, Success):
-        return [(TICK, EMPTY)]
+        return [TICK], [EMPTY]
     if isinstance(term, Prefix):
-        return [(term.event, term.rest)]
+        return [term.event], [term.rest]
     if isinstance(term, Ref):
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
-        return [(TAU, env[term.name])]
+        return [TAU], [env[term.name]]
     if isinstance(term, InternalChoice):
-        return [(TAU, term.left), (TAU, term.right)]
+        return [TAU, TAU], [term.left, term.right]
     if isinstance(term, PExtN):
-        out = []
+        events: list[str] = []
+        nexts: list[ProcessExpr] = []
         for branch in term.branches:
             if isinstance(branch, (PPar, PRename, PHide)):
                 raise EngineError(f"operator term directly under external choice: {branch!r}")
-            rest = [b for b in term.branches if b is not branch]
-            for a, nxt in _step(branch, env):
-                if a == TAU:
-                    out.append((TAU, PExt(*rest, nxt)))
-                else:
-                    out.append((a, nxt))
-        return out
+            ev, nx = _step(branch, env)
+            if TAU in ev:
+                rest = [b for b in term.branches if b is not branch]
+                nx = [PExt(*rest, nxt) if a == TAU else nxt for a, nxt in zip(ev, nx)]
+            events += ev
+            nexts += nx
+        return events, nexts
     raise EngineError(f"unknown process term {term!r}")
 
 
@@ -299,17 +306,19 @@ class _Process:
             self.depths.append(depth)
         return inner
 
-    def succ(self, s: int) -> list[tuple[str, int]]:
-        """Transitions of state ``s``."""
+    def succ(self, s: int) -> tuple[list[str], list[int]]:
+        """The events and target states of the moves of state ``s``."""
         state = self.states[s]
         enter = self.enter
         if type(state) is not tuple:
-            return [(a, enter(nxt)) for a, nxt in _step(state, self.env)]
+            events, nexts = _step(state, self.env)
+            return events, [enter(nxt) for nxt in nexts]
         if len(state) == 3:
             return self.nodes[state[0]].succ(state)
         c, term = state
+        events, nexts = _step(term, self.env)
         get = self.maps[c].get
-        return [(get(a, a), enter(nxt, c)) for a, nxt in _step(term, self.env)]
+        return list(map(get, events, events)), [enter(nxt, c) for nxt in nexts]
 
 
 class _Row(dict):
@@ -331,92 +340,113 @@ class _Row(dict):
         return s
 
 
+class _Rows(dict):
+    """Left operand state -> its ``_Row``, made on first lookup."""
+
+    __slots__ = ("states", "k")
+
+    def __init__(self, states: list, k: int) -> None:
+        self.states, self.k = states, k
+
+    def __missing__(self, l: int) -> _Row:
+        row = self[l] = _Row(self.states, self.k, l)
+        return row
+
+
+class _Tables(dict):
+    """Operand state -> its sync table, built on first lookup.
+
+    A table is (local events, local targets, synchronised moves, tick
+    targets).  The left operand's synchronised moves are three lists
+    (events, labels, targets), the right operand's a dict from event to
+    targets.
+    """
+
+    __slots__ = ("side", "sync", "special", "relabel", "by_event")
+
+    def __init__(self, side: _Process, sync: frozenset[str], relabel: dict[str, str], by_event: bool) -> None:
+        self.side, self.sync, self.special, self.relabel, self.by_event = (
+            side, sync, sync | {TICK}, relabel, by_event)
+
+    def __missing__(self, s: int) -> tuple:
+        events, targets = self.side.succ(s)
+        special, relabel = self.special, self.relabel
+        get = relabel.get
+        if special.isdisjoint(events):
+            table = (list(map(get, events, events)) if relabel else events), targets, (), ()
+        else:
+            sync, by_event = self.sync, self.by_event
+            lev, ltg, ticks = [], [], []
+            synced = {} if by_event else ([], [], [])
+            for a, t in zip(events, targets):
+                if a not in special:
+                    lev.append(get(a, a))
+                    ltg.append(t)
+                    continue
+                if a in sync:
+                    if by_event:
+                        synced.setdefault(a, []).append(t)
+                    else:
+                        synced[0].append(a)
+                        synced[1].append(get(a, a))
+                        synced[2].append(t)
+                if a == TICK:
+                    ticks.append(t)
+            table = lev, ltg, synced, ticks
+        self[s] = table
+        return table
+
+
 class _Par:
     """Synchronised parallel with distributed termination over state pairs.
 
-    Each operand state's transitions are split once into a sync table:
-    local moves (neither tick nor synchronised), synchronised moves and tick
-    targets.  The right operand's synchronised moves are grouped by event, so
-    a pair joins the two tables without filtering.  A tick in the sync set is
-    both synchronised and a tick, as in the term-level rules.  Synchronisation
-    is decided on the operands' labels; the tables hold the labels of the
-    moves this node builds, relabelled by its context.
+    Each operand state's moves are split once into a sync table (``_Tables``):
+    local moves (neither tick nor synchronised) as an event list and a target
+    list, synchronised moves and tick targets.  The right operand's
+    synchronised moves are grouped by event, so a pair joins the two tables
+    without filtering.  A tick in the sync set is both synchronised and a
+    tick, as in the term-level rules.  Synchronisation is decided on the
+    operands' labels; the tables hold the labels of the moves this node
+    builds, relabelled by its context.
     """
 
     def __init__(
         self, k: int, states: list, env: Mapping[str, ProcessExpr], depth: int,
         sync: frozenset[str], relabel: dict[str, str],
     ) -> None:
-        self.k, self.states, self.sync, self.special = k, states, sync, sync | {TICK}
-        self.relabel, self.tick = relabel, relabel.get(TICK, TICK)
+        self.tick = relabel.get(TICK, TICK)
         self.left, self.right = _Process(env, depth), _Process(env, depth)
-        # Indexed by operand state, as long as the operands' state lists (see
-        # ``_fit``): the left state's pairs, and each side's sync table or
-        # None until first needed.
-        self.rows: list[_Row] = []
-        self.ltabs: list = []  # (local moves, [(event, label, target)], [tick target])
-        self.rtabs: list = []  # (local moves, {event: [target]}, [tick target])
-
-    def _fit(self) -> None:
-        """Extend the per-operand-state lists to the operands' state counts."""
-        n = len(self.left.states)
-        rows = self.rows
-        if len(rows) < n:
-            self.ltabs += [None] * (n - len(rows))
-            rows += [_Row(self.states, self.k, l) for l in range(len(rows), n)]
-        self.rtabs += [None] * (len(self.right.states) - len(self.rtabs))
+        self.rows = _Rows(states, k)
+        self.ltabs = _Tables(self.left, sync, relabel, False)
+        self.rtabs = _Tables(self.right, sync, relabel, True)
 
     def enter(self, term: PPar) -> int:
-        l, r = self.left.enter(term.left), self.right.enter(term.right)
-        self._fit()
-        return self.rows[l][r]
+        return self.rows[self.left.enter(term.left)][self.right.enter(term.right)]
 
-    def _table(self, side: _Process, tabs: list, s: int, by_event: bool) -> tuple:
-        """The sync table of operand state ``s``, stored in ``tabs``."""
-        steps = side.succ(s)
-        self._fit()
-        special, relabel = self.special, self.relabel
-        get = relabel.get
-        if relabel:
-            local = [(get(a, a), t) for a, t in steps if a not in special]
-        else:
-            local = [step for step in steps if step[0] not in special]
-        if len(local) == len(steps):
-            table = local, (), ()
-        else:
-            sync = self.sync
-            if by_event:
-                synced: dict[str, list[int]] = {}
-                for a, t in steps:
-                    if a in sync:
-                        synced.setdefault(a, []).append(t)
-            else:
-                synced = [(a, get(a, a), t) for a, t in steps if a in sync]
-            table = local, synced, [t for a, t in steps if a == TICK]
-        tabs[s] = table
-        return table
-
-    def succ(self, state: tuple[int, int, int]) -> list[tuple[str, int]]:
+    def succ(self, state: tuple[int, int, int]) -> tuple[list[str], list[int]]:
         _, l, r = state
-        lloc, lsync, ltick = self.ltabs[l] or self._table(self.left, self.ltabs, l, False)
-        rloc, rsync, rtick = self.rtabs[r] or self._table(self.right, self.rtabs, r, True)
+        lev, ltg, lsync, ltick = self.ltabs[l]
+        rev, rtg, rsync, rtick = self.rtabs[r]
         rows = self.rows
         row = rows[l]
-        out = [(a, rows[l2][r]) for a, l2 in lloc]
-        out += [(a, row[r2]) for a, r2 in rloc]
+        events = lev + rev
+        targets = [rows[l2][r] for l2 in ltg]
+        targets += [row[r2] for r2 in rtg]
         if rsync:
-            for a, label, l2 in lsync:
-                targets = rsync.get(a)
-                if targets:
+            for a, label, l2 in zip(*lsync):
+                got = rsync.get(a)
+                if got:
                     row2 = rows[l2]
-                    out += [(label, row2[r2]) for r2 in targets]
+                    events += [label] * len(got)
+                    targets += [row2[r2] for r2 in got]
         # distributed termination: both operands must succeed together
         if rtick:
             tick = self.tick
             for l2 in ltick:
                 row2 = rows[l2]
-                out += [(tick, row2[r2]) for r2 in rtick]
-        return out
+                events += [tick] * len(rtick)
+                targets += [row2[r2] for r2 in rtick]
+        return events, targets
 
 
 def compile_to_lts(
@@ -433,15 +463,18 @@ def compile_to_lts(
     root.enter(term)
     states, succ = root.states, root.succ
     cap = max(max_states, 1)  # the initial state is always admitted, as in a term-level search
-    adj: list[list[tuple[str, int]]] = []
+    events: list[list[str]] = []
+    targets: list[list[int]] = []
     # Only this loop asks for the root's transitions, once per state in
     # order, so the root numbers its states breadth-first.  (It also visits
     # the states appended while it runs.)
     for s, _ in enumerate(states):
-        adj.append(succ(s))
+        ev, tg = succ(s)
+        events.append(ev)
+        targets.append(tg)
         if len(states) > cap:
             raise ResourceLimitError(f"state cap {max_states} exceeded")
-    return Lts(len(adj), adj=adj)
+    return Lts(len(events), events=events, targets=targets)
 
 
 # --- tau analysis -----------------------------------------------------------
@@ -451,14 +484,22 @@ _OPEN, _SAFE, _DIVERGES = 1, 2, 3  # divergent_states' marks; _OPEN while on the
 
 
 def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
+    events, targets = lts.events, lts.targets
     seen = set(states)
     stack = list(seen)
     while stack:
         s = stack.pop()
-        for a, t in lts.adj[s]:
-            if a == TAU and t not in seen:
-                seen.add(t)
-                stack.append(t)
+        ev = events[s]
+        if TAU not in ev:
+            continue
+        tg, i = targets[s], -1
+        for a in ev:
+            i += 1
+            if a == TAU:
+                t = tg[i]
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
     return frozenset(seen)
 
 
@@ -470,21 +511,25 @@ def divergent_states(lts: Lts) -> list[bool]:
     or to a divergent state.  A state finished otherwise has only finished,
     non-divergent tau successors, so it is safe.
     """
-    adj = lts.adj
+    events, targets = lts.events, lts.targets
     mark = bytearray(lts.n_states)  # 0 while unseen
-    for root, out in enumerate(adj):
-        if mark[root]:
-            continue
+    for root, ev in enumerate(events):
+        if mark[root] or TAU not in ev:
+            continue  # seen, or safe: no tau move
         mark[root] = _OPEN
-        path, edges = [root], [iter(out)]
+        path, edges = [root], [zip(ev, targets[root])]
         while path:
             for a, t in edges[-1]:
                 if a == TAU:
                     m = mark[t]
                     if not m:
+                        ev = events[t]
+                        if TAU not in ev:
+                            mark[t] = _SAFE  # no tau move
+                            continue
                         mark[t] = _OPEN
                         path.append(t)
-                        edges.append(iter(adj[t]))
+                        edges.append(zip(ev, targets[t]))
                         break
                     if m != _SAFE:  # on the stack, or divergent
                         mark[path[-1]] = _DIVERGES
@@ -496,16 +541,6 @@ def divergent_states(lts: Lts) -> list[bool]:
                 elif path:
                     mark[path[-1]] = _DIVERGES
     return [m == _DIVERGES for m in mark]
-
-
-def stable_ready(lts: Lts, state: int) -> Optional[frozenset[str]]:
-    """Ready set of a stable state, or None if the state has a tau move."""
-    ready = set()
-    for a, _ in lts.adj[state]:
-        if a == TAU:
-            return None
-        ready.add(a)
-    return frozenset(ready)
 
 
 # --- failures-divergences normalization -------------------------------------
@@ -537,6 +572,7 @@ class FdModel:
 def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
     """Subset construction over tau-closures with divergence marking."""
     div = divergent_states(lts)
+    events, targets = lts.events, lts.targets
     initial = tau_closure(lts, [lts.initial])
     node_index: dict[frozenset[int], int] = {initial: 0}
     divergent: list[bool] = []
@@ -552,10 +588,18 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
             acceptances.append(())
             continue  # divergence absorbs all behaviour
         accs: list[frozenset[str]] = []
+        moves: dict[str, set[int]] = {}
         for s in subset:
-            ready = stable_ready(lts, s)
-            if ready is not None and ready not in accs:
-                accs.append(ready)
+            ev = events[s]
+            if TAU not in ev:  # a stable state: its events are its ready set
+                ready = frozenset(ev)
+                if ready not in accs:
+                    accs.append(ready)
+            tg, i = targets[s], -1
+            for a in ev:
+                i += 1
+                if a != TAU:
+                    moves.setdefault(a, set()).add(tg[i])
         # A tick-free ready set refuses exactly the sets disjoint from it, so
         # only subset-minimal ones matter.  Every tick-capable ready set
         # refuses the same family (all sets without tick), so they collapse
@@ -565,13 +609,8 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
         if any(TICK in a for a in accs) and frozenset() not in minimal:
             minimal.append(frozenset({TICK}))
         acceptances.append(tuple(minimal))
-        moves: dict[str, set[int]] = {}
-        for s in subset:
-            for a, t in lts.adj[s]:
-                if a != TAU:
-                    moves.setdefault(a, set()).add(t)
-        for a, targets in sorted(moves.items()):
-            nxt = tau_closure(lts, targets)
+        for a, reached in sorted(moves.items()):
+            nxt = tau_closure(lts, reached)
             t_idx = node_index.get(nxt)
             if t_idx is None:
                 if len(node_index) >= max_nodes:
@@ -622,7 +661,7 @@ def check_refinement_fd(
     returned counterexample trace is shortest.
     """
     impl_div = divergent_states(impl)
-    n, adj = impl.n_states, impl.adj
+    n, events, targets = impl.n_states, impl.events, impl.targets
     spec_div, spec_accs, spec_next = spec.divergent, spec.acceptances, spec.transitions.get
     # A pair (spec node, impl state) is the int node * n + state.
     start = spec.initial * n + impl.initial
@@ -659,14 +698,18 @@ def check_refinement_fd(
             continue  # spec allows everything from here on
         if impl_div[s]:
             return RefinementVerdict(False, (trace_of(pair), "divergence"), explored)
-        ready = stable_ready(impl, s)
-        if ready is not None:
+        ev = events[s]
+        if TAU not in ev:  # a stable state: its events are its ready set
+            ready = frozenset(ev)
             ok = accepts.get((node, ready))
             if ok is None:
                 ok = accepts[node, ready] = _spec_accepts_refusal(spec_accs[node], ready)
             if not ok:
                 return RefinementVerdict(False, (trace_of(pair), "failure"), explored)
-        for a, t in adj[s]:
+        tg, i = targets[s], -1  # an index walk: a zip costs more than the few moves of a state
+        for a in ev:
+            i += 1
+            t = tg[i]
             if a == TAU:
                 nxt, nxt_cost = pair - s + t, cost
             else:

@@ -101,11 +101,18 @@ def _unguarded_refs(body: ProcessExpr, keep: Alphabet) -> list[str]:
 
 def _cycles(decl: Declaration, keep: Alphabet) -> dict[str, set[str]]:
     """For each body's name, the names whose unguarded reference there closes
-    a cycle of unguarded references: its own and those that reach it back."""
-    if not decl.locals:
-        return {decl.name: {decl.name}}
+    a cycle of unguarded references: its own and those that reach it back.
+
+    A longer cycle passes through a where-local that references a name
+    unguarded; without one, each name's set is just that name.
+    """
+    names = {decl.name, *[loc.name for loc in decl.locals]}
+    for loc in decl.locals:
+        if not names.isdisjoint(_unguarded_refs(loc.body, keep)):
+            break
+    else:
+        return {n: {n} for n in names}
     named = [decl] + decl.locals
-    names = {d.name for d in named}
     refs = {d.name: {m: None for m in _unguarded_refs(d.body, keep) if m in names} for d in named}
     reach = _reach(refs)
     return {n: {m for m in found if n in reach[m]} | {n} for n, found in refs.items()}

@@ -278,7 +278,8 @@ def brute_divergent(lts: Lts) -> list[bool]:
         seen: set[int] = set()
         stack = [s]
         while stack:
-            for a, t in lts.adj[stack.pop()]:
+            u = stack.pop()
+            for a, t in zip(lts.events[u], lts.targets[u]):
                 if a == TAU and t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -314,7 +315,7 @@ def enumerate_behaviours(lts: Lts, depth: int, alphabet: frozenset[str]) -> Beha
         for s in subset:
             ready = set()
             stable = True
-            for a, _t in lts.adj[s]:
+            for a in lts.events[s]:
                 if a == TAU:
                     stable = False
                     break
@@ -325,7 +326,7 @@ def enumerate_behaviours(lts: Lts, depth: int, alphabet: frozenset[str]) -> Beha
             return
         moves: dict[str, set[int]] = {}
         for s in subset:
-            for a, t in lts.adj[s]:
+            for a, t in zip(lts.events[s], lts.targets[s]):
                 if a != TAU:
                     moves.setdefault(a, set()).add(t)
         for a, targets in moves.items():
@@ -719,7 +720,7 @@ def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ..
         if remaining > 0:
             moves: dict[str, set[int]] = {}
             for s in subset:
-                for a, t in lts.adj[s]:
+                for a, t in zip(lts.events[s], lts.targets[s]):
                     if a == TAU:
                         continue
                     if a == TICK and not include_tick:

@@ -115,6 +115,22 @@ def test_an_event_named_like_a_port_is_a_lint_error(tmp_path, capsys):
     assert "4:3: error: Port read is also the name of an event" in err
 
 
+@pytest.mark.parametrize("name", ["DFA", "abstractEvent", "quant_semi", "power_set"])
+def test_an_event_named_like_a_header_name_is_a_lint_error(tmp_path, capsys, name):
+    # ``channel DFA`` beside the header's ``DFA = abstractEvent -> DFA |~| SKIP``
+    spec = tmp_path / "header.wrt"
+    spec.write_text(
+        f"Style S\nComponent C\n  Port P = {name} -> P\n"
+        f"  Computation = P.{name} -> Computation\nConstraints\nEnd Style\n"
+    )
+    code, _, err = run(capsys, "lint", str(spec))
+    assert code == 2
+    assert f"3:3: error: event {name} in Port P is also a name the output's header defines" in err
+    out = tmp_path / "header.fdr2"
+    assert run(capsys, "translate", str(spec), str(out))[0] == 2
+    assert not out.exists()
+
+
 def test_check_dt3_all_pass(tmp_path, capsys):
     out = tmp_path / "dt3.fdr2"
     code, stdout, _ = run(capsys, "check", str(fixture_path("dt3.wrt")), "-o", str(out))

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import random
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -261,10 +263,11 @@ def test_hiding_and_renaming_over_a_parallel_whose_operands_unfold_references():
 def test_lts_round_trips_between_triples_and_adjacency():
     transitions = [(0, "a", 1), (0, TAU, 0), (1, TICK, 2), (1, "b", 0)]
     lts = Lts(3, transitions)
-    assert lts.adj == [[("a", 1), (TAU, 0)], [(TICK, 2), ("b", 0)], []]
+    assert lts.events == [["a", TAU], [TICK, "b"], []]
+    assert lts.targets == [[1, 0], [2, 0], []]
     assert lts.transitions == transitions
     assert lts.labels == {"a", "b"}
-    assert Lts(lts.n_states, adj=lts.adj).transitions == transitions
+    assert Lts(lts.n_states, events=lts.events, targets=lts.targets).transitions == transitions
 
 
 def test_divergent_states_without_tau_moves():
@@ -289,6 +292,31 @@ def test_compile_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_compiled_lts_keeps_no_tuple_per_transition():
+    # Two lists per state hold about 70 bytes per transition of this LTS on
+    # CPython 3.10-3.13; a tuple per move, as ``(event, target)`` pairs were
+    # once stored, adds about 35 more (105 measured).
+    spec, _ = parse_source(perfbench_workloads().star_case(5, "t", 2).source)
+    assert not alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    [connector] = [a for a in plan.assertions if a.label.endswith("Bus_tA")]
+    defs = plan.definitions
+    compile_to_lts(connector.impl_term, defs)  # warm every lazy cache first
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lts = compile_to_lts(connector.impl_term, defs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    transitions = len(lts.transitions)
+    assert transitions == 14_083
+    assert retained / transitions < 88, retained / transitions
 
 
 def test_check_assertion_leaves_the_collector_as_it_found_it():
@@ -610,6 +638,38 @@ def test_pipeline_attachments_share_pair_terms_and_keep_the_verdict_memo(monkeyp
         expected[-1] = (False, (("read_t",), "failure"), 11)
     assert [(v.holds, v.counterexample, v.explored) for _, v in results] == expected
     assert len(calls) == 11
+
+
+# star(4), passing and failing on role 2: (holds, counterexample, explored) of
+# each assertion in emission order (four port checks, four role and one
+# connector deadlock check), then the connector implementation's LTS: its
+# state and transition counts and the sha256 of ``repr(lts.transitions)``.
+# The connector is the tau-heavy product of a glue and four roles.
+STAR4_PINS = {
+    None: (
+        [(True, None, n) for n in (57, 65, 73, 81, 5, 5, 5, 5, 514)],
+        (515, 2051, "8b212b0699215e3b67a0b7291cbf6501c752d5c70f8cc28cf926bbe4658e6fd2"),
+    ),
+    2: (
+        [(True, None, n) for n in (57, 65, 73, 81, 5, 5, 5, 5)] + [(False, (("abstractEvent",), "failure"), 519)],
+        (771, 2883, "242515e829f73062610758418d60d13706f619667051654359a1769ddb34934a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fail", [None, 2])
+def test_star_search_order_and_connector_lts_are_pinned(fail):
+    spec, _ = parse_source(perfbench_workloads().star_case(4, "t", fail).source)
+    assert not alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    results = discharge_assertions(plan.assertions, plan.definitions)
+    verdicts, (n_states, n_transitions, digest) = STAR4_PINS[fail]
+    assert [(v.holds, v.counterexample, v.explored) for _, v in results] == verdicts
+    [connector] = [a for a in plan.assertions if a.label.endswith("Bus_tA")]
+    lts = compile_to_lts(connector.impl_term, plan.definitions)
+    transitions = lts.transitions
+    assert (lts.n_states, len(transitions)) == (n_states, n_transitions)
+    assert hashlib.sha256(repr(transitions).encode()).hexdigest() == digest
 
 
 def test_erroring_duplicate_is_rechecked_and_names_itself():

@@ -8,6 +8,9 @@ events to the owning declaration.  An alphabet is an insertion-ordered
 ``dict`` from qualified event name to the polarity of its first use.  The
 result is split into initiated and observed subsets and, for ports and
 roles, also scoped with the owner's name (``read`` becomes ``In.read``).
+One routine, ``compute_type_alphabet``, serves components and connectors
+alike through ``model.parts``: their interface points, then the computation
+or glue.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .model import (
     Prefix,
     ProcessExpr,
     Ref,
+    parts,
 )
 
 
@@ -152,82 +156,46 @@ def compute_declaration_alphabet(
     return _info(totals[decl.name]), diags
 
 
-def _check_scoped_events(owner_kind: str, owner_name: str, decl: Declaration,
-                         point_names: set[str], diags: list[Diagnostic]) -> None:
-    """Drop events whose scope segment names no declared port/role."""
-    a = decl.alphabet
-    bad = []
-    for e in a.total:
-        scope, dot, _ = e.partition(".")
-        if dot and scope not in point_names:
-            bad.append(e)
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    decl.pos,
-                    f"event '{e}' in {owner_kind} {owner_name} names no "
-                    f"declared interface point; removed from the alphabet",
-                )
-            )
-    if bad:
-        a.total, a.initiated, a.observed = (
-            {e: i for e, i in s.items() if e not in bad} for s in (a.total, a.initiated, a.observed)
-        )
-
-
-def _scope_points(points: list[Declaration], event_names: dict[str, None],
-                  diags: list[Diagnostic]) -> None:
-    """Alphabets of ports or roles, with ``param_total`` scoped by the point's name."""
+def compute_type_alphabet(t: Component | Connector, event_names: dict[str, None]) -> list[Diagnostic]:
+    """Alphabets of a type's interface points, each also scoped by the point's
+    name (``param_total``), then of its computation or glue, whose events
+    scoped by no declared point are dropped with a warning.  A connector's
+    alphabet is its glue's.  A component's adds its ports' scoped events, with
+    a warning if the computation leaves some of them out."""
+    diags: list[Diagnostic] = []
+    points, main = parts(t)
     for point in points:
         info, d = compute_declaration_alphabet(point, event_names)
         diags.extend(d)
         prefix = point.name + "."
         info.param_total = {prefix + e: i for e, i in info.total.items()}
         point.alphabet = info
-
-
-def compute_component_alphabet(comp: Component,
-                               event_names: dict[str, None]) -> tuple[Alphabet, list[Diagnostic]]:
-    """Union of scoped port alphabets and the computation alphabet."""
-    diags: list[Diagnostic] = []
-    _scope_points(comp.ports, event_names, diags)
-    cinfo, d = compute_declaration_alphabet(comp.computation, event_names)
+    info, d = compute_declaration_alphabet(main, event_names)
     diags.extend(d)
-    comp.computation.alphabet = cinfo
-    _check_scoped_events("component", comp.name, comp.computation, {p.name for p in comp.ports}, diags)
-
-    computation = cinfo.total
-    total = _union([computation] + [port.alphabet.param_total for port in comp.ports])
-    if len(total) > len(computation):
-        diags.append(
-            Diagnostic(
-                "warning",
-                comp.pos,
-                "Ports really shouldn't have internal events. Consider this carefully.",
-            )
+    main.alphabet = info
+    point_names = {p.name for p in points}
+    bad = [e for e in info.total if "." in e and e.partition(".")[0] not in point_names]
+    for e in bad:
+        diags.append(Diagnostic("warning", main.pos, f"event '{e}' in {type(t).__name__.lower()} {t.name} names no "
+                                "declared interface point; removed from the alphabet"))
+    if bad:
+        info.total, info.initiated, info.observed = (
+            {e: i for e, i in part.items() if e not in bad} for part in (info.total, info.initiated, info.observed)
         )
-    comp.total_alphabet = total
-    return total, diags
-
-
-def compute_connector_alphabet(conn: Connector,
-                               event_names: dict[str, None]) -> tuple[Alphabet, list[Diagnostic]]:
-    """The connector alphabet is the glue alphabet (role events arrive scoped)."""
-    diags: list[Diagnostic] = []
-    _scope_points(conn.roles, event_names, diags)
-    ginfo, d = compute_declaration_alphabet(conn.glue, event_names)
-    diags.extend(d)
-    conn.glue.alphabet = ginfo
-    _check_scoped_events("connector", conn.name, conn.glue, {r.name for r in conn.roles}, diags)
-    conn.total_alphabet = ginfo.total
-    return conn.total_alphabet, diags
+    t.total_alphabet = info.total
+    if type(t) is Component:
+        t.total_alphabet = _union([info.total] + [point.alphabet.param_total for point in points])
+        if len(t.total_alphabet) > len(info.total):
+            diags.append(Diagnostic("warning", t.pos,
+                                    "Ports really shouldn't have internal events. Consider this carefully."))
+    return diags
 
 
 def _header_clashes(spec: ArchSpec, names: list[str]) -> list[Diagnostic]:
     """An error at the first declaration whose body uses each event of ``names``."""
     diags: list[Diagnostic] = []
     for t in spec.types:
-        points, main = (t.ports, t.computation) if isinstance(t, Component) else (t.roles, t.glue)
+        points, main = parts(t)
         for owner in points + [main]:
             for d in [owner] + owner.locals:
                 used = {prefix.event.rpartition(".")[2] for prefix in _walk(d.body)[1]}
@@ -246,13 +214,9 @@ def annotate(spec: ArchSpec) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     event_names: dict[str, None] = {}
     for t in spec.types:
-        if isinstance(t, Component):
-            _, d = compute_component_alphabet(t, event_names)
-        else:
-            _, d = compute_connector_alphabet(t, event_names)
-        diags.extend(d)
+        diags += compute_type_alphabet(t, event_names)
     spec.event_names = list(event_names)
-    points = [p for t in spec.types for p in (t.ports if isinstance(t, Component) else t.roles)]
+    points = [p for t in spec.types for p in parts(t)[0]]
     diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} is also the name of an event, so the output "
                          "would declare its channel twice") for p in points if p.name in event_names]
     header = [e for e in HEADER_NAMES if e in event_names]

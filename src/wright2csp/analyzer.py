@@ -10,7 +10,9 @@ Rules (diagnosed with the tool's historical French messages):
   6  every port/role of an instance is attached exactly once (configurations)
 
 All rules run and all findings are collected; nothing aborts at the first
-violation.  Rule 6 reports warnings unless ``strict`` is set.
+violation.  Rule 6 reports warnings unless ``strict`` is set.  Components
+and connectors are walked alike: ``model.parts`` gives their interface points
+(ports or roles) and their computation or glue.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     Connector,
     SourcePos,
     Style,
+    parts,
     slotted,
 )
 
@@ -38,6 +41,9 @@ class Nature(Enum):
     CONFIGURATION = "Configuration"
     STYLE = "Style"
 
+
+# A type's class -> its nature and the nature of its interface points
+_NATURES = {Component: (Nature.COMPONENT, Nature.PORT), Connector: (Nature.CONNECTOR, Nature.ROLE)}
 
 # Natures whose names the FDR output declares as they are (a channel per port
 # and role, a process per connector); a where-local may not reuse them.
@@ -98,14 +104,10 @@ def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, SymbolEntry], list[Dia
     table[spec.name] = SymbolEntry(spec.name, nature, None, spec.pos)
 
     for t in spec.types:
-        if isinstance(t, Component):
-            owner = insert_unique(t.name, Nature.COMPONENT, None, t.pos)
-            for p in t.ports:
-                insert_unique(p.name, Nature.PORT, owner, p.pos)
-        else:
-            owner = insert_unique(t.name, Nature.CONNECTOR, None, t.pos)
-            for r in t.roles:
-                insert_unique(r.name, Nature.ROLE, owner, r.pos)
+        nature, point_nature = _NATURES[type(t)]
+        owner = insert_unique(t.name, nature, None, t.pos)
+        for p in parts(t)[0]:
+            insert_unique(p.name, point_nature, owner, p.pos)
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
@@ -119,7 +121,8 @@ def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, SymbolEntry], list[Dia
     # Locals are checked once the table is whole, so a port declared after the
     # local counts too; the sort puts their findings in document order.
     for t in spec.types:
-        for decl in (*t.ports, t.computation) if isinstance(t, Component) else (*t.roles, t.glue):
+        points, main = parts(t)
+        for decl in (*points, main):
             seen: set[str] = set()
             for loc in decl.locals:
                 entry = table.get(loc.name)
@@ -144,21 +147,21 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
 
     type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
 
-    def resolve_interface(iref) -> tuple[Optional[str], bool]:
-        """Returns (owner type nature name, ok).  Appends diagnostics on failure."""
+    def resolve_interface(iref) -> Optional[type]:
+        """The class of the type whose interface point ``iref`` names, or None
+        after appending a diagnostic (none if rule 2 already reported it)."""
         inst_entry = table.get(iref.instance)
         if inst_entry is None or inst_entry.nature is not Nature.INSTANCE:
             diags.append(Diagnostic("error", iref.pos, "***Identificateur non declarer***", 3))
-            return None, False
+            return None
         if inst_entry.link is None:
             # type was undeclared; already reported under rule 2
-            return None, False
+            return None
         tdecl = type_by_name.get(inst_entry.link.name)
         if tdecl is None:
-            return None, False
-        members = [p.name for p in tdecl.ports] if isinstance(tdecl, Component) else [r.name for r in tdecl.roles]
-        if iref.point in members:
-            return ("Component" if isinstance(tdecl, Component) else "Connector"), True
+            return None
+        if iref.point in [p.name for p in parts(tdecl)[0]]:
+            return type(tdecl)
         point_entry = table.get(iref.point)
         if point_entry is not None and point_entry.nature in (Nature.PORT, Nature.ROLE):
             diags.append(Diagnostic("error", iref.pos, "***L'Instance et l'Interface non pas le meme Type***", 4))
@@ -166,43 +169,37 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
             diags.append(
                 Diagnostic("error", iref.pos, "***La deusieme partie doit etre soit un Port soit un Role***", 4)
             )
-        return None, False
+        return None
 
-    # rules 3-5 per attachment, rule 6 counting over the well-formed ones
-    port_uses: dict[tuple[str, str], int] = {}
-    role_uses: dict[tuple[str, str], int] = {}
+    # rules 3-5 per attachment; rule 6 over the well-formed ones
+    sev = "error" if strict else "warning"
+    ports: set[tuple[str, str]] = set()  # (instance, port) attached so far
+    roles: set[tuple[str, str]] = set()  # (instance, role) attached so far
+    attached = {Component: ports, Connector: roles}
     for att in spec.attachments:
-        left_kind, left_ok = resolve_interface(att.left)
-        right_kind, right_ok = resolve_interface(att.right)
-        if not (left_ok and right_ok):
+        left, right = resolve_interface(att.left), resolve_interface(att.right)
+        if left is None or right is None:
             continue
-        if left_kind != "Component" or right_kind != "Connector":
+        if left is not Component or right is not Connector:
             diags.append(Diagnostic("error", att.pos, "***Attachement: Composant.Port as Connecteur.Role***", 5))
             continue
-        port_key = (att.left.instance, att.left.point)
-        role_key = (att.right.instance, att.right.point)
-        sev = "error" if strict else "warning"
-        if port_uses.get(port_key):
+        port, role = (att.left.instance, att.left.point), (att.right.instance, att.right.point)
+        if port in ports:
             diags.append(Diagnostic(sev, att.pos, "***Port deja relier***", 6))
-        if role_uses.get(role_key):
+        if role in roles:
             diags.append(Diagnostic(sev, att.pos, "***Role deja relier***", 6))
-        port_uses[port_key] = port_uses.get(port_key, 0) + 1
-        role_uses[role_key] = role_uses.get(role_key, 0) + 1
+        ports.add(port)
+        roles.add(role)
 
     # rule 6: completeness — every port/role of every instance attached
-    sev = "error" if strict else "warning"
     for inst in spec.instances:
         tdecl = type_by_name.get(inst.type_name)
         if tdecl is None:
             continue
-        if isinstance(tdecl, Component):
-            for p in tdecl.ports:
-                if not port_uses.get((inst.name, p.name)):
-                    diags.append(Diagnostic(sev, inst.pos, "***Port non relier***", 6))
-        else:
-            for r in tdecl.roles:
-                if not role_uses.get((inst.name, r.name)):
-                    diags.append(Diagnostic(sev, inst.pos, "***Role non relier***", 6))
+        uses = attached[type(tdecl)]
+        for p in parts(tdecl)[0]:
+            if (inst.name, p.name) not in uses:
+                diags.append(Diagnostic(sev, inst.pos, f"***{p.kind.value} non relier***", 6))
 
     return diags
 

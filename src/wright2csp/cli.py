@@ -7,10 +7,10 @@ reason, for one the engine could not decide, such as one over the state cap);
 ``wright2csp lint in.wrt`` runs the static checks only.
 
 Every command exits 0 when everything passes, 1 when an assertion FAILs, and
-2 on an input error (unreadable input, unwritable output, parse or
-static-semantics error) or when an assertion is UNKNOWN and none FAILs.  It
-also exits 2, quietly, when standard output is closed before everything is
-written (``wright2csp check big.wrt | head -1``).
+2 on an input error (unreadable input, a file that is not UTF-8 included;
+unwritable output; parse or static-semantics error) or when an assertion is
+UNKNOWN and none FAILs.  It also exits 2, quietly, when standard output is
+closed before everything is written (``wright2csp check big.wrt | head -1``).
 
 For compatibility with the historical positional form,
 ``wright2csp in.wrt out.fdr2`` behaves like ``translate``.
@@ -44,6 +44,10 @@ def _load(path: str, strict_attachments: bool = False):
             source = fh.read()
     except OSError as exc:
         _eprint(f"can't open file for input: {path}. ({exc.strerror})")
+        return None
+    except UnicodeDecodeError as exc:  # ``read()`` decodes the whole file at once: ``start`` is a file offset
+        _eprint(f"can't read file for input: {path}. (byte 0x{exc.object[exc.start]:02x} "
+                f"at offset {exc.start} is not UTF-8)")
         return None
     try:
         spec, warnings = parse_source(source)

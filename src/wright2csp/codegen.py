@@ -60,6 +60,7 @@ from .model import (
     ProcessExpr,
     Ref,
     Success,
+    parts,
     slotted,
 )
 from .transform import determinized, restrict_to_observed
@@ -179,7 +180,7 @@ class _Out:
         # the header's names and every channel (event, port or role) are fixed
         self.taken = {*HEADER_NAMES, *spec.event_names}
         for t in spec.types:
-            self.taken.update(d.name for d in (t.ports if isinstance(t, Component) else t.roles))
+            self.taken.update(d.name for d in parts(t)[0])
         # form ("" for a first emission, DET, DETR) -> id of a declaration -> its names
         self.scopes: dict[str, dict[int, dict[str, str]]] = {"": {}, "DET": {}, "DETR": {}}
         self.alphas: dict[int, str] = {}  # id of a Wright element -> its ALPHA_ set's name

@@ -1,6 +1,8 @@
 """Core data model: structural and behavioural AST.
 
-Structural side: Component / Connector / Configuration / Style.  Behavioural
+Structural side: Component / Connector / Configuration / Style.  A component
+and a connector share one shape, interface points plus one behaviour, which
+``parts`` returns for either.  Behavioural
 side: ProcessExpr trees whose leaves are named references and the success
 process; the engine steps these same classes as its sequential terms.  An event is its qualified name as a plain string (``read``,
 ``In.read``); a prefix also records whether its use is initiated (``_read``),
@@ -241,6 +243,14 @@ class Connector:
         self.glue = glue
         self.pos = pos
         self.total_alphabet = total_alphabet
+
+
+def parts(t: Union[Component, Connector]) -> tuple[list[Declaration], Declaration]:
+    """A type's interface points and the one behaviour they constrain: a
+    component's ports and computation, or a connector's roles and glue."""
+    if type(t) is Component:
+        return t.ports, t.computation
+    return t.roles, t.glue
 
 
 @slotted(frozen=False)

@@ -43,6 +43,7 @@ from .model import (
     SUCCESS,
     Success,
     Choice,
+    parts,
 )
 
 KEYWORDS = {
@@ -62,6 +63,12 @@ KEYWORDS = {
     "where",
     "tick",
     "skip",
+}
+
+# A type's keyword -> its class, the kind of its interface points, the kind of its behaviour
+_TYPES = {
+    "component": (Component, DeclKind.PORT, DeclKind.COMPUTATION),
+    "connector": (Connector, DeclKind.ROLE, DeclKind.GLUE),
 }
 
 
@@ -307,13 +314,9 @@ class Parser:
 
     def parse_type_decls(self) -> list[Component | Connector]:
         types: list[Component | Connector] = []
-        while True:
-            if self.at_keyword("component"):
-                types.append(self.parse_component())
-            elif self.at_keyword("connector"):
-                types.append(self.parse_connector())
-            else:
-                return types
+        while self.at_keyword("component", "connector"):
+            types.append(self.parse_type())
+        return types
 
     def parse_declaration(self, kind: DeclKind, named: bool) -> Declaration:
         """``Port P = ...``, ``Role R = ...``, ``Computation = ...`` or ``Glue = ...``."""
@@ -323,27 +326,20 @@ class Parser:
         body, locals_ = self.parse_process_with_where()
         return Declaration(kind, name, body, locals_, pos)
 
-    def parse_component(self) -> Component:
-        pos = self.pos(self.expect_keyword("component"))
+    def parse_type(self) -> Component | Connector:
+        """A component (ports, then the computation) or a connector (roles,
+        then the glue); the current token is its keyword."""
+        word = self.values[self.k]
+        cls, point, main = _TYPES[word]  # type: ignore[index]
+        pos = self.pos()
+        self.k += 1
         name = self.expect_ident()
-        ports: list[Declaration] = []
-        while self.at_keyword("port"):
-            ports.append(self.parse_declaration(DeclKind.PORT, True))
-        if not ports:
-            raise self.error(f"component {name} declares no ports")
-        computation = self.parse_declaration(DeclKind.COMPUTATION, False)
-        return Component(name, ports, computation, pos=pos)
-
-    def parse_connector(self) -> Connector:
-        pos = self.pos(self.expect_keyword("connector"))
-        name = self.expect_ident()
-        roles: list[Declaration] = []
-        while self.at_keyword("role"):
-            roles.append(self.parse_declaration(DeclKind.ROLE, True))
-        if not roles:
-            raise self.error(f"connector {name} declares no roles")
-        glue = self.parse_declaration(DeclKind.GLUE, False)
-        return Connector(name, roles, glue, pos=pos)
+        points: list[Declaration] = []
+        while self.at_keyword(point.value.lower()):
+            points.append(self.parse_declaration(point, True))
+        if not points:
+            raise self.error(f"{word} {name} declares no {point.value.lower()}s")
+        return cls(name, points, self.parse_declaration(main, False), pos=pos)
 
     def parse_instance_line(self) -> list[Instance]:
         names = [(self.pos(), self.expect_ident())]
@@ -516,16 +512,11 @@ def to_wright(spec: ArchSpec) -> str:
     else:
         lines.append(f"Configuration {spec.name}")
     for t in spec.types:
-        if isinstance(t, Component):
-            lines.append(f"Component {t.name}")
-            for p in t.ports:
-                lines.extend(_decl_src(f"Port {p.name}", p, "  "))
-            lines.extend(_decl_src("Computation", t.computation, "  "))
-        else:
-            lines.append(f"Connector {t.name}")
-            for r in t.roles:
-                lines.extend(_decl_src(f"Role {r.name}", r, "  "))
-            lines.extend(_decl_src("Glue", t.glue, "  "))
+        points, main = parts(t)
+        lines.append(f"{type(t).__name__} {t.name}")
+        for p in points:
+            lines.extend(_decl_src(f"{p.kind.value} {p.name}", p, "  "))
+        lines.extend(_decl_src(main.kind.value, main, "  "))
     if isinstance(spec, Style):
         lines.append("Constraints")
         lines.append("  // no constraints")

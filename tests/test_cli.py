@@ -42,6 +42,33 @@ def test_translate_missing_input(tmp_path, capsys):
     assert "can't open file for input" in err
 
 
+@pytest.mark.parametrize("command", ["lint", "check", "translate"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    path, out = tmp_path / "latin1.wrt", tmp_path / "o.fdr2"
+    path.write_bytes(b"Style S\n// \xff\nConstraints\nEnd Style\n")
+    code, stdout, err = run(capsys, command, str(path), *([str(out)] if command == "translate" else []))
+    assert code == 2
+    assert err == f"can't read file for input: {path}. (byte 0xff at offset 11 is not UTF-8)\n"
+    assert "Traceback" not in err and not stdout
+    assert not out.exists()
+
+
+def test_internal_port_events_warn_after_the_scoped_event_warnings(tmp_path, capsys):
+    spec = tmp_path / "internal.wrt"
+    spec.write_text(
+        "Style S\nComponent C\n  Port P = a -> P |~| b -> P |~| TICK\n"
+        "  Computation = P.a -> Q.z -> Computation |~| TICK\nConstraints\nEnd Style\n"
+    )
+    code, stdout, err = run(capsys, "lint", str(spec))
+    assert code == 0 and not stdout
+    assert err.splitlines() == [
+        "Parsing complete.",
+        f"{spec}:4:3: warning: event 'Q.z' in component C names no declared interface point; "
+        "removed from the alphabet",
+        f"{spec}:2:1: warning: Ports really shouldn't have internal events. Consider this carefully.",
+    ]
+
+
 def test_translate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.wrt"
     bad.write_text("Style ?!")

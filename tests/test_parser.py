@@ -273,6 +273,19 @@ def test_parse_error_has_position_and_stops():
     assert err.value.pos.line == 3
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("Style S\nComponent C\n  Computation = TICK\nConstraints\nEnd Style", "3:3: component C declares no ports"),
+        ("Style S\nConnector K\n  Glue = TICK\nConstraints\nEnd Style", "3:3: connector K declares no roles"),
+    ],
+)
+def test_a_type_without_interface_points_is_a_parse_error(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(source)
+    assert str(err.value) == message
+
+
 def test_roundtrip_fixture_files():
     for name in (
         "dt1.wrt",

@@ -1,4 +1,4 @@
-"""Static semantics: six structural rules checked over a name -> entry symbol table.
+"""Static semantics: six structural rules checked over a symbol table.
 
 Rules (diagnosed with the tool's historical French messages):
   1  an identifier names at most one architectural element; a where-local
@@ -10,14 +10,15 @@ Rules (diagnosed with the tool's historical French messages):
   6  every port/role of an instance is attached exactly once (configurations)
 
 All rules run and all findings are collected; nothing aborts at the first
-violation.  Rule 6 reports warnings unless ``strict`` is set.  Components
+violation.  Rule 6 reports warnings unless ``strict`` is set.  The table
+maps each name to what declares it, in the model's own terms: a type's class,
+a point's ``DeclKind``, ``Instance``, or the description's class.  Components
 and connectors are walked alike: ``model.parts`` gives their interface points
 (ports or roles) and their computation or glue.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Optional
 
 from .model import (
@@ -25,46 +26,19 @@ from .model import (
     Component,
     Configuration,
     Connector,
+    DeclKind,
+    Instance,
     SourcePos,
-    Style,
     parts,
     slotted,
 )
 
-
-class Nature(Enum):
-    COMPONENT = "Component"
-    CONNECTOR = "Connector"
-    PORT = "Port"
-    ROLE = "Role"
-    INSTANCE = "Instance"
-    CONFIGURATION = "Configuration"
-    STYLE = "Style"
-
-
-# A type's class -> its nature and the nature of its interface points
-_NATURES = {Component: (Nature.COMPONENT, Nature.PORT), Connector: (Nature.CONNECTOR, Nature.ROLE)}
-
-# Natures whose names the FDR output declares as they are (a channel per port
-# and role, a process per connector); a where-local may not reuse them.
-_PRINTED_BARE = (Nature.PORT, Nature.ROLE, Nature.CONNECTOR)
-
-
-@slotted(frozen=False)
-class SymbolEntry:
-    __slots__ = ("name", "nature", "link", "pos")
-
-    def __init__(
-        self,
-        name: str,
-        nature: Nature,
-        link: Optional[SymbolEntry] = None,  # port->component, role->connector, instance->type
-        pos: SourcePos = SourcePos(),
-    ) -> None:
-        self.name = name
-        self.nature = nature
-        self.link = link
-        self.pos = pos
+# What a where-local may not share its name with.  These are the elements
+# whose channel (a port or role) or process (a connector) the output once
+# printed under the bare name.  The output no longer needs the rule, since
+# its name table would print local `In` of port `Out` as `InOut`; the rule
+# is kept so that `lint` accepts and rejects the same descriptions.
+_PRINTED_BARE = (DeclKind.PORT, DeclKind.ROLE, Connector)
 
 
 @slotted(frozen=False)
@@ -82,51 +56,42 @@ class Diagnostic:
         return f"{self.pos}: {self.severity}: {prefix}{self.message}"
 
 
-def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, SymbolEntry], list[Diagnostic]]:
+def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, object], list[Diagnostic]]:
     """Populate the table in document order, reporting rule-1 duplicates.
 
-    A name maps to its latest entry.  The style/configuration name itself
-    names the whole description, not an element inside it, so it does not
-    participate in the duplicate check.
+    A name maps to what its first declaration declares; a later declaration
+    of the name is a rule-1 error.  The style/configuration name itself names
+    the whole description, not an element inside it, so it does not take
+    part in the duplicate check: the first element of that name takes it over.
     """
-    table: dict[str, SymbolEntry] = {}
+    table: dict[str, object] = {spec.name: type(spec)}
     diags: list[Diagnostic] = []
 
-    def insert_unique(name: str, nature: Nature, link: Optional[SymbolEntry], pos: SourcePos) -> Optional[SymbolEntry]:
-        existing = table.get(name)
-        if existing is not None and existing.nature not in (Nature.STYLE, Nature.CONFIGURATION):
+    def declare(name: str, what: object, pos: SourcePos) -> None:
+        if table.get(name, type(spec)) is type(spec):
+            table[name] = what
+        else:
             diags.append(Diagnostic("error", pos, "***Identificateur Redondant***", 1))
-            return existing
-        table[name] = SymbolEntry(name, nature, link, pos)
-        return table[name]
-
-    nature = Nature.STYLE if isinstance(spec, Style) else Nature.CONFIGURATION
-    table[spec.name] = SymbolEntry(spec.name, nature, None, spec.pos)
 
     for t in spec.types:
-        nature, point_nature = _NATURES[type(t)]
-        owner = insert_unique(t.name, nature, None, t.pos)
+        declare(t.name, type(t), t.pos)
         for p in parts(t)[0]:
-            insert_unique(p.name, point_nature, owner, p.pos)
+            declare(p.name, p.kind, p.pos)
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
-            type_entry = table.get(inst.type_name)
-            link = type_entry if type_entry and type_entry.nature in (Nature.COMPONENT, Nature.CONNECTOR) else None
-            insert_unique(inst.name, Nature.INSTANCE, link, inst.pos)
+            declare(inst.name, Instance, inst.pos)
 
-    # A where-local is printed under its own name, beside the channel of every
-    # port and role and the process of every connector, so it may name none of
-    # these (its own port or role included), nor an earlier local of its block.
-    # Locals are checked once the table is whole, so a port declared after the
-    # local counts too; the sort puts their findings in document order.
+    # A where-local may name no port, role or connector (its own port or role
+    # included), nor an earlier local of its block.  Locals are checked once
+    # the table is whole, so a port declared after the local counts too; the
+    # sort puts their findings in document order.
     for t in spec.types:
         points, main = parts(t)
         for decl in (*points, main):
             seen: set[str] = set()
             for loc in decl.locals:
-                entry = table.get(loc.name)
-                if loc.name in seen or (entry is not None and entry.nature in _PRINTED_BARE):
+                if loc.name in seen or table.get(loc.name) in _PRINTED_BARE:
                     diags.append(Diagnostic("error", loc.pos, "***Identificateur Redondant***", 1))
                 seen.add(loc.name)
     diags.sort(key=lambda d: d.pos)
@@ -139,31 +104,30 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
     if not isinstance(spec, Configuration):
         return diags
 
-    # rule 2: instance types declared
+    # rule 2: instance types declared; an instance's type is its first
+    # declaration's, as the table keeps only that one
+    type_names: dict[str, str] = {}
     for inst in spec.instances:
-        entry = table.get(inst.type_name)
-        if entry is None or entry.nature not in (Nature.COMPONENT, Nature.CONNECTOR):
+        if table.get(inst.type_name) not in (Component, Connector):
             diags.append(Diagnostic("error", inst.pos, "***Type non Declarer***", 2))
+        type_names.setdefault(inst.name, inst.type_name)
 
     type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
 
     def resolve_interface(iref) -> Optional[type]:
         """The class of the type whose interface point ``iref`` names, or None
         after appending a diagnostic (none if rule 2 already reported it)."""
-        inst_entry = table.get(iref.instance)
-        if inst_entry is None or inst_entry.nature is not Nature.INSTANCE:
+        if table.get(iref.instance) is not Instance:
             diags.append(Diagnostic("error", iref.pos, "***Identificateur non declarer***", 3))
             return None
-        if inst_entry.link is None:
+        type_name = type_names[iref.instance]
+        if table.get(type_name) not in (Component, Connector):
             # type was undeclared; already reported under rule 2
             return None
-        tdecl = type_by_name.get(inst_entry.link.name)
-        if tdecl is None:
-            return None
+        tdecl = type_by_name[type_name]
         if iref.point in [p.name for p in parts(tdecl)[0]]:
             return type(tdecl)
-        point_entry = table.get(iref.point)
-        if point_entry is not None and point_entry.nature in (Nature.PORT, Nature.ROLE):
+        if table.get(iref.point) in (DeclKind.PORT, DeclKind.ROLE):
             diags.append(Diagnostic("error", iref.pos, "***L'Instance et l'Interface non pas le meme Type***", 4))
         else:
             diags.append(

@@ -213,12 +213,13 @@ class _Out:
 
     def alpha(self, element: Union[Declaration, Component, Connector], form: str, events: list[str],
               bar: bool = False) -> str:
-        """``ALPHA_x = {...}``, or ``{|...|}`` when ``bar``, where ``x`` is
-        ``element``'s name plus ``form``; returns the set's name."""
+        """``ALPHA_x = {...}``, or ``{|...|}`` when ``bar`` and ``events`` is
+        not empty, where ``x`` is ``element``'s name plus ``form``; returns the
+        set's name."""
         name = self.name(f"ALPHA_{element.name}{form}", element.name)
         self.sets[name] = events
         inner = ", ".join(events)
-        self.line(f"{name} = " + (f"{{|{inner}|}}" if bar else f"{{{inner}}}"))
+        self.line(f"{name} = " + (f"{{|{inner}|}}" if bar and events else f"{{{inner}}}"))
         return name
 
     def channel(self, point: Declaration, owner: Union[Component, Connector]) -> None:
@@ -464,7 +465,8 @@ def emit(spec: ArchSpec) -> EmitPlan:
     out.line(f"-- {kw} {spec.name}")
     out.line("-- Types declarations")
     out.line("-- events for abstract specification")
-    out.line(f"channel {', '.join(spec.event_names)}")
+    if spec.event_names:
+        out.line(f"channel {', '.join(spec.event_names)}")
     out.line()
     for t in spec.types:
         if isinstance(t, Component):

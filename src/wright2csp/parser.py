@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple
 
 from .model import (
     Attachment,
@@ -105,16 +103,6 @@ class TokKind(Enum):
     EOF = "eof"
 
 
-class Token(NamedTuple):
-    kind: TokKind
-    value: object
-    pos: SourcePos
-    text: str = ""  # original spelling (keywords are matched case-folded)
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.value!r}, {self.pos})"
-
-
 # Blanks and comments, then one alternative per token class; ``lastgroup``
 # names the class matched, and is None where no token follows the blanks (end
 # of input or an illegal character).  ``\w`` is exactly ``str.isalnum`` plus
@@ -140,9 +128,9 @@ def _constraints_end(source: str, i: int) -> int:
     return len(source)
 
 
-class Tokens(Sequence):
+class Tokens:
     """The token stream as parallel lists: the kind, value and start offset of
-    each token.  ``tokens[k]`` builds the ``Token`` on demand, its position
+    each token.  ``len()`` is the token count, EOF included; a position is
     looked up in a table of line starts made on first use."""
 
     def __init__(self, source: str) -> None:
@@ -154,14 +142,6 @@ class Tokens(Sequence):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, k: int) -> Token:
-        kind = self.kinds[k]
-        text = self.text(k) if kind is TokKind.KEYWORD else ""
-        return Token(kind, self.values[k], self.pos_at(self.starts[k]), text)
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (Tokens, list)) else NotImplemented
 
     def text(self, k: int) -> str:
         """The spelling of keyword ``k``; its value is the same word case-folded."""
@@ -245,7 +225,7 @@ class Parser:
         return ParseError(self.pos(k), message)
 
     def found(self) -> str:
-        return _show(self.toks[self.k])
+        return _show(self.kinds[self.k], self.values[self.k])
 
     # A token is stepped past only once its kind is known, so never past EOF.
 
@@ -444,18 +424,18 @@ class Parser:
         raise self.error(f"expected a process expression, found {self.found()}")
 
 
-def _show(t: Token) -> str:
-    if t.kind is TokKind.EOF:
+def _show(kind: TokKind, value: object) -> str:
+    if kind is TokKind.EOF:
         return "end of input"
-    if t.kind is TokKind.KEYWORD:
-        return f"keyword '{t.value}'"
-    if t.kind is TokKind.DOTTED:
-        a, b = t.value  # type: ignore[misc]
+    if kind is TokKind.KEYWORD:
+        return f"keyword '{value}'"
+    if kind is TokKind.DOTTED:
+        a, b = value  # type: ignore[misc]
         return f"'{a}.{b}'"
-    if t.kind is TokKind.INITEVENT:
-        name, scope = t.value  # type: ignore[misc]
+    if kind is TokKind.INITEVENT:
+        name, scope = value  # type: ignore[misc]
         return "'_" + (f"{scope}.{name}'" if scope else f"{name}'")
-    return f"'{t.value}'"
+    return f"'{value}'"
 
 
 def parse_source(source: str) -> tuple[ArchSpec, list[str]]:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately naive: direct definitions, explicit
-enumeration, no sharing with the code under test beyond its LTS, token and
+enumeration, no sharing with the code under test beyond its LTS, token kind and
 AST data types.
 """
 
@@ -12,6 +12,8 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 from wright2csp.codegen import process_term
 from wright2csp.engine import (
@@ -45,7 +47,7 @@ from wright2csp.model import (
     SourcePos,
     Success,
 )
-from wright2csp.parser import KEYWORDS, ParseError, Token, TokKind
+from wright2csp.parser import KEYWORDS, ParseError, TokKind
 
 SELF = "X"
 
@@ -436,6 +438,13 @@ def _is_ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
+class Token(NamedTuple):
+    kind: TokKind
+    value: object
+    pos: SourcePos
+    text: str = ""  # original spelling (keywords are matched case-folded)
+
+
 class _Lexer:
     def __init__(self, source: str) -> None:
         self.src = source
@@ -586,6 +595,38 @@ def token_spans(source: str) -> list[tuple[int, int]]:
         assert source[start:end] == _spelling(t), (t, source[start:end])
         spans.append((start, end))
     return spans
+
+
+def token_mutants(n: int, seed: int):
+    """``n`` seeded token-level mutations of the fixtures: a token deleted,
+    doubled, swapped with another, preceded by a token of any fixture, or
+    replaced by one (a name, most often, by a name)."""
+    rng = random.Random(seed)
+    sources = [path.read_text() for path in sorted((Path(__file__).parent / "fixtures").glob("*.wrt"))]
+    spans = [token_spans(source) for source in sources]
+    words = [source[a:b] for source, sp in zip(sources, spans) for a, b in sp]
+    names = sorted({w for w in words if w.isidentifier() and w.lower() not in KEYWORDS})
+    for _ in range(n):
+        i = rng.randrange(len(sources))
+        source, sp = sources[i], spans[i]
+        a, b = sp[rng.randrange(len(sp))]
+        op = rng.choice(("delete", "double", "swap", "replace", "insert", "rename", "rename"))
+        if op == "delete":
+            yield source[:a] + source[b:]
+        elif op == "double":
+            yield source[:b] + " " + source[a:]
+        elif op == "swap":
+            c, d = sp[rng.randrange(len(sp))]
+            if c < a:
+                a, b, c, d = c, d, a, b
+            if b <= c:
+                yield source[:a] + source[c:d] + source[b:c] + source[a:b] + source[d:]
+        elif op == "rename" and source[a:b] in names:
+            yield source[:a] + rng.choice(names) + source[b:]
+        elif op in ("replace", "rename"):
+            yield source[:a] + rng.choice(words) + source[b:]
+        else:
+            yield source[:a] + rng.choice(words) + " " + source[a:]
 
 
 # --- alphabets: reference walks, relations and set operations ------------------

@@ -1,6 +1,6 @@
 from conftest import fixture_path
 from wright2csp import analyzer
-from wright2csp.model import SourcePos
+from wright2csp.model import Component, Instance, SourcePos
 from wright2csp.parser import parse_source
 
 
@@ -35,6 +35,24 @@ def test_duplicate_instance_names_violate_rule1():
     diags = analyzer.analyze(spec)
     assert 1 in error_rules(diags)
     assert any("Identificateur Redondant" in d.message for d in diags)
+
+
+def test_first_declaration_of_a_name_wins():
+    # the instance `A` comes after `Component A`, so `A` stays a component
+    # and an attachment through `A` names no declared instance
+    spec, _ = parse_source(
+        "Configuration Cfg\nComponent A\n  Port P = a -> P [] TICK\n"
+        "  Computation = P.a -> Computation [] TICK\n"
+        "Connector K\n  Role R = a -> R [] TICK\n  Glue = R.a -> Glue [] TICK\n"
+        "Instances\n  A : K\n  B : K\nAttachments\n  A.P As B.R\nEnd Configuration"
+    )
+    table, _ = analyzer.build_symbol_table(spec)
+    assert table["A"] is Component and table["B"] is Instance
+    errors = [str(d) for d in analyzer.analyze(spec) if d.severity == "error"]
+    assert errors == [
+        "9:3: error: rule=1 ***Identificateur Redondant***",
+        "12:3: error: rule=3 ***Identificateur non declarer***",
+    ]
 
 
 def _where_source(port_locals: str, role_locals: str = "") -> str:

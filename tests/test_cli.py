@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 import time
@@ -7,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_path, golden_matches, perfbench_workloads
-from oracles import token_spans
+from conftest import fixture_path, golden_matches, perfbench_workloads
+from oracles import token_mutants
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
-from wright2csp.parser import KEYWORDS, MAX_NESTING, ParseError, parse_source
+from wright2csp.parser import MAX_NESTING, ParseError, parse_source
 
 
 def run(capsys, *argv):
@@ -296,38 +295,6 @@ def test_check_exits_quietly_when_stdout_closes_early(tmp_path):
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
-def _mutants(n, seed):
-    """``n`` seeded token-level mutations of the fixtures: a token deleted,
-    doubled, swapped with another, preceded by a token of any fixture, or
-    replaced by one (a name, most often, by a name)."""
-    rng = random.Random(seed)
-    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
-    spans = [token_spans(source) for source in sources]
-    words = [source[a:b] for source, sp in zip(sources, spans) for a, b in sp]
-    names = sorted({w for w in words if w.isidentifier() and w.lower() not in KEYWORDS})
-    for _ in range(n):
-        i = rng.randrange(len(sources))
-        source, sp = sources[i], spans[i]
-        a, b = sp[rng.randrange(len(sp))]
-        op = rng.choice(("delete", "double", "swap", "replace", "insert", "rename", "rename"))
-        if op == "delete":
-            yield source[:a] + source[b:]
-        elif op == "double":
-            yield source[:b] + " " + source[a:]
-        elif op == "swap":
-            c, d = sp[rng.randrange(len(sp))]
-            if c < a:
-                a, b, c, d = c, d, a, b
-            if b <= c:
-                yield source[:a] + source[c:d] + source[b:c] + source[a:b] + source[d:]
-        elif op == "rename" and source[a:b] in names:
-            yield source[:a] + rng.choice(names) + source[b:]
-        elif op in ("replace", "rename"):
-            yield source[:a] + rng.choice(words) + source[b:]
-        else:
-            yield source[:a] + rng.choice(words) + " " + source[a:]
-
-
 def _expected_text(source):
     """The FDR text ``translate`` must write for ``source``, or None."""
     try:
@@ -341,7 +308,7 @@ def _expected_text(source):
 def test_cli_survives_token_mutations_of_the_fixtures(tmp_path, capsys):
     path, out = tmp_path / "m.wrt", tmp_path / "m.fdr2"
     start = time.perf_counter()
-    for k, source in enumerate(_mutants(300, 9)):
+    for k, source in enumerate(token_mutants(300, 9)):
         path.write_text(source)
         for argv in (["lint", str(path)], ["check", str(path), "--max-states", "500"]):
             assert main(argv) in (0, 1, 2), (k, argv, source)

@@ -356,6 +356,24 @@ def test_composite_sets_are_the_sets_the_text_denotes():
                 assert a.alphabet == sets.evaluate(union.group(1)), (name, a.label)
 
 
+def test_no_empty_channel_line_or_empty_production_set():
+    # CSPM has no `channel` line without a name; `{}` is the empty set `{||}` would print
+    sources = [
+        ("no events", "Style S Constraints End Style"),
+        ("silent glue", "Style S\nConnector K\n  Role R = y -> R [] TICK\n  Glue = TICK\nConstraints\nEnd Style\n"),
+    ]
+    plans = dict(_front_end_plans(sources))
+    assert list(plans) == ["no events", "silent glue"]
+    for name, plan in plans.items():
+        assert [l for l in plan.text.splitlines() if l.strip() == "channel" or "{||}" in l] == [], name
+        sets = EmittedSets(plan.text)
+        texts = definition_texts(plan.text)
+        for proc, term in plan.definitions.items():
+            assert sets.sites(texts[proc]) == term_sites(term), (name, proc)
+    assert "ALPHA_K = {}" in plans["silent glue"].text
+    assert EmittedSets(plans["silent glue"].text).alphas["ALPHA_K"] == frozenset()
+
+
 # --- the terms' processes are the processes the text denotes ---------------------
 
 

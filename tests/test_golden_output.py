@@ -7,8 +7,11 @@ pin the same two outputs for the benchmark's pipeline(3), passing and
 failing, where each (port type, role type) pair is attached several times.
 ``golden/positions.txt`` pins the source positions that reach only standard
 error: the ``lint`` output of every fixture, and the ``ParseError`` of every
-fixture cut after each token.  After a change that is meant to alter the
-output, regenerate them all with ``PYTHONPATH=src python
+fixture cut after each token.  ``golden/mutants.txt`` pins the ``lint``
+output and exit code of the token mutants the CLI fuzz runs
+(``oracles.token_mutants(300, 9)``): parse errors and static-rule findings
+on malformed input.  After a change that is meant to alter the output,
+regenerate them all with ``PYTHONPATH=src python
 tests/test_golden_output.py`` and review the diff.
 """
 
@@ -19,13 +22,14 @@ import tempfile
 from pathlib import Path
 
 from conftest import perfbench_workloads
-from oracles import token_spans
+from oracles import token_mutants, token_spans
 from wright2csp.cli import main
 from wright2csp.parser import ParseError, parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EMITTED = Path(__file__).parent / "golden" / "emitted"
 POSITIONS = Path(__file__).parent / "golden" / "positions.txt"
+MUTANTS = Path(__file__).parent / "golden" / "mutants.txt"
 CLEAN = [
     "calculformule",
     "deadconn",
@@ -68,13 +72,19 @@ def write_pipelines(directory: Path) -> list[Path]:
     return paths
 
 
+def _lint(path: Path) -> tuple[int, str]:
+    """Run ``lint``; returns (exit code, standard error with the path as its file name)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["lint", str(path)])
+    return code, err.getvalue().replace(str(path), path.name)
+
+
 def position_transcript() -> str:
     parts = []
     for path in sorted(FIXTURES.glob("*.wrt")):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["lint", str(path)])
-        parts.append(f"== {path.name} lint exit {code}\n" + err.getvalue().replace(str(path), path.name))
+        code, err = _lint(path)
+        parts.append(f"== {path.name} lint exit {code}\n{err}")
     for path in sorted(FIXTURES.glob("*.wrt")):
         source = path.read_text()
         parts.append(f"== {path.name} cut after each token\n")
@@ -85,6 +95,17 @@ def position_transcript() -> str:
             except ParseError as exc:
                 outcome = str(exc)
             parts.append(f"{end} {outcome}\n")
+    return "".join(parts)
+
+
+def mutant_transcript() -> str:
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.wrt"
+        for k, source in enumerate(token_mutants(300, 9)):
+            path.write_text(source)
+            code, err = _lint(path)
+            parts.append(f"== mutant {k} lint exit {code}\n{err}")
     return "".join(parts)
 
 
@@ -112,6 +133,10 @@ def test_diagnostic_positions_are_identical_to_golden():
     assert position_transcript() == POSITIONS.read_text()
 
 
+def test_mutant_lint_output_is_identical_to_golden():
+    assert mutant_transcript() == MUTANTS.read_text()
+
+
 if __name__ == "__main__":
     EMITTED.mkdir(parents=True, exist_ok=True)
     for name in CLEAN:
@@ -125,3 +150,4 @@ if __name__ == "__main__":
                 sys.exit(f"{path.name} does not translate")
         (EMITTED / "pipeline3_check.txt").write_text(check_transcript(paths))
     POSITIONS.write_text(position_transcript())
+    MUTANTS.write_text(mutant_transcript())

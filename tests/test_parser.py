@@ -34,30 +34,36 @@ def parse_text(text: str):
     return spec
 
 
+def _stream(toks):
+    """(kind, value, position) of every token of a ``Tokens``."""
+    return [(kind, value, toks.pos_at(start)) for kind, value, start in zip(toks.kinds, toks.values, toks.starts)]
+
+
 def test_tokenize_initiated_and_operators():
-    kinds = [t.kind for t in tokenize("_a -> Output |~| TICK")]
-    assert kinds == [TokKind.INITEVENT, TokKind.ARROW, TokKind.IDENT, TokKind.ICHOICE, TokKind.KEYWORD, TokKind.EOF]
     toks = tokenize("_a -> Output |~| TICK")
-    assert toks[0].value == ("a", None)
-    assert toks[4].value == "tick"
+    kinds = [TokKind.INITEVENT, TokKind.ARROW, TokKind.IDENT, TokKind.ICHOICE, TokKind.KEYWORD, TokKind.EOF]
+    assert toks.kinds == kinds
+    assert toks.values[0] == ("a", None)
+    assert toks.values[4] == "tick" and toks.text(4) == "TICK"
 
 
 def test_tokenize_empty():
-    assert [t.kind for t in tokenize("")] == [TokKind.EOF]
+    assert tokenize("").kinds == [TokKind.EOF]
 
 
 def test_tokenize_dotted_and_scoped_initiated():
     toks = tokenize("Glue = Origin.a -> _Target.c -> Glue [] TICK")
-    assert toks[0].value == "glue"
-    assert toks[2].kind is TokKind.DOTTED and toks[2].value == ("Origin", "a")
-    assert toks[4].kind is TokKind.INITEVENT and toks[4].value == ("c", "Target")
+    assert toks.values[0] == "glue"
+    assert toks.kinds[2] is TokKind.DOTTED and toks.values[2] == ("Origin", "a")
+    assert toks.kinds[4] is TokKind.INITEVENT and toks.values[4] == ("c", "Target")
 
 
 def test_tokenize_comments_and_positions():
     toks = tokenize("// hi\nPort In")
-    assert toks[0].value == "port"
-    assert (toks[0].pos.line, toks[0].pos.column) == (2, 1)
-    assert toks[1].pos.column == 6
+    assert toks.values[0] == "port"
+    pos = toks.pos_at(toks.starts[0])
+    assert (pos.line, pos.column) == (2, 1)
+    assert toks.pos_at(toks.starts[1]).column == 6
 
 
 def test_tokenize_illegal_character():
@@ -85,6 +91,10 @@ def _lex_outcome(lex, text):
         return str(exc)
 
 
+def _reference_stream(text):
+    return [(t.kind, t.value, t.pos) for t in reference_tokenize(text)]
+
+
 def test_tokenize_matches_reference_lexer():
     sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
     sources += [to_wright(parse_text(text)) for text in list(sources)]
@@ -94,8 +104,8 @@ def test_tokenize_matches_reference_lexer():
         sources.append(rng.choice(("", " ", "")).join(frags))
     errors = 0
     for text in sources:
-        got = _lex_outcome(tokenize, text)
-        assert got == _lex_outcome(reference_tokenize, text), repr(text)
+        got = _lex_outcome(lambda t: _stream(tokenize(t)), text)
+        assert got == _lex_outcome(_reference_stream, text), repr(text)
         errors += isinstance(got, str)
     assert 1000 < errors < len(sources) - 1000  # both outcomes well covered
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from wright2csp import codegen
-from wright2csp.analyzer import Diagnostic, Nature, SymbolEntry
+from wright2csp.analyzer import Diagnostic
 from wright2csp.codegen import Assertion, AssertionKind, EmitPlan
 from wright2csp.engine import (
     FdModel,
@@ -137,11 +137,6 @@ RECORDS = [
         RefinementVerdict(False, (("a",), "failure"), 3),
         RefinementVerdict(holds=False, counterexample=(("a",), "failure"), explored=3),
         "RefinementVerdict(holds=False, counterexample=(('a',), 'failure'), explored=3)",
-    ),
-    (
-        SymbolEntry("In", Nature.PORT),
-        SymbolEntry(name="In", nature=Nature.PORT),
-        f"SymbolEntry(name='In', nature=<Nature.PORT: 'Port'>, link=None, {NO_POS})",
     ),
     (
         Diagnostic("error", POS, "bad", 1),
@@ -285,7 +280,6 @@ def test_default_lists_are_fresh_per_record():
 
 def test_defaults_match_the_dataclass_signatures():
     assert RefinementVerdict(True) == RefinementVerdict(True, None, 0)
-    assert SymbolEntry("X", Nature.PORT) == SymbolEntry("X", Nature.PORT, None, SourcePos())
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
     kind, alphabet = AssertionKind.ROLE_DEADLOCK_FREE, frozenset({"a"})
     assert Assertion(kind, "l", EMPTY, EMPTY, alphabet) == Assertion(kind, "l", EMPTY, EMPTY, alphabet, None)

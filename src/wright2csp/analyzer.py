@@ -105,14 +105,14 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         return diags
 
     # rule 2: instance types declared; an instance's type is its first
-    # declaration's, as the table keeps only that one
+    # declaration's, as the table keeps only that one (so does type_by_name)
     type_names: dict[str, str] = {}
     for inst in spec.instances:
         if table.get(inst.type_name) not in (Component, Connector):
             diags.append(Diagnostic("error", inst.pos, "***Type non Declarer***", 2))
         type_names.setdefault(inst.name, inst.type_name)
 
-    type_by_name: dict[str, Component | Connector] = {t.name: t for t in spec.types}
+    type_by_name: dict[str, Component | Connector] = {t.name: t for t in reversed(spec.types)}
 
     def resolve_interface(iref) -> Optional[type]:
         """The class of the type whose interface point ``iref`` names, or None

@@ -75,7 +75,7 @@ class AssertionKind(Enum):
 
 @slotted(frozen=False)
 class Assertion:
-    __slots__ = ("kind", "label", "spec_term", "impl_term", "alphabet", "key")
+    __slots__ = ("kind", "label", "spec_term", "impl_term", "key")
 
     def __init__(
         self,
@@ -83,15 +83,13 @@ class Assertion:
         label: str,
         spec_term: ProcessExpr,
         impl_term: ProcessExpr,
-        alphabet: frozenset[str],
         key: str | None = None,
     ) -> None:
         self.kind = kind
         self.label = label  # the exact "assert X [FD= Y" line
         self.spec_term = spec_term
         self.impl_term = impl_term
-        self.alphabet = alphabet
-        # assertions with equal keys and alphabets have equal verdicts; None promises nothing
+        # assertions with equal keys have equal verdicts; None promises nothing
         self.key = key
 
 
@@ -290,7 +288,7 @@ def _deadlock_check(out: _Out, kind: AssertionKind, element: Union[Declaration, 
     name = out.name(f"{element.name}A", element.name)
     out.line(f"{name} = {process} [[ x <- abstractEvent | x <- {alpha} ]]")
     out.equations[name] = rename(Ref(process), dict.fromkeys(out.sets[alpha], "abstractEvent"))
-    out.assertion(Assertion(kind, f"assert DFA [FD= {name}", Ref("DFA"), Ref(name), frozenset({"abstractEvent"})))
+    out.assertion(Assertion(kind, f"assert DFA [FD= {name}", Ref("DFA"), Ref(name)))
 
 
 # --- connectors ---------------------------------------------------------------
@@ -392,9 +390,7 @@ def emit_component(out: _Out, comp: Component) -> None:
         out.line(f"{first}{computation}{')' * (len(pairs) + 1)}\\ diff({comp_alpha}, {{ |{p}| }})")
         p_events = frozenset(out.sets[f"{{|{p}|}}"])
         out.equations[name] = PHide(_fold(pairs, Ref(computation)), comp_events - p_events)
-        out.assertion(
-            Assertion(AssertionKind.PORT_COMPUTATION, f"assert {g} [FD= {name}", Ref(g), Ref(name), p_events)
-        )
+        out.assertion(Assertion(AssertionKind.PORT_COMPUTATION, f"assert {g} [FD= {name}", Ref(g), Ref(name)))
         out.line()
 
 
@@ -450,7 +446,7 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
         out.line(f"  {det}")
         out.equations[port_det] = PPar(Ref(port_name), both, role_det)
         label = f"assert {role_name} [FD= {port_det}"
-        out.assertion(Assertion(AssertionKind.PORT_ROLE, label, Ref(role_name), Ref(port_det), both, pair))
+        out.assertion(Assertion(AssertionKind.PORT_ROLE, label, Ref(role_name), Ref(port_det), pair))
         out.line()
 
 

@@ -74,10 +74,6 @@ class UnresolvedProcessError(EngineError):
         self.name = name
 
 
-class AlphabetMismatchError(EngineError):
-    pass
-
-
 # --- process terms ----------------------------------------------------------
 
 
@@ -156,8 +152,7 @@ class Lts:
     ``events[s]`` and ``targets[s]`` hold the labels and target states of
     the moves of state ``s``, in order; no move is stored as a tuple.
     ``Lts(n, transitions)`` builds it from ``(source, event, target)``
-    triples; ``transitions`` lists them back, by source state.  ``labels``
-    holds the regular events (neither tau nor tick) that label a move.
+    triples; ``transitions`` lists them back, by source state.
     """
 
     def __init__(
@@ -174,7 +169,6 @@ class Lts:
                 events[s].append(a)
                 targets[s].append(t)
         self.n_states, self.initial, self.events, self.targets = n_states, initial, events, targets
-        self.labels = frozenset().union(*events) - {TAU, TICK}
 
     @property
     def transitions(self) -> list[tuple[int, str, int]]:
@@ -739,10 +733,12 @@ def check_assertion(
     spec_term: ProcessExpr,
     impl_term: ProcessExpr,
     env: Mapping[str, ProcessExpr],
-    alphabet: frozenset[str],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> RefinementVerdict:
-    """Compile both sides over the same alphabet and decide refinement.
+    """Compile both sides and decide ``spec_term [FD= impl_term``.
+
+    An event the implementation performs where the specification cannot
+    fails the trace check, so the refinement needs no alphabet.
 
     The cyclic garbage collector is paused meanwhile and then restored (left
     off if the caller had turned it off): these phases allocate many objects
@@ -756,12 +752,6 @@ def check_assertion(
     try:
         spec_lts = compile_to_lts(spec_term, env, max_states)
         impl_lts = compile_to_lts(impl_term, env, max_states)
-        for side, lts in (("specification", spec_lts), ("implementation", impl_lts)):
-            extra = lts.labels - alphabet
-            if extra:
-                raise AlphabetMismatchError(
-                    f"{side} performs events outside the assertion alphabet: {sorted(extra)}"
-                )
         spec_fd = normalize_fd(spec_lts, max_states)
         return check_refinement_fd(spec_fd, impl_lts, max_states)
     finally:
@@ -779,26 +769,25 @@ def assertion_verdicts(
 ) -> Iterator[tuple[str, RefinementVerdict | EngineError]]:
     """(label, verdict) per assertion, in order; an undecided one has its error.
 
-    Each assertion exposes ``label``, ``spec_term``, ``impl_term``,
-    ``alphabet`` and ``key``.  An equal ``key`` is the caller's promise of an
-    equal verdict: an assertion whose key and alphabet equal an earlier
-    one's gets that assertion's verdict object (same ``holds``,
-    counterexample and ``explored``) unchecked.  An ``EngineError`` is never
-    reused, since its message may name a definition; an assertion whose key
-    is None is always checked on its own.
+    Each assertion exposes ``label``, ``spec_term``, ``impl_term`` and
+    ``key``.  An equal ``key`` is the caller's promise of an equal verdict:
+    an assertion whose key equals an earlier one's gets that assertion's
+    verdict object (same ``holds``, counterexample and ``explored``)
+    unchecked.  An ``EngineError`` is never reused, since its message may
+    name a definition; an assertion whose key is None is always checked on
+    its own.
     """
-    memo: dict[tuple, RefinementVerdict] = {}
+    memo: dict[str, RefinementVerdict] = {}
     for a in assertions:
-        key = None if a.key is None else (a.key, a.alphabet)
-        verdict = memo.get(key)
+        verdict = memo.get(a.key)
         if verdict is None:
             try:
-                verdict = check_assertion(a.spec_term, a.impl_term, env, a.alphabet, max_states)
+                verdict = check_assertion(a.spec_term, a.impl_term, env, max_states)
             except EngineError as exc:
                 yield a.label, exc
                 continue
-            if key is not None:
-                memo[key] = verdict
+            if a.key is not None:
+                memo[a.key] = verdict
         yield a.label, verdict
 
 

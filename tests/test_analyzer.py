@@ -55,6 +55,22 @@ def test_first_declaration_of_a_name_wins():
     ]
 
 
+def test_an_instance_of_a_twice_declared_type_has_the_first_declaration():
+    # `K` is first a component, so `c.P` resolves, `k.R` names no port of
+    # `K`, and each instance misses the attachment of the component's port
+    spec, _ = parse_source(
+        "Configuration Twice\nComponent K\n  Port P = a -> P\n  Computation = P.a -> Computation\n"
+        "Connector K\n  Role R = a -> R\n  Glue = R.a -> Glue\n"
+        "Instances\n  c : K\n  k : K\nAttachments\n  c.P As k.R\nEnd Configuration\n"
+    )
+    assert [str(d) for d in analyzer.analyze(spec)] == [
+        "5:1: error: rule=1 ***Identificateur Redondant***",
+        "12:10: error: rule=4 ***L'Instance et l'Interface non pas le meme Type***",
+        "9:3: warning: rule=6 ***Port non relier***",
+        "10:3: warning: rule=6 ***Port non relier***",
+    ]
+
+
 def _where_source(port_locals: str, role_locals: str = "") -> str:
     """A configuration whose port ``In`` and role ``R`` carry the given where-locals."""
     port = "  Port In = a -> L where { " + port_locals + " }\n" if port_locals else "  Port In = a -> In [] TICK\n"

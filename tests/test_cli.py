@@ -217,6 +217,21 @@ def test_check_fail_outranks_unknown_in_the_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_fails_a_connector_that_performs_events_its_alphabet_leaves_out(tmp_path, capsys):
+    # the glue names no event, so ALPHA_K is empty and KA performs R.y, which DFA cannot
+    path, out = tmp_path / "silent.wrt", tmp_path / "silent.fdr2"
+    path.write_text("Style S\nConnector K\n  Role R = y -> R [] TICK\n  Glue = TICK\nConstraints\nEnd Style\n")
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert stdout.splitlines() == [
+        "PASS  assert DFA [FD= RA",
+        "FAIL  assert DFA [FD= KA  (failure after trace <R.y>)",
+    ]
+    assert code == 1
+    assert run(capsys, "translate", str(path), str(out))[0] == 0
+    text = out.read_text()
+    assert "ALPHA_K = {}\n" in text and "assert DFA [FD= KA\n" in text
+
+
 @pytest.mark.parametrize(
     "port",
     ["_c -> L where {\n    L = _d -> Out |~| TICK\n  }", "_c -> (_d -> Out |~| TICK)"],

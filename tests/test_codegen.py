@@ -5,6 +5,7 @@ from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perf
 from oracles import EmittedSets, definition_texts, read_process, term_sites
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit
+from wright2csp.engine import TAU, TICK, compile_to_lts
 from wright2csp.parser import parse_source
 from wright2csp import alphabets, analyzer, cli
 
@@ -347,13 +348,33 @@ def test_composite_sets_are_the_sets_the_text_denotes():
         texts = definition_texts(plan.text)
         for proc, term in plan.definitions.items():
             assert sets.sites(texts[proc]) == term_sites(term), (name, proc)
+        # Each side of an assertion performs only events of the set the text names for it:
+        # {|p|} for `pG [FD= COMPp`, the union of the `…PLUSDET` line for a port/role check,
+        # and {abstractEvent} for `DFA [FD= xA`.  A connector's ALPHA_ set holds only its glue's
+        # events, so its check may also perform the role events the glue leaves unsynchronised.
+        performed = {}
         for a in plan.assertions:
+            impl_text = texts[a.impl_term.name]
             if a.kind is AssertionKind.PORT_COMPUTATION:
-                port = a.spec_term.name[: -len("G")]
-                assert a.alphabet == sets.evaluate(f"{{|{port}|}}"), (name, a.label)
+                named = sets.evaluate(f"{{|{a.spec_term.name[: -len('G')]}|}}")
             elif a.kind is AssertionKind.PORT_ROLE:
-                union = re.search(r"\[\|\s*(union\(.*?\))\s*\|\]", texts[a.impl_term.name], re.DOTALL)
-                assert a.alphabet == sets.evaluate(union.group(1)), (name, a.label)
+                named = sets.evaluate(re.search(r"\[\|\s*(union\(.*?\))\s*\|\]", impl_text, re.DOTALL).group(1))
+            else:
+                named = {"abstractEvent"}
+                if a.kind is AssertionKind.CONNECTOR_DEADLOCK_FREE:
+                    operand = re.fullmatch(r"\S+ = (\S+) \[\[.*", impl_text).group(1)
+                    for unsynced in re.findall(r"diff\(\{\|\w+\|\}, (\{.*?\})\)", texts[operand]):
+                        named |= sets.evaluate(unsynced)
+            for side in (a.spec_term, a.impl_term):
+                extra = _performed(side, performed, plan) - named
+                assert not extra, (name, a.label, side, extra)
+
+
+def _performed(term, memo, plan):
+    """The regular events (neither tau nor tick) that label a move of ``term``'s LTS."""
+    if term not in memo:
+        memo[term] = set().union(*compile_to_lts(term, plan.definitions).events) - {TAU, TICK}
+    return memo[term]
 
 
 def test_no_empty_channel_line_or_empty_production_set():

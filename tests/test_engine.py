@@ -25,7 +25,6 @@ from wright2csp.engine import (
     TAU,
     TICK,
     DEFAULT_MAX_STATES,
-    AlphabetMismatchError,
     EngineError,
     Lts,
     PExt,
@@ -140,7 +139,7 @@ def test_refinement_reflexive_on_fixture_assertions():
 def test_dfa_refinement_catches_deadlock():
     env = dfa_definitions()
     env["DEAD"] = rename(Prefix("x", EMPTY), {"x": "abstractEvent"})
-    verdict = check_assertion(Ref("DFA"), Ref("DEAD"), env, frozenset({"abstractEvent"}))
+    verdict = check_assertion(Ref("DFA"), Ref("DEAD"), env)
     assert not verdict.holds
     trace, kind = verdict.counterexample
     assert kind == "failure"
@@ -151,14 +150,16 @@ def test_dfa_refinement_accepts_deadlock_free_role():
     plan = emit_plan("dt1.wrt")
     by_label = {a.label: a for a in plan.assertions}
     a = by_label["assert DFA [FD= ClientA"]
-    assert check_assertion(a.spec_term, a.impl_term, plan.definitions, a.alphabet).holds
+    assert check_assertion(a.spec_term, a.impl_term, plan.definitions).holds
 
 
-def test_alphabet_mismatch_is_an_error():
+def test_an_event_the_specification_cannot_perform_is_a_failure():
+    # ODD may terminate at once, as DFA may, so only its `other` fails
     env = dfa_definitions()
-    env["ODD"] = Prefix("other", EMPTY)
-    with pytest.raises(AlphabetMismatchError):
-        check_assertion(Ref("DFA"), Ref("ODD"), env, frozenset({"abstractEvent"}))
+    env["ODD"] = PExt(Prefix("other", EMPTY), SUCCESS)
+    verdict = check_assertion(Ref("DFA"), Ref("ODD"), env)
+    assert not verdict.holds
+    assert verdict.counterexample == (("other",), "failure")
 
 
 def test_state_cap_is_enforced():
@@ -266,7 +267,6 @@ def test_lts_round_trips_between_triples_and_adjacency():
     assert lts.events == [["a", TAU], [TICK, "b"], []]
     assert lts.targets == [[1, 0], [2, 0], []]
     assert lts.transitions == transitions
-    assert lts.labels == {"a", "b"}
     assert Lts(lts.n_states, events=lts.events, targets=lts.targets).transitions == transitions
 
 
@@ -323,18 +323,17 @@ def test_check_assertion_leaves_the_collector_as_it_found_it():
     env = dfa_definitions()
     env["ODD"] = Prefix("other", EMPTY)
     env["P"] = PPar(Prefix("a", Ref("P")), frozenset(), Prefix("a", EMPTY))
-    alphabet = frozenset({"abstractEvent"})
     calls = [
-        (None, lambda: check_assertion(Ref("DFA"), Ref("DFA"), env, alphabet)),
-        (AlphabetMismatchError, lambda: check_assertion(Ref("DFA"), Ref("ODD"), env, alphabet)),
-        (ResourceLimitError, lambda: check_assertion(Ref("DFA"), Ref("P"), env, alphabet, 20)),
+        (True, lambda: check_assertion(Ref("DFA"), Ref("DFA"), env)),
+        (False, lambda: check_assertion(Ref("DFA"), Ref("ODD"), env)),
+        (ResourceLimitError, lambda: check_assertion(Ref("DFA"), Ref("P"), env, 20)),
     ]
     try:
         for enabled in (True, False):
             for error, call in calls:
                 gc.enable() if enabled else gc.disable()
-                if error is None:
-                    assert call().holds
+                if isinstance(error, bool):
+                    assert call().holds is error
                 else:
                     with pytest.raises(error):
                         call()
@@ -363,8 +362,7 @@ def test_unbounded_operator_nesting_is_a_resource_limit():
     for cap in (1000, DEFAULT_MAX_STATES):
         with pytest.raises(ResourceLimitError, match=message):
             compile_to_lts(Ref("R0"), env, cap)
-    deep = SimpleNamespace(label="deep", spec_term=Ref("R0"), impl_term=Ref("R0"),
-                           alphabet=frozenset({"a", "b"}), key=None)
+    deep = SimpleNamespace(label="deep", spec_term=Ref("R0"), impl_term=Ref("R0"), key=None)
     [(label, verdict)] = assertion_verdicts([deep], env)
     assert label == "deep" and isinstance(verdict, ResourceLimitError)
     assert str(verdict) == message
@@ -593,7 +591,7 @@ def test_memoized_discharge_equals_checking_each_assertion(monkeypatch):
     monkeypatch.setattr(engine, "check_assertion", counting)
     reused = 0
     for name, plan, known in plans:
-        each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions, a.alphabet))
+        each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions))
                 for a in plan.assertions]
         checked.clear()
         memoized = discharge_assertions(plan.assertions, plan.definitions)
@@ -680,27 +678,24 @@ def test_erroring_duplicate_is_rechecked_and_names_itself():
         env[f"S{i}"] = PExt(PPar(Ref(f"A{i}"), frozenset(), EMPTY), Prefix("c", EMPTY))
         # equal keys: were the verdict not an error, the second would reuse it
         assertions.append(SimpleNamespace(label=f"assert {i}", spec_term=Ref(f"S{i}"),
-                                          impl_term=Ref(f"S{i}"), alphabet=frozenset("ac"), key="S"))
+                                          impl_term=Ref(f"S{i}"), key="S"))
     (label1, err1), (label2, err2) = assertion_verdicts(assertions, env)
     assert isinstance(err1, EngineError) and isinstance(err2, EngineError)
     assert (label1, label2) == ("assert 1", "assert 2")
     assert "A1" in str(err1) and "A2" in str(err2) and "A1" not in str(err2)
     with pytest.raises(EngineError, match="A1"):
         discharge_assertions(assertions, env)
-    # the same terms over a smaller alphabet are a different assertion
-    env["A3"] = Prefix("a", Ref("A3"))
-    same = [SimpleNamespace(label=f"assert {i}", spec_term=Ref(f"A{i}"), impl_term=Ref(f"A{i}"),
-                            alphabet=frozenset(alphabet), key="A") for i, alphabet in ((1, "a"), (2, ""), (3, "a"))]
-    (_, v1), (_, v2), (_, v3) = assertion_verdicts(same, env)
-    assert v1.holds and v3 is v1
-    assert isinstance(v2, AlphabetMismatchError)
+    # a verdict that is no error is reused by the next assertion of its key
+    same = [SimpleNamespace(label=f"assert {i}", spec_term=Ref(f"A{i}"), impl_term=Ref(f"A{i}"), key="A")
+            for i in (1, 2)]
+    (_, v1), (_, v2) = assertion_verdicts(same, env)
+    assert v1.holds and v2 is v1
 
 
 def test_an_unknown_term_is_an_engine_error_of_its_own_assertion():
     # ``ExternalChoice`` is lowered to ``PExtN`` before it reaches the engine
     unknown = ExternalChoice(Prefix("a", EMPTY), SUCCESS)
-    assertions = [SimpleNamespace(label=f"assert {i}", spec_term=term, impl_term=term,
-                                  alphabet=frozenset("a"), key=None)
+    assertions = [SimpleNamespace(label=f"assert {i}", spec_term=term, impl_term=term, key=None)
                   for i, term in enumerate((unknown, Prefix("a", EMPTY)))]
     (_, error), (_, verdict) = assertion_verdicts(assertions, {})
     assert isinstance(error, EngineError) and "unknown process term" in str(error)
@@ -741,7 +736,7 @@ def test_clashing_attachment_names_keep_the_verdict_and_pair_keys(tmp_path, caps
     plan = codegen.emit(spec)
     assert plan.diagnostics == []
     assert [a.key for a in plan.assertions][-3:] == ["y Reader", "x_y Reader", "y Reader"]
-    each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions, a.alphabet))
+    each = [(a.label, check_assertion(a.spec_term, a.impl_term, plan.definitions))
             for a in plan.assertions]
     assert _outcomes(discharge_assertions(plan.assertions, plan.definitions)) == _outcomes(each)
 

@@ -144,17 +144,16 @@ RECORDS = [
         "Diagnostic(severity='error', pos=SourcePos(line=2, column=3), message='bad', rule=1)",
     ),
     (
-        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", Ref("A"), Ref("B"), frozenset({"a"}), "p r"),
+        Assertion(AssertionKind.PORT_ROLE, "assert A [FD= B", Ref("A"), Ref("B"), "p r"),
         Assertion(
             kind=AssertionKind.PORT_ROLE,
             label="assert A [FD= B",
             spec_term=Ref("A"),
             impl_term=Ref("B"),
-            alphabet=frozenset({"a"}),
             key="p r",
         ),
         "Assertion(kind=<AssertionKind.PORT_ROLE: 'P8'>, label='assert A [FD= B', spec_term=Ref(name='A'), "
-        "impl_term=Ref(name='B'), alphabet=frozenset({'a'}), key='p r')",
+        "impl_term=Ref(name='B'), key='p r')",
     ),
     (
         EmitPlan("text", [], {"A": EMPTY}),
@@ -281,8 +280,8 @@ def test_default_lists_are_fresh_per_record():
 def test_defaults_match_the_dataclass_signatures():
     assert RefinementVerdict(True) == RefinementVerdict(True, None, 0)
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
-    kind, alphabet = AssertionKind.ROLE_DEADLOCK_FREE, frozenset({"a"})
-    assert Assertion(kind, "l", EMPTY, EMPTY, alphabet) == Assertion(kind, "l", EMPTY, EMPTY, alphabet, None)
+    kind = AssertionKind.ROLE_DEADLOCK_FREE
+    assert Assertion(kind, "l", EMPTY, EMPTY) == Assertion(kind, "l", EMPTY, EMPTY, None)
     assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos(), None)
     assert Prefix("a", SUCCESS).initiated is False
 

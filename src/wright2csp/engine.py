@@ -13,13 +13,14 @@ composed map.  A parallel composition is a product over integer states of
 two operand positions: it splits each operand state's moves once into a sync
 table (local moves, synchronised moves by event, tick targets) holding
 labels already relabelled by its context, joins two tables per pair of
-states, and numbers pairs through a dict of right ids per left id, so none
-of its moves builds or hashes a state tuple.  Each move is built once, with
-its final label and id.  The LTS is the one a breadth-first search with
-whole terms as states would build, state numbering included (the argument
-precedes ``MAX_NESTING``).  It keeps each state's moves as two parallel
-lists, one of events and one of target states, so no move is stored as a
-tuple; its transition triples are derived when read.  An operator directly
+states, and numbers pairs through a dict of right ids per left id (a left
+table holds those dicts for its targets), so none of its moves builds or
+hashes a state tuple.  Each move is built once, with its final label and
+id.  The LTS is the one a breadth-first search with whole terms as states
+would build, state numbering included (the argument precedes
+``MAX_NESTING``).  It keeps each state's moves as two parallel lists, one
+of events and one of target states, so no move is stored as a tuple; its
+transition triples are derived when read.  An operator directly
 under an external choice is not supported (codegen never emits one), and
 operators nested more than ``MAX_NESTING`` deep by recursion are a
 ``ResourceLimitError``.
@@ -27,8 +28,16 @@ A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
 Divergent states are found by one iterative depth-first search over tau
-edges.  ``check_assertion`` pauses the cyclic garbage collector while it
-compiles, normalizes and refines: none of these creates a reference cycle.
+edges, skipped when ``compile_to_lts`` certified its term divergence-free.
+Every tau move of a term without hiding and without renaming onto tau
+unfolds a reference or resolves an internal choice outside any prefix, so
+when no definition reaches itself through such unguarded references, no tau
+path is infinite (guarded recursion without hiding cannot diverge; Roscoe,
+*Understanding Concurrent Systems*, 2010).  The certificate is a walk over
+the term and the definitions it reaches (``_cannot_diverge``); an ``Lts``
+built by hand is always searched.  ``check_assertion`` pauses the cyclic
+garbage collector while it compiles, normalizes and refines: none of these
+creates a reference cycle.
 When many assertions are discharged together, those the caller keys alike
 share one check (see ``assertion_verdicts``).  Process terms are plain
 slotted classes, immutable and hashable (``model.slotted``).  ``PExt``
@@ -153,6 +162,10 @@ class Lts:
     the moves of state ``s``, in order; no move is stored as a tuple.
     ``Lts(n, transitions)`` builds it from ``(source, event, target)``
     triples; ``transitions`` lists them back, by source state.
+
+    ``divergence_free`` is set by ``compile_to_lts`` when the term it
+    compiled cannot diverge (see ``_cannot_diverge``); ``divergent_states``
+    then skips its search.
     """
 
     def __init__(
@@ -162,6 +175,7 @@ class Lts:
         initial: int = 0,
         events: Optional[list[list[str]]] = None,
         targets: Optional[list[list[int]]] = None,
+        divergence_free: bool = False,
     ) -> None:
         if events is None:
             events, targets = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
@@ -169,6 +183,7 @@ class Lts:
                 events[s].append(a)
                 targets[s].append(t)
         self.n_states, self.initial, self.events, self.targets = n_states, initial, events, targets
+        self.divergence_free = divergence_free
 
     @property
     def transitions(self) -> list[tuple[int, str, int]]:
@@ -353,23 +368,29 @@ class _Tables(dict):
     A table is (local events, local targets, synchronised moves, tick
     targets).  The left operand's synchronised moves are three lists
     (events, labels, targets), the right operand's a dict from event to
-    targets.
+    targets.  Given the node's ``rows`` (the left operand), a table holds
+    each target's ``_Row`` instead of its id, so the node numbers a pair
+    with one lookup in it.
     """
 
-    __slots__ = ("side", "sync", "special", "relabel", "by_event")
+    __slots__ = ("side", "sync", "special", "relabel", "rows")
 
-    def __init__(self, side: _Process, sync: frozenset[str], relabel: dict[str, str], by_event: bool) -> None:
-        self.side, self.sync, self.special, self.relabel, self.by_event = (
-            side, sync, sync | {TICK}, relabel, by_event)
+    def __init__(
+        self, side: _Process, sync: frozenset[str], relabel: dict[str, str], rows: Optional[_Rows],
+    ) -> None:
+        self.side, self.sync, self.special, self.relabel, self.rows = side, sync, sync | {TICK}, relabel, rows
 
     def __missing__(self, s: int) -> tuple:
         events, targets = self.side.succ(s)
+        rows = self.rows
+        if rows is not None:
+            targets = list(map(rows.__getitem__, targets))
         special, relabel = self.special, self.relabel
         get = relabel.get
         if special.isdisjoint(events):
             table = (list(map(get, events, events)) if relabel else events), targets, (), ()
         else:
-            sync, by_event = self.sync, self.by_event
+            sync, by_event = self.sync, rows is None
             lev, ltg, ticks = [], [], []
             synced = {} if by_event else ([], [], [])
             for a, t in zip(events, targets):
@@ -401,7 +422,9 @@ class _Par:
     without filtering.  A tick in the sync set is both synchronised and a
     tick, as in the term-level rules.  Synchronisation is decided on the
     operands' labels; the tables hold the labels of the moves this node
-    builds, relabelled by its context.
+    builds, relabelled by its context.  The left tables hold their targets'
+    ``_Row``s, so a pair's targets are numbered with one dict lookup each,
+    the right operand's through a C-level ``map`` over a row.
     """
 
     def __init__(
@@ -411,36 +434,32 @@ class _Par:
         self.tick = relabel.get(TICK, TICK)
         self.left, self.right = _Process(env, depth), _Process(env, depth)
         self.rows = _Rows(states, k)
-        self.ltabs = _Tables(self.left, sync, relabel, False)
-        self.rtabs = _Tables(self.right, sync, relabel, True)
+        self.ltabs = _Tables(self.left, sync, relabel, self.rows)
+        self.rtabs = _Tables(self.right, sync, relabel, None)
 
     def enter(self, term: PPar) -> int:
         return self.rows[self.left.enter(term.left)][self.right.enter(term.right)]
 
     def succ(self, state: tuple[int, int, int]) -> tuple[list[str], list[int]]:
         _, l, r = state
-        lev, ltg, lsync, ltick = self.ltabs[l]
+        lev, lrows, lsync, ltick = self.ltabs[l]
         rev, rtg, rsync, rtick = self.rtabs[r]
-        rows = self.rows
-        row = rows[l]
         events = lev + rev
-        targets = [rows[l2][r] for l2 in ltg]
-        targets += [row[r2] for r2 in rtg]
+        targets = [row2[r] for row2 in lrows]
+        targets += map(self.rows[l].__getitem__, rtg)
         if rsync:
-            for a, label, l2 in zip(*lsync):
+            for a, label, row2 in zip(*lsync):
                 got = rsync.get(a)
                 if got:
-                    row2 = rows[l2]
                     events += [label] * len(got)
-                    targets += [row2[r2] for r2 in got]
+                    targets += map(row2.__getitem__, got)
         # distributed termination: both operands must succeed together
         if rtick:
             tick = self.tick
-            for l2 in ltick:
-                row2 = rows[l2]
+            for row2 in ltick:
                 events += [tick] * len(rtick)
-                targets += [row2[r2] for r2 in rtick]
-        return events, targets
+                targets += map(row2.__getitem__, rtick)
+        return events, targets[:]  # extending by a map over-allocates; the copy is exactly sized
 
 
 def compile_to_lts(
@@ -468,13 +487,83 @@ def compile_to_lts(
         targets.append(tg)
         if len(states) > cap:
             raise ResourceLimitError(f"state cap {max_states} exceeded")
-    return Lts(len(events), events=events, targets=targets)
+    return Lts(len(events), events=events, targets=targets, divergence_free=_cannot_diverge(term, root.env))
 
 
 # --- tau analysis -----------------------------------------------------------
 
 
-_OPEN, _SAFE, _DIVERGES = 1, 2, 3  # divergent_states' marks; _OPEN while on the stack
+_OPEN, _SAFE, _DIVERGES = 1, 2, 3  # marks of the depth-first searches; _OPEN while on the stack
+
+
+def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
+    """Whether a certificate shows that no state of ``term`` has an infinite tau path.
+
+    Without hiding and without renaming onto tau, every tau move of a term
+    unfolds a reference or resolves an internal choice at an unguarded
+    position: one under no prefix.  Those are the term itself, both sides of
+    ``|~|``, the branches of ``PExtN``, the operands of ``PPar`` and the
+    inner term of ``PRename``.  If no definition reaches itself through
+    references at unguarded positions, each such move makes a finite measure
+    smaller, so no tau path is infinite (guarded recursion without hiding
+    cannot diverge; Roscoe, *Understanding Concurrent Systems*, 2010).
+
+    The walk covers the term and every definition it can reach, under
+    prefixes too.  It refuses a hiding, a renaming onto tau, a tau prefix, a
+    reference it cannot resolve, a term it does not know, and a cycle of
+    unguarded references.
+    """
+    unguarded: dict[str, list[str]] = {}  # reached definition -> names at its unguarded positions
+    bodies: list[tuple[list[str], ProcessExpr]] = [([], term)]
+    for refs, body in bodies:  # also visits the bodies appended while it runs
+        stack = [(body, False)]  # (term, guarded)
+        while stack:
+            t, guarded = stack.pop()
+            cls = type(t)
+            if cls is Prefix:
+                if t.event == TAU:
+                    return False
+                stack.append((t.rest, True))
+            elif cls is Ref:
+                name = t.name
+                if name not in unguarded:
+                    if name not in env:
+                        return False
+                    unguarded[name] = []
+                    bodies.append((unguarded[name], env[name]))
+                if not guarded:
+                    refs.append(name)
+            elif cls is InternalChoice or cls is PPar:
+                stack += (t.left, guarded), (t.right, guarded)
+            elif cls is PExtN:
+                stack += [(b, guarded) for b in t.branches]
+            elif cls is PRename:
+                if any(b == TAU for _, b in t.mapping):
+                    return False
+                stack.append((t.inner, guarded))
+            elif cls is not Success and cls is not Empty:
+                return False  # a hiding, or an unknown term
+    # no cycle of unguarded references: one iterative depth-first search
+    mark: dict[str, int] = {}
+    for root in unguarded:
+        if root in mark:
+            continue
+        mark[root] = _OPEN
+        path, todo = [root], [iter(unguarded[root])]
+        while path:
+            for name in todo[-1]:
+                m = mark.get(name)
+                if m is None:
+                    mark[name] = _OPEN
+                    path.append(name)
+                    todo.append(iter(unguarded[name]))
+                    break
+                if m == _OPEN:
+                    return False  # on the path: a cycle
+            else:
+                mark[path.pop()] = _SAFE
+                todo.pop()
+    return True
 
 
 def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
@@ -505,6 +594,8 @@ def divergent_states(lts: Lts) -> list[bool]:
     or to a divergent state.  A state finished otherwise has only finished,
     non-divergent tau successors, so it is safe.
     """
+    if lts.divergence_free:
+        return [False] * lts.n_states
     events, targets = lts.events, lts.targets
     mark = bytearray(lts.n_states)  # 0 while unseen
     for root, ev in enumerate(events):

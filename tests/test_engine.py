@@ -14,7 +14,9 @@ from oracles import (
     brute_divergent,
     brute_refines,
     enumerate_behaviours,
+    expr_lts,
     is_divergence,
+    random_expr,
     random_lts,
     random_operator_term,
     reference_compile,
@@ -562,6 +564,82 @@ def test_divergence_at_the_end_of_a_long_tau_chain():
     assert divergent_states(Lts(n, chain)) == [False] * n
 
 
+# --- the divergence certificate ----------------------------------------------
+
+
+def _certified_sound(lts: Lts) -> bool:
+    """Whether the LTS is certified; if it is, no state of it may diverge."""
+    if lts.divergence_free:
+        searched = divergent_states(Lts(lts.n_states, events=lts.events, targets=lts.targets))
+        assert searched == brute_divergent(lts) == [False] * lts.n_states, lts.transitions
+    return lts.divergence_free
+
+
+def test_the_divergence_certificate_is_sound_on_random_terms():
+    rng = random.Random(41)
+    certified = refused = divergent_refused = 0
+    for i in range(600):
+        if i % 3:
+            term, env = random_operator_term(rng, depth=2 + i % 3)
+            try:
+                lts = compile_to_lts(term, env, 300)
+            except ResourceLimitError:
+                continue
+        else:
+            lts = expr_lts(random_expr(rng))
+        if _certified_sound(lts):
+            certified += 1
+        else:
+            refused += 1
+            divergent_refused += any(divergent_states(lts))
+    assert certified >= 150 and refused >= 250 and divergent_refused >= 200, (
+        certified, refused, divergent_refused)
+
+
+def test_the_divergence_certificate_is_sound_on_fixtures_and_workloads():
+    plans = [(f, emit_plan(f)) for f in FIXTURES_WITH_ASSERTIONS]
+    plans += [(name, plan) for name, plan, _ in _generated_plans()]
+    certified = sides = 0
+    for name, plan in plans:
+        for a in plan.assertions:
+            for side in (a.spec_term, a.impl_term):
+                certified += _certified_sound(compile_to_lts(side, plan.definitions))
+                sides += 1
+    assert certified >= 150 and sides - certified >= 20, (certified, sides)
+
+
+A, P, Q = Ref("A"), Ref("P"), Ref("Q")
+
+
+@pytest.mark.parametrize("term, env", [
+    # a hiding anywhere, even under a prefix and where nothing diverges
+    (Prefix("a", PHide(Prefix("b", EMPTY), frozenset({"b"}))), {}),
+    # unguarded recursion: P = P, P = a -> STOP [] P, P = Q |~| SKIP with Q = P
+    (P, {"P": P}),
+    (P, {"P": PExt(Prefix("a", EMPTY), P)}),
+    (P, {"P": InternalChoice(Q, SUCCESS), "Q": P}),
+    # a renaming onto tau, and a tau prefix
+    (rename(A, {"a": TAU}), {"A": Prefix("a", A)}),
+    (Prefix(TAU, EMPTY), {}),
+    # a reference that cannot be resolved, even one never reached
+    (PPar(EMPTY, frozenset({"a"}), Prefix("a", Ref("Missing"))), {}),
+])
+def test_the_divergence_certificate_refuses(term, env):
+    assert not compile_to_lts(term, env).divergence_free
+
+
+@pytest.mark.parametrize("term, env", [
+    (P, {"P": Prefix("a", P)}),
+    (P, {"P": InternalChoice(Prefix("a", P), SUCCESS)}),
+    (P, {"P": PExt(Prefix("a", EMPTY), Q), "Q": Prefix("b", Q)}),
+    # a reference under a prefix, however it recurses, is guarded
+    (P, {"P": InternalChoice(Q, SUCCESS), "Q": Prefix("a", P)}),
+    (rename(PPar(P, frozenset({"a"}), Q), {"a": "c"}), {"P": Prefix("a", P), "Q": Prefix("a", Q)}),
+])
+def test_the_divergence_certificate_accepts_guarded_recursion_without_hiding(term, env):
+    assert compile_to_lts(term, env).divergence_free
+
+
 # --- one verdict per distinct assertion ------------------------------------------
 
 
@@ -653,6 +731,31 @@ STAR4_PINS = {
         (771, 2883, "242515e829f73062610758418d60d13706f619667051654359a1769ddb34934a"),
     ),
 }
+
+
+@pytest.mark.parametrize("fail", [None, 2])
+def test_only_the_star_checks_that_hide_search_for_divergence(monkeypatch, fail):
+    spec, _ = parse_source(perfbench_workloads().star_case(4, "t", fail).source)
+    assert not alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    searches: list[list[int]] = []  # per check: the sizes of the LTSs searched
+    divergent = engine.divergent_states
+
+    def checking(*args):
+        searches.append([])
+        return check_assertion(*args)
+
+    def counting(lts):
+        if not lts.divergence_free:
+            searches[-1].append(lts.n_states)
+        return divergent(lts)
+
+    monkeypatch.setattr(engine, "check_assertion", checking)
+    monkeypatch.setattr(engine, "divergent_states", counting)
+    discharge_assertions(plan.assertions, plan.definitions)
+    # four port checks (the computation hides the other ports), then four
+    # role and one connector deadlock check, none of which may search
+    assert [bool(s) for s in searches] == [True] * 4 + [False] * 5, searches
 
 
 @pytest.mark.parametrize("fail", [None, 2])

@@ -11,34 +11,36 @@ Rules (diagnosed with the tool's historical French messages):
 
 All rules run and all findings are collected; nothing aborts at the first
 violation.  Rule 6 reports warnings unless ``strict`` is set.  The table
-maps each name to what declares it, in the model's own terms: a type's class,
-a point's ``DeclKind``, ``Instance``, or the description's class.  Components
-and connectors are walked alike: ``model.parts`` gives their interface points
-(ports or roles) and their computation or glue.
+maps each name to the element that declares it, and every name an instance or
+attachment uses resolves through it, here and in codegen (``resolve_end``).
+Components and connectors are walked alike: ``model.parts`` gives their
+interface points (ports or roles) and their computation or glue.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from .model import (
     ArchSpec,
     Component,
     Configuration,
     Connector,
+    Declaration,
     DeclKind,
     Instance,
+    InterfaceRef,
     SourcePos,
     parts,
     slotted,
 )
 
-# What a where-local may not share its name with.  These are the elements
-# whose channel (a port or role) or process (a connector) the output once
-# printed under the bare name.  The output no longer needs the rule, since
-# its name table would print local `In` of port `Out` as `InOut`; the rule
-# is kept so that `lint` accepts and rejects the same descriptions.
-_PRINTED_BARE = (DeclKind.PORT, DeclKind.ROLE, Connector)
+# What a where-local may not share its name with: a port or role (the table's
+# only declarations) or a connector, whose channel or process the output once
+# printed under the bare name.  The output no longer needs the rule, since its
+# name table would print local `In` of port `Out` as `InOut`; the rule is kept
+# so that `lint` accepts and rejects the same descriptions.
+_PRINTED_BARE = (Declaration, Connector)
 
 
 @slotted(frozen=False)
@@ -59,28 +61,29 @@ class Diagnostic:
 def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, object], list[Diagnostic]]:
     """Populate the table in document order, reporting rule-1 duplicates.
 
-    A name maps to what its first declaration declares; a later declaration
-    of the name is a rule-1 error.  The style/configuration name itself names
-    the whole description, not an element inside it, so it does not take
-    part in the duplicate check: the first element of that name takes it over.
+    A name maps to the element its first declaration declares (a component
+    or connector, a port's or role's ``Declaration``, an ``Instance``); a
+    later one is a rule-1 error.  The style/configuration name maps to
+    ``spec``: it names the whole description, not an element in it, so the
+    first element of that name takes it over without a rule-1 error.
     """
-    table: dict[str, object] = {spec.name: type(spec)}
+    table: dict[str, object] = {spec.name: spec}
     diags: list[Diagnostic] = []
 
-    def declare(name: str, what: object, pos: SourcePos) -> None:
-        if table.get(name, type(spec)) is type(spec):
-            table[name] = what
+    def declare(name: str, element: object, pos: SourcePos) -> None:
+        if table.get(name, spec) is spec:
+            table[name] = element
         else:
             diags.append(Diagnostic("error", pos, "***Identificateur Redondant***", 1))
 
     for t in spec.types:
-        declare(t.name, type(t), t.pos)
+        declare(t.name, t, t.pos)
         for p in parts(t)[0]:
-            declare(p.name, p.kind, p.pos)
+            declare(p.name, p, p.pos)
 
     if isinstance(spec, Configuration):
         for inst in spec.instances:
-            declare(inst.name, Instance, inst.pos)
+            declare(inst.name, inst, inst.pos)
 
     # A where-local may name no port, role or connector (its own port or role
     # included), nor an earlier local of its block.  Locals are checked once
@@ -91,11 +94,36 @@ def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, object], list[Diagnost
         for decl in (*points, main):
             seen: set[str] = set()
             for loc in decl.locals:
-                if loc.name in seen or table.get(loc.name) in _PRINTED_BARE:
+                if loc.name in seen or isinstance(table.get(loc.name), _PRINTED_BARE):
                     diags.append(Diagnostic("error", loc.pos, "***Identificateur Redondant***", 1))
                 seen.add(loc.name)
     diags.sort(key=lambda d: d.pos)
     return table, diags
+
+
+def _type(table: dict[str, object], name: str) -> Union[Component, Connector, None]:
+    """The component or connector ``name`` resolves to, if it names one."""
+    t = table.get(name)
+    return t if isinstance(t, (Component, Connector)) else None
+
+
+def resolve_end(table: dict[str, object], end: InterfaceRef) -> Union[Declaration, Diagnostic, None]:
+    """The port or role an attachment end names: its instance, that
+    instance's type, then the point of that type.  An end that does not
+    resolve gives the rule-3 or rule-4 diagnostic it breaks, or None when the
+    instance's type is undeclared (rule 2 reports that at the instance)."""
+    inst = table.get(end.instance)
+    if not isinstance(inst, Instance):
+        return Diagnostic("error", end.pos, "***Identificateur non declarer***", 3)
+    t = _type(table, inst.type_name)
+    if t is None:
+        return None
+    for p in parts(t)[0]:
+        if p.name == end.point:
+            return p
+    if isinstance(table.get(end.point), Declaration):
+        return Diagnostic("error", end.pos, "***L'Instance et l'Interface non pas le meme Type***", 4)
+    return Diagnostic("error", end.pos, "***La deusieme partie doit etre soit un Port soit un Role***", 4)
 
 
 def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
@@ -104,65 +132,36 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
     if not isinstance(spec, Configuration):
         return diags
 
-    # rule 2: instance types declared; an instance's type is its first
-    # declaration's, as the table keeps only that one (so does type_by_name)
-    type_names: dict[str, str] = {}
+    # rule 2: instance types declared
     for inst in spec.instances:
-        if table.get(inst.type_name) not in (Component, Connector):
+        if _type(table, inst.type_name) is None:
             diags.append(Diagnostic("error", inst.pos, "***Type non Declarer***", 2))
-        type_names.setdefault(inst.name, inst.type_name)
-
-    type_by_name: dict[str, Component | Connector] = {t.name: t for t in reversed(spec.types)}
-
-    def resolve_interface(iref) -> Optional[type]:
-        """The class of the type whose interface point ``iref`` names, or None
-        after appending a diagnostic (none if rule 2 already reported it)."""
-        if table.get(iref.instance) is not Instance:
-            diags.append(Diagnostic("error", iref.pos, "***Identificateur non declarer***", 3))
-            return None
-        type_name = type_names[iref.instance]
-        if table.get(type_name) not in (Component, Connector):
-            # type was undeclared; already reported under rule 2
-            return None
-        tdecl = type_by_name[type_name]
-        if iref.point in [p.name for p in parts(tdecl)[0]]:
-            return type(tdecl)
-        if table.get(iref.point) in (DeclKind.PORT, DeclKind.ROLE):
-            diags.append(Diagnostic("error", iref.pos, "***L'Instance et l'Interface non pas le meme Type***", 4))
-        else:
-            diags.append(
-                Diagnostic("error", iref.pos, "***La deusieme partie doit etre soit un Port soit un Role***", 4)
-            )
-        return None
 
     # rules 3-5 per attachment; rule 6 over the well-formed ones
     sev = "error" if strict else "warning"
-    ports: set[tuple[str, str]] = set()  # (instance, port) attached so far
-    roles: set[tuple[str, str]] = set()  # (instance, role) attached so far
-    attached = {Component: ports, Connector: roles}
+    attached: set[tuple[str, str]] = set()  # (instance, port or role) attached so far
     for att in spec.attachments:
-        left, right = resolve_interface(att.left), resolve_interface(att.right)
-        if left is None or right is None:
+        left, right = resolve_end(table, att.left), resolve_end(table, att.right)
+        if not isinstance(left, Declaration) or not isinstance(right, Declaration):
+            diags.extend(e for e in (left, right) if isinstance(e, Diagnostic))
             continue
-        if left is not Component or right is not Connector:
+        if left.kind is not DeclKind.PORT or right.kind is not DeclKind.ROLE:
             diags.append(Diagnostic("error", att.pos, "***Attachement: Composant.Port as Connecteur.Role***", 5))
             continue
-        port, role = (att.left.instance, att.left.point), (att.right.instance, att.right.point)
-        if port in ports:
+        port, role = (att.left.instance, left.name), (att.right.instance, right.name)
+        if port in attached:
             diags.append(Diagnostic(sev, att.pos, "***Port deja relier***", 6))
-        if role in roles:
+        if role in attached:
             diags.append(Diagnostic(sev, att.pos, "***Role deja relier***", 6))
-        ports.add(port)
-        roles.add(role)
+        attached.update((port, role))
 
     # rule 6: completeness — every port/role of every instance attached
     for inst in spec.instances:
-        tdecl = type_by_name.get(inst.type_name)
-        if tdecl is None:
+        t = _type(table, inst.type_name)
+        if t is None:
             continue
-        uses = attached[type(tdecl)]
-        for p in parts(tdecl)[0]:
-            if (inst.name, p.name) not in uses:
+        for p in parts(t)[0]:
+            if (inst.name, p.name) not in attached:
                 diags.append(Diagnostic(sev, inst.pos, f"***{p.kind.value} non relier***", 6))
 
     return diags

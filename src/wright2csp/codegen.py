@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Union
 
 from .alphabets import HEADER_NAMES
-from .analyzer import Diagnostic
+from .analyzer import Diagnostic, build_symbol_table, resolve_end
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
     EMPTY,
@@ -53,6 +53,7 @@ from .model import (
     Configuration,
     Connector,
     Declaration,
+    DeclKind,
     Empty,
     ExternalChoice,
     InternalChoice,
@@ -407,18 +408,15 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
     """
     out.line("--Attachment Test")
     out.line()
-    by_name = {t.name: t for t in spec.types}
-    types = {i.name: by_name.get(i.type_name) for i in spec.instances}
+    table, _ = build_symbol_table(spec)
     shared: dict[str, tuple] = {}  # "p r" -> the pair's names in the text, then its terms
     for att in spec.attachments:
         left, right = att.left, att.right
-        try:
-            port = next(p for p in types[left.instance].ports if p.name == left.point)  # type: ignore[union-attr]
-            role = next(r for r in types[right.instance].roles if r.name == right.point)  # type: ignore[union-attr]
-        except (KeyError, AttributeError, StopIteration) as exc:
+        port, role = resolve_end(table, left), resolve_end(table, right)
+        if getattr(port, "kind", None) is not DeclKind.PORT or getattr(role, "kind", None) is not DeclKind.ROLE:
             raise CodegenError(
                 f"attachment {left} As {right} does not resolve; run static analysis before code generation"
-            ) from exc
+            )
         pair = f"{port.name} {role.name}"
         if pair not in shared:
             a_p, a_r = out.alphas[id(port)], out.alphas[id(role)]

@@ -602,10 +602,14 @@ def divergent_states(lts: Lts) -> list[bool]:
         if mark[root] or TAU not in ev:
             continue  # seen, or safe: no tau move
         mark[root] = _OPEN
-        path, edges = [root], [zip(ev, targets[root])]
+        path, moves, at = [root], [iter(ev)], [-1]  # an index walk, as in tau_closure, that resumes
         while path:
-            for a, t in edges[-1]:
+            s = path[-1]
+            tg, i = targets[s], at[-1]
+            for a in moves[-1]:
+                i += 1
                 if a == TAU:
+                    t = tg[i]
                     m = mark[t]
                     if not m:
                         ev = events[t]
@@ -613,14 +617,17 @@ def divergent_states(lts: Lts) -> list[bool]:
                             mark[t] = _SAFE  # no tau move
                             continue
                         mark[t] = _OPEN
+                        at[-1] = i
                         path.append(t)
-                        edges.append(zip(ev, targets[t]))
+                        moves.append(iter(ev))
+                        at.append(-1)
                         break
                     if m != _SAFE:  # on the stack, or divergent
-                        mark[path[-1]] = _DIVERGES
+                        mark[s] = _DIVERGES
             else:
-                edges.pop()
-                s = path.pop()
+                path.pop()
+                moves.pop()
+                at.pop()
                 if mark[s] == _OPEN:
                     mark[s] = _SAFE
                 elif path:

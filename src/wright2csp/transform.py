@@ -56,11 +56,6 @@ def determinized(p: ProcessExpr) -> ProcessExpr:
     return p
 
 
-def project_to(p: ProcessExpr, keep: Alphabet, self_name: str) -> ProcessExpr:
-    """Restrict ``p`` to the events in ``keep`` (qualified names) by branch elimination."""
-    return _project(p, keep, {self_name}, set())
-
-
 def _project(node: ProcessExpr, keep: Alphabet, erase: set[str], dead: set[str]) -> ProcessExpr:
     """Rules 1-3 on ``node``: a reference to a name in ``erase`` becomes Empty.
 

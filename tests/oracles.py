@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from wright2csp import transform
 from wright2csp.codegen import process_term
 from wright2csp.engine import (
     TAU,
@@ -139,6 +140,14 @@ def expr_lts(expr: ProcessExpr, max_states: int = 50_000) -> Lts:
 def keep_set(names) -> Alphabet:
     """An alphabet of the given (observed) event names, for ``project_to``."""
     return dict.fromkeys(names, False)
+
+
+def project_to(p: ProcessExpr, keep: Alphabet, self_name: str) -> ProcessExpr:
+    """The code under test, not an oracle: branch elimination of one body
+    onto ``keep``, where an unguarded reference to ``self_name`` erases.
+    A body that erases completely stays ``Empty`` (``project_declaration``
+    would make it SKIP)."""
+    return transform._project(p, keep, {self_name}, set())
 
 
 def expr_event_names(expr: ProcessExpr) -> set[str]:

@@ -17,6 +17,7 @@ from oracles import (
     expr_lts,
     hide_semantically,
     keep_set,
+    project_to,
     random_expr,
     random_lts,
     traces,
@@ -31,7 +32,7 @@ from wright2csp.engine import (
     normalize_fd,
 )
 from wright2csp.parser import parse_source
-from wright2csp.transform import determinized, project_to
+from wright2csp.transform import determinized
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

@@ -1,6 +1,6 @@
 from conftest import fixture_path
 from wright2csp import analyzer
-from wright2csp.model import Component, Instance, SourcePos
+from wright2csp.model import SourcePos
 from wright2csp.parser import parse_source
 
 
@@ -47,7 +47,7 @@ def test_first_declaration_of_a_name_wins():
         "Instances\n  A : K\n  B : K\nAttachments\n  A.P As B.R\nEnd Configuration"
     )
     table, _ = analyzer.build_symbol_table(spec)
-    assert table["A"] is Component and table["B"] is Instance
+    assert table["A"] is spec.types[0] and table["B"] is spec.instances[1]
     errors = [str(d) for d in analyzer.analyze(spec) if d.severity == "error"]
     assert errors == [
         "9:3: error: rule=1 ***Identificateur Redondant***",

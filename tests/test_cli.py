@@ -114,6 +114,25 @@ def test_lint_strict_attachments_elevates_rule6(tmp_path, capsys):
     assert "rule=6" in err
 
 
+def test_an_instance_of_a_name_first_declared_as_a_port_has_no_type(tmp_path, capsys):
+    # `K` is first a port, so `k : K` breaks rule 2 and nothing else: rule 6
+    # finds the instance's type where rules 2-5 do, in the symbol table
+    spec = tmp_path / "k.wrt"
+    spec.write_text(
+        "Configuration PortThenConnector\nComponent A\n  Port K = a -> K\n  Computation = K.a -> Computation\n"
+        "Connector K\n  Role R = a -> R\n  Glue = R.a -> Glue\n"
+        "Instances\n  x : A\n  k : K\nAttachments\n  x.K As k.R\nEnd Configuration\n"
+    )
+    code, out, err = run(capsys, "lint", str(spec))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "Parsing complete.",
+        f"{spec}:5:1: error: rule=1 ***Identificateur Redondant***",
+        f"{spec}:10:3: error: rule=2 ***Type non Declarer***",
+        f"{spec}:9:3: warning: rule=6 ***Port non relier***",
+    ]
+
+
 def test_repeated_where_local_is_a_lint_error_and_translates_nothing(tmp_path, capsys):
     spec = tmp_path / "dup.wrt"
     spec.write_text(

@@ -1,6 +1,8 @@
 import gc
 import re
 
+import pytest
+
 from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perfbench_workloads
 from oracles import EmittedSets, definition_texts, read_process, term_sites
 from wright2csp import codegen
@@ -168,6 +170,24 @@ def test_emitted_definitions_resolve_everywhere():
         plan = emit_plan(fixture)
         for name, term in plan.definitions.items():
             compile_to_lts(term, plan.definitions)  # raises if a reference dangles
+
+
+@pytest.mark.parametrize("attachment", [
+    "z.P As k.R",  # no instance z
+    "k.R As c.P",  # a role on the left
+    "c.R As k.R",  # no port R of c's type
+    "u.P As k.R",  # u's type is undeclared
+])
+def test_an_attachment_that_does_not_resolve_is_a_codegen_error(attachment):
+    spec, _ = parse_source(
+        "Configuration Bad\nComponent T\n  Port P = a -> P [] TICK\n  Computation = P.a -> Computation [] TICK\n"
+        "Connector K\n  Role R = a -> R [] TICK\n  Glue = R.a -> Glue [] TICK\n"
+        f"Instances\n  c : T\n  k : K\n  u : Missing\nAttachments\n  {attachment}\nEnd Configuration\n"
+    )
+    assert analyzer.has_errors(analyzer.analyze(spec))
+    alphabets.annotate(spec)
+    with pytest.raises(codegen.CodegenError, match=re.escape(f"attachment {attachment} does not resolve")):
+        emit(spec)
 
 
 def _check(tmp_path, capsys, source):

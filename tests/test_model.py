@@ -2,6 +2,7 @@ import random
 
 from conftest import load_spec
 from oracles import (
+    project_to,
     reference_alphabets,
     relation_closure,
     relation_compose,
@@ -20,7 +21,6 @@ from wright2csp.model import (
     SUCCESS,
 )
 from wright2csp.parser import parse_source
-from wright2csp.transform import project_to
 
 
 def pf(event, rest, initiated=False):

@@ -7,6 +7,7 @@ from oracles import (
     expr_lts,
     hide_semantically,
     keep_set,
+    project_to,
     project_trace,
     random_expr,
     traces,
@@ -23,7 +24,6 @@ from wright2csp.model import (
 )
 from wright2csp.transform import (
     determinized,
-    project_to,
     restrict_to_observed,
 )
 

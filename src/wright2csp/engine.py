@@ -27,17 +27,18 @@ operators nested more than ``MAX_NESTING`` deep by recursion are a
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine, and refinement is decided by exploring the
 product of the normalized specification with the raw implementation.
-Divergent states are found by one iterative depth-first search over tau
-edges, skipped when ``compile_to_lts`` certified its term divergence-free.
-Every tau move of a term without hiding and without renaming onto tau
-unfolds a reference or resolves an internal choice outside any prefix, so
-when no definition reaches itself through such unguarded references, no tau
-path is infinite (guarded recursion without hiding cannot diverge; Roscoe,
-*Understanding Concurrent Systems*, 2010).  The certificate is a walk over
-the term and the definitions it reaches (``_cannot_diverge``); an ``Lts``
-built by hand is always searched.  ``check_assertion`` pauses the cyclic
-garbage collector while it compiles, normalizes and refines: none of these
-creates a reference cycle.
+One iterative depth-first search over tau edges (``_tau_cycles``) finds
+divergent states, and it serves two graphs.  Every tau move of a term
+without hiding and without renaming onto tau unfolds a reference or
+resolves an internal choice outside any prefix, so when no definition
+reaches itself through such unguarded references, no tau path is infinite
+(guarded recursion without hiding cannot diverge; Roscoe, *Understanding
+Concurrent Systems*, 2010).  The certificate (``_cannot_diverge``) walks
+the term and the definitions it reaches and asks the search for a cycle of
+unguarded references; when it finds none, the search over the LTS's tau
+edges is skipped.  An ``Lts`` built by hand is always searched.
+``check_assertion`` pauses the cyclic garbage collector while it compiles,
+normalizes and refines: none of these creates a reference cycle.
 When many assertions are discharged together, those the caller keys alike
 share one check (see ``assertion_verdicts``).  Process terms are plain
 slotted classes, immutable and hashable (``model.slotted``).  ``PExt``
@@ -164,8 +165,9 @@ class Lts:
     triples; ``transitions`` lists them back, by source state.
 
     ``divergence_free`` is set by ``compile_to_lts`` when the term it
-    compiled cannot diverge (see ``_cannot_diverge``); ``divergent_states``
-    then skips its search.
+    compiled cannot diverge (see ``_cannot_diverge``, which runs the same
+    tau-cycle search on its graph of unguarded references);
+    ``divergent_states`` then skips the search over this LTS.
     """
 
     def __init__(
@@ -228,20 +230,20 @@ def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> tuple[list[str],
 # Positions, contexts and parallel nodes.  Operators never change while a
 # process runs; only their operands move.  A ``_Process`` numbers the states
 # of one term position, each on its first lookup, by appending its key to
-# ``states``.  A term under a chain of renamings and hidings is keyed
-# (context, term): the context is numbered by (parent context, operator,
-# parameter) and holds the chain's composed relabelling; context 0, the
-# empty chain, keys the bare term.  A parallel in context c is a state
-# ``(k, l, r)`` of the ``_Par`` node k keyed by (c, sync) over two operand
-# positions; it synchronises on its operands' labels and relabels the moves
-# it builds by c.  (Nodes are handed ``states`` rather than their owner: the
-# reference cycle would keep every node alive until the cyclic collector
-# runs.)  Keys correspond one to one to terms, and a key's moves are its
-# term's moves under the operational rules, in order.  A state is numbered
-# only as the target of a move being built, and the root's moves are asked
-# for once per state in id order, so ids follow a term-level breadth-first
-# search.  Only parallel nodes ask an operand state's moves twice; they keep
-# per-state sync tables.
+# ``states``.  Every sequential term is keyed (context, term): the context
+# stands for the chain of renamings and hidings above the term, is numbered
+# by (parent context, operator, parameter) and holds the chain's composed
+# relabelling; context 0 is the empty chain.  A parallel in context c is a
+# state ``(k, l, r)`` of the ``_Par`` node k keyed by (c, sync) over two
+# operand positions; it synchronises on its operands' labels and relabels
+# the moves it builds by c.  (Nodes are handed ``states`` rather than their
+# owner: the reference cycle would keep every node alive until the cyclic
+# collector runs.)  Keys correspond one to one to terms, and a key's moves
+# are its term's moves under the operational rules, in order.  A state is
+# numbered only as the target of a move being built, and the root's moves
+# are asked for once per state in id order, so ids follow a term-level
+# breadth-first search.  Only parallel nodes ask an operand state's moves
+# twice; they keep per-state sync tables.
 
 MAX_NESTING = 200  # nested positions and contexts; a position costs about 3 stack frames
 
@@ -272,8 +274,8 @@ class _Process:
     def __init__(self, env: Mapping[str, ProcessExpr], depth: int = 0) -> None:
         _too_deep(depth)
         self.env = env
-        self.states: list = []  # a term, (context, term), or a node state (k, l, r)
-        self.ids = _Numbering(self.states)  # term or (context, term) -> id
+        self.states: list = []  # (context, term), or a node state (k, l, r)
+        self.ids = _Numbering(self.states)  # (context, term) -> id
         self.contexts: dict = {}  # (context, operator, parameter) -> context
         self.maps: list[dict[str, str]] = [{}]  # context -> composed relabelling
         self.depths = [depth]  # context -> nesting level
@@ -288,7 +290,7 @@ class _Process:
             term = term.inner
             cls = type(term)
         if cls is not PPar:
-            return self.ids[(c, term) if c else term]
+            return self.ids[c, term]
         key = (c, term.sync)
         k = self.index.get(key)
         if k is None:
@@ -318,16 +320,15 @@ class _Process:
     def succ(self, s: int) -> tuple[list[str], list[int]]:
         """The events and target states of the moves of state ``s``."""
         state = self.states[s]
-        enter = self.enter
-        if type(state) is not tuple:
-            events, nexts = _step(state, self.env)
-            return events, [enter(nxt) for nxt in nexts]
         if len(state) == 3:
             return self.nodes[state[0]].succ(state)
         c, term = state
         events, nexts = _step(term, self.env)
-        get = self.maps[c].get
-        return list(map(get, events, events)), [enter(nxt, c) for nxt in nexts]
+        enter = self.enter
+        if c:
+            get = self.maps[c].get
+            events = list(map(get, events, events))
+        return events, [enter(nxt, c) for nxt in nexts]
 
 
 class _Row(dict):
@@ -493,9 +494,6 @@ def compile_to_lts(
 # --- tau analysis -----------------------------------------------------------
 
 
-_OPEN, _SAFE, _DIVERGES = 1, 2, 3  # marks of the depth-first searches; _OPEN while on the stack
-
-
 def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
     """Whether a certificate shows that no state of ``term`` has an infinite tau path.
 
@@ -509,13 +507,16 @@ def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
     cannot diverge; Roscoe, *Understanding Concurrent Systems*, 2010).
 
     The walk covers the term and every definition it can reach, under
-    prefixes too.  It refuses a hiding, a renaming onto tau, a tau prefix, a
-    reference it cannot resolve, a term it does not know, and a cycle of
-    unguarded references.
+    prefixes too, numbering each (the term is 0).  It refuses a hiding, a
+    renaming onto tau, a tau prefix, a reference it cannot resolve and a
+    term it does not know.  Each unguarded reference is a tau edge of a
+    graph over those numbers, so the search of ``divergent_states`` finds
+    any cycle of unguarded references.
     """
-    unguarded: dict[str, list[str]] = {}  # reached definition -> names at its unguarded positions
-    bodies: list[tuple[list[str], ProcessExpr]] = [([], term)]
-    for refs, body in bodies:  # also visits the bodies appended while it runs
+    numbers: dict[str, int] = {}  # reached definition -> its number
+    bodies: list[ProcessExpr] = [term]
+    targets: list[list[int]] = [[]]  # number -> numbers of the definitions at its unguarded positions
+    for body, refs in zip(bodies, targets):  # also visits the bodies appended while it runs
         stack = [(body, False)]  # (term, guarded)
         while stack:
             t, guarded = stack.pop()
@@ -525,14 +526,15 @@ def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
                     return False
                 stack.append((t.rest, True))
             elif cls is Ref:
-                name = t.name
-                if name not in unguarded:
-                    if name not in env:
+                n = numbers.get(t.name)
+                if n is None:
+                    if t.name not in env:
                         return False
-                    unguarded[name] = []
-                    bodies.append((unguarded[name], env[name]))
+                    n = numbers[t.name] = len(bodies)
+                    bodies.append(env[t.name])
+                    targets.append([])
                 if not guarded:
-                    refs.append(name)
+                    refs.append(n)
             elif cls is InternalChoice or cls is PPar:
                 stack += (t.left, guarded), (t.right, guarded)
             elif cls is PExtN:
@@ -543,27 +545,7 @@ def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
                 stack.append((t.inner, guarded))
             elif cls is not Success and cls is not Empty:
                 return False  # a hiding, or an unknown term
-    # no cycle of unguarded references: one iterative depth-first search
-    mark: dict[str, int] = {}
-    for root in unguarded:
-        if root in mark:
-            continue
-        mark[root] = _OPEN
-        path, todo = [root], [iter(unguarded[root])]
-        while path:
-            for name in todo[-1]:
-                m = mark.get(name)
-                if m is None:
-                    mark[name] = _OPEN
-                    path.append(name)
-                    todo.append(iter(unguarded[name]))
-                    break
-                if m == _OPEN:
-                    return False  # on the path: a cycle
-            else:
-                mark[path.pop()] = _SAFE
-                todo.pop()
-    return True
+    return not any(_tau_cycles([[TAU] * len(refs) for refs in targets], targets))
 
 
 def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
@@ -589,15 +571,27 @@ def tau_closure(lts: Lts, states: Iterable[int]) -> frozenset[int]:
 def divergent_states(lts: Lts) -> list[bool]:
     """States from which an infinite tau path exists.
 
-    One iterative depth-first search over tau edges: a state diverges iff
-    one of its tau edges leads to a state on the search stack (a tau cycle)
-    or to a divergent state.  A state finished otherwise has only finished,
-    non-divergent tau successors, so it is safe.
+    All-False without a search when ``compile_to_lts`` certified the LTS
+    divergence-free; otherwise ``_tau_cycles`` searches its tau edges.
     """
     if lts.divergence_free:
         return [False] * lts.n_states
-    events, targets = lts.events, lts.targets
-    mark = bytearray(lts.n_states)  # 0 while unseen
+    return _tau_cycles(lts.events, lts.targets)
+
+
+_OPEN, _SAFE, _DIVERGES = 1, 2, 3  # marks of the depth-first search; _OPEN while on the stack
+
+
+def _tau_cycles(events: list[list[str]], targets: list[list[int]]) -> list[bool]:
+    """Per state of the graph ``(events, targets)``: whether an infinite tau path starts there.
+
+    One iterative depth-first search over tau edges: a state diverges iff
+    one of its tau edges leads to a state on the search stack (a tau cycle)
+    or to a divergent state.  A state finished otherwise has only finished,
+    non-divergent tau successors, so it is safe.  It serves an LTS and the
+    graph of unguarded references of ``_cannot_diverge``.
+    """
+    mark = bytearray(len(events))  # 0 while unseen
     for root, ev in enumerate(events):
         if mark[root] or TAU not in ev:
             continue  # seen, or safe: no tau move

@@ -788,49 +788,10 @@ def traces(lts: Lts, depth: int, include_tick: bool = True) -> set[tuple[str, ..
     return explore(tau_closure(lts, [lts.initial]), depth)
 
 
-# --- the process sublanguage of emitted FDR text --------------------------------
-
-_PROCESS_TOKEN = re.compile(r"\s*(->|\[\]|\|~\||[()]|[\w.]+)")
-
-
-def read_process(text: str) -> ProcessExpr:
-    """The expression a fully parenthesised ``fdr_expr`` line denotes:
-    ``(e -> P)``, ``(P [] Q)``, ``(P |~| Q)``, a name, ``SKIP`` or ``STOP``."""
-    tokens = _PROCESS_TOKEN.findall(text)
-    assert "".join(tokens) == "".join(text.split()), f"not a process expression: {text!r}"
-
-    def read(i: int) -> tuple[ProcessExpr, int]:
-        tok = tokens[i]
-        if tok != "(":
-            return (SUCCESS if tok == "SKIP" else EMPTY if tok == "STOP" else Ref(tok)), i + 1
-        if tokens[i + 2] == "->":
-            event = tokens[i + 1]
-            rest, i = read(i + 3)
-            expr = Prefix(event, rest)
-        else:
-            left, i = read(i + 1)
-            op = tokens[i]
-            assert op in ("[]", "|~|"), f"no operator at token {i} of {text!r}"
-            right, i = read(i + 1)
-            expr = (ExternalChoice if op == "[]" else InternalChoice)(left, right)
-        assert tokens[i] == ")", f"unclosed group at token {i} of {text!r}"
-        return expr, i + 1
-
-    expr, end = read(0)
-    assert end == len(tokens), f"trailing text in process expression {text!r}"
-    return expr
-
-
 # --- the set sublanguage of emitted FDR text -----------------------------------
 
 _SET_TOKEN = re.compile(r"\s*([{}|(),]|[\w.]+)")
 _DEFINITION = re.compile(r"^(\w+) = ", re.MULTILINE)
-# ``[| S |]``, ``[[ x <- T | x <- S ]]`` and a trailing ``\ S``, in text order.
-_SET_SITE = re.compile(
-    r"\[\|(?P<sync>.*?)\|\]|\[\[\s*x\s*<-\s*(?P<target>[\w.]+)\s*\|\s*x\s*<-(?P<source>.*?)\]\]"
-    r"|\\(?P<hidden>.*)",
-    re.DOTALL,
-)
 
 
 class EmittedSets:
@@ -854,7 +815,7 @@ class EmittedSets:
     def evaluate(self, expr: str) -> frozenset[str]:
         tokens = _SET_TOKEN.findall(expr)
         assert "".join(tokens) == "".join(expr.split()), f"not a set expression: {expr!r}"
-        value, end = self._parse(tokens, 0)
+        value, end = self.parse(tokens, 0)
         assert end == len(tokens), f"trailing text in set expression {expr!r}"
         return value
 
@@ -867,7 +828,8 @@ class EmittedSets:
                 out.add(item)
         return frozenset(out)
 
-    def _parse(self, tokens: list[str], i: int) -> tuple[frozenset[str], int]:
+    def parse(self, tokens: list[str], i: int) -> tuple[frozenset[str], int]:
+        """The set the expression at ``tokens[i]`` denotes, and the index after it."""
         tok = tokens[i]
         if tok == "{":
             bar = tokens[i + 1] == "|"
@@ -883,27 +845,12 @@ class EmittedSets:
             return (self.productions(items) if bar else frozenset(items)), i + 1
         if tok in ("diff", "union"):
             assert tokens[i + 1] == "(", tokens
-            left, i = self._parse(tokens, i + 2)
+            left, i = self.parse(tokens, i + 2)
             assert tokens[i] == ",", tokens
-            right, i = self._parse(tokens, i + 1)
+            right, i = self.parse(tokens, i + 1)
             assert tokens[i] == ")", tokens
             return (left - right if tok == "diff" else left | right), i + 1
         return self.alphas[tok], i + 1
-
-    def sites(self, definition: str) -> list[tuple[str, object]]:
-        """("sync", set), ("rename", mapping) and ("hide", set) of a definition's text."""
-        out: list[tuple[str, object]] = []
-        for m in _SET_SITE.finditer(definition):
-            if m.group("sync") is not None:
-                out.append(("sync", self.evaluate(m.group("sync"))))
-            elif m.group("target") is not None:
-                source, target = self.evaluate(m.group("source")), m.group("target")
-                segments = target.split(".")
-                mapping = {v: ".".join(v if s == "x" else s for s in segments) for v in source}
-                out.append(("rename", mapping))
-            else:
-                out.append(("hide", self.evaluate(m.group("hidden"))))
-        return out
 
 
 def definition_texts(text: str) -> dict[str, str]:
@@ -920,12 +867,94 @@ def definition_texts(text: str) -> dict[str, str]:
     return out
 
 
-def term_sites(term: ProcessExpr) -> list[tuple[str, object]]:
-    """The sets of a composite term in the order its CSPm text prints them."""
-    if isinstance(term, PPar):
-        return term_sites(term.left) + [("sync", term.sync)] + term_sites(term.right)
-    if isinstance(term, PRename):
-        return term_sites(term.inner) + [("rename", dict(term.mapping))]
-    if isinstance(term, PHide):
-        return term_sites(term.inner) + [("hide", term.hidden)]
-    return []
+# --- the process sublanguage of emitted FDR text --------------------------------
+
+_PROCESS_TOKEN = re.compile(r"\s*(->|\[\]|\|~\||\[\||\|\]|\[\[|\]\]|<-|[(){}|,\\]|[\w.]+)")
+_ASSERT = re.compile(r"^assert (\w+) \[FD= (\w+)$", re.MULTILINE)
+
+
+def read_process(text: str, sets: EmittedSets) -> ProcessExpr:
+    """The engine term a process expression of emitted FDR text denotes,
+    lowered as ``codegen.process_term`` lowers (external choice by ``PExt``).
+
+    Reads names, ``SKIP``, ``STOP``, ``e -> P``, ``P [] Q``, ``P |~| Q``,
+    ``P [[ x <- T | x <- S ]]``, ``P [| S |] Q`` and ``P \\ S``, with CSPM's
+    precedences: renaming binds tightest, then prefix, ``[]``, ``|~|``,
+    parallel and hiding.  ``sets`` evaluates the set expressions.
+    """
+    tokens = _PROCESS_TOKEN.findall(text)
+    assert "".join(tokens) == "".join(text.split()), f"not a process expression: {text!r}"
+    tokens += [None, None]  # the end, twice: ``prefix`` looks one token ahead
+
+    def hiding(i: int) -> tuple[ProcessExpr, int]:
+        p, i = parallel(i)
+        while tokens[i] == "\\":
+            hidden, i = sets.parse(tokens, i + 1)
+            p = PHide(p, hidden)
+        return p, i
+
+    def parallel(i: int) -> tuple[ProcessExpr, int]:
+        p, i = internal(i)
+        if tokens[i] != "[|":
+            return p, i
+        sync, i = sets.parse(tokens, i + 1)
+        assert tokens[i] == "|]", f"unclosed [| at token {i} of {text!r}"
+        q, i = parallel(i + 1)
+        return PPar(p, sync, q), i
+
+    def internal(i: int) -> tuple[ProcessExpr, int]:
+        p, i = external(i)
+        while tokens[i] == "|~|":
+            q, i = external(i + 1)
+            p = InternalChoice(p, q)
+        return p, i
+
+    def external(i: int) -> tuple[ProcessExpr, int]:
+        p, i = prefix(i)
+        while tokens[i] == "[]":
+            q, i = prefix(i + 1)
+            p = PExt(p, q)
+        return p, i
+
+    def prefix(i: int) -> tuple[ProcessExpr, int]:
+        if tokens[i + 1] != "->":
+            return renamed(i)
+        rest, j = prefix(i + 2)
+        return Prefix(tokens[i], rest), j
+
+    def renamed(i: int) -> tuple[ProcessExpr, int]:
+        p, i = primary(i)
+        while tokens[i] == "[[":  # [[ x <- T | x <- S ]]: v -> T with v for x, for each v in S
+            assert tokens[i + 1:i + 3] == ["x", "<-"] and tokens[i + 4:i + 7] == ["|", "x", "<-"], tokens[i:i + 7]
+            segments = tokens[i + 3].split(".")
+            source, i = sets.parse(tokens, i + 7)
+            assert tokens[i] == "]]", f"unclosed [[ at token {i} of {text!r}"
+            p = rename(p, {v: ".".join(v if s == "x" else s for s in segments) for v in source})
+            i += 1
+        return p, i
+
+    def primary(i: int) -> tuple[ProcessExpr, int]:
+        tok = tokens[i]
+        if tok == "(":
+            p, i = hiding(i + 1)
+            assert tokens[i] == ")", f"unclosed group at token {i} of {text!r}"
+            return p, i + 1
+        assert tok is not None and (tok[0].isalnum() or tok[0] == "_"), f"no process at token {i} of {text!r}"
+        return (SUCCESS if tok == "SKIP" else EMPTY if tok == "STOP" else Ref(tok)), i + 1
+
+    p, end = hiding(0)
+    assert tokens[end] is None, f"trailing text in process expression {text!r}"
+    return p
+
+
+def read_text(text: str) -> tuple[dict[str, ProcessExpr], list[tuple[str, ProcessExpr, ProcessExpr]]]:
+    """The process definitions of emitted FDR text, header included, and its
+    ``assert`` lines as (label, specification, implementation)."""
+    sets = EmittedSets(text)
+    definitions = {
+        name: read_process(body.split(" = ", 1)[1], sets)
+        for name, body in definition_texts(text).items()
+        if name not in sets.alphas
+    }
+    assertions = [(m.group(0), Ref(m.group(1)), Ref(m.group(2))) for m in _ASSERT.finditer(text)]
+    return definitions, assertions

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from conftest import FIXTURES, assert_matches_golden, emit_plan, load_spec, perfbench_workloads
-from oracles import EmittedSets, definition_texts, read_process, term_sites
+from oracles import EmittedSets, definition_texts, read_text
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit
 from wright2csp.engine import TAU, TICK, compile_to_lts
@@ -366,8 +366,6 @@ def test_composite_sets_are_the_sets_the_text_denotes():
     for name, plan in _front_end_plans(_sources()):
         sets = EmittedSets(plan.text)
         texts = definition_texts(plan.text)
-        for proc, term in plan.definitions.items():
-            assert sets.sites(texts[proc]) == term_sites(term), (name, proc)
         # Each side of an assertion performs only events of the set the text names for it:
         # {|p|} for `pG [FD= COMPp`, the union of the `…PLUSDET` line for a port/role check,
         # and {abstractEvent} for `DFA [FD= xA`.  A connector's ALPHA_ set holds only its glue's
@@ -407,37 +405,37 @@ def test_no_empty_channel_line_or_empty_production_set():
     assert list(plans) == ["no events", "silent glue"]
     for name, plan in plans.items():
         assert [l for l in plan.text.splitlines() if l.strip() == "channel" or "{||}" in l] == [], name
-        sets = EmittedSets(plan.text)
-        texts = definition_texts(plan.text)
-        for proc, term in plan.definitions.items():
-            assert sets.sites(texts[proc]) == term_sites(term), (name, proc)
+        _assert_reads_back(name, plan)
     assert "ALPHA_K = {}" in plans["silent glue"].text
     assert EmittedSets(plans["silent glue"].text).alphas["ALPHA_K"] == frozenset()
 
 
-# --- the terms' processes are the processes the text denotes ---------------------
+# --- the text reads back as the terms ------------------------------------------
 
 
-def test_sequential_definitions_are_the_processes_the_text_denotes():
+def _assert_reads_back(name, plan):
+    """Reading ``plan.text`` gives back every definition and every assertion."""
+    definitions, assertions = read_text(plan.text)
+    assert definitions.keys() == plan.definitions.keys(), name
+    assert [p for p, term in plan.definitions.items() if definitions[p] != term] == [], name
+    assert assertions == [(a.label, a.spec_term, a.impl_term) for a in plan.assertions], name
+    return len(definitions)
+
+
+def test_the_text_reads_back_as_its_definitions_and_assertions():
+    # every operator line too: [| S |], \ S, [[ x <- T | x <- S ]], the
+    # ``… [| … |] STOP`` augmentations, the header's DFA and the assert lines
     workloads = perfbench_workloads()
     sources = _sources() + [
-        ("star(4)", workloads.star_case(4, "t").source),
-        ("star(4) failing", workloads.star_case(4, "t", 2).source),
-        ("pipeline(20) failing", workloads.pipeline_case(20, "t", True).source),
+        (f"star({k}){' failing' if fail else ''}", workloads.star_case(k, "t", fail).source)
+        for k in (2, 3, 4)
+        for fail in (None, 2)
     ]
-    read = 0
-    for name, plan in _front_end_plans(sources):
-        # the header's DFA line is written by hand; its term is ``dfa_definitions``
-        body = "\n".join(plan.text.splitlines()[len(codegen.HEADER_LINES):])
-        lines = {
-            proc: text.split(" = ", 1)[1]
-            for proc, text in definition_texts(body).items()
-            if "\n" not in text and "[[" not in text and "{" not in text
-        }
-        denoted = {proc: codegen.process_term(read_process(expr), {}) for proc, expr in lines.items()}
-        sequential = {proc for proc, rhs in plan.equations.items() if isinstance(rhs, tuple)}
-        assert denoted == {proc: plan.definitions[proc] for proc in sequential}, name
-        read += len(denoted)
+    sources += [
+        (f"pipeline({n}){' failing' if fail else ''}", workloads.pipeline_case(n, "t", fail).source)
+        for n, fail in ((5, False), (5, True), (20, True))
+    ]
+    read = sum(_assert_reads_back(name, plan) for name, plan in _front_end_plans(sources))
     assert read > 4000
 
 

@@ -2,9 +2,10 @@
 with an embedded failures-divergences refinement engine."""
 
 from .alphabets import annotate
-from .analyzer import Diagnostic, analyze
+from .analyzer import analyze
 from .codegen import Assertion, AssertionKind, EmitPlan, emit
 from .engine import RefinementVerdict, check_refinement_fd, compile_to_lts, discharge_assertions, normalize_fd
+from .model import Diagnostic
 from .parser import ParseError, parse_source, to_wright
 
 __version__ = "0.1.0"

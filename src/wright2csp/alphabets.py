@@ -6,8 +6,9 @@ prefixes.  Each name's alphabet is then its own events followed by those of
 every name it reaches, so mutually recursive where-locals contribute their
 events to the owning declaration.  An alphabet is an insertion-ordered
 ``dict`` from qualified event name to the polarity of its first use.  The
-result is split into initiated and observed subsets and, for ports and
-roles, also scoped with the owner's name (``read`` becomes ``In.read``).
+result is split into initiated and observed subsets.  The walk also maps
+each unscoped event name to the first declaration or where-local that uses
+it, which is where ``annotate`` reports a name the output cannot declare.
 One routine, ``compute_type_alphabet``, serves components and connectors
 alike through ``model.parts``: their interface points, then the computation
 or glue.
@@ -15,7 +16,6 @@ or glue.
 
 from __future__ import annotations
 
-from .analyzer import Diagnostic
 from .model import (
     Alphabet,
     AlphabetInfo,
@@ -23,6 +23,7 @@ from .model import (
     Component,
     Connector,
     Declaration,
+    Diagnostic,
     ExternalChoice,
     InternalChoice,
     Prefix,
@@ -91,33 +92,34 @@ def _info(total: Alphabet) -> AlphabetInfo:
         total,
         {e: True for e, initiated in total.items() if initiated},
         {e: False for e, initiated in total.items() if not initiated},
-        {},
     )
 
 
 def compute_declaration_alphabet(
-    decl: Declaration, event_names: dict[str, None] | None = None
+    decl: Declaration, event_names: dict[str, Declaration] | None = None
 ) -> tuple[AlphabetInfo, list[Diagnostic]]:
     """Alphabet of a declaration body plus everything reachable via its locals.
 
-    Also adds the unscoped name of every event the bodies use to
-    ``event_names``, in first-use order.
+    Also maps the unscoped name of every event the bodies use to the first of
+    ``decl`` and its locals that uses it, in ``event_names``, in first-use order.
     """
     if event_names is None:
         event_names = {}
     diags: list[Diagnostic] = []
-    named = [(decl.name, decl.body)] + [(loc.name, loc.body) for loc in decl.locals]
-    bodies = dict(named)
+    named = [decl] + decl.locals
+    bodies = {d.name: d.body for d in named}
 
     refs: dict[str, dict[str, None]] = {}
     own: dict[str, Alphabet] = {}
     first_use: Alphabet = {}
-    for n, body in named:
-        names, prefixes = _walk(body)
-        if bodies[n] is not body:
+    for d in named:
+        n = d.name
+        names, prefixes = _walk(d.body)
+        if bodies[n] is not d.body:
             # redefined later: references resolve to the last definition, but
             # codegen still emits this equation, so its events need declaring
-            event_names.update(dict.fromkeys(p.event.rpartition(".")[2] for p in prefixes))
+            for p in prefixes:
+                event_names.setdefault(p.event.rpartition(".")[2], d)
             continue
         for ref in names:
             if ref not in bodies:
@@ -135,7 +137,7 @@ def compute_declaration_alphabet(
             e, initiated = p.event, p.initiated
             if e not in events:
                 events[e] = initiated
-                event_names.setdefault(e.rpartition(".")[2], None)
+                event_names.setdefault(e.rpartition(".")[2], d)
             if first_use.setdefault(e, initiated) != initiated:
                 diags.append(
                     Diagnostic(
@@ -156,20 +158,17 @@ def compute_declaration_alphabet(
     return _info(totals[decl.name]), diags
 
 
-def compute_type_alphabet(t: Component | Connector, event_names: dict[str, None]) -> list[Diagnostic]:
-    """Alphabets of a type's interface points, each also scoped by the point's
-    name (``param_total``), then of its computation or glue, whose events
-    scoped by no declared point are dropped with a warning.  A connector's
-    alphabet is its glue's.  A component's adds its ports' scoped events, with
-    a warning if the computation leaves some of them out."""
+def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Declaration]) -> list[Diagnostic]:
+    """Alphabets of a type's interface points, then of its computation or
+    glue, whose events scoped by no declared point are dropped with a warning.
+    A connector's alphabet is its glue's.  A component's adds its ports'
+    events scoped by the port's name (``read`` of port ``In`` is ``In.read``),
+    with a warning if the computation leaves some of them out."""
     diags: list[Diagnostic] = []
     points, main = parts(t)
     for point in points:
-        info, d = compute_declaration_alphabet(point, event_names)
+        point.alphabet, d = compute_declaration_alphabet(point, event_names)
         diags.extend(d)
-        prefix = point.name + "."
-        info.param_total = {prefix + e: i for e, i in info.total.items()}
-        point.alphabet = info
     info, d = compute_declaration_alphabet(main, event_names)
     diags.extend(d)
     main.alphabet = info
@@ -184,25 +183,13 @@ def compute_type_alphabet(t: Component | Connector, event_names: dict[str, None]
         )
     t.total_alphabet = info.total
     if type(t) is Component:
-        t.total_alphabet = _union([info.total] + [point.alphabet.param_total for point in points])
-        if len(t.total_alphabet) > len(info.total):
+        total = t.total_alphabet = dict(info.total)
+        for point in points:
+            for e, initiated in point.alphabet.total.items():
+                total.setdefault(f"{point.name}.{e}", initiated)  # the first use's polarity wins
+        if len(total) > len(info.total):
             diags.append(Diagnostic("warning", t.pos,
                                     "Ports really shouldn't have internal events. Consider this carefully."))
-    return diags
-
-
-def _header_clashes(spec: ArchSpec, names: list[str]) -> list[Diagnostic]:
-    """An error at the first declaration whose body uses each event of ``names``."""
-    diags: list[Diagnostic] = []
-    for t in spec.types:
-        points, main = parts(t)
-        for owner in points + [main]:
-            for d in [owner] + owner.locals:
-                used = {prefix.event.rpartition(".")[2] for prefix in _walk(d.body)[1]}
-                for e in [e for e in names if e in used]:
-                    names.remove(e)
-                    diags.append(Diagnostic("error", d.pos, f"event {e} in {d.kind.value} {d.name} is also a name "
-                                            "the output's header defines, so the output would define it twice"))
     return diags
 
 
@@ -212,14 +199,21 @@ def annotate(spec: ArchSpec) -> list[Diagnostic]:
     output's header (``HEADER_NAMES``) is an error: they share CSPM's one
     namespace."""
     diags: list[Diagnostic] = []
-    event_names: dict[str, None] = {}
+    event_names: dict[str, Declaration] = {}
     for t in spec.types:
         diags += compute_type_alphabet(t, event_names)
     spec.event_names = list(event_names)
     points = [p for t in spec.types for p in parts(t)[0]]
     diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} is also the name of an event, so the output "
                          "would declare its channel twice") for p in points if p.name in event_names]
+    # each header name at its first user; users in walk order, then header order
     header = [e for e in HEADER_NAMES if e in event_names]
     if header:
-        diags += _header_clashes(spec, header)
+        rank: dict[int, int] = {}
+        for d in event_names.values():
+            rank.setdefault(id(d), len(rank))  # declarations are unhashable
+        header.sort(key=lambda e: rank[id(event_names[e])])
+        diags += [Diagnostic("error", d.pos, f"event {e} in {d.kind.value} {d.name} is also a name the output's "
+                             "header defines, so the output would define it twice")
+                  for e in header for d in [event_names[e]]]
     return diags

@@ -19,7 +19,7 @@ interface points (ports or roles) and their computation or glue.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .model import (
     ArchSpec,
@@ -28,11 +28,11 @@ from .model import (
     Connector,
     Declaration,
     DeclKind,
+    Diagnostic,
     Instance,
     InterfaceRef,
     SourcePos,
     parts,
-    slotted,
 )
 
 # What a where-local may not share its name with: a port or role (the table's
@@ -41,21 +41,6 @@ from .model import (
 # name table would print local `In` of port `Out` as `InOut`; the rule is kept
 # so that `lint` accepts and rejects the same descriptions.
 _PRINTED_BARE = (Declaration, Connector)
-
-
-@slotted(frozen=False)
-class Diagnostic:
-    __slots__ = ("severity", "pos", "message", "rule")
-
-    def __init__(self, severity: str, pos: SourcePos, message: str, rule: Optional[int] = None) -> None:
-        self.severity = severity  # "error" | "warning"
-        self.pos = pos
-        self.message = message
-        self.rule = rule
-
-    def __str__(self) -> str:
-        prefix = f"rule={self.rule} " if self.rule is not None else ""
-        return f"{self.pos}: {self.severity}: {prefix}{self.message}"
 
 
 def build_symbol_table(spec: ArchSpec) -> tuple[dict[str, object], list[Diagnostic]]:

@@ -56,10 +56,7 @@ def _load(path: str, strict_attachments: bool = False):
         _eprint("a problem occurred in the parsing stage.")
         return None
     _eprint("Parsing complete.")
-    for w in warnings:
-        _eprint(f"{path}:{w}")
-    diags = analyzer.analyze(spec, strict=strict_attachments)
-    diags.extend(alphabets.annotate(spec))
+    diags = warnings + analyzer.analyze(spec, strict=strict_attachments) + alphabets.annotate(spec)
     for d in diags:
         _eprint(f"{path}:{d}")
     if analyzer.has_errors(diags):
@@ -86,27 +83,30 @@ def _write_atomic(path: str, text: str) -> bool:
     return True
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
+def _emit(args: argparse.Namespace) -> codegen.EmitPlan | None:
+    """Load and emit ``args.infile``, print the emission's warnings and write
+    ``args.outfile`` when one is given; None, after printing why, on an error."""
     spec = _load(args.infile)
     if spec is None:
-        return EXIT_ERROR
+        return None
     plan = codegen.emit(spec)
     for d in plan.diagnostics:
         _eprint(f"{args.infile}:{d}")
-    if not _write_atomic(args.outfile, plan.text):
+    if args.outfile is not None and not _write_atomic(args.outfile, plan.text):
+        return None
+    return plan
+
+
+def cmd_translate(args: argparse.Namespace) -> int:
+    if _emit(args) is None:
         return EXIT_ERROR
     _eprint("wr2fdr done.")
     return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _load(args.infile)
-    if spec is None:
-        return EXIT_ERROR
-    plan = codegen.emit(spec)
-    for d in plan.diagnostics:
-        _eprint(f"{args.infile}:{d}")
-    if args.outfile and not _write_atomic(args.outfile, plan.text):
+    plan = _emit(args)
+    if plan is None:
         return EXIT_ERROR
     failed = unknown = False
     for label, verdict in assertion_verdicts(plan.assertions, plan.definitions, args.max_states):

@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Union
 
 from .alphabets import HEADER_NAMES
-from .analyzer import Diagnostic, build_symbol_table, resolve_end
+from .analyzer import build_symbol_table, resolve_end
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
     EMPTY,
@@ -54,6 +54,7 @@ from .model import (
     Connector,
     Declaration,
     DeclKind,
+    Diagnostic,
     Empty,
     ExternalChoice,
     InternalChoice,
@@ -317,7 +318,7 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
     for i, role in enumerate(conn.roles):
         r, process = role.name, out.process(role)
         own = out.sets[out.alphas[id(role)]]
-        internal = sorted(e for e in role.alphabet.param_total if e not in conn.glue.alphabet.total)
+        internal = sorted({f"{r}.{e}" for e in role.alphabet.total}.difference(conn.glue.alphabet.total))
         opener = f"{name} = ( (" if i == 0 else "    ("
         out.line(f"{opener}{process}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
         out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
@@ -378,7 +379,7 @@ def emit_component(out: _Out, comp: Component) -> None:
                 continue
             obs = list(q.alphabet.observed)
             scoped_obs = [f"{q.name}.{n}" for n in obs]
-            internal = sorted(e for e in q.alphabet.param_total if e not in computation_events)
+            internal = sorted({f"{q.name}.{e}" for e in q.alphabet.total}.difference(computation_events))
             restricted = out.process(q, "DETR")
             seg, term = f"( {restricted}", Ref(restricted)
             if obs:

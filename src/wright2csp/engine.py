@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import EMPTY, SUCCESS, Empty, InternalChoice, Prefix, ProcessExpr, Ref, Success, slotted
 
-TAU = "τ"
+TAU = "<τ>"  # no Wright event can spell it: an identifier is word characters and dots
 TICK = "✓"
 
 DEFAULT_MAX_STATES = 200_000

@@ -1,14 +1,15 @@
-"""Core data model: structural and behavioural AST.
+"""Core data model: structural and behavioural AST, and findings about them.
 
 Structural side: Component / Connector / Configuration / Style.  A component
 and a connector share one shape, interface points plus one behaviour, which
-``parts`` returns for either.  Behavioural
-side: ProcessExpr trees whose leaves are named references and the success
-process; the engine steps these same classes as its sequential terms.  An event is its qualified name as a plain string (``read``,
-``In.read``); a prefix also records whether its use is initiated (``_read``),
-but prefixes compare equal regardless.  An alphabet is an insertion-ordered
-``dict`` from qualified name to the polarity of its first use, so generated
-output is reproducible run to run.
+``parts`` returns for either.  Behavioural side: ProcessExpr trees whose
+leaves are named references and the success process; the engine steps these
+same classes as its sequential terms.  An event is its qualified name as a
+plain string (``read``, ``In.read``); a prefix also records whether its use
+is initiated (``_read``), but prefixes compare equal regardless.  An alphabet
+is an insertion-ordered ``dict`` from qualified name to the polarity of its
+first use, so generated output is reproducible run to run.  Every finding,
+from a parse warning to an emission warning, is one ``Diagnostic``.
 
 The expression and structural classes are plain slotted classes with a
 written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 # --- plain slotted classes --------------------------------------------------
 
@@ -81,6 +82,23 @@ class SourcePos(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+
+@slotted(frozen=False)
+class Diagnostic:
+    """An error or warning at a source position; ``rule`` numbers a static rule's."""
+
+    __slots__ = ("severity", "pos", "message", "rule")
+
+    def __init__(self, severity: str, pos: SourcePos, message: str, rule: Optional[int] = None) -> None:
+        self.severity = severity  # "error" | "warning"
+        self.pos = pos
+        self.message = message
+        self.rule = rule
+
+    def __str__(self) -> str:
+        prefix = f"rule={self.rule} " if self.rule is not None else ""
+        return f"{self.pos}: {self.severity}: {prefix}{self.message}"
 
 
 # --- behavioural AST ------------------------------------------------------
@@ -175,15 +193,14 @@ Alphabet = dict[str, bool]
 
 @slotted(frozen=False)
 class AlphabetInfo:
-    """Total alphabet plus its initiated/observed split and the scoped form."""
+    """Total alphabet plus its initiated/observed split."""
 
-    __slots__ = ("total", "initiated", "observed", "param_total")
+    __slots__ = ("total", "initiated", "observed")
 
-    def __init__(self, total: Alphabet, initiated: Alphabet, observed: Alphabet, param_total: Alphabet) -> None:
+    def __init__(self, total: Alphabet, initiated: Alphabet, observed: Alphabet) -> None:
         self.total = total
         self.initiated = initiated
         self.observed = observed
-        self.param_total = param_total
 
 
 @slotted(frozen=False)

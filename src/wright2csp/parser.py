@@ -29,6 +29,7 @@ from .model import (
     Connector,
     DeclKind,
     Declaration,
+    Diagnostic,
     ExternalChoice,
     InterfaceRef,
     InternalChoice,
@@ -213,7 +214,7 @@ class Parser:
         self.kinds = tokens.kinds
         self.values = tokens.values
         self.k = 0
-        self.warnings: list[str] = []
+        self.warnings: list[Diagnostic] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -371,10 +372,8 @@ class Parser:
             self.k = k + 1
             op = kinds[k]
             if last is not None and op is not last:
-                self.warnings.append(
-                    f"{self.pos(k)}: '[]' and '|~|' mixed at the same level without "
-                    "parentheses; grouping left-to-right"
-                )
+                self.warnings.append(Diagnostic("warning", self.pos(k), "'[]' and '|~|' mixed at the same "
+                                                "level without parentheses; grouping left-to-right"))
             last = op
             right, right_height = self.parse_prefix_expr(level + 1)
             # each operator pushes the whole chain so far one level down
@@ -438,8 +437,8 @@ def _show(kind: TokKind, value: object) -> str:
     return f"'{value}'"
 
 
-def parse_source(source: str) -> tuple[ArchSpec, list[str]]:
-    """Parse a whole file; returns the spec and any parser warnings."""
+def parse_source(source: str) -> tuple[ArchSpec, list[Diagnostic]]:
+    """Parse a whole file; returns the spec and the parser's warnings."""
     p = Parser(tokenize(source))
     spec = p.parse_spec()
     return spec, p.warnings

@@ -28,11 +28,11 @@ local erases.  A declaration body that erases completely becomes SKIP.
 from __future__ import annotations
 
 from .alphabets import _reach
-from .analyzer import Diagnostic
 from .model import (
     Alphabet,
     Choice,
     Declaration,
+    Diagnostic,
     EMPTY,
     Empty,
     ExternalChoice,

@@ -114,7 +114,7 @@ def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"
         if kind == 0:
             return PPar(build(d - 1), events(0.5), build(d - 1))
         if kind == 1:
-            mapping = {e: rng.choice(alphabet + ("d",)) for e in events(0.5)}
+            mapping = {e: rng.choice(alphabet + ("d",)) for e in sorted(events(0.5))}  # draws in a fixed order
             return rename(build(d - 1), mapping)
         if kind == 2:
             return PHide(build(d - 1), events(0.4))

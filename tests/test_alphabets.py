@@ -1,7 +1,7 @@
 import random
 
 from conftest import fixture_path, load_spec
-from wright2csp import alphabets
+from wright2csp import alphabets, codegen
 from wright2csp.alphabets import compute_declaration_alphabet
 from oracles import reference_alphabets, set_minus, walk_events, walk_refs
 from wright2csp.model import Declaration, DeclKind, ExternalChoice, InternalChoice, Prefix, Ref, SUCCESS
@@ -31,8 +31,18 @@ def test_writer_has_no_role_internal_events():
     spec = load_spec("pipeconn.wrt")
     pipe = spec.types[0]
     writer = pipe.roles[0]
-    internal = set_minus(writer.alphabet.param_total, pipe.glue.alphabet.total)
+    scoped = {f"Writer.{e}": i for e, i in writer.alphabet.total.items()}
+    internal = set_minus(scoped, pipe.glue.alphabet.total)
     assert len(internal) == 0
+    assert "    [| diff({|Writer|}, { }) |]" in codegen.emit(spec).text.splitlines()
+    # a role event the glue does not name is left out of the synchronisation,
+    # under the role's name
+    spec, _ = parse_source(
+        "Style S\nConnector K\n  Role R = y -> R [] x -> R [] TICK\n"
+        "  Glue = R.x -> Glue [] TICK\nConstraints\nEnd Style"
+    )
+    alphabets.annotate(spec)
+    assert "    [| diff({|R|}, { R.y}) |]" in codegen.emit(spec).text.splitlines()
 
 
 def test_calcul_component_alphabet():
@@ -214,7 +224,7 @@ def test_alphabet_walk_matches_closure_oracle_on_random_relations():
         assert sum(d.severity == "error" for d in diags) == missing
 
 
-# --- the two diagnostics alphabets writes, pinned -------------------------------
+# --- the diagnostics alphabets writes, pinned -------------------------------
 
 
 def test_polarity_warning_text_severity_and_position():
@@ -247,4 +257,23 @@ def test_scoped_event_warning_text_severity_and_position():
          "removed from the alphabet"),
         ("warning", "8:3", "event 'S.b' in connector K names no declared interface point; "
          "removed from the alphabet"),
+    ]
+
+
+def test_header_name_errors_are_placed_at_each_names_first_user():
+    # P uses two header names, out of header order; a where-local and a later
+    # role use one more each; later uses of a reported name add nothing
+    spec, _ = parse_source(
+        "Style S\nComponent C\n  Port P = abstractEvent -> DFA -> P [] TICK\n"
+        "  Port Q = x -> L [] TICK where { L = quant_semi -> Q }\n"
+        "  Computation = P.abstractEvent -> P.DFA -> Computation [] Q.x -> Q.quant_semi -> Computation [] TICK\n"
+        "Connector K\n  Role R = power_set -> DFA -> R [] TICK\n"
+        "  Glue = R.power_set -> R.DFA -> Glue [] TICK\nConstraints\nEnd Style"
+    )
+    clash = "is also a name the output's header defines, so the output would define it twice"
+    assert [str(d) for d in alphabets.annotate(spec)] == [
+        f"3:3: error: event DFA in Port P {clash}",
+        f"3:3: error: event abstractEvent in Port P {clash}",
+        f"4:35: error: event quant_semi in WhereLocal L {clash}",
+        f"7:3: error: event power_set in Role R {clash}",
     ]

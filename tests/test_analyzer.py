@@ -180,3 +180,13 @@ def test_style_container_name_may_match_a_type_name():
     # count as a clashing architectural element
     diags = analyze_fixture("double.wrt")
     assert diags == []
+
+
+def test_a_role_attached_twice_breaks_rule6_at_the_second_attachment():
+    spec, _ = parse_source(
+        "Configuration Twice\nComponent T\n  Port P = a -> P [] TICK\n  Computation = P.a -> Computation [] TICK\n"
+        "Connector K\n  Role R = a -> R [] TICK\n  Glue = R.a -> Glue [] TICK\n"
+        "Instances\n  A : T\n  B : T\n  K1 : K\nAttachments\n  A.P As K1.R\n  B.P As K1.R\nEnd Configuration\n"
+    )
+    assert [str(d) for d in analyzer.analyze(spec)] == ["14:3: warning: rule=6 ***Role deja relier***"]
+    assert [str(d) for d in analyzer.analyze(spec, strict=True)] == ["14:3: error: rule=6 ***Role deja relier***"]

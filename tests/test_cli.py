@@ -176,6 +176,44 @@ def test_an_event_named_like_a_header_name_is_a_lint_error(tmp_path, capsys, nam
     assert not out.exists()
 
 
+def test_lint_prints_the_mixed_operator_warning_with_its_severity(tmp_path, capsys):
+    path = tmp_path / "mixed.wrt"
+    path.write_text("Style S\nConnector K\n  Role R = a -> R [] b -> R |~| TICK\n"
+                    "  Glue = R.a -> Glue [] R.b -> Glue [] TICK\nConstraints\nEnd Style\n")
+    code, stdout, err = run(capsys, "lint", str(path))
+    assert code == 0 and not stdout
+    assert err.splitlines() == [
+        "Parsing complete.",
+        f"{path}:3:29: warning: '[]' and '|~|' mixed at the same level without parentheses; "
+        "grouping left-to-right",
+    ]
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_a_projection_warning_is_printed_once(tmp_path, capsys, command):
+    # Out's restriction to its observed events erases all of L
+    path, out = tmp_path / "erase.wrt", tmp_path / "erase.fdr2"
+    path.write_text("Style S\nComponent C\n  Port Out = c -> L [] TICK where { L = _d -> L }\n"
+                    "  Computation = Out.c -> _Out.d -> Computation [] TICK\nConstraints\nEnd Style\n")
+    _, _, err = run(capsys, command, str(path), *([str(out)] if command == "translate" else []))
+    assert err.splitlines() == [
+        "Parsing complete.",
+        f"{path}:3:3: warning: where-local 'L' of Out erased entirely by projection; references to it behave as STOP",
+        "wr2fdr done.",
+    ]
+
+
+def test_an_event_spelled_tau_is_an_ordinary_event(tmp_path, capsys):
+    # the engine's internal label is no name a Wright event can have
+    path = tmp_path / "tau.wrt"
+    path.write_text("Style S\nConnector K\n  Role R = τ -> R [] TICK\n"
+                    "  Glue = R.τ -> Glue [] TICK\nConstraints\nEnd Style\n")
+    assert run(capsys, "lint", str(path))[0] == 0
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert stdout.splitlines() == ["PASS  assert DFA [FD= RA", "PASS  assert DFA [FD= KA"]
+    assert code == 0
+
+
 def test_check_dt3_all_pass(tmp_path, capsys):
     out = tmp_path / "dt3.fdr2"
     code, stdout, _ = run(capsys, "check", str(fixture_path("dt3.wrt")), "-o", str(out))
@@ -225,6 +263,20 @@ def test_check_state_cap_leaves_other_verdicts(capsys):
     assert lines[4] == "UNKNOWN  assert DFA [FD= CtypeA  (state cap 20 exceeded)"
     assert all(l.startswith("PASS") for i, l in enumerate(lines) if i != 4)
     assert "assert DFA [FD= CtypeA: state cap 20 exceeded" in err
+
+
+def test_check_state_cap_reaches_compilation_and_refinement(capsys):
+    code, stdout, _ = run(capsys, "check", "--max-states", "12", str(fixture_path("dt3.wrt")))
+    assert stdout.splitlines() == [
+        "PASS  assert OutputG [FD= COMPOutput",
+        "PASS  assert InputG [FD= COMPInput",
+        "PASS  assert DFA [FD= OriginA",
+        "PASS  assert DFA [FD= TargetA",
+        "UNKNOWN  assert DFA [FD= CtypeA  (state cap 12 exceeded)",
+        "UNKNOWN  assert C_OriginPLUS [FD= A_OutputPLUSDET  (product cap 12 exceeded)",
+        "PASS  assert C_TargetPLUS [FD= B_InputPLUSDET",
+    ]
+    assert code == 2
 
 
 def test_check_fail_outranks_unknown_in_the_exit_code(tmp_path, capsys):

@@ -10,7 +10,7 @@ from oracles import (
     set_minus,
     set_union,
 )
-from wright2csp import alphabets
+from wright2csp import alphabets, codegen
 from wright2csp.alphabets import compute_declaration_alphabet
 from wright2csp.model import (
     Declaration,
@@ -67,7 +67,8 @@ def test_set_union_examples():
     # a component's alphabet is this union: the computation's events, then
     # each port's scoped events, in port order
     comp = load_spec("double.wrt").types[0]
-    parts = [comp.computation.alphabet.total] + [p.alphabet.param_total for p in comp.ports]
+    parts = [comp.computation.alphabet.total]
+    parts += [{f"{p.name}.{e}": i for e, i in p.alphabet.total.items()} for p in comp.ports]
     expected = parts[0]
     for part in parts[1:]:
         expected = set_union(expected, part)
@@ -172,12 +173,20 @@ def test_relation_compose_examples():
 
 
 def test_point_alphabets_are_scoped_by_a_name_prefix():
-    p_in, p_out = load_spec("calculformule.wrt").types[0].ports
-    assert list(p_in.alphabet.param_total.items()) == [
-        ("In." + e, i) for e, i in p_in.alphabet.total.items()
-    ]
-    assert set(p_out.alphabet.param_total) == {"Out.write", "Out.close"}
-    assert all(p_out.alphabet.param_total.values())  # both initiated
+    # a port's events enter the component's alphabet under the port's name,
+    # after the computation's, with their polarity: In.b is one the
+    # computation leaves out
+    spec, _ = parse_source(
+        "Style S\nComponent C\n  Port In = a -> In [] b -> In [] TICK\n  Port Out = _c -> Out [] TICK\n"
+        "  Computation = In.a -> _Out.c -> Computation [] TICK\nConstraints\nEnd Style"
+    )
+    alphabets.annotate(spec)
+    comp = spec.types[0]
+    assert list(comp.total_alphabet.items()) == [("In.a", False), ("Out.c", True), ("In.b", False)]
+    assert list(comp.ports[0].alphabet.total) == ["a", "b"]
+    # the consistency check for Out runs In's observed events under In's name
+    # and excludes from the synchronisation the one the computation leaves out
+    assert "  [| diff({In.a, In.b}, { In.b}) |]" in codegen.emit(spec).text.splitlines()
 
 
 def test_rename_with_prefix():

@@ -210,7 +210,10 @@ def test_mixed_choice_operators_warn():
     p = Parser(tokenize("Style S\nConnector K\n  Role R = a -> R [] b -> R |~| TICK\n"
                         "  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style"))
     p.parse_spec()
-    assert any("mixed" in w for w in p.warnings)
+    assert [(w.severity, str(w.pos)) for w in p.warnings] == [("warning", "3:29")]
+    assert p.warnings[0].message == (
+        "'[]' and '|~|' mixed at the same level without parentheses; grouping left-to-right"
+    )
 
 
 def test_mixed_choice_warning_is_at_each_operator_that_switches():
@@ -218,7 +221,8 @@ def test_mixed_choice_warning_is_at_each_operator_that_switches():
                         "  Role R = a -> R [] b -> R |~| TICK |~| c -> R [] (d -> R |~| TICK)\n"
                         "  Glue = R.a -> Glue [] TICK\nConstraints\nEnd Style"))
     p.parse_spec()
-    assert [w.split(": ")[0] for w in p.warnings] == ["3:29", "3:49"]
+    assert [str(w.pos) for w in p.warnings] == ["3:29", "3:49"]
+    assert len({w.message for w in p.warnings}) == 1 and "mixed" in p.warnings[0].message
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from wright2csp import codegen
-from wright2csp.analyzer import Diagnostic
+import wright2csp
+from wright2csp import analyzer, codegen
 from wright2csp.codegen import Assertion, AssertionKind, EmitPlan
 from wright2csp.engine import (
     FdModel,
@@ -39,6 +39,7 @@ from wright2csp.model import (
     Connector,
     Declaration,
     DeclKind,
+    Diagnostic,
     Empty,
     ExternalChoice,
     Instance,
@@ -84,9 +85,9 @@ VALUES = [
 # (record built positionally, the same record built by keyword, its exact repr)
 RECORDS = [
     (
-        AlphabetInfo({"a": True}, {"a": True}, {}, {"In.a": True}),
-        AlphabetInfo(total={"a": True}, initiated={"a": True}, observed={}, param_total={"In.a": True}),
-        "AlphabetInfo(total={'a': True}, initiated={'a': True}, observed={}, param_total={'In.a': True})",
+        AlphabetInfo({"a": True}, {"a": True}, {}),
+        AlphabetInfo(total={"a": True}, initiated={"a": True}, observed={}),
+        "AlphabetInfo(total={'a': True}, initiated={'a': True}, observed={})",
     ),
     (
         Declaration(DeclKind.PORT, "In", Ref("In")),
@@ -287,6 +288,7 @@ def test_defaults_match_the_dataclass_signatures():
 
 
 def test_record_helpers_survive():
+    assert wright2csp.Diagnostic is analyzer.Diagnostic is Diagnostic  # defined once, in model
     assert str(InterfaceRef("c", "In")) == "c.In"
     assert str(Diagnostic("error", POS, "bad", 1)) == "2:3: error: rule=1 bad"
     assert not RefinementVerdict(False) and RefinementVerdict(True)

@@ -3,15 +3,16 @@
 Per declaration, one iterative walk over each body (the declaration's and
 each where-local's) collects the names it references and the events it
 prefixes.  Each name's alphabet is then its own events followed by those of
-every name it reaches, so mutually recursive where-locals contribute their
-events to the owning declaration.  An alphabet is an insertion-ordered
-``dict`` from qualified event name to the polarity of its first use.  The
-result is split into initiated and observed subsets.  The walk also maps
+every name it reaches, breadth-first (``reach``), so mutually recursive
+where-locals contribute their events to the owning declaration; each
+where-local's is stored too, but nothing reads it.  An alphabet is an
+insertion-ordered ``dict`` from qualified event name to the polarity of its
+first use, split into initiated and observed subsets.  The walk also maps
 each unscoped event name to the first declaration or where-local that uses
 it, which is where ``annotate`` reports a name the output cannot declare.
 One routine, ``compute_type_alphabet``, serves components and connectors
 alike through ``model.parts``: their interface points, then the computation
-or glue.
+or glue.  It warns about point events the computation or glue leaves out.
 """
 
 from __future__ import annotations
@@ -56,25 +57,19 @@ def _walk(body: ProcessExpr) -> tuple[list[str], list[Prefix]]:
     return refs, prefixes
 
 
-def _reach(refs: dict[str, dict[str, None]]) -> dict[str, dict[str, None]]:
-    """The names each name reaches through ``refs``, in the order they are found.
+def reach(refs: dict[str, dict[str, None]], start: str) -> dict[str, None]:
+    """``start`` and every name it reaches through ``refs``, breadth-first.
 
-    Rounds run over the names in order until nothing is added.  Each name
-    extends its list by the current list of every name on it.  A name's list
-    thus depends on the lists of names before it in the same round, so this
-    order is not a plain breadth- or depth-first order from that name.
+    Each name's references are followed in the order ``refs`` lists them.
     """
-    reach = {n: dict(r) for n, r in refs.items()}
-    grew = True
-    while grew:
-        grew = False
-        for found in reach.values():
-            for mid in list(found):
-                for dst in reach[mid]:
-                    if dst not in found:
-                        found[dst] = None
-                        grew = True
-    return reach
+    found = {start: None}
+    queue = [start]
+    for name in queue:
+        for ref in refs[name]:
+            if ref not in found:
+                found[ref] = None
+                queue.append(ref)
+    return found
 
 
 def _union(parts: list[Alphabet]) -> Alphabet:
@@ -98,7 +93,8 @@ def _info(total: Alphabet) -> AlphabetInfo:
 def compute_declaration_alphabet(
     decl: Declaration, event_names: dict[str, Declaration] | None = None
 ) -> tuple[AlphabetInfo, list[Diagnostic]]:
-    """Alphabet of a declaration body plus everything reachable via its locals.
+    """Alphabet of a declaration body, then of each name it reaches through its
+    locals, breadth-first; each local's alphabet, found the same way, is stored on it.
 
     Also maps the unscoped name of every event the bodies use to the first of
     ``decl`` and its locals that uses it, in ``event_names``, in first-use order.
@@ -148,11 +144,7 @@ def compute_declaration_alphabet(
                     )
                 )
 
-    if decl.locals:
-        reach = _reach({n: refs[n] for n in bodies})  # rounds run in first-definition order
-        totals = {n: _union([own[n]] + [own[m] for m in found if m != n]) for n, found in reach.items()}
-    else:
-        totals = own
+    totals = {n: _union([own[m] for m in reach(refs, n)]) for n in refs}
     for loc in decl.locals:
         loc.alphabet = _info(totals[loc.name])
     return _info(totals[decl.name]), diags
@@ -161,9 +153,10 @@ def compute_declaration_alphabet(
 def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Declaration]) -> list[Diagnostic]:
     """Alphabets of a type's interface points, then of its computation or
     glue, whose events scoped by no declared point are dropped with a warning.
-    A connector's alphabet is its glue's.  A component's adds its ports'
-    events scoped by the port's name (``read`` of port ``In`` is ``In.read``),
-    with a warning if the computation leaves some of them out."""
+    A connector's alphabet is its glue's, with a warning for each role event
+    the glue leaves out.  A component's adds its ports' events scoped by the
+    port's name (``read`` of port ``In`` is ``In.read``), with one warning if
+    the computation leaves some of them out."""
     diags: list[Diagnostic] = []
     points, main = parts(t)
     for point in points:
@@ -171,16 +164,14 @@ def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Decla
         diags.extend(d)
     info, d = compute_declaration_alphabet(main, event_names)
     diags.extend(d)
-    main.alphabet = info
     point_names = {p.name for p in points}
     bad = [e for e in info.total if "." in e and e.partition(".")[0] not in point_names]
     for e in bad:
         diags.append(Diagnostic("warning", main.pos, f"event '{e}' in {type(t).__name__.lower()} {t.name} names no "
                                 "declared interface point; removed from the alphabet"))
     if bad:
-        info.total, info.initiated, info.observed = (
-            {e: i for e, i in part.items() if e not in bad} for part in (info.total, info.initiated, info.observed)
-        )
+        info = _info({e: i for e, i in info.total.items() if e not in bad})
+    main.alphabet = info
     t.total_alphabet = info.total
     if type(t) is Component:
         total = t.total_alphabet = dict(info.total)
@@ -190,6 +181,10 @@ def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Decla
         if len(total) > len(info.total):
             diags.append(Diagnostic("warning", t.pos,
                                     "Ports really shouldn't have internal events. Consider this carefully."))
+    else:
+        diags += [Diagnostic("warning", role.pos, f"event '{role.name}.{e}' of role {role.name} is not in the glue of "
+                             f"connector {t.name}, so the connector performs it unsynchronised")
+                  for role in points for e in role.alphabet.total if f"{role.name}.{e}" not in info.total]
     return diags
 
 

@@ -19,15 +19,17 @@ Projection onto a kept event set works by branch elimination over the tree:
   rule 3  a choice with an erased operand collapses to the other operand,
           and to Empty if both were erased.
 
-Where-locals are projected under their own names.  A local whose body
-erases completely is deleted, references to it become Empty wherever they
-stand (with a warning), and the bodies are projected again until no further
-local erases.  A declaration body that erases completely becomes SKIP.
+Where-locals are projected under their own names; an unguarded reference
+closes a cycle when a breadth-first search from its target
+(``alphabets.reach``) finds its body's name.  A local whose body erases
+completely is deleted, references to it become Empty wherever they stand
+(with a warning), and the bodies are projected again until no further local
+erases.  A declaration body that erases completely becomes SKIP.
 """
 
 from __future__ import annotations
 
-from .alphabets import _reach
+from .alphabets import reach
 from .model import (
     Alphabet,
     Choice,
@@ -56,24 +58,25 @@ def determinized(p: ProcessExpr) -> ProcessExpr:
     return p
 
 
-def _project(node: ProcessExpr, keep: Alphabet, erase: set[str], dead: set[str]) -> ProcessExpr:
-    """Rules 1-3 on ``node``: a reference to a name in ``erase`` becomes Empty.
+def _project(node: ProcessExpr, keep: Alphabet, cycle: set[str], dead: set[str]) -> ProcessExpr:
+    """Rules 1-3 on ``node``: a reference to a name in ``cycle`` or ``dead``
+    becomes Empty.
 
     Below a kept prefix only the names in ``dead`` still erase.
     """
     if isinstance(node, Prefix):
         if node.event in keep:
             return Prefix(node.event, _project(node.rest, keep, dead, dead), node.initiated)
-        return _project(node.rest, keep, erase, dead)
+        return _project(node.rest, keep, cycle, dead)
     if isinstance(node, Choice):
-        left = _project(node.left, keep, erase, dead)
-        right = _project(node.right, keep, erase, dead)
+        left = _project(node.left, keep, cycle, dead)
+        right = _project(node.right, keep, cycle, dead)
         if isinstance(left, Empty):
             return right
         if isinstance(right, Empty):
             return left
         return type(node)(left, right)
-    if isinstance(node, Ref) and node.name in erase:
+    if isinstance(node, Ref) and (node.name in cycle or node.name in dead):
         return EMPTY
     return node
 
@@ -109,8 +112,7 @@ def _cycles(decl: Declaration, keep: Alphabet) -> dict[str, set[str]]:
         return {n: {n} for n in names}
     named = [decl] + decl.locals
     refs = {d.name: {m: None for m in _unguarded_refs(d.body, keep) if m in names} for d in named}
-    reach = _reach(refs)
-    return {n: {m for m in found if n in reach[m]} | {n} for n, found in refs.items()}
+    return {n: {m for m in found if n in reach(refs, m)} | {n} for n, found in refs.items()}
 
 
 def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration, list[Diagnostic]]:
@@ -124,8 +126,8 @@ def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration,
     cycles = _cycles(decl, keep)
     dead: set[str] = set()
     while True:
-        body = _project(decl.body, keep, cycles[decl.name] | dead, dead)
-        locals_ = [(loc, _project(loc.body, keep, cycles[loc.name] | dead, dead)) for loc in decl.locals]
+        body = _project(decl.body, keep, cycles[decl.name], dead)
+        locals_ = [(loc, _project(loc.body, keep, cycles[loc.name], dead)) for loc in decl.locals]
         erased = sorted({loc.name for loc, b in locals_ if isinstance(b, Empty) and loc.name not in dead})
         if not erased:
             break

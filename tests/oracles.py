@@ -697,14 +697,15 @@ def relation_closure(rel: dict[str, dict[str, None]]) -> dict[str, dict[str, Non
 
 
 def relation_compose(p2p: dict[str, dict[str, None]], p2e: dict[str, Alphabet]) -> dict[str, Alphabet]:
-    """Events of each name plus events of every name reachable from it."""
+    """Events of each name, then those of every name reachable from it in
+    breadth-first order, each name's successors taken in the order it lists them."""
     out: dict[str, Alphabet] = {}
     for name in p2e:
         acc = dict(p2e[name])
         seen: set[str] = {name}
-        frontier = [name]
+        frontier = deque([name])
         while frontier:
-            cur = frontier.pop()
+            cur = frontier.popleft()
             for nxt in p2p.get(cur, ()):
                 if nxt in seen:
                     continue
@@ -731,7 +732,22 @@ def reference_alphabets(decl: Declaration) -> dict[str, Alphabet]:
         p2e[n] = {}
         for p in walk_events(b):
             p2e[n].setdefault(p.event, p.initiated)
-    return relation_compose(relation_closure(p2p), p2e)
+    return relation_compose(p2p, p2e)
+
+
+def chain_spec(n: int, erase: bool = False) -> str:
+    """A lint-clean style whose one component has a port ``Out`` and a
+    computation that are each a chain of ``n + 1`` where-locals
+    (``L0 = _e0 -> L1 ... Ln = _en -> Out [] TICK``).  With ``erase`` the
+    port's chain ends in ``Ln = _en -> Ln`` instead, so restricting the port
+    to its observed events erases one more local in each projection round."""
+    last = f"_e{n} -> L{n}" if erase else f"_e{n} -> Out [] TICK"
+    port = [f"    L{i} = _e{i} -> L{i + 1}" for i in range(n)] + [f"    L{n} = {last}"]
+    comp = [f"    M{i} = _Out.e{i} -> M{i + 1}" for i in range(n)] + [f"    M{n} = _Out.e{n} -> Computation [] TICK"]
+    return "\n".join(
+        ["Style Chain", "Component C", "  Port Out = L0", "  where {", *port, "  }",
+         "  Computation = M0", "  where {", *comp, "  }", "Constraints", "End Style", ""]
+    )
 
 
 # --- renaming and trace helpers used only by tests ------------------------------

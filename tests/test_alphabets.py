@@ -1,9 +1,10 @@
 import random
+import time
 
 from conftest import fixture_path, load_spec
-from wright2csp import alphabets, codegen
+from wright2csp import alphabets, analyzer, codegen
 from wright2csp.alphabets import compute_declaration_alphabet
-from oracles import reference_alphabets, set_minus, walk_events, walk_refs
+from oracles import chain_spec, reference_alphabets, set_minus, walk_events, walk_refs
 from wright2csp.model import Declaration, DeclKind, ExternalChoice, InternalChoice, Prefix, Ref, SUCCESS
 from wright2csp.parser import parse_source
 
@@ -224,6 +225,46 @@ def test_alphabet_walk_matches_closure_oracle_on_random_relations():
         assert sum(d.severity == "error" for d in diags) == missing
 
 
+def test_declaration_alphabet_follows_references_breadth_first():
+    # the smallest reference graph found where breadth-first order differs from
+    # rounds that extend each name's list by its names' lists: those gave
+    # l6 before l1, as L3 (reached from L2) lists L6 before L4 (which lists L1)
+    spec, _ = parse_source(
+        "Style S\nConnector K\n  Role D = d -> L5\n  where {\n    L1 = l1 -> TICK\n    L2 = l2 -> L3\n"
+        "    L3 = l3 -> (L3 [] L2 [] L6 [] L5 [] L1 [] D [] L4)\n    L4 = l4 -> (L1 [] D [] L5)\n"
+        "    L5 = l5 -> (L2 [] L4)\n    L6 = l6 -> L4\n  }\n  Glue = TICK\nConstraints\nEnd Style"
+    )
+    role = spec.types[0].roles[0]
+    info, diags = compute_declaration_alphabet(role)
+    assert diags == []
+    assert list(info.total) == ["d", "l5", "l2", "l4", "l3", "l1", "l6"]
+    assert list(role.locals[5].alphabet.total) == ["l6", "l4", "l1", "d", "l5", "l2", "l3"]
+
+
+def test_where_local_chains_of_800_take_seconds():
+    # each body of the port and the computation is one where-local of a chain;
+    # a reachability search cubic in the where-locals takes minutes on these
+    # specs, so the bound is loose
+    n = 800
+    events = ", ".join(f"e{i}" for i in range(n + 1))
+    scoped = ", ".join(f"Out.e{i}" for i in range(n + 1))
+    for erase, warned in ((False, sorted(f"L{i}" for i in range(n))), (True, [f"L{i}" for i in range(n, -1, -1)])):
+        spec, warnings = parse_source(chain_spec(n, erase))
+        start = time.perf_counter()
+        diags = warnings + analyzer.analyze(spec) + alphabets.annotate(spec)
+        plan = codegen.emit(spec)
+        elapsed = time.perf_counter() - start
+        assert diags == []
+        lines = plan.text.splitlines()
+        assert f"ALPHA_Out = {{{events}}}" in lines
+        assert f"ALPHA_C = {{|{scoped}|}}" in lines
+        assert [d.message for d in plan.diagnostics] == [
+            f"where-local '{name}' of Out erased entirely by projection; references to it behave as STOP"
+            for name in warned
+        ]
+        assert elapsed < 10, (erase, elapsed)
+
+
 # --- the diagnostics alphabets writes, pinned -------------------------------
 
 
@@ -236,6 +277,8 @@ def test_polarity_warning_text_severity_and_position():
     diags = alphabets.annotate(spec)
     assert [(d.severity, str(d.pos), d.message) for d in diags] == [
         ("warning", "4:3", "event 'b' used both initiated and observed in Role Q; keeping the first use"),
+        ("warning", "4:3", "event 'Q.Q.c' of role Q is not in the glue of connector K, "
+         "so the connector performs it unsynchronised"),
     ]
     assert str(diags[0]) == (
         "4:3: warning: event 'b' used both initiated and observed in Role Q; keeping the first use"
@@ -258,6 +301,22 @@ def test_scoped_event_warning_text_severity_and_position():
         ("warning", "8:3", "event 'S.b' in connector K names no declared interface point; "
          "removed from the alphabet"),
     ]
+
+
+def test_role_events_the_glue_leaves_out_are_warned_one_by_one():
+    # A's log and B's put are no glue events: the connector performs them
+    # outside its synchronisation, so its deadlock-freedom check fails
+    spec, _ = parse_source(
+        "Style S\nConnector K\n  Role A = _put -> A |~| _log -> A |~| TICK\n"
+        "  Role B = get -> B [] put -> B [] TICK\n  Glue = A.put -> B.get -> Glue [] TICK\n"
+        "Constraints\nEnd Style"
+    )
+    unsynchronised = "so the connector performs it unsynchronised"
+    assert [str(d) for d in alphabets.annotate(spec)] == [
+        f"3:3: warning: event 'A.log' of role A is not in the glue of connector K, {unsynchronised}",
+        f"4:3: warning: event 'B.put' of role B is not in the glue of connector K, {unsynchronised}",
+    ]
+    assert "    [| diff({|A|}, { A.log}) |]" in codegen.emit(spec).text.splitlines()
 
 
 def test_header_name_errors_are_placed_at_each_names_first_user():

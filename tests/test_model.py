@@ -34,10 +34,6 @@ def chain(events, rest=SUCCESS):
     return rest
 
 
-def ordered(relation):
-    return [(name, list(reached)) for name, reached in relation.items()]
-
-
 def test_prefix_equality_ignores_polarity():
     assert pf("close", SUCCESS, True) == pf("close", SUCCESS, False)
     assert hash(pf("close", SUCCESS, True)) == hash(pf("close", SUCCESS, False))
@@ -134,7 +130,11 @@ def test_relation_closure_examples():
     closed = relation_closure(reader)
     assert set(closed["Reader"]) == {"DoRead", "ExitOnly", "Reader"}
     assert set(closed["DoRead"]) == {"DoRead", "ExitOnly", "Reader"}
-    assert ordered(alphabets._reach(reader)) == ordered(closed)
+    # the search from one name finds that name and its closure, breadth-first
+    assert list(alphabets.reach(reader, "Reader")) == ["Reader", "DoRead", "ExitOnly"]
+    assert list(alphabets.reach(reader, "ExitOnly")) == ["ExitOnly"]
+    for name in reader:
+        assert set(alphabets.reach(reader, name)) == set(closed[name]) | {name}
 
 
 def test_relation_closure_idempotent():
@@ -144,7 +144,8 @@ def test_relation_closure_idempotent():
         rel = {n: {m: None for m in rng.sample(names, rng.randint(0, 3))} for n in names}
         once = relation_closure(rel)
         assert relation_closure(once) == once
-        assert ordered(alphabets._reach(rel)) == ordered(once)
+        for name in rel:
+            assert set(alphabets.reach(rel, name)) == set(once[name]) | {name}
 
 
 def test_relation_compose_examples():

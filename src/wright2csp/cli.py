@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -41,7 +42,7 @@ def _load(path: str, strict_attachments: bool = False):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+            source = fh.read().removeprefix("\ufeff")  # not utf-8-sig, whose error offsets skip the mark
     except OSError as exc:
         _eprint(f"can't open file for input: {path}. ({exc.strerror})")
         return None
@@ -64,15 +65,50 @@ def _load(path: str, strict_attachments: bool = False):
     return spec
 
 
-def _write_atomic(path: str, text: str) -> bool:
-    """Write the whole file or nothing; False, after printing why, if it cannot."""
-    directory = os.path.dirname(os.path.abspath(path))
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` is the file standard output writes to."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wright2csp-", suffix=".tmp")
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no descriptor behind sys.stdout (captured)
+        return False
+
+
+def _write_atomic(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; False, after printing why, if it cannot.
+
+    A regular file gets the whole text or stays as it was, and a symlink is
+    written through.  A path that names standard output's file (such as
+    ``/dev/stdout``) is written through standard output, so ``>>`` appends
+    and later output follows the text.  Any other path that exists but is
+    not a regular file (a FIFO or a device) is written directly, not
+    replaced.  A new file's mode follows the umask; a replaced file keeps
+    its mode.
+    """
+    try:
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        else:
+            mode = st.st_mode
+            if _is_stdout(st):
+                sys.stdout.flush()
+                sys.stdout.buffer.write(text.encode("utf-8"))
+                sys.stdout.buffer.flush()
+                return True
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            return True
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".wright2csp-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                os.fchmod(fd, stat.S_IMODE(mode))
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -19,12 +19,13 @@ Projection onto a kept event set works by branch elimination over the tree:
   rule 3  a choice with an erased operand collapses to the other operand,
           and to Empty if both were erased.
 
-Where-locals are projected under their own names; an unguarded reference
-closes a cycle when a breadth-first search from its target
-(``alphabets.reach``) finds its body's name.  A local whose body erases
-completely is deleted, references to it become Empty wherever they stand
-(with a warning), and the bodies are projected again until no further local
-erases.  A declaration body that erases completely becomes SKIP.
+Where-locals are projected under their own names.  Erasure is settled
+first, on each body's leaves (``_leaves``): an unguarded reference closes a
+cycle when a breadth-first search from its target (``alphabets.reach``)
+finds its body's name, and a local dies, with a warning, in the first round
+in which every leaf of its body closes a cycle or names a dead local.  Then
+each surviving body is projected once, references to dead locals becoming
+Empty wherever they stand; a declaration body that erases becomes SKIP.
 """
 
 from __future__ import annotations
@@ -81,70 +82,53 @@ def _project(node: ProcessExpr, keep: Alphabet, cycle: set[str], dead: set[str])
     return node
 
 
-def _unguarded_refs(body: ProcessExpr, keep: Alphabet) -> list[str]:
-    """The names ``body`` references with no kept prefix above them."""
-    refs: list[str] = []
+def _leaves(body: ProcessExpr, keep: Alphabet) -> list[str | None]:
+    """The name of each reference in ``body`` with no kept prefix above it,
+    and None for each SKIP or kept prefix there; an Empty leaf adds nothing."""
+    leaves: list[str | None] = []
     stack = [body]
     while stack:
         node = stack.pop()
-        if isinstance(node, Prefix):
-            if node.event not in keep:
-                stack.append(node.rest)
+        if isinstance(node, Prefix) and node.event not in keep:
+            stack.append(node.rest)
         elif isinstance(node, Choice):
             stack += (node.right, node.left)
-        elif isinstance(node, Ref):
-            refs.append(node.name)
-    return refs
-
-
-def _cycles(decl: Declaration, keep: Alphabet) -> dict[str, set[str]]:
-    """For each body's name, the names whose unguarded reference there closes
-    a cycle of unguarded references: its own and those that reach it back.
-
-    A longer cycle passes through a where-local that references a name
-    unguarded; without one, each name's set is just that name.
-    """
-    names = {decl.name, *[loc.name for loc in decl.locals]}
-    for loc in decl.locals:
-        if not names.isdisjoint(_unguarded_refs(loc.body, keep)):
-            break
-    else:
-        return {n: {n} for n in names}
-    named = [decl] + decl.locals
-    refs = {d.name: {m: None for m in _unguarded_refs(d.body, keep) if m in names} for d in named}
-    return {n: {m for m in found if n in reach(refs, m)} | {n} for n, found in refs.items()}
+        elif not isinstance(node, Empty):
+            leaves.append(node.name if isinstance(node, Ref) else None)
+    return leaves
 
 
 def project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration, list[Diagnostic]]:
     """Project a declaration and its where-locals onto ``keep``.
 
     Locals whose bodies erase completely are removed and every reference to
-    them erased; the original bodies are projected again until no further
-    local erases.  A wholly erased declaration body becomes SKIP.
+    them erased; each surviving body is projected once.  A wholly erased
+    declaration body becomes SKIP.
     """
+    named = [(d, _leaves(d.body, keep)) for d in [decl, *decl.locals]]
+    names = {d.name for d, _ in named}
+    refs = {d.name: {m: None for m in found if m in names} for d, found in named}
+    cycles = {n: {m for m in found if n in reach(refs, m)} | {n} for n, found in refs.items()}
+    # a local erases once every leaf of its body that closes no cycle is dead
+    pending = [(loc.name, {*found} - cycles[loc.name]) for loc, found in named[1:]]
     diags: list[Diagnostic] = []
-    cycles = _cycles(decl, keep)
     dead: set[str] = set()
-    while True:
-        body = _project(decl.body, keep, cycles[decl.name], dead)
-        locals_ = [(loc, _project(loc.body, keep, cycles[loc.name], dead)) for loc in decl.locals]
-        erased = sorted({loc.name for loc, b in locals_ if isinstance(b, Empty) and loc.name not in dead})
-        if not erased:
-            break
-        diags.extend(
-            Diagnostic(
-                "warning",
-                decl.pos,
-                f"where-local '{name}' of {decl.name} erased entirely by projection; "
-                "references to it behave as STOP",
-            )
+    while erased := sorted({name for name, leaves in pending if name not in dead and leaves <= dead}):
+        diags += [
+            Diagnostic("warning", decl.pos, f"where-local '{name}' of {decl.name} erased entirely by "
+                       "projection; references to it behave as STOP")
             for name in erased
-        )
+        ]
         dead.update(erased)
-    kept = [Declaration(loc.kind, loc.name, b, [], loc.pos) for loc, b in locals_ if loc.name not in dead]
+    body = _project(decl.body, keep, cycles[decl.name], dead)
+    kept = [
+        Declaration(loc.kind, loc.name, _project(loc.body, keep, cycles[loc.name], dead), [], loc.pos)
+        for loc in decl.locals
+        if loc.name not in dead
+    ]
     if isinstance(body, Empty):
         body = SUCCESS
-    return Declaration(decl.kind, decl.name, body, kept, decl.pos, None), diags
+    return Declaration(decl.kind, decl.name, body, kept, decl.pos), diags
 
 
 def restrict_to_observed(decl: Declaration) -> tuple[Declaration, list[Diagnostic]]:

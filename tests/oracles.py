@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from wright2csp import transform
+from wright2csp.alphabets import reach
 from wright2csp.codegen import process_term
 from wright2csp.engine import (
     TAU,
@@ -37,6 +38,8 @@ from wright2csp.model import (
     Alphabet,
     Choice,
     Declaration,
+    DeclKind,
+    Diagnostic,
     EMPTY,
     Empty,
     ExternalChoice,
@@ -160,6 +163,100 @@ def hide_semantically(lts: Lts, hidden: set[str]) -> Lts:
         (s, TAU if a in hidden else a, t) for s, a, t in lts.transitions
     ]
     return Lts(n_states=lts.n_states, transitions=transitions, initial=lts.initial)
+
+
+# --- projection of a declaration with where-locals -----------------------------
+
+
+def random_declaration(rng: random.Random, events=("a", "b", "c", "d")) -> tuple[Declaration, Alphabet]:
+    """(declaration, keep): a port ``P`` with 0-6 where-locals ``L0``...,
+    whose bodies prefix kept and hidden events, use both choices, and end in
+    SKIP, a reference to any of those names or, rarely, Empty (which no
+    parsed body holds)."""
+    names = ["P"] + [f"L{i}" for i in range(rng.randrange(7))]
+    keep = keep_set(e for e in events if rng.random() < 0.5)
+
+    def build(budget: int) -> ProcessExpr:
+        if budget <= 0 or rng.random() < 0.3:
+            draw = rng.random()
+            return SUCCESS if draw < 0.15 else EMPTY if draw < 0.2 else Ref(rng.choice(names))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Prefix(rng.choice(events), build(budget - 1), rng.random() < 0.5)
+        cls = ExternalChoice if kind == 1 else InternalChoice
+        return cls(build(budget - 1), build(budget - 2))
+
+    locals_ = [
+        Declaration(DeclKind.WHERE_LOCAL, name, build(4), [], SourcePos(3 + i, 5))
+        for i, name in enumerate(names[1:])
+    ]
+    return Declaration(DeclKind.PORT, "P", build(4), locals_, SourcePos(2, 3)), keep
+
+
+def _unguarded_refs(body: ProcessExpr, keep: Alphabet) -> list[str]:
+    """The names ``body`` references with no kept prefix above them."""
+    refs: list[str] = []
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prefix):
+            if node.event not in keep:
+                stack.append(node.rest)
+        elif isinstance(node, Choice):
+            stack += (node.right, node.left)
+        elif isinstance(node, Ref):
+            refs.append(node.name)
+    return refs
+
+
+def _cycles(decl: Declaration, keep: Alphabet) -> dict[str, set[str]]:
+    """For each body's name, the names whose unguarded reference there closes
+    a cycle of unguarded references: its own and those that reach it back.
+
+    A longer cycle passes through a where-local that references a name
+    unguarded; without one, each name's set is just that name.
+    """
+    names = {decl.name, *[loc.name for loc in decl.locals]}
+    for loc in decl.locals:
+        if not names.isdisjoint(_unguarded_refs(loc.body, keep)):
+            break
+    else:
+        return {n: {n} for n in names}
+    named = [decl] + decl.locals
+    refs = {d.name: {m: None for m in _unguarded_refs(d.body, keep) if m in names} for d in named}
+    return {n: {m for m in found if n in reach(refs, m)} | {n} for n, found in refs.items()}
+
+
+def reference_project_declaration(decl: Declaration, keep: Alphabet) -> tuple[Declaration, list[Diagnostic]]:
+    """``transform.project_declaration`` by rounds that re-project every
+    body: each round projects all bodies with the locals found dead so far,
+    and the locals whose bodies came out Empty join the dead set, until a
+    round adds none.  It shares ``transform._project`` (rules 1-3 on one
+    body) and ``alphabets.reach`` with the code under test, not the decision
+    which locals erase."""
+    diags: list[Diagnostic] = []
+    cycles = _cycles(decl, keep)
+    dead: set[str] = set()
+    while True:
+        body = transform._project(decl.body, keep, cycles[decl.name], dead)
+        locals_ = [(loc, transform._project(loc.body, keep, cycles[loc.name], dead)) for loc in decl.locals]
+        erased = sorted({loc.name for loc, b in locals_ if isinstance(b, Empty) and loc.name not in dead})
+        if not erased:
+            break
+        diags.extend(
+            Diagnostic(
+                "warning",
+                decl.pos,
+                f"where-local '{name}' of {decl.name} erased entirely by projection; "
+                "references to it behave as STOP",
+            )
+            for name in erased
+        )
+        dead.update(erased)
+    kept = [Declaration(loc.kind, loc.name, b, [], loc.pos) for loc, b in locals_ if loc.name not in dead]
+    if isinstance(body, Empty):
+        body = SUCCESS
+    return Declaration(decl.kind, decl.name, body, kept, decl.pos, None), diags
 
 
 # --- term-level state-space exploration -----------------------------------------

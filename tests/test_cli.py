@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, golden_matches, perfbench_workloads
+from conftest import GOLDEN, fixture_path, golden_matches, perfbench_workloads
 from oracles import token_mutants
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
@@ -93,6 +94,98 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, command):
     assert code == 2
     assert f"can't write output file: {out}. (No such file or directory)" in err
     assert "Traceback" not in err and not stdout
+
+
+DT1_FDR2 = GOLDEN / "emitted" / "dt1.fdr2"
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_an_output_symlink_is_written_through(tmp_path, capsys, command):
+    target, link = tmp_path / "real.fdr2", tmp_path / "link.fdr2"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    argv = [command, str(fixture_path("dt1.wrt"))] + (["-o", str(link)] if command == "check" else [str(link)])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == DT1_FDR2.read_text()
+
+
+def test_an_output_path_naming_stdout_appends_before_the_verdicts(tmp_path):
+    # standard output is a regular file opened for appending; /proc/self/fd/1
+    # names that same file, so the text must go through standard output
+    # rather than replace the file
+    log = tmp_path / "log"
+    log.write_text("earlier line\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    with open(log, "ab") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wright2csp.cli", "check", str(fixture_path("dt1.wrt")), "-o", "/proc/self/fd/1"],
+            stdout=out, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    head = "earlier line\n" + DT1_FDR2.read_text()
+    content = log.read_text()
+    assert content.startswith(head)
+    verdicts = content[len(head):].splitlines()
+    assert verdicts and all(v.startswith("PASS  ") for v in verdicts)
+
+
+def test_an_output_fifo_gets_the_text_and_stays_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "out.fdr2"
+    os.mkfifo(fifo)
+    # a reader is open before translate runs, so opening the FIFO for
+    # writing does not block, and a translate that replaces it cannot hang
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, err = run(capsys, "translate", str(fixture_path("dt1.wrt")), str(fifo))
+        chunks = []
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert code == 0, err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert b"".join(chunks).decode("utf-8") == DT1_FDR2.read_text()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_a_new_output_file_gets_its_mode_from_the_umask(tmp_path, capsys, umask_022):
+    out = tmp_path / "dt1.fdr2"
+    code, _, _ = run(capsys, "translate", str(fixture_path("dt1.wrt")), str(out))
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_a_replaced_output_file_keeps_its_mode(tmp_path, capsys, umask_022):
+    out = tmp_path / "dt1.fdr2"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    code, _, _ = run(capsys, "translate", str(fixture_path("dt1.wrt")), str(out))
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text() == DT1_FDR2.read_text()
+
+
+@pytest.mark.parametrize("command", ["lint", "check"])
+@pytest.mark.parametrize("name", ["dt3.wrt", "dt5.wrt"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, command, name):
+    source = fixture_path(name).read_bytes()
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    for path, data in ((plain, source), (marked, b"\xef\xbb\xbf" + source)):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    expected = run(capsys, command, str(plain))
+    code, out, err = run(capsys, command, str(marked))
+    assert (code, out, err.replace(str(marked), str(plain))) == expected
+    assert "Parsing complete." in err
 
 
 def test_lint_dt5_reports_rule5(capsys):

@@ -9,7 +9,9 @@ from oracles import (
     keep_set,
     project_to,
     project_trace,
+    random_declaration,
     random_expr,
+    reference_project_declaration,
     traces,
 )
 from wright2csp.codegen import fdr_expr, process_term
@@ -209,6 +211,21 @@ def test_projection_erases_an_unguarded_cycle_through_a_where_local():
     projected, _ = project_declaration(decl, keep_set(["d"]))
     assert projected.body == Ref("L")
     assert projected.locals[0].body == InternalChoice(pf("d", Ref("Out")), SUCCESS)
+
+
+def test_projection_decides_erasure_as_the_rounds_that_re_project_every_body():
+    from wright2csp.transform import project_declaration
+
+    rng = random.Random(7)
+    erasing = 0
+    for _ in range(2000):
+        decl, keep = random_declaration(rng)
+        projected, diags = project_declaration(decl, keep)
+        expected, expected_diags = reference_project_declaration(decl, keep)
+        assert repr(projected) == repr(expected), (decl, keep)
+        assert [str(d) for d in diags] == [str(d) for d in expected_diags], (decl, keep)
+        erasing += bool(expected_diags)
+    assert erasing >= 300
 
 
 def _retarget(expr, rng, local):

@@ -140,6 +140,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _events(events: tuple[str, ...]) -> str:
+    return ", ".join("tick" if a == TICK else a for a in events)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     plan = _emit(args)
     if plan is None:
@@ -155,8 +159,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"PASS  {label}")
         else:
             trace, kind = verdict.counterexample
-            shown = ", ".join("tick" if a == TICK else a for a in trace) or "<empty>"
-            print(f"FAIL  {label}  ({kind} after trace <{shown}>)")
+            why = f"{kind} after trace <{_events(trace) or '<empty>'}>"
+            if verdict.unmatched:
+                why += f"; the specification has no move on {_events(verdict.unmatched)}"
+            print(f"FAIL  {label}  ({why})")
             failed = True
     _eprint("wr2fdr done.")
     return EXIT_FAIL if failed else EXIT_ERROR if unknown else EXIT_OK

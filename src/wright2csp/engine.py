@@ -713,17 +713,23 @@ def normalize_fd(lts: Lts, max_nodes: int = DEFAULT_MAX_STATES) -> FdModel:
 
 @slotted(frozen=False)
 class RefinementVerdict:
-    __slots__ = ("holds", "counterexample", "explored")
+    """``unmatched``: on a refusal failure, the events the failing
+    implementation state offers that the specification node has no move on,
+    sorted (empty otherwise)."""
+
+    __slots__ = ("holds", "counterexample", "explored", "unmatched")
 
     def __init__(
         self,
         holds: bool,
         counterexample: Optional[tuple[tuple[str, ...], str]] = None,  # (trace, kind)
         explored: int = 0,
+        unmatched: tuple[str, ...] = (),
     ) -> None:
         self.holds = holds
         self.counterexample = counterexample
         self.explored = explored
+        self.unmatched = unmatched
 
     def __bool__(self) -> bool:
         return self.holds
@@ -791,7 +797,8 @@ def check_refinement_fd(
             if ok is None:
                 ok = accepts[node, ready] = _spec_accepts_refusal(spec_accs[node], ready)
             if not ok:
-                return RefinementVerdict(False, (trace_of(pair), "failure"), explored)
+                unmatched = tuple(sorted(a for a in ready if spec_next((node, a)) is None))
+                return RefinementVerdict(False, (trace_of(pair), "failure"), explored, unmatched)
         tg, i = targets[s], -1  # an index walk: a zip costs more than the few moves of a state
         for a in ev:
             i += 1

@@ -6,12 +6,15 @@ case-sensitive.  A leading underscore on a name in event position marks the
 event as initiated.  ``//`` starts a comment running to end of line, and the
 body of a Constraints clause is skipped without lexing.
 
-The lexer is one compiled pattern, matched once per token: the blanks and
-comments before it, then a named group per token class.  It builds no object
-per token: it appends each token's kind, value and start offset to three
-parallel lists, which the parser reads by index.  A line and column are
-computed only where they are needed, for a node that stores a position or for
-a diagnostic, by searching a table of line starts.
+The lexer is one compiled pattern, matched once per token: it skips the
+blanks and comments before the token without capturing them, and the number
+of the group that matched gives the token's class and its start.  It builds no
+object per token: it appends each token's kind, value and start offset to
+three parallel lists.  The parser reads those lists by index.  Instance lines,
+attachments and prefix chains are each read in one loop over local indices,
+and a prefix chain's ``Prefix`` nodes are built from its end.  A line and
+column are computed only where they are needed, for a node that stores a
+position or for a diagnostic, by searching a table of line starts.
 Process expressions nest at most ``MAX_NESTING`` levels.
 """
 
@@ -104,22 +107,33 @@ class TokKind(Enum):
     EOF = "eof"
 
 
-# Blanks and comments, then one alternative per token class; ``lastgroup``
-# names the class matched, and is None where no token follows the blanks (end
-# of input or an illegal character).  ``\w`` is exactly ``str.isalnum`` plus
-# ``_``.  ``[^\W\d]`` also admits numerals that are not letters, such as '²',
-# which ``tokenize`` rejects.
+# The kinds the hot loops test, as plain globals: reading an Enum member off
+# its class costs several times a global read.
+_KEYWORD, _IDENT, _DOTTED, _INITEVENT = TokKind.KEYWORD, TokKind.IDENT, TokKind.DOTTED, TokKind.INITEVENT
+_ARROW, _COMMA, _COLON, _ECHOICE = TokKind.ARROW, TokKind.COMMA, TokKind.COLON, TokKind.ECHOICE
+_CHOICES = (TokKind.ECHOICE, TokKind.ICHOICE)
+
+# Blanks and comments, skipped without a group, then one alternative per token
+# class.  ``lastindex`` numbers the group that closed last, which tells the
+# class apart: 1 an initiated event, 2 a scoped one, 3 a word, 4 a dotted
+# name, and from 5 on one group per operator.  It is None where no token
+# follows the blanks (end of input or an illegal character).  ``\w`` is
+# exactly ``str.isalnum`` plus ``_``.  ``[^\W\d]`` also admits numerals that
+# are not letters, such as '²', which ``tokenize`` rejects.
+_OPERATORS = (TokKind.ARROW, TokKind.ECHOICE, TokKind.ICHOICE, TokKind.EQUALS, TokKind.DOT,
+              TokKind.COMMA, TokKind.COLON, TokKind.LPAREN, TokKind.RPAREN, TokKind.LBRACE, TokKind.RBRACE)
 _TOKEN_RE = re.compile(
-    r"((?:[ \t\r\n]+|//[^\n]*)*)"
-    r"(?:_(?P<event>\w+)(?:\.(?P<scoped>[^\W\d]\w*))?"
-    r"|(?P<word>[^\W\d]\w*)(?:\.(?P<dotted>[^\W\d]\w*))?"
-    r"|(?P<op>->|\[\]|\|~\||[=.,:(){}]))?"
+    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"(?:_(\w+)(?:\.([^\W\d]\w*))?"
+    r"|([^\W\d]\w*)(?:\.([^\W\d]\w*))?"
+    r"|" + "|".join(f"({re.escape(k.value)})" for k in _OPERATORS) + ")?"
 )
-_OPS = {k.value: (k, k.value) for k in TokKind}
+_OP_GROUPS = (None,) * 5 + tuple((k, k.value) for k in _OPERATORS)  # group number -> (kind, value)
 # A Constraints body ends at the first identifier spelled `end` in any case.
 # Characters that cannot start an identifier (digits, as in `1end`) are not
 # part of it; the group must hold no letter or underscore.
 _END_RE = re.compile(r"(?<!\w)(\w*?)[eE][nN][dD](?!\w)")
+_new_pos = tuple.__new__  # SourcePos without its Python-level __new__
 
 
 def _constraints_end(source: str, i: int) -> int:
@@ -150,10 +164,11 @@ class Tokens:
         return self.source[start : start + len(self.values[k])]  # type: ignore[arg-type]
 
     def pos_at(self, offset: int) -> SourcePos:
-        if self._line_starts is None:
-            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
-        line = bisect_right(self._line_starts, offset)
-        return SourcePos(line, offset - self._line_starts[line - 1] + 1)
+        line_starts = self._line_starts
+        if line_starts is None:
+            line_starts = self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
+        line = bisect_right(line_starts, offset)
+        return _new_pos(SourcePos, (line, offset - line_starts[line - 1] + 1))
 
 
 def tokenize(source: str) -> Tokens:
@@ -161,45 +176,49 @@ def tokenize(source: str) -> Tokens:
     start offsets go to parallel lists, and positions are computed on demand."""
     toks = Tokens(source)
     kind_of, value_of, start_of = toks.kinds.append, toks.values.append, toks.starts.append
-    match, i = _TOKEN_RE.match, 0
+    match, ops, i = _TOKEN_RE.match, _OP_GROUPS, 0
     while True:
         m = match(source, i)
-        start, i, kind = m.end(1), m.end(), m.lastgroup
-        if kind == "op":
-            tk, value = _OPS[m["op"]]
-        elif kind == "event":
-            tk, value = TokKind.INITEVENT, (m["event"], None)
-        elif kind == "scoped":
-            scoped = m["scoped"]
-            if not (scoped[0].isalpha() or scoped[0] == "_"):
-                raise _illegal_character(toks, m.start("scoped"))
-            tk, value = TokKind.INITEVENT, (scoped, m["event"])
-        elif kind is None:
-            if start < len(source):
-                raise _illegal_character(toks, start)
-            tk, value = TokKind.EOF, None
-        else:
-            word = m["word"]
+        g, i = m.lastindex, m.end()
+        if g is None:
+            if i < len(source):
+                raise _illegal_character(toks, i)
+            kind_of(TokKind.EOF)
+            value_of(None)
+            start_of(i)
+            return toks
+        if g > 4:
+            tk, value = ops[g]
+            start = m.start(g)
+        elif g > 2:
+            word, start = m[3], m.start(3)
             if not (word[0].isalpha() or word[0] == "_"):
                 raise _illegal_character(toks, start)
             value = word.lower()
             if value in KEYWORDS:
                 # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
-                tk, i = TokKind.KEYWORD, m.end("word")
+                tk, i = _KEYWORD, start + len(word)
                 if value == "constraints":
                     i = _constraints_end(source, i)
-            elif kind == "dotted":
-                dotted = m["dotted"]
+            elif g == 4:
+                dotted = m[4]
                 if not (dotted[0].isalpha() or dotted[0] == "_"):
-                    raise _illegal_character(toks, m.start("dotted"))
-                tk, value = TokKind.DOTTED, (word, dotted)
+                    raise _illegal_character(toks, m.start(4))
+                tk, value = _DOTTED, (word, dotted)
             else:
-                tk, value = TokKind.IDENT, word
+                tk, value = _IDENT, word
+        else:
+            start, tk = m.start(1) - 1, _INITEVENT
+            if g == 1:
+                value = (m[1], None)
+            else:
+                scoped = m[2]
+                if not (scoped[0].isalpha() or scoped[0] == "_"):
+                    raise _illegal_character(toks, m.start(2))
+                value = (scoped, m[1])
         kind_of(tk)
         value_of(value)
         start_of(start)
-        if tk is TokKind.EOF:
-            return toks
 
 
 def _illegal_character(toks: Tokens, offset: int) -> ParseError:
@@ -225,18 +244,23 @@ class Parser:
     def error(self, message: str, k: int | None = None) -> ParseError:
         return ParseError(self.pos(k), message)
 
-    def found(self) -> str:
-        return _show(self.kinds[self.k], self.values[self.k])
+    def found(self, k: int | None = None) -> str:
+        k = self.k if k is None else k
+        return _show(self.kinds[k], self.values[k])
+
+    def expected(self, what: str, k: int | None = None) -> ParseError:
+        """``expected <what>, found <token k>``, at token ``k``."""
+        return self.error(f"expected {what}, found {self.found(k)}", k)
 
     # A token is stepped past only once its kind is known, so never past EOF.
 
     def at_keyword(self, *words: str) -> bool:
-        return self.kinds[self.k] is TokKind.KEYWORD and self.values[self.k] in words
+        return self.kinds[self.k] is _KEYWORD and self.values[self.k] in words
 
     def expect_keyword(self, word: str) -> int:
         """Step past keyword ``word``; returns its index."""
         if not self.at_keyword(word):
-            raise self.error(f"expected '{word}', found {self.found()}")
+            raise self.expected(f"'{word}'")
         self.k += 1
         return self.k - 1
 
@@ -244,14 +268,14 @@ class Parser:
         """Step past a token of ``kind``; returns its index."""
         k = self.k
         if self.kinds[k] is not kind:
-            raise self.error(f"expected {kind.value!r}, found {self.found()}")
+            raise self.expected(repr(kind.value))
         self.k = k + 1
         return k
 
     def expect_ident(self) -> str:
         k = self.k
-        if self.kinds[k] is not TokKind.IDENT:
-            raise self.error(f"expected identifier, found {self.found()}")
+        if self.kinds[k] is not _IDENT:
+            raise self.expected("identifier")
         self.k = k + 1
         return self.values[k]  # type: ignore[return-value]
 
@@ -263,7 +287,7 @@ class Parser:
         elif self.at_keyword("configuration"):
             spec = self.parse_configuration()
         else:
-            raise self.error(f"expected 'Style' or 'Configuration', found {self.found()}")
+            raise self.expected("'Style' or 'Configuration'")
         if self.kinds[self.k] is not TokKind.EOF:
             raise self.error(f"trailing input after specification: {self.found()}")
         return spec
@@ -282,13 +306,9 @@ class Parser:
         name = self.expect_ident()
         types = self.parse_type_decls()
         self.expect_keyword("instances")
-        instances: list[Instance] = []
-        while self.kinds[self.k] is TokKind.IDENT:
-            instances.extend(self.parse_instance_line())
+        instances = self.parse_instances()
         self.expect_keyword("attachments")
-        attachments: list[Attachment] = []
-        while self.kinds[self.k] is TokKind.DOTTED:
-            attachments.append(self.parse_attachment())
+        attachments = self.parse_attachments()
         self.expect_keyword("end")
         self.expect_keyword("configuration")
         return Configuration(name, types, instances, attachments, pos=pos)
@@ -322,28 +342,49 @@ class Parser:
             raise self.error(f"{word} {name} declares no {point.value.lower()}s")
         return cls(name, points, self.parse_declaration(main, False), pos=pos)
 
-    def parse_instance_line(self) -> list[Instance]:
-        names = [(self.pos(), self.expect_ident())]
-        while self.kinds[self.k] is TokKind.COMMA:
-            self.k += 1
-            names.append((self.pos(), self.expect_ident()))
-        self.expect(TokKind.COLON)
-        tname = self.expect_ident()
-        return [Instance(n, tname, p) for p, n in names]
+    # Instance and attachment lines are read by local index ``k``; the
+    # tokens after a kind just checked exist, since the last one is EOF.
 
-    def parse_attachment(self) -> Attachment:
-        left = self.parse_interface()
-        self.expect_keyword("as")
-        right = self.parse_interface()
-        return Attachment(left, right, pos=left.pos)
-
-    def parse_interface(self) -> InterfaceRef:
+    def parse_instances(self) -> list[Instance]:
+        """Instance lines ``a, b : T``."""
+        kinds, values, starts, pos_at = self.kinds, self.values, self.toks.starts, self.toks.pos_at
         k = self.k
-        if self.kinds[k] is not TokKind.DOTTED:
-            raise self.error(f"expected instance.point interface, found {self.found()}")
-        self.k = k + 1
-        inst, point = self.values[k]  # type: ignore[misc]
-        return InterfaceRef(inst, point, self.pos(k))
+        instances: list[Instance] = []
+        while kinds[k] is _IDENT:
+            names = [k]
+            while kinds[k + 1] is _COMMA:
+                k += 2
+                if kinds[k] is not _IDENT:
+                    raise self.expected("identifier", k)
+                names.append(k)
+            if kinds[k + 1] is not _COLON:
+                raise self.expected("':'", k + 1)
+            k += 2
+            if kinds[k] is not _IDENT:
+                raise self.expected("identifier", k)
+            tname = values[k]
+            instances.extend([Instance(values[j], tname, pos_at(starts[j])) for j in names])  # type: ignore[arg-type]
+            k += 1
+        self.k = k
+        return instances
+
+    def parse_attachments(self) -> list[Attachment]:
+        """Attachment lines ``a.p As b.r``."""
+        kinds, values, starts, pos_at = self.kinds, self.values, self.toks.starts, self.toks.pos_at
+        k = self.k
+        attachments: list[Attachment] = []
+        while kinds[k] is _DOTTED:
+            if kinds[k + 1] is not _KEYWORD or values[k + 1] != "as":
+                raise self.expected("'as'", k + 1)
+            if kinds[k + 2] is not _DOTTED:
+                raise self.expected("instance.point interface", k + 2)
+            inst, point = values[k]  # type: ignore[misc]
+            left = InterfaceRef(inst, point, pos_at(starts[k]))
+            inst, point = values[k + 2]  # type: ignore[misc]
+            attachments.append(Attachment(left, InterfaceRef(inst, point, pos_at(starts[k + 2])), pos=left.pos))
+            k += 3
+        self.k = k
+        return attachments
 
     def parse_process_with_where(self) -> tuple[ProcessExpr, list[Declaration]]:
         body, _ = self.parse_proc_expr()
@@ -351,7 +392,7 @@ class Parser:
         if self.at_keyword("where"):
             self.k += 1
             self.expect(TokKind.LBRACE)
-            while self.kinds[self.k] is TokKind.IDENT:
+            while self.kinds[self.k] is _IDENT:
                 lpos = self.pos()
                 lname = self.expect_ident()
                 self.expect(TokKind.EQUALS)
@@ -367,7 +408,7 @@ class Parser:
         left, height = self.parse_prefix_expr(level)
         kinds = self.kinds
         last = None  # the chain's previous operator
-        while kinds[self.k] in (TokKind.ECHOICE, TokKind.ICHOICE):
+        while kinds[self.k] in _CHOICES:
             k = self.k
             self.k = k + 1
             op = kinds[k]
@@ -380,47 +421,55 @@ class Parser:
             height = max(height, right_height) + 1
             if level + height - 1 > MAX_NESTING:
                 raise self.error(_TOO_DEEP, k)
-            cls = ExternalChoice if op is TokKind.ECHOICE else InternalChoice
+            cls = ExternalChoice if op is _ECHOICE else InternalChoice
             left = cls(left, right)
         return left, height
 
     def parse_prefix_expr(self, level: int) -> tuple[ProcessExpr, int]:
-        k = self.k
-        kind = self.kinds[k]
-        if level > MAX_NESTING:
-            raise self.error(_TOO_DEEP, k)
-        if kind is TokKind.INITEVENT:
-            name, scope = self.values[k]  # type: ignore[misc]
-            ev, initiated = f"{scope}.{name}" if scope else name, True
-        elif kind is TokKind.DOTTED:
-            first, second = self.values[k]  # type: ignore[misc]
-            ev, initiated = f"{first}.{second}", False
-        elif kind is TokKind.IDENT and self.kinds[k + 1] is TokKind.ARROW:
-            ev, initiated = self.values[k], False
-        else:
-            return self.parse_atom(level)
-        self.k = k + 1
-        self.expect(TokKind.ARROW)
-        rest, height = self.parse_prefix_expr(level + 1)
-        return Prefix(ev, rest, initiated), height + 1  # type: ignore[arg-type]
+        """A chain ``e1 -> ... -> en -> atom`` read in one loop, one level per
+        prefix; its ``Prefix`` nodes are built from the end."""
+        kinds, values, k = self.kinds, self.values, self.k
+        chain: list[tuple[str, bool]] = []  # each prefix's event and whether it is initiated
+        while True:
+            if level > MAX_NESTING:
+                raise self.error(_TOO_DEEP, k)
+            kind = kinds[k]
+            if kind is _INITEVENT:
+                name, scope = values[k]  # type: ignore[misc]
+                chain.append((f"{scope}.{name}" if scope else name, True))
+            elif kind is _DOTTED:
+                first, second = values[k]  # type: ignore[misc]
+                chain.append((f"{first}.{second}", False))
+            elif kind is _IDENT and kinds[k + 1] is _ARROW:
+                chain.append((values[k], False))  # type: ignore[arg-type]
+            else:
+                break
+            if kinds[k + 1] is not _ARROW:
+                raise self.expected("'->'", k + 1)
+            k += 2
+            level += 1
+        self.k = k
+        node, height = self.parse_atom(level)
+        for event, initiated in reversed(chain):
+            node = Prefix(event, node, initiated)
+        return node, height + len(chain)
 
     def parse_atom(self, level: int) -> tuple[ProcessExpr, int]:
         k = self.k
         kind, value = self.kinds[k], self.values[k]
         self.k = k + 1
-        if kind is TokKind.KEYWORD and value in ("tick", "skip"):
+        if kind is _KEYWORD and value in ("tick", "skip"):
             return SUCCESS, 1
-        if kind is TokKind.KEYWORD and value in ("glue", "computation"):
+        if kind is _KEYWORD and value in ("glue", "computation"):
             # the glue/computation processes may refer to themselves by name
             return Ref(self.toks.text(k)), 1
-        if kind is TokKind.IDENT:
+        if kind is _IDENT:
             return Ref(value), 1  # type: ignore[arg-type]
         if kind is TokKind.LPAREN:
             inner, height = self.parse_proc_expr(level + 1)
             self.expect(TokKind.RPAREN)
             return inner, height + 1
-        self.k = k
-        raise self.error(f"expected a process expression, found {self.found()}")
+        raise self.expected("a process expression", k)
 
 
 def _show(kind: TokKind, value: object) -> str:

@@ -396,6 +396,21 @@ def test_check_fails_a_connector_that_performs_events_its_alphabet_leaves_out(tm
     assert "ALPHA_K = {}\n" in text and "assert DFA [FD= KA\n" in text
 
 
+def test_check_names_the_event_behind_a_refusal_failure(tmp_path, capsys):
+    # the glue leaves A.log out of ALPHA_K, so KA offers it unrenamed: DFA can neither do it nor refuse it
+    path = tmp_path / "log.wrt"
+    path.write_text("Style S\nConnector K\n  Role A = _put -> A |~| _log -> A |~| TICK\n"
+                    "  Role B = get -> B [] TICK\n  Glue = A.put -> B.get -> Glue [] TICK\n"
+                    "Constraints\nEnd Style\n")
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert stdout.splitlines() == [
+        "PASS  assert DFA [FD= AA",
+        "PASS  assert DFA [FD= BA",
+        "FAIL  assert DFA [FD= KA  (failure after trace <<empty>>; the specification has no move on A.log)",
+    ]
+    assert code == 1
+
+
 @pytest.mark.parametrize(
     "port",
     ["_c -> L where {\n    L = _d -> Out |~| TICK\n  }", "_c -> (_d -> Out |~| TICK)"],

@@ -478,7 +478,8 @@ def test_channels_declare_values_used_only_by_computation_or_glue(tmp_path, caps
     spec.write_text(source)
     assert main(["check", str(spec)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "FAIL  assert OutputG [FD= COMPOutput  (failure after trace <<empty>>)",
+        "FAIL  assert OutputG [FD= COMPOutput  (failure after trace <<empty>>;"
+        " the specification has no move on Output.zz)",
         "PASS  assert InputG [FD= COMPInput",
         "PASS  assert DFA [FD= OriginA",
         "PASS  assert DFA [FD= TargetA",

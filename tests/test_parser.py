@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 
@@ -81,6 +82,7 @@ WRIGHT_FRAGMENTS = (
     "->", "[]", "|~|", "=", ".", ",", ":", "(", ")", "{", "}", "-", ">", "[", "]",
     "|", "~", "/", "//", "// note", "// end", "$", "\f", " ", "  ", "\t", "\n", "\r\n",
     "\r", "Constraints // x\n y 1end", "constraints x.1end", "Constraints a²end b",
+    "s\u212aip", "\u017ftyle", "\u0130nstances", "Glue.a.b", "_a.b.c", "\xa0", "\v", "a\u0301",
 )
 
 
@@ -125,10 +127,34 @@ def test_parse_source_tokenizes_once_through_the_module_attribute(monkeypatch):
 
 
 def test_token_count_matches_reference_lexer():
+    # the whole (kind, value, position) stream, not only the count
     sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
     sources.append(next(perfbench_workloads().blocks("translate", 1))[0].source)
     for text in sources:
-        assert len(tokenize(text)) == len(reference_tokenize(text))
+        assert _stream(tokenize(text)) == _reference_stream(text)
+
+
+def _parse_outcome(text):
+    """The parsed spec's repr, every record's position included, and the
+    parse warnings; or the ``ParseError`` text."""
+    try:
+        spec, warnings = parse_source(text)
+    except ParseError as exc:
+        return f"error {exc}"
+    return "\n".join([repr(spec), *map(str, warnings)])
+
+
+def test_parse_results_are_pinned():
+    # the digest was taken before the lexer and parser were rewritten for speed
+    workloads = perfbench_workloads()
+    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
+    sources += [workloads.pipeline_case(5, "t", fail).source for fail in (False, True)]
+    sources += [workloads.star_case(3, "t", fail_role).source for fail_role in (None, 2)]
+    sources.append(next(workloads.blocks("translate", 1))[0].source)
+    digest = hashlib.sha256()
+    for text in sources:
+        digest.update(_parse_outcome(text).encode() + b"\0")
+    assert digest.hexdigest() == "17fe3d2ed0710623d90c179cbc344f471407efe630cfb2b1840e6b32482e8079"
 
 
 def test_parse_dt1_structure():

@@ -137,7 +137,7 @@ RECORDS = [
     (
         RefinementVerdict(False, (("a",), "failure"), 3),
         RefinementVerdict(holds=False, counterexample=(("a",), "failure"), explored=3),
-        "RefinementVerdict(holds=False, counterexample=(('a',), 'failure'), explored=3)",
+        "RefinementVerdict(holds=False, counterexample=(('a',), 'failure'), explored=3, unmatched=())",
     ),
     (
         Diagnostic("error", POS, "bad", 1),
@@ -279,7 +279,7 @@ def test_default_lists_are_fresh_per_record():
 
 
 def test_defaults_match_the_dataclass_signatures():
-    assert RefinementVerdict(True) == RefinementVerdict(True, None, 0)
+    assert RefinementVerdict(True) == RefinementVerdict(True, None, 0, ())
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
     kind = AssertionKind.ROLE_DEADLOCK_FREE
     assert Assertion(kind, "l", EMPTY, EMPTY) == Assertion(kind, "l", EMPTY, EMPTY, None)

@@ -5,28 +5,28 @@ explicit-state exploration, in the style of FDR3's supercombinators.  A term
 is a ``model.ProcessExpr``: the behavioural AST's prefix, internal choice,
 reference, ``Success`` (SKIP) and ``Empty`` (STOP), plus this module's
 synchronized parallel, renaming, hiding and flat external choice.  Each
-term position numbers its own states.  Sequential terms (prefix, choices,
-references, STOP/SKIP) are stepped as terms.  Renaming and hiding only
-relabel moves, so they are contexts of a position rather than nodes: a term
-under them is stepped in place, its moves relabelled by the context's
-composed map.  A parallel composition is a product over integer states of
-two operand positions: it splits each operand state's moves once into a sync
-table (local moves, synchronised moves by event, tick targets) holding
-labels already relabelled by its context, joins two tables per pair of
-states, and numbers pairs through a dict of right ids per left id (a left
-table holds those dicts for its targets), so none of its moves builds or
-hashes a state tuple.  Each move is built once, with its final label and
-id.  The LTS is the one a breadth-first search with whole terms as states
-would build, state numbering included (the argument precedes
-``MAX_NESTING``).  It keeps each state's moves as two parallel lists, one
-of events and one of target states, so no move is stored as a tuple; its
-transition triples are derived when read.  An operator directly
-under an external choice is not supported (codegen never emits one), and
-operators nested more than ``MAX_NESTING`` deep by recursion are a
+term position numbers its own states.  Sequential terms are stepped as
+terms.  Renaming and hiding only relabel moves, so a term under them is
+stepped in place, its moves relabelled by its context's composed map.  A
+parallel composition is a product over integer states of two operand
+positions: it splits each operand state's moves once into a sync table
+(local moves, synchronised moves, tick targets) with labels already
+relabelled, and builds a pair's moves by joining two tables.  A left
+table holds its own state's row (a dict from right state to pair id) and
+its targets' rows, so no move builds or hashes a state tuple.  The LTS is
+the one a breadth-first search with whole terms as states would build,
+state numbering included (the argument precedes ``MAX_NESTING``).  It keeps
+each state's moves as two parallel lists, events and targets; its
+transition triples are derived when read.  An operator directly under an
+external choice is not supported (codegen never emits one), and operators
+nested more than ``MAX_NESTING`` deep by recursion are a
 ``ResourceLimitError``.
 A subset construction over tau-closures turns an LTS into a normalized
-failures-divergences machine, and refinement is decided by exploring the
-product of the normalized specification with the raw implementation.
+failures-divergences machine.  Refinement is a 0-1 breadth-first search of
+the product of that machine with the raw implementation.  A product pair
+is one int, its distance and parent sit in two dicts keyed by it, and each
+specification node's moves are one dict from event to successor, so
+neither a pair nor a move builds a tuple.
 One iterative depth-first search over tau edges (``_tau_cycles``) finds
 divergent states, and it serves two graphs.  Every tau move of a term
 without hiding and without renaming onto tau unfolds a reference or
@@ -332,11 +332,8 @@ class _Process:
 
 
 class _Row(dict):
-    """The pairs of one left operand state: right id -> the position's id.
-
-    A pair is numbered on its first lookup, its ``(k, l, r)`` appended to the
-    position's ``states``.
-    """
+    """The pairs of left operand state ``l``: right id -> the position's id,
+    numbered on first lookup by appending ``(k, l, r)`` to ``states``."""
 
     __slots__ = ("states", "k", "l")
 
@@ -367,33 +364,32 @@ class _Tables(dict):
     """Operand state -> its sync table, built on first lookup.
 
     A table is (local events, local targets, synchronised moves, tick
-    targets).  The left operand's synchronised moves are three lists
-    (events, labels, targets), the right operand's a dict from event to
-    targets.  Given the node's ``rows`` (the left operand), a table holds
-    each target's ``_Row`` instead of its id, so the node numbers a pair
-    with one lookup in it.
+    targets, row).  The right operand's synchronised moves are a dict from
+    event to targets, and its row is None.  Given the node's ``rows`` (the
+    left operand), a table holds each target's ``_Row`` instead of its id,
+    its synchronised moves are (event, label, target row) triples and its
+    row is the state's own, so the node numbers a pair with one lookup.
     """
 
     __slots__ = ("side", "sync", "special", "relabel", "rows")
 
-    def __init__(
-        self, side: _Process, sync: frozenset[str], relabel: dict[str, str], rows: Optional[_Rows],
-    ) -> None:
+    def __init__(self, side: _Process, sync: frozenset[str], relabel: dict[str, str],
+                 rows: Optional[_Rows]) -> None:
         self.side, self.sync, self.special, self.relabel, self.rows = side, sync, sync | {TICK}, relabel, rows
 
     def __missing__(self, s: int) -> tuple:
         events, targets = self.side.succ(s)
-        rows = self.rows
+        rows, row = self.rows, None
         if rows is not None:
-            targets = list(map(rows.__getitem__, targets))
+            targets, row = list(map(rows.__getitem__, targets)), rows[s]
         special, relabel = self.special, self.relabel
         get = relabel.get
         if special.isdisjoint(events):
-            table = (list(map(get, events, events)) if relabel else events), targets, (), ()
+            table = (list(map(get, events, events)) if relabel else events), targets, (), (), row
         else:
             sync, by_event = self.sync, rows is None
             lev, ltg, ticks = [], [], []
-            synced = {} if by_event else ([], [], [])
+            synced = {} if by_event else []
             for a, t in zip(events, targets):
                 if a not in special:
                     lev.append(get(a, a))
@@ -403,12 +399,10 @@ class _Tables(dict):
                     if by_event:
                         synced.setdefault(a, []).append(t)
                     else:
-                        synced[0].append(a)
-                        synced[1].append(get(a, a))
-                        synced[2].append(t)
+                        synced.append((a, get(a, a), t))
                 if a == TICK:
                     ticks.append(t)
-            table = lev, ltg, synced, ticks
+            table = lev, ltg, synced, ticks, row
         self[s] = table
         return table
 
@@ -416,22 +410,17 @@ class _Tables(dict):
 class _Par:
     """Synchronised parallel with distributed termination over state pairs.
 
-    Each operand state's moves are split once into a sync table (``_Tables``):
-    local moves (neither tick nor synchronised) as an event list and a target
-    list, synchronised moves and tick targets.  The right operand's
-    synchronised moves are grouped by event, so a pair joins the two tables
-    without filtering.  A tick in the sync set is both synchronised and a
-    tick, as in the term-level rules.  Synchronisation is decided on the
-    operands' labels; the tables hold the labels of the moves this node
-    builds, relabelled by its context.  The left tables hold their targets'
-    ``_Row``s, so a pair's targets are numbered with one dict lookup each,
-    the right operand's through a C-level ``map`` over a row.
+    A pair joins its operand states' sync tables (``_Tables``) without
+    filtering: local moves (neither tick nor synchronised), then each left
+    synchronised move with the right ones on its event, then tick pairs.  A
+    tick in the sync set is both synchronised and a tick, as in the
+    term-level rules.  Synchronisation is decided on the operands' labels;
+    the tables hold the labels relabelled by this node's context.  A right
+    target is numbered through a C-level ``map`` over the left state's row.
     """
 
-    def __init__(
-        self, k: int, states: list, env: Mapping[str, ProcessExpr], depth: int,
-        sync: frozenset[str], relabel: dict[str, str],
-    ) -> None:
+    def __init__(self, k: int, states: list, env: Mapping[str, ProcessExpr], depth: int,
+                 sync: frozenset[str], relabel: dict[str, str]) -> None:
         self.tick = relabel.get(TICK, TICK)
         self.left, self.right = _Process(env, depth), _Process(env, depth)
         self.rows = _Rows(states, k)
@@ -443,13 +432,16 @@ class _Par:
 
     def succ(self, state: tuple[int, int, int]) -> tuple[list[str], list[int]]:
         _, l, r = state
-        lev, lrows, lsync, ltick = self.ltabs[l]
-        rev, rtg, rsync, rtick = self.rtabs[r]
+        lev, lrows, lsync, ltick, row = self.ltabs[l]
+        rev, rtg, rsync, rtick, _ = self.rtabs[r]
         events = lev + rev
-        targets = [row2[r] for row2 in lrows]
-        targets += map(self.rows[l].__getitem__, rtg)
+        if lrows:
+            targets = [row2[r] for row2 in lrows]
+            targets += map(row.__getitem__, rtg)
+        else:
+            targets = list(map(row.__getitem__, rtg))
         if rsync:
-            for a, label, row2 in zip(*lsync):
+            for a, label, row2 in lsync:
                 got = rsync.get(a)
                 if got:
                     events += [label] * len(got)
@@ -463,11 +455,8 @@ class _Par:
         return events, targets[:]  # extending by a map over-allocates; the copy is exactly sized
 
 
-def compile_to_lts(
-    term: ProcessExpr,
-    env: Mapping[str, ProcessExpr] | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> Lts:
+def compile_to_lts(term: ProcessExpr, env: Mapping[str, ProcessExpr] | None = None,
+                   max_states: int = DEFAULT_MAX_STATES) -> Lts:
     """Explore the reachable state space of ``term``.
 
     States are numbered in breadth-first order of discovery, so the LTS is
@@ -475,15 +464,17 @@ def compile_to_lts(
     """
     root = _Process(env or {})
     root.enter(term)
-    states, succ = root.states, root.succ
+    states, nodes, succ = root.states, root.nodes, root.succ
     cap = max(max_states, 1)  # the initial state is always admitted, as in a term-level search
     events: list[list[str]] = []
     targets: list[list[int]] = []
     # Only this loop asks for the root's transitions, once per state in
     # order, so the root numbers its states breadth-first.  (It also visits
-    # the states appended while it runs.)
-    for s, _ in enumerate(states):
-        ev, tg = succ(s)
+    # the states appended while it runs.)  It steps a node state through its
+    # node, and drops a state's key once its moves are built.
+    for s, state in enumerate(states):
+        ev, tg = nodes[state[0]].succ(state) if len(state) == 3 else succ(s)
+        states[s] = None
         events.append(ev)
         targets.append(tg)
         if len(states) > cap:
@@ -742,89 +733,97 @@ def _spec_accepts_refusal(accs: tuple[frozenset[str], ...], ready: frozenset[str
     return any(TICK not in a and a <= ready for a in accs)
 
 
-def check_refinement_fd(
-    spec: FdModel,
-    impl: Lts,
-    max_pairs: int = DEFAULT_MAX_STATES,
-) -> RefinementVerdict:
+def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_STATES) -> RefinementVerdict:
     """Failures-divergences refinement: does ``impl`` refine ``spec``?
 
     Product exploration ordered by trace length (tau edges are free), so a
-    returned counterexample trace is shortest.
+    returned refusal or divergence trace is shortest.  An event the
+    specification cannot perform is reported as its pair is explored, so
+    such a trace may be one event longer than the shortest violation.
     """
     impl_div = divergent_states(impl)
     n, events, targets = impl.n_states, impl.events, impl.targets
-    spec_div, spec_accs, spec_next = spec.divergent, spec.acceptances, spec.transitions.get
-    # A pair (spec node, impl state) is the int node * n + state.
+    spec_div, spec_accs = spec.divergent, spec.acceptances
+    # A pair (spec node, impl state) is the int node * n + state.  Per node,
+    # ``moves`` maps an event to the successor node times n, and ``accepts``
+    # caches _spec_accepts_refusal by ready set.
+    moves: list[dict[str, int]] = [{} for _ in spec_div]
+    accepts: list[dict[frozenset[str], bool]] = [{} for _ in spec_div]
+    for (node, a), t in spec.transitions.items():
+        moves[node][a] = t * n
     start = spec.initial * n + impl.initial
     # 0-1 BFS: tau edges cost nothing, visible edges cost one, so the first
-    # violating pair finalized sits at minimal visible-trace distance.
-    # ``best`` maps a pair to (distance, parent pair, label of the edge from
-    # the parent); once the pair is finalized its distance reads -1.
-    best: dict[int, tuple[int, Optional[int], Optional[str]]] = {start: (0, None, None)}
-    accepts: dict[tuple[int, frozenset[str]], bool] = {}  # _spec_accepts_refusal by (node, ready)
-    explored = 0
+    # violating pair finalized sits at minimal visible-trace distance.  A
+    # pair's distance is in ``dist`` (-1 once the pair is finalized) and the
+    # pair it was reached from in ``parent``, complemented (``~``) when the
+    # edge is visible.  That edge is the parent's first visible move onto
+    # the pair, since a later one costs no less, so its event is found again.
+    dist, parent, explored = {start: 0}, {}, 0
 
     def trace_of(pair: int, extra: Optional[str] = None) -> tuple[str, ...]:
-        labels: list[str] = []
-        cur: Optional[int] = pair
-        while cur is not None:
-            _, cur, label = best[cur]
-            if label is not None and label != TAU:
-                labels.append(label)
-        labels.reverse()
-        if extra is not None:
-            labels.append(extra)
-        return tuple(labels)
+        labels = [] if extra is None else [extra]
+        while pair != start:
+            prev = parent[pair]
+            if prev < 0:
+                prev = ~prev
+                s, node_moves = prev % n, moves[prev // n]
+                labels.append(next(a for a, t in zip(events[s], targets[s])
+                                   if a != TAU and a != TICK and node_moves[a] + t == pair))
+            pair = prev
+        return tuple(reversed(labels))
 
-    queue: deque[int] = deque([start])
+    queue = deque([start])
+    pop, push, push_tau = queue.popleft, queue.append, queue.appendleft
     while queue:
-        pair = queue.popleft()
-        cost, parent, label = best[pair]
+        pair = pop()
+        cost = dist[pair]
         if cost < 0:
             continue  # a stale queue entry
-        best[pair] = (-1, parent, label)
-        node, s = divmod(pair, n)
+        dist[pair] = -1
         explored += 1
+        node = pair // n
+        base = node * n
+        s = pair - base
         if spec_div[node]:
             continue  # spec allows everything from here on
         if impl_div[s]:
             return RefinementVerdict(False, (trace_of(pair), "divergence"), explored)
-        ev = events[s]
+        ev, node_moves = events[s], moves[node]
         if TAU not in ev:  # a stable state: its events are its ready set
-            ready = frozenset(ev)
-            ok = accepts.get((node, ready))
+            ready, known = frozenset(ev), accepts[node]
+            ok = known.get(ready)
             if ok is None:
-                ok = accepts[node, ready] = _spec_accepts_refusal(spec_accs[node], ready)
+                ok = known[ready] = _spec_accepts_refusal(spec_accs[node], ready)
             if not ok:
-                unmatched = tuple(sorted(a for a in ready if spec_next((node, a)) is None))
+                unmatched = tuple(sorted(ready.difference(node_moves)))
                 return RefinementVerdict(False, (trace_of(pair), "failure"), explored, unmatched)
         tg, i = targets[s], -1  # an index walk: a zip costs more than the few moves of a state
         for a in ev:
             i += 1
-            t = tg[i]
             if a == TAU:
-                nxt, nxt_cost = pair - s + t, cost
+                nxt, nxt_cost = base + tg[i], cost
             else:
-                spec_node = spec_next((node, a))
-                if spec_node is None:
+                spec_base = node_moves.get(a)
+                if spec_base is None:
                     return RefinementVerdict(False, (trace_of(pair, a), "failure"), explored)
                 if a == TICK:
                     continue  # nothing observable after successful termination
-                nxt, nxt_cost = spec_node * n + t, cost + 1
+                nxt, nxt_cost = spec_base + tg[i], cost + 1
             # Pairs are finalized in order of distance, so a finalized pair
             # would never get a lower cost; its -1 makes this test skip it.
-            old = best.get(nxt)
+            old = dist.get(nxt)
             if old is None:
-                if len(best) >= max_pairs:
+                if len(dist) >= max_pairs:
                     raise ResourceLimitError(f"product cap {max_pairs} exceeded")
-            elif old[0] <= nxt_cost:
+            elif old <= nxt_cost:
                 continue
-            best[nxt] = (nxt_cost, pair, a)
+            dist[nxt] = nxt_cost
             if a == TAU:
-                queue.appendleft(nxt)
+                parent[nxt] = pair
+                push_tau(nxt)
             else:
-                queue.append(nxt)
+                parent[nxt] = ~pair
+                push(nxt)
     return RefinementVerdict(True, None, explored)
 
 

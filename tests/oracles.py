@@ -13,12 +13,13 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from wright2csp import transform
 from wright2csp.alphabets import reach
 from wright2csp.codegen import process_term
 from wright2csp.engine import (
+    DEFAULT_MAX_STATES,
     TAU,
     TICK,
     FdModel,
@@ -28,9 +29,11 @@ from wright2csp.engine import (
     PHide,
     PPar,
     PRename,
+    RefinementVerdict,
     ResourceLimitError,
     UnresolvedProcessError,
     compile_to_lts,
+    divergent_states,
     rename,
     tau_closure,
 )
@@ -518,6 +521,104 @@ def refuses(fd: FdModel, trace, refusal) -> bool:
         elif not (ref & acc):
             return True
     return False
+
+
+# --- reference refinement ------------------------------------------------------
+
+
+def _reference_accepts_refusal(accs: tuple[frozenset[str], ...], ready: frozenset[str]) -> bool:
+    """Can the spec node refuse as much as a stable impl state with this ready set?"""
+    if TICK in ready:
+        return any(TICK in a or not a for a in accs)
+    return any(TICK not in a and a <= ready for a in accs)
+
+
+def reference_refinement_fd(
+    spec: FdModel,
+    impl: Lts,
+    max_pairs: int = DEFAULT_MAX_STATES,
+) -> RefinementVerdict:
+    """Failures-divergences refinement: does ``impl`` refine ``spec``?
+
+    The engine's search before its pair records were split into per-field
+    dicts: one 3-tuple per pair and a ``(node, event)`` key per
+    specification move.  The engine must return the same verdict,
+    counterexample, ``explored`` and ``unmatched``, and the same cap error.
+    """
+    impl_div = divergent_states(impl)
+    n, events, targets = impl.n_states, impl.events, impl.targets
+    spec_div, spec_accs, spec_next = spec.divergent, spec.acceptances, spec.transitions.get
+    # A pair (spec node, impl state) is the int node * n + state.
+    start = spec.initial * n + impl.initial
+    # 0-1 BFS: tau edges cost nothing, visible edges cost one, so the first
+    # violating pair finalized sits at minimal visible-trace distance.
+    # ``best`` maps a pair to (distance, parent pair, label of the edge from
+    # the parent); once the pair is finalized its distance reads -1.
+    best: dict[int, tuple[int, Optional[int], Optional[str]]] = {start: (0, None, None)}
+    accepts: dict[tuple[int, frozenset[str]], bool] = {}  # _spec_accepts_refusal by (node, ready)
+    explored = 0
+
+    def trace_of(pair: int, extra: Optional[str] = None) -> tuple[str, ...]:
+        labels: list[str] = []
+        cur: Optional[int] = pair
+        while cur is not None:
+            _, cur, label = best[cur]
+            if label is not None and label != TAU:
+                labels.append(label)
+        labels.reverse()
+        if extra is not None:
+            labels.append(extra)
+        return tuple(labels)
+
+    queue: deque[int] = deque([start])
+    while queue:
+        pair = queue.popleft()
+        cost, parent, label = best[pair]
+        if cost < 0:
+            continue  # a stale queue entry
+        best[pair] = (-1, parent, label)
+        node, s = divmod(pair, n)
+        explored += 1
+        if spec_div[node]:
+            continue  # spec allows everything from here on
+        if impl_div[s]:
+            return RefinementVerdict(False, (trace_of(pair), "divergence"), explored)
+        ev = events[s]
+        if TAU not in ev:  # a stable state: its events are its ready set
+            ready = frozenset(ev)
+            ok = accepts.get((node, ready))
+            if ok is None:
+                ok = accepts[node, ready] = _reference_accepts_refusal(spec_accs[node], ready)
+            if not ok:
+                unmatched = tuple(sorted(a for a in ready if spec_next((node, a)) is None))
+                return RefinementVerdict(False, (trace_of(pair), "failure"), explored, unmatched)
+        tg, i = targets[s], -1  # an index walk: a zip costs more than the few moves of a state
+        for a in ev:
+            i += 1
+            t = tg[i]
+            if a == TAU:
+                nxt, nxt_cost = pair - s + t, cost
+            else:
+                spec_node = spec_next((node, a))
+                if spec_node is None:
+                    return RefinementVerdict(False, (trace_of(pair, a), "failure"), explored)
+                if a == TICK:
+                    continue  # nothing observable after successful termination
+                nxt, nxt_cost = spec_node * n + t, cost + 1
+            # Pairs are finalized in order of distance, so a finalized pair
+            # would never get a lower cost; its -1 makes this test skip it.
+            old = best.get(nxt)
+            if old is None:
+                if len(best) >= max_pairs:
+                    raise ResourceLimitError(f"product cap {max_pairs} exceeded")
+            elif old[0] <= nxt_cost:
+                continue
+            best[nxt] = (nxt_cost, pair, a)
+            if a == TAU:
+                queue.appendleft(nxt)
+            else:
+                queue.append(nxt)
+    return RefinementVerdict(True, None, explored)
 
 
 # --- random transition systems -------------------------------------------------

@@ -16,10 +16,12 @@ from oracles import (
     enumerate_behaviours,
     expr_lts,
     is_divergence,
+    node_after,
     random_expr,
     random_lts,
     random_operator_term,
     reference_compile,
+    reference_refinement_fd,
     refuses,
     traces,
 )
@@ -487,7 +489,8 @@ def test_refinement_agrees_with_brute_force_and_is_transitive():
         verdicts = {}
         for i, spec in enumerate(ms):
             for j, impl in enumerate(ms):
-                v = check_refinement_fd(normalize_fd(spec), impl)
+                spec_fd = normalize_fd(spec)
+                v = check_refinement_fd(spec_fd, impl)
                 verdicts[(i, j)] = v.holds
                 checked += 1
                 if v.holds:
@@ -495,6 +498,14 @@ def test_refinement_agrees_with_brute_force_and_is_transitive():
                 else:
                     trace, _kind = v.counterexample
                     assert not brute_refines(spec, impl, max(len(trace), 1), alphabet), (i, j)
+                    # Shortest: no violation shows within one event less.  An
+                    # event the specification cannot perform is reported while
+                    # its pair is explored, one event past that pair's distance,
+                    # so a refusal or divergence at the same distance may be one
+                    # event shorter.
+                    shorter = len(trace) - (1 if node_after(spec_fd, trace) is not None else 2)
+                    if shorter >= 0:
+                        assert brute_refines(spec, impl, shorter, alphabet), (i, j)
                 if i == j:
                     assert v.holds  # reflexivity
         for i in range(3):
@@ -517,6 +528,51 @@ def test_counterexample_traces_replay_on_the_implementation():
         trace, kind = v.counterexample
         behaviours = enumerate_behaviours(impl, len(trace) + 1, alphabet)
         assert tuple(trace) in behaviours.traces
+
+
+def _refined(check, spec, impl, max_pairs=DEFAULT_MAX_STATES):
+    """(holds, counterexample, explored, unmatched), or the message of a product-cap error."""
+    try:
+        v = check(spec, impl, max_pairs)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return v.holds, v.counterexample, v.explored, v.unmatched
+
+
+def test_refinement_matches_the_reference_search_on_random_pairs():
+    rng = random.Random(31)
+    seen = dict.fromkeys(("tau cycle", "tick", "divergent spec node", "holds", "divergence", "failure",
+                          "unmatched", "capped"), 0)
+    for i in range(2400):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        spec_lts, impl = (random_lts(rng, rng.choice((3, 5, 7)), alphabet) for _ in range(2))
+        if i % 2:  # every second spec may also do anything, or stop: the search goes deeper
+            n = spec_lts.n_states
+            loose = [(s, a, s) for s in range(n) for a in (*alphabet, TICK)] + [(s, TAU, n) for s in range(n)]
+            spec_lts = Lts(n + 1, spec_lts.transitions + loose)
+        spec = normalize_fd(spec_lts)
+        want = _refined(reference_refinement_fd, spec, impl)
+        assert _refined(check_refinement_fd, spec, impl) == want, i
+        holds, counterexample, _, unmatched = want
+        seen["tau cycle"] += any(divergent_states(impl))
+        seen["tick"] += any(TICK in ev for ev in impl.events)
+        seen["divergent spec node"] += any(spec.divergent)
+        seen["holds" if holds else counterexample[1]] += 1
+        seen["unmatched"] += bool(unmatched)
+        if i % 2 == 0:  # the same cap error, or verdict, at every cap up to the product's size
+            for cap in range(1, spec.node_count * impl.n_states + 1):
+                want = _refined(reference_refinement_fd, spec, impl, cap)
+                assert _refined(check_refinement_fd, spec, impl, cap) == want, (i, cap)
+                seen["capped"] += isinstance(want, str)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_tau_edge_that_shortens_a_pair_replaces_its_visible_edge():
+    # (spec, 1) is first reached by `a`, then at distance 0 through 0 -τ-> 2 -τ-> 1
+    spec = normalize_fd(Lts(2, [(0, "a", 0), (0, TAU, 1)]))  # may do `a` or stop, never `b`
+    impl = Lts(3, [(0, "a", 1), (0, TAU, 2), (2, TAU, 1), (1, "b", 1)])
+    want = (False, (("b",), "failure"), 3, ())
+    assert _refined(check_refinement_fd, spec, impl) == _refined(reference_refinement_fd, spec, impl) == want
 
 
 def test_discharge_preserves_order():
@@ -813,6 +869,27 @@ def test_star_search_order_and_connector_lts_are_pinned(fail):
     lts = compile_to_lts(connector.impl_term, plan.definitions)
     transitions = lts.transitions
     assert (lts.n_states, len(transitions)) == (n_states, n_transitions)
+    assert hashlib.sha256(repr(transitions).encode()).hexdigest() == digest
+
+
+# The benchmark-size connector: (states, transitions, sha256 of repr(transitions), explored by its check)
+STAR6_CONNECTOR_PINS = {
+    None: (8195, 47107, "a2583de6682f0d684a24d9fa8609be83151967fb7cedac4f930a49380dc0b089", 8194),
+    3: (12291, 66563, "d5cbd367bc23a9c3e9d2e9e23389d7a861f70c9f788890938012477641c2fe81", 8201),
+}
+
+
+@pytest.mark.parametrize("fail", [None, 3])
+def test_the_star6_connector_lts_and_its_check_are_pinned(fail):
+    spec, _ = parse_source(perfbench_workloads().star_case(6, "t", fail).source)
+    assert not alphabets.annotate(spec)
+    plan = codegen.emit(spec)
+    [connector] = [a for a in plan.assertions if a.label.endswith("Bus_tA")]
+    lts = compile_to_lts(connector.impl_term, plan.definitions)
+    transitions = lts.transitions
+    verdict = check_assertion(connector.spec_term, connector.impl_term, plan.definitions)
+    n_states, n_transitions, digest, explored = STAR6_CONNECTOR_PINS[fail]
+    assert (lts.n_states, len(transitions), verdict.explored) == (n_states, n_transitions, explored)
     assert hashlib.sha256(repr(transitions).encode()).hexdigest() == digest
 
 

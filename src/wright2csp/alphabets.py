@@ -7,9 +7,10 @@ every name it reaches, breadth-first (``reach``), so mutually recursive
 where-locals contribute their events to the owning declaration; each
 where-local's is stored too, but nothing reads it.  An alphabet is an
 insertion-ordered ``dict`` from qualified event name to the polarity of its
-first use, split into initiated and observed subsets.  The walk also maps
-each unscoped event name to the first declaration or where-local that uses
-it, which is where ``annotate`` reports a name the output cannot declare.
+first use; ``AlphabetInfo`` keeps its observed subset beside it, and the
+initiated subset is read off it where it is printed.  The walk also maps each
+unscoped event name to the first declaration or where-local that uses it,
+which is where ``annotate`` reports a name the output cannot declare.
 One routine, ``compute_type_alphabet``, serves components and connectors
 alike through ``model.parts``: their interface points, then the computation
 or glue.  It warns about point events the computation or glue leaves out.
@@ -83,11 +84,7 @@ def _union(parts: list[Alphabet]) -> Alphabet:
 
 
 def _info(total: Alphabet) -> AlphabetInfo:
-    return AlphabetInfo(
-        total,
-        {e: True for e, initiated in total.items() if initiated},
-        {e: False for e, initiated in total.items() if not initiated},
-    )
+    return AlphabetInfo(total, {e: False for e, initiated in total.items() if not initiated})
 
 
 def compute_declaration_alphabet(

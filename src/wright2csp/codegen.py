@@ -349,7 +349,7 @@ def emit_component(out: _Out, comp: Component) -> None:
         p = port.name
         alpha = out.alphas[id(port)] = out.alpha(port, "", list(port.alphabet.total))
         if port.alphabet.observed:
-            out.alpha(port, "I", list(port.alphabet.initiated))
+            out.alpha(port, "I", [e for e, i in port.alphabet.total.items() if i])
         else:
             out.line("-- no events observed!")
         process = _emit_decl_equations(out, port, p, f"PORT{p}")

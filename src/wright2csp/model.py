@@ -8,8 +8,11 @@ same classes as its sequential terms.  An event is its qualified name as a
 plain string (``read``, ``In.read``); a prefix also records whether its use
 is initiated (``_read``), but prefixes compare equal regardless.  An alphabet
 is an insertion-ordered ``dict`` from qualified name to the polarity of its
-first use, so generated output is reproducible run to run.  Every finding,
-from a parse warning to an emission warning, is one ``Diagnostic``.
+first use, so generated output is reproducible run to run.  The alphabet
+fields of the structural records (``Declaration.alphabet``, a type's
+``total_alphabet``, a spec's ``event_names``) start empty: ``alphabets.annotate``
+is their only writer.  Every finding, from a parse warning to an emission
+warning, is one ``Diagnostic``.
 
 The expression and structural classes are plain slotted classes with a
 written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
@@ -193,13 +196,13 @@ Alphabet = dict[str, bool]
 
 @slotted(frozen=False)
 class AlphabetInfo:
-    """Total alphabet plus its initiated/observed split."""
+    """Total alphabet plus its observed subset: the events whose first use is
+    not initiated, which is what property 1 restricts a port to."""
 
-    __slots__ = ("total", "initiated", "observed")
+    __slots__ = ("total", "observed")
 
-    def __init__(self, total: Alphabet, initiated: Alphabet, observed: Alphabet) -> None:
+    def __init__(self, total: Alphabet, observed: Alphabet) -> None:
         self.total = total
-        self.initiated = initiated
         self.observed = observed
 
 
@@ -207,59 +210,40 @@ class AlphabetInfo:
 class Declaration:
     __slots__ = ("kind", "name", "body", "locals", "pos", "alphabet")
 
-    def __init__(
-        self,
-        kind: DeclKind,
-        name: str,
-        body: ProcessExpr,
-        locals: list[Declaration] | None = None,
-        pos: SourcePos = SourcePos(),
-        alphabet: AlphabetInfo | None = None,
-    ) -> None:
+    def __init__(self, kind: DeclKind, name: str, body: ProcessExpr, locals: list[Declaration] | None = None,
+                 pos: SourcePos = SourcePos()) -> None:
         self.kind = kind
         self.name = name
         self.body = body
         self.locals = [] if locals is None else locals
         self.pos = pos
-        self.alphabet = alphabet
+        self.alphabet: AlphabetInfo | None = None  # filled by alphabets.annotate
 
 
 @slotted(frozen=False)
 class Component:
     __slots__ = ("name", "ports", "computation", "pos", "total_alphabet")
 
-    def __init__(
-        self,
-        name: str,
-        ports: list[Declaration],
-        computation: Declaration,
-        pos: SourcePos = SourcePos(),
-        total_alphabet: Alphabet | None = None,
-    ) -> None:
+    def __init__(self, name: str, ports: list[Declaration], computation: Declaration,
+                 pos: SourcePos = SourcePos()) -> None:
         self.name = name
         self.ports = ports
         self.computation = computation
         self.pos = pos
-        self.total_alphabet = total_alphabet
+        self.total_alphabet: Alphabet | None = None  # filled by alphabets.annotate
 
 
 @slotted(frozen=False)
 class Connector:
     __slots__ = ("name", "roles", "glue", "pos", "total_alphabet")
 
-    def __init__(
-        self,
-        name: str,
-        roles: list[Declaration],
-        glue: Declaration,
-        pos: SourcePos = SourcePos(),
-        total_alphabet: Alphabet | None = None,
-    ) -> None:
+    def __init__(self, name: str, roles: list[Declaration], glue: Declaration,
+                 pos: SourcePos = SourcePos()) -> None:
         self.name = name
         self.roles = roles
         self.glue = glue
         self.pos = pos
-        self.total_alphabet = total_alphabet
+        self.total_alphabet: Alphabet | None = None  # filled by alphabets.annotate
 
 
 def parts(t: Union[Component, Connector]) -> tuple[list[Declaration], Declaration]:
@@ -314,31 +298,24 @@ class Configuration:
         instances: list[Instance],
         attachments: list[Attachment],
         pos: SourcePos = SourcePos(),
-        event_names: list[str] | None = None,
     ) -> None:
         self.name = name
         self.types = types
         self.instances = instances
         self.attachments = attachments
         self.pos = pos
-        self.event_names = [] if event_names is None else event_names  # filled by alphabets.annotate
+        self.event_names: list[str] = []  # filled by alphabets.annotate
 
 
 @slotted(frozen=False)
 class Style:
     __slots__ = ("name", "types", "pos", "event_names")
 
-    def __init__(
-        self,
-        name: str,
-        types: list[Union[Component, Connector]],
-        pos: SourcePos = SourcePos(),
-        event_names: list[str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, types: list[Union[Component, Connector]], pos: SourcePos = SourcePos()) -> None:
         self.name = name
         self.types = types
         self.pos = pos
-        self.event_names = [] if event_names is None else event_names  # filled by alphabets.annotate
+        self.event_names: list[str] = []  # filled by alphabets.annotate
 
 
 ArchSpec = Union[Style, Configuration]

@@ -10,11 +10,13 @@ The lexer is one compiled pattern, matched once per token: it skips the
 blanks and comments before the token without capturing them, and the number
 of the group that matched gives the token's class and its start.  It builds no
 object per token: it appends each token's kind, value and start offset to
-three parallel lists.  The parser reads those lists by index.  Instance lines,
-attachments and prefix chains are each read in one loop over local indices,
-and a prefix chain's ``Prefix`` nodes are built from its end.  A line and
-column are computed only where they are needed, for a node that stores a
-position or for a diagnostic, by searching a table of line starts.
+three parallel lists.  A kind is a plain string constant of this module: an
+operator's own spelling, or a word such as ``ident``.  The parser reads those
+lists by index and tests kinds by identity.  Instance lines, attachments and
+prefix chains are each read in one loop over local indices, and a prefix
+chain's ``Prefix`` nodes are built from its end.  A line and column are
+computed only where they are needed, for a node that stores a position or for
+a diagnostic, by searching a table of line starts.
 Process expressions nest at most ``MAX_NESTING`` levels.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from enum import Enum
 
 from .model import (
     Attachment,
@@ -88,30 +89,14 @@ class ParseError(Exception):
         self.message = message
 
 
-class TokKind(Enum):
-    KEYWORD = "keyword"
-    IDENT = "ident"
-    DOTTED = "dotted"       # value is (first, second)
-    INITEVENT = "initevent"  # value is (name, scope-or-None)
-    ARROW = "->"
-    ECHOICE = "[]"
-    ICHOICE = "|~|"
-    EQUALS = "="
-    DOT = "."
-    COMMA = ","
-    COLON = ":"
-    LPAREN = "("
-    RPAREN = ")"
-    LBRACE = "{"
-    RBRACE = "}"
-    EOF = "eof"
-
-
-# The kinds the hot loops test, as plain globals: reading an Enum member off
-# its class costs several times a global read.
-_KEYWORD, _IDENT, _DOTTED, _INITEVENT = TokKind.KEYWORD, TokKind.IDENT, TokKind.DOTTED, TokKind.INITEVENT
-_ARROW, _COMMA, _COLON, _ECHOICE = TokKind.ARROW, TokKind.COMMA, TokKind.COLON, TokKind.ECHOICE
-_CHOICES = (TokKind.ECHOICE, TokKind.ICHOICE)
+# Token kinds.  An operator's kind is its own spelling, which is also its
+# value, so tokenize appends the one object for both.
+KEYWORD, IDENT, EOF = "keyword", "ident", "eof"
+DOTTED = "dotted"  # value is (first, second)
+INITEVENT = "initevent"  # value is (name, scope-or-None)
+ARROW, ECHOICE, ICHOICE, EQUALS, DOT, COMMA, COLON = "->", "[]", "|~|", "=", ".", ",", ":"
+LPAREN, RPAREN, LBRACE, RBRACE = "(", ")", "{", "}"
+_CHOICES = (ECHOICE, ICHOICE)
 
 # Blanks and comments, skipped without a group, then one alternative per token
 # class.  ``lastindex`` numbers the group that closed last, which tells the
@@ -120,15 +105,14 @@ _CHOICES = (TokKind.ECHOICE, TokKind.ICHOICE)
 # follows the blanks (end of input or an illegal character).  ``\w`` is
 # exactly ``str.isalnum`` plus ``_``.  ``[^\W\d]`` also admits numerals that
 # are not letters, such as '²', which ``tokenize`` rejects.
-_OPERATORS = (TokKind.ARROW, TokKind.ECHOICE, TokKind.ICHOICE, TokKind.EQUALS, TokKind.DOT,
-              TokKind.COMMA, TokKind.COLON, TokKind.LPAREN, TokKind.RPAREN, TokKind.LBRACE, TokKind.RBRACE)
+_OPERATORS = (ARROW, ECHOICE, ICHOICE, EQUALS, DOT, COMMA, COLON, LPAREN, RPAREN, LBRACE, RBRACE)
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*)*"
     r"(?:_(\w+)(?:\.([^\W\d]\w*))?"
     r"|([^\W\d]\w*)(?:\.([^\W\d]\w*))?"
-    r"|" + "|".join(f"({re.escape(k.value)})" for k in _OPERATORS) + ")?"
+    r"|" + "|".join(f"({re.escape(k)})" for k in _OPERATORS) + ")?"
 )
-_OP_GROUPS = (None,) * 5 + tuple((k, k.value) for k in _OPERATORS)  # group number -> (kind, value)
+_OP_GROUPS = (None,) * 5 + _OPERATORS  # group number -> kind, which is also the value
 # A Constraints body ends at the first identifier spelled `end` in any case.
 # Characters that cannot start an identifier (digits, as in `1end`) are not
 # part of it; the group must hold no letter or underscore.
@@ -150,7 +134,7 @@ class Tokens:
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.kinds: list[TokKind] = []
+        self.kinds: list[str] = []
         self.values: list[object] = []
         self.starts: list[int] = []
         self._line_starts: list[int] | None = None
@@ -183,12 +167,12 @@ def tokenize(source: str) -> Tokens:
         if g is None:
             if i < len(source):
                 raise _illegal_character(toks, i)
-            kind_of(TokKind.EOF)
+            kind_of(EOF)
             value_of(None)
             start_of(i)
             return toks
         if g > 4:
-            tk, value = ops[g]
+            tk = value = ops[g]
             start = m.start(g)
         elif g > 2:
             word, start = m[3], m.start(3)
@@ -197,18 +181,18 @@ def tokenize(source: str) -> Tokens:
             value = word.lower()
             if value in KEYWORDS:
                 # `Glue.a` is KEYWORD, DOT, IDENT: re-lex from after the word
-                tk, i = _KEYWORD, start + len(word)
+                tk, i = KEYWORD, start + len(word)
                 if value == "constraints":
                     i = _constraints_end(source, i)
             elif g == 4:
                 dotted = m[4]
                 if not (dotted[0].isalpha() or dotted[0] == "_"):
                     raise _illegal_character(toks, m.start(4))
-                tk, value = _DOTTED, (word, dotted)
+                tk, value = DOTTED, (word, dotted)
             else:
-                tk, value = _IDENT, word
+                tk, value = IDENT, word
         else:
-            start, tk = m.start(1) - 1, _INITEVENT
+            start, tk = m.start(1) - 1, INITEVENT
             if g == 1:
                 value = (m[1], None)
             else:
@@ -255,7 +239,7 @@ class Parser:
     # A token is stepped past only once its kind is known, so never past EOF.
 
     def at_keyword(self, *words: str) -> bool:
-        return self.kinds[self.k] is _KEYWORD and self.values[self.k] in words
+        return self.kinds[self.k] is KEYWORD and self.values[self.k] in words
 
     def expect_keyword(self, word: str) -> int:
         """Step past keyword ``word``; returns its index."""
@@ -264,17 +248,17 @@ class Parser:
         self.k += 1
         return self.k - 1
 
-    def expect(self, kind: TokKind) -> int:
+    def expect(self, kind: str) -> int:
         """Step past a token of ``kind``; returns its index."""
         k = self.k
         if self.kinds[k] is not kind:
-            raise self.expected(repr(kind.value))
+            raise self.expected(repr(kind))
         self.k = k + 1
         return k
 
     def expect_ident(self) -> str:
         k = self.k
-        if self.kinds[k] is not _IDENT:
+        if self.kinds[k] is not IDENT:
             raise self.expected("identifier")
         self.k = k + 1
         return self.values[k]  # type: ignore[return-value]
@@ -288,7 +272,7 @@ class Parser:
             spec = self.parse_configuration()
         else:
             raise self.expected("'Style' or 'Configuration'")
-        if self.kinds[self.k] is not TokKind.EOF:
+        if self.kinds[self.k] is not EOF:
             raise self.error(f"trailing input after specification: {self.found()}")
         return spec
 
@@ -323,7 +307,7 @@ class Parser:
         """``Port P = ...``, ``Role R = ...``, ``Computation = ...`` or ``Glue = ...``."""
         pos = self.pos(self.expect_keyword(kind.value.lower()))
         name = self.expect_ident() if named else kind.value
-        self.expect(TokKind.EQUALS)
+        self.expect(EQUALS)
         body, locals_ = self.parse_process_with_where()
         return Declaration(kind, name, body, locals_, pos)
 
@@ -350,17 +334,17 @@ class Parser:
         kinds, values, starts, pos_at = self.kinds, self.values, self.toks.starts, self.toks.pos_at
         k = self.k
         instances: list[Instance] = []
-        while kinds[k] is _IDENT:
+        while kinds[k] is IDENT:
             names = [k]
-            while kinds[k + 1] is _COMMA:
+            while kinds[k + 1] is COMMA:
                 k += 2
-                if kinds[k] is not _IDENT:
+                if kinds[k] is not IDENT:
                     raise self.expected("identifier", k)
                 names.append(k)
-            if kinds[k + 1] is not _COLON:
+            if kinds[k + 1] is not COLON:
                 raise self.expected("':'", k + 1)
             k += 2
-            if kinds[k] is not _IDENT:
+            if kinds[k] is not IDENT:
                 raise self.expected("identifier", k)
             tname = values[k]
             instances.extend([Instance(values[j], tname, pos_at(starts[j])) for j in names])  # type: ignore[arg-type]
@@ -373,10 +357,10 @@ class Parser:
         kinds, values, starts, pos_at = self.kinds, self.values, self.toks.starts, self.toks.pos_at
         k = self.k
         attachments: list[Attachment] = []
-        while kinds[k] is _DOTTED:
-            if kinds[k + 1] is not _KEYWORD or values[k + 1] != "as":
+        while kinds[k] is DOTTED:
+            if kinds[k + 1] is not KEYWORD or values[k + 1] != "as":
                 raise self.expected("'as'", k + 1)
-            if kinds[k + 2] is not _DOTTED:
+            if kinds[k + 2] is not DOTTED:
                 raise self.expected("instance.point interface", k + 2)
             inst, point = values[k]  # type: ignore[misc]
             left = InterfaceRef(inst, point, pos_at(starts[k]))
@@ -391,14 +375,14 @@ class Parser:
         locals_: list[Declaration] = []
         if self.at_keyword("where"):
             self.k += 1
-            self.expect(TokKind.LBRACE)
-            while self.kinds[self.k] is _IDENT:
+            self.expect(LBRACE)
+            while self.kinds[self.k] is IDENT:
                 lpos = self.pos()
                 lname = self.expect_ident()
-                self.expect(TokKind.EQUALS)
+                self.expect(EQUALS)
                 lbody, _ = self.parse_proc_expr()
                 locals_.append(Declaration(DeclKind.WHERE_LOCAL, lname, lbody, [], lpos))
-            self.expect(TokKind.RBRACE)
+            self.expect(RBRACE)
         return body, locals_
 
     # The expression parsers take the level of the node they parse (the root
@@ -421,7 +405,7 @@ class Parser:
             height = max(height, right_height) + 1
             if level + height - 1 > MAX_NESTING:
                 raise self.error(_TOO_DEEP, k)
-            cls = ExternalChoice if op is _ECHOICE else InternalChoice
+            cls = ExternalChoice if op is ECHOICE else InternalChoice
             left = cls(left, right)
         return left, height
 
@@ -434,17 +418,17 @@ class Parser:
             if level > MAX_NESTING:
                 raise self.error(_TOO_DEEP, k)
             kind = kinds[k]
-            if kind is _INITEVENT:
+            if kind is INITEVENT:
                 name, scope = values[k]  # type: ignore[misc]
                 chain.append((f"{scope}.{name}" if scope else name, True))
-            elif kind is _DOTTED:
+            elif kind is DOTTED:
                 first, second = values[k]  # type: ignore[misc]
                 chain.append((f"{first}.{second}", False))
-            elif kind is _IDENT and kinds[k + 1] is _ARROW:
+            elif kind is IDENT and kinds[k + 1] is ARROW:
                 chain.append((values[k], False))  # type: ignore[arg-type]
             else:
                 break
-            if kinds[k + 1] is not _ARROW:
+            if kinds[k + 1] is not ARROW:
                 raise self.expected("'->'", k + 1)
             k += 2
             level += 1
@@ -458,29 +442,29 @@ class Parser:
         k = self.k
         kind, value = self.kinds[k], self.values[k]
         self.k = k + 1
-        if kind is _KEYWORD and value in ("tick", "skip"):
+        if kind is KEYWORD and value in ("tick", "skip"):
             return SUCCESS, 1
-        if kind is _KEYWORD and value in ("glue", "computation"):
+        if kind is KEYWORD and value in ("glue", "computation"):
             # the glue/computation processes may refer to themselves by name
             return Ref(self.toks.text(k)), 1
-        if kind is _IDENT:
+        if kind is IDENT:
             return Ref(value), 1  # type: ignore[arg-type]
-        if kind is TokKind.LPAREN:
+        if kind is LPAREN:
             inner, height = self.parse_proc_expr(level + 1)
-            self.expect(TokKind.RPAREN)
+            self.expect(RPAREN)
             return inner, height + 1
         raise self.expected("a process expression", k)
 
 
-def _show(kind: TokKind, value: object) -> str:
-    if kind is TokKind.EOF:
+def _show(kind: str, value: object) -> str:
+    if kind is EOF:
         return "end of input"
-    if kind is TokKind.KEYWORD:
+    if kind is KEYWORD:
         return f"keyword '{value}'"
-    if kind is TokKind.DOTTED:
+    if kind is DOTTED:
         a, b = value  # type: ignore[misc]
         return f"'{a}.{b}'"
-    if kind is TokKind.INITEVENT:
+    if kind is INITEVENT:
         name, scope = value  # type: ignore[misc]
         return "'_" + (f"{scope}.{name}'" if scope else f"{name}'")
     return f"'{value}'"

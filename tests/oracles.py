@@ -54,7 +54,26 @@ from wright2csp.model import (
     SourcePos,
     Success,
 )
-from wright2csp.parser import KEYWORDS, ParseError, TokKind
+from wright2csp.parser import (
+    ARROW,
+    COLON,
+    COMMA,
+    DOT,
+    DOTTED,
+    ECHOICE,
+    EOF,
+    EQUALS,
+    ICHOICE,
+    IDENT,
+    INITEVENT,
+    KEYWORD,
+    KEYWORDS,
+    LBRACE,
+    LPAREN,
+    RBRACE,
+    RPAREN,
+    ParseError,
+)
 
 SELF = "X"
 
@@ -259,7 +278,7 @@ def reference_project_declaration(decl: Declaration, keep: Alphabet) -> tuple[De
     kept = [Declaration(loc.kind, loc.name, b, [], loc.pos) for loc, b in locals_ if loc.name not in dead]
     if isinstance(body, Empty):
         body = SUCCESS
-    return Declaration(decl.kind, decl.name, body, kept, decl.pos, None), diags
+    return Declaration(decl.kind, decl.name, body, kept, decl.pos), diags
 
 
 # --- term-level state-space exploration -----------------------------------------
@@ -646,7 +665,7 @@ def _is_ident_char(c: str) -> bool:
 
 
 class Token(NamedTuple):
-    kind: TokKind
+    kind: str
     value: object
     pos: SourcePos
     text: str = ""  # original spelling (keywords are matched case-folded)
@@ -711,7 +730,7 @@ class _Lexer:
                 else:
                     break
             if self.i >= len(self.src):
-                out.append(Token(TokKind.EOF, None, self.pos()))
+                out.append(Token(EOF, None, self.pos()))
                 return out
             pos = self.pos()
             c = self._peek()
@@ -726,52 +745,52 @@ class _Lexer:
                     scope, name = first, second
                 else:
                     name = first
-                out.append(Token(TokKind.INITEVENT, (name, scope), pos))
+                out.append(Token(INITEVENT, (name, scope), pos))
             elif _is_ident_start(c):
                 word = self._read_ident()
                 if word.lower() in KEYWORDS:
-                    out.append(Token(TokKind.KEYWORD, word.lower(), pos, word))
+                    out.append(Token(KEYWORD, word.lower(), pos, word))
                     if word.lower() == "constraints":
                         self._skip_constraints_body()
                 elif self._peek() == "." and _is_ident_start(self._peek(1)):
                     self._advance()
                     second = self._read_ident()
-                    out.append(Token(TokKind.DOTTED, (word, second), pos))
+                    out.append(Token(DOTTED, (word, second), pos))
                 else:
-                    out.append(Token(TokKind.IDENT, word, pos))
+                    out.append(Token(IDENT, word, pos))
             elif c == "-" and self._peek(1) == ">":
                 self._advance(2)
-                out.append(Token(TokKind.ARROW, "->", pos))
+                out.append(Token(ARROW, "->", pos))
             elif c == "[" and self._peek(1) == "]":
                 self._advance(2)
-                out.append(Token(TokKind.ECHOICE, "[]", pos))
+                out.append(Token(ECHOICE, "[]", pos))
             elif c == "|" and self._peek(1) == "~" and self._peek(2) == "|":
                 self._advance(3)
-                out.append(Token(TokKind.ICHOICE, "|~|", pos))
+                out.append(Token(ICHOICE, "|~|", pos))
             elif c == "=":
                 self._advance()
-                out.append(Token(TokKind.EQUALS, "=", pos))
+                out.append(Token(EQUALS, "=", pos))
             elif c == ".":
                 self._advance()
-                out.append(Token(TokKind.DOT, ".", pos))
+                out.append(Token(DOT, ".", pos))
             elif c == ",":
                 self._advance()
-                out.append(Token(TokKind.COMMA, ",", pos))
+                out.append(Token(COMMA, ",", pos))
             elif c == ":":
                 self._advance()
-                out.append(Token(TokKind.COLON, ":", pos))
+                out.append(Token(COLON, ":", pos))
             elif c == "(":
                 self._advance()
-                out.append(Token(TokKind.LPAREN, "(", pos))
+                out.append(Token(LPAREN, "(", pos))
             elif c == ")":
                 self._advance()
-                out.append(Token(TokKind.RPAREN, ")", pos))
+                out.append(Token(RPAREN, ")", pos))
             elif c == "{":
                 self._advance()
-                out.append(Token(TokKind.LBRACE, "{", pos))
+                out.append(Token(LBRACE, "{", pos))
             elif c == "}":
                 self._advance()
-                out.append(Token(TokKind.RBRACE, "}", pos))
+                out.append(Token(RBRACE, "}", pos))
             else:
                 raise ParseError(pos, f"illegal character {c!r}")
 
@@ -782,11 +801,11 @@ def reference_tokenize(source: str) -> list[Token]:
 
 
 def _spelling(t: Token) -> str:
-    if t.kind is TokKind.KEYWORD:
+    if t.kind is KEYWORD:
         return t.text
-    if t.kind is TokKind.DOTTED:
+    if t.kind is DOTTED:
         return ".".join(t.value)
-    if t.kind is TokKind.INITEVENT:
+    if t.kind is INITEVENT:
         name, scope = t.value
         return "_" + (f"{scope}." if scope else "") + name
     return t.value
@@ -967,7 +986,6 @@ def rename_with_prefix(decl: Declaration, prefix: str) -> Declaration:
         body=_map_events(decl.body, lambda e: f"{prefix}.{e}"),
         locals=[rename_with_prefix(d, prefix) for d in decl.locals],
         pos=decl.pos,
-        alphabet=None,
     )
 
 

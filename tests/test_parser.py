@@ -20,10 +20,25 @@ from wright2csp.model import (
     Success,
 )
 from wright2csp.parser import (
+    ARROW,
+    COLON,
+    COMMA,
+    DOT,
+    DOTTED,
+    ECHOICE,
+    EOF,
+    EQUALS,
+    ICHOICE,
+    IDENT,
+    INITEVENT,
+    KEYWORD,
+    LBRACE,
+    LPAREN,
     MAX_NESTING,
     ParseError,
     Parser,
-    TokKind,
+    RBRACE,
+    RPAREN,
     parse_source,
     to_wright,
     tokenize,
@@ -42,21 +57,21 @@ def _stream(toks):
 
 def test_tokenize_initiated_and_operators():
     toks = tokenize("_a -> Output |~| TICK")
-    kinds = [TokKind.INITEVENT, TokKind.ARROW, TokKind.IDENT, TokKind.ICHOICE, TokKind.KEYWORD, TokKind.EOF]
+    kinds = [INITEVENT, ARROW, IDENT, ICHOICE, KEYWORD, EOF]
     assert toks.kinds == kinds
     assert toks.values[0] == ("a", None)
     assert toks.values[4] == "tick" and toks.text(4) == "TICK"
 
 
 def test_tokenize_empty():
-    assert tokenize("").kinds == [TokKind.EOF]
+    assert tokenize("").kinds == [EOF]
 
 
 def test_tokenize_dotted_and_scoped_initiated():
     toks = tokenize("Glue = Origin.a -> _Target.c -> Glue [] TICK")
     assert toks.values[0] == "glue"
-    assert toks.kinds[2] is TokKind.DOTTED and toks.values[2] == ("Origin", "a")
-    assert toks.kinds[4] is TokKind.INITEVENT and toks.values[4] == ("c", "Target")
+    assert toks.kinds[2] is DOTTED and toks.values[2] == ("Origin", "a")
+    assert toks.kinds[4] is INITEVENT and toks.values[4] == ("c", "Target")
 
 
 def test_tokenize_comments_and_positions():
@@ -132,6 +147,25 @@ def test_token_count_matches_reference_lexer():
     sources.append(next(perfbench_workloads().blocks("translate", 1))[0].source)
     for text in sources:
         assert _stream(tokenize(text)) == _reference_stream(text)
+
+
+# Every kind constant of the parser; kinds are strings compared by identity.
+TOKEN_KINDS = (KEYWORD, IDENT, DOTTED, INITEVENT, EOF, ARROW, ECHOICE, ICHOICE, EQUALS, DOT, COMMA, COLON,
+               LPAREN, RPAREN, LBRACE, RBRACE)
+
+
+def test_every_token_kind_is_a_kind_constant():
+    # the parser tests kinds with `is`: an equal string that is not the
+    # constant itself would read as no kind at all
+    assert len(set(TOKEN_KINDS)) == len(TOKEN_KINDS)
+    constants = {id(kind) for kind in TOKEN_KINDS}
+    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
+    sources.append(next(perfbench_workloads().blocks("translate", 1))[0].source)
+    for text in sources:
+        toks = tokenize(text)
+        assert all(id(kind) in constants for kind in toks.kinds)
+        # the benchmark's tracer counts tokens with len()
+        assert len(toks) == len(toks.kinds) == len(toks.values) == len(toks.starts)
 
 
 def _parse_outcome(text):
@@ -324,6 +358,16 @@ def test_a_type_without_interface_points_is_a_parse_error(source, message):
     with pytest.raises(ParseError) as err:
         parse_text(source)
     assert str(err.value) == message
+
+
+def test_an_instance_line_missing_a_name_is_a_parse_error():
+    source = (
+        "Configuration Cfg\nComponent T\n  Port P = a -> P [] TICK\n"
+        "  Computation = P.a -> Computation [] TICK\nInstances\n  x, : A\nAttachments\nEnd Configuration"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_text(source)
+    assert str(err.value) == "6:6: expected identifier, found ':'"
 
 
 def test_roundtrip_fixture_files():

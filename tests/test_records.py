@@ -85,9 +85,9 @@ VALUES = [
 # (record built positionally, the same record built by keyword, its exact repr)
 RECORDS = [
     (
-        AlphabetInfo({"a": True}, {"a": True}, {}),
-        AlphabetInfo(total={"a": True}, initiated={"a": True}, observed={}),
-        "AlphabetInfo(total={'a': True}, initiated={'a': True}, observed={})",
+        AlphabetInfo({"a": True}, {}),
+        AlphabetInfo(total={"a": True}, observed={}),
+        "AlphabetInfo(total={'a': True}, observed={})",
     ),
     (
         Declaration(DeclKind.PORT, "In", Ref("In")),
@@ -283,7 +283,7 @@ def test_defaults_match_the_dataclass_signatures():
     assert Diagnostic("warning", POS, "m") == Diagnostic("warning", POS, "m", None)
     kind = AssertionKind.ROLE_DEADLOCK_FREE
     assert Assertion(kind, "l", EMPTY, EMPTY) == Assertion(kind, "l", EMPTY, EMPTY, None)
-    assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos(), None)
+    assert Declaration(DeclKind.ROLE, "R", SUCCESS) == Declaration(DeclKind.ROLE, "R", SUCCESS, [], SourcePos())
     assert Prefix("a", SUCCESS).initiated is False
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import load_spec
 from oracles import (
     SELF,
@@ -127,6 +129,14 @@ def test_restrict_to_observed_all_observed_port_unchanged():
     p_in = spec.types[0].ports[0]
     restricted, _ = restrict_to_observed(p_in)
     assert restricted.body == p_in.body
+
+
+def test_restrict_to_observed_needs_the_alphabet_annotate_computes():
+    from wright2csp.model import Declaration, DeclKind
+
+    port = Declaration(DeclKind.PORT, "P", pf("a", Ref("P")))
+    with pytest.raises(ValueError, match="^alphabet of P not computed$"):
+        restrict_to_observed(port)
 
 
 def test_restrict_mixed_polarity_port():

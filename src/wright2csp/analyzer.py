@@ -12,7 +12,9 @@ Rules (diagnosed with the tool's historical French messages):
 All rules run and all findings are collected; nothing aborts at the first
 violation.  Rule 6 reports warnings unless ``strict`` is set.  The table
 maps each name to the element that declares it, and every name an instance or
-attachment uses resolves through it, here and in codegen (``resolve_end``).
+attachment uses resolves through it.  This is the one place an attachment's
+ends are resolved: ``analyze`` records the port and role of each attachment
+that keeps rules 3-5 on its ``port`` and ``role``, which codegen reads.
 Components and connectors are walked alike: ``model.parts`` gives their
 interface points (ports or roles) and their computation or glue.
 """
@@ -92,7 +94,7 @@ def _type(table: dict[str, object], name: str) -> Union[Component, Connector, No
     return t if isinstance(t, (Component, Connector)) else None
 
 
-def resolve_end(table: dict[str, object], end: InterfaceRef) -> Union[Declaration, Diagnostic, None]:
+def _resolve_end(table: dict[str, object], end: InterfaceRef) -> Union[Declaration, Diagnostic, None]:
     """The port or role an attachment end names: its instance, that
     instance's type, then the point of that type.  An end that does not
     resolve gives the rule-3 or rule-4 diagnostic it breaks, or None when the
@@ -112,7 +114,11 @@ def resolve_end(table: dict[str, object], end: InterfaceRef) -> Union[Declaratio
 
 
 def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
-    """Run rules 1-6 and return every diagnostic, in document order."""
+    """Run rules 1-6 and return every diagnostic, in document order.
+
+    Each attachment that keeps rules 3-5 gets its port and role
+    ``Declaration`` on ``port`` and ``role``; any other gets None on both.
+    """
     table, diags = build_symbol_table(spec)
     if not isinstance(spec, Configuration):
         return diags
@@ -126,7 +132,8 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
     sev = "error" if strict else "warning"
     attached: set[tuple[str, str]] = set()  # (instance, port or role) attached so far
     for att in spec.attachments:
-        left, right = resolve_end(table, att.left), resolve_end(table, att.right)
+        att.port = att.role = None
+        left, right = _resolve_end(table, att.left), _resolve_end(table, att.right)
         if not isinstance(left, Declaration) or not isinstance(right, Declaration):
             diags.extend(e for e in (left, right) if isinstance(e, Diagnostic))
             continue
@@ -139,6 +146,7 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
         if role in attached:
             diags.append(Diagnostic(sev, att.pos, "***Role deja relier***", 6))
         attached.update((port, role))
+        att.port, att.role = left, right
 
     # rule 6: completeness — every port/role of every instance attached
     for inst in spec.instances:

@@ -9,7 +9,9 @@ with the determinized, observed-event restriction of every other port, the
 result is hidden down to the port's alphabet, and the renamed port process
 must be refined by it.  Configurations additionally get one port/role
 compatibility check per attachment, built from the two alphabet augmentations
-and the determinized role.
+and the determinized role.  Codegen resolves no names of its own: it reads
+each attachment's port and role where ``analyzer.analyze`` recorded them, and
+the alphabets where ``alphabets.annotate`` did.
 
 Alongside the text, the same checks are produced as structured assertions
 over process terms, plus the full environment of named process definitions,
@@ -43,7 +45,6 @@ from functools import cached_property
 from typing import Union
 
 from .alphabets import HEADER_NAMES
-from .analyzer import build_symbol_table, resolve_end
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
     EMPTY,
@@ -53,7 +54,6 @@ from .model import (
     Configuration,
     Connector,
     Declaration,
-    DeclKind,
     Diagnostic,
     Empty,
     ExternalChoice,
@@ -400,23 +400,23 @@ def emit_component(out: _Out, comp: Component) -> None:
 
 
 def emit_attachments(out: _Out, spec: Configuration) -> None:
-    """One port/role compatibility check per attachment.
+    """One port/role compatibility check per attachment, on the port and
+    role ``analyzer.analyze`` resolved it to.
 
     The ``…PLUS`` terms, the union sync set and the ``ROLE{r}DET`` reference
     depend only on the (port, role) pair, so they are built once per pair,
     keyed ``"p r"``, and every attachment of that pair shares them.  So
-    does its verdict: the pair is the assertion's ``key``.
+    does its verdict: the pair is the assertion's ``key``.  Each
+    attachment's three equations and its assertion are one block of lines.
     """
     out.line("--Attachment Test")
     out.line()
-    table, _ = build_symbol_table(spec)
     shared: dict[str, tuple] = {}  # "p r" -> the pair's names in the text, then its terms
     for att in spec.attachments:
-        left, right = att.left, att.right
-        port, role = resolve_end(table, left), resolve_end(table, right)
-        if getattr(port, "kind", None) is not DeclKind.PORT or getattr(role, "kind", None) is not DeclKind.ROLE:
+        port, role = att.port, att.role
+        if port is None or role is None:
             raise CodegenError(
-                f"attachment {left} As {right} does not resolve; run static analysis before code generation"
+                f"attachment {att.left} As {att.right} does not resolve; run static analysis before code generation"
             )
         pair = f"{port.name} {role.name}"
         if pair not in shared:
@@ -430,29 +430,30 @@ def emit_attachments(out: _Out, spec: Configuration) -> None:
                 Ref(names[2]),
             )
         (port_process, role_process, det, a_p, a_r), (port_plus, role_plus, both, role_det) = shared[pair]
-        port_end, role_end = f"{left.instance}_{port.name}", f"{right.instance}_{role.name}"
+        port_end, role_end = f"{att.left.instance}_{port.name}", f"{att.right.instance}_{role.name}"
         port_name = out.name(port_end + "PLUS", role_end)
         role_name = out.name(role_end + "PLUS", port_end)
         port_det = out.name(port_name + "DET", role_end)
-        out.line(f"{port_name} = {port_process}")
-        out.line(f"  [| diff( {a_r} , {a_p} ) |] STOP")
         out.equations[port_name] = port_plus
-        out.line(f"{role_name} = {role_process}")
-        out.line(f"  [| diff( {a_p} , {a_r} ) |] STOP")
         out.equations[role_name] = role_plus
-        out.line(f"{port_det} = {port_name}")
-        out.line(f"  [| union({a_p} , {a_r} ) |]")
-        out.line(f"  {det}")
         out.equations[port_det] = PPar(Ref(port_name), both, role_det)
         label = f"assert {role_name} [FD= {port_det}"
-        out.assertion(Assertion(AssertionKind.PORT_ROLE, label, Ref(role_name), Ref(port_det), pair))
-        out.line()
+        out.assertions.append(Assertion(AssertionKind.PORT_ROLE, label, Ref(role_name), Ref(port_det), pair))
+        out.line(
+            f"{port_name} = {port_process}\n  [| diff( {a_r} , {a_p} ) |] STOP\n"
+            f"{role_name} = {role_process}\n  [| diff( {a_p} , {a_r} ) |] STOP\n"
+            f"{port_det} = {port_name}\n  [| union({a_p} , {a_r} ) |]\n  {det}\n"
+            f"{label}\n"
+        )
 
 
 def emit(spec: ArchSpec) -> EmitPlan:
     """Emit the full FDR file plus the structured assertions for ``spec``.
 
-    Alphabets must already be annotated (see ``alphabets.annotate``).
+    ``spec`` must already be analyzed and annotated: ``analyzer.analyze``
+    records each attachment's port and role, which the attachment checks
+    read, and ``alphabets.annotate`` fills the alphabets.  An attachment
+    that analysis did not resolve is a ``CodegenError``.
     """
     out = _Out(spec)
     in_config = isinstance(spec, Configuration)

@@ -737,9 +737,11 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
     """Failures-divergences refinement: does ``impl`` refine ``spec``?
 
     Product exploration ordered by trace length (tau edges are free), so a
-    returned refusal or divergence trace is shortest.  An event the
-    specification cannot perform is reported as its pair is explored, so
-    such a trace may be one event longer than the shortest violation.
+    returned counterexample trace is shortest.  An event the specification
+    cannot perform, found at a pair of distance d, gives a trace of d + 1
+    events, one more than a refusal or divergence at d would: the first such
+    violation is held until every pair at distance d is explored, and a
+    refusal or divergence found meanwhile is returned instead.
     """
     impl_div = divergent_states(impl)
     n, events, targets = impl.n_states, impl.events, impl.targets
@@ -759,6 +761,9 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
     # edge is visible.  That edge is the parent's first visible move onto
     # the pair, since a later one costs no less, so its event is found again.
     dist, parent, explored = {start: 0}, {}, 0
+    # The first trace violation's trace, and the distance of the pair it was
+    # found at; no pair lies as far as the product has pairs.
+    held, held_at = None, len(spec_div) * n
 
     def trace_of(pair: int, extra: Optional[str] = None) -> tuple[str, ...]:
         labels = [] if extra is None else [extra]
@@ -779,6 +784,8 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
         cost = dist[pair]
         if cost < 0:
             continue  # a stale queue entry
+        if cost > held_at:
+            break  # every pair as near as the held violation's is explored
         dist[pair] = -1
         explored += 1
         node = pair // n
@@ -805,7 +812,9 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
             else:
                 spec_base = node_moves.get(a)
                 if spec_base is None:
-                    return RefinementVerdict(False, (trace_of(pair, a), "failure"), explored)
+                    if held is None:
+                        held, held_at = trace_of(pair, a), cost
+                    continue
                 if a == TICK:
                     continue  # nothing observable after successful termination
                 nxt, nxt_cost = spec_base + tg[i], cost + 1
@@ -824,6 +833,8 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
             else:
                 parent[nxt] = ~pair
                 push(nxt)
+    if held is not None:
+        return RefinementVerdict(False, (held, "failure"), explored)
     return RefinementVerdict(True, None, explored)
 
 

@@ -11,8 +11,9 @@ is an insertion-ordered ``dict`` from qualified name to the polarity of its
 first use, so generated output is reproducible run to run.  The alphabet
 fields of the structural records (``Declaration.alphabet``, a type's
 ``total_alphabet``, a spec's ``event_names``) start empty: ``alphabets.annotate``
-is their only writer.  Every finding, from a parse warning to an emission
-warning, is one ``Diagnostic``.
+is their only writer.  Likewise an attachment's ``port`` and ``role`` start
+as None, and ``analyzer.analyze`` is their only writer.  Every finding, from
+a parse warning to an emission warning, is one ``Diagnostic``.
 
 The expression and structural classes are plain slotted classes with a
 written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
@@ -279,12 +280,15 @@ class InterfaceRef:
 
 @slotted(frozen=False)
 class Attachment:
-    __slots__ = ("left", "right", "pos")
+    __slots__ = ("left", "right", "pos", "port", "role")
 
     def __init__(self, left: InterfaceRef, right: InterfaceRef, pos: SourcePos = SourcePos()) -> None:
         self.left = left
         self.right = right
         self.pos = pos
+        # the port and role the two ends resolve to, filled by analyzer.analyze
+        self.port: Declaration | None = None
+        self.role: Declaration | None = None
 
 
 @slotted(frozen=False)

@@ -8,6 +8,7 @@ from oracles import EmittedSets, definition_texts, read_text
 from wright2csp import codegen
 from wright2csp.codegen import AssertionKind, emit
 from wright2csp.engine import TAU, TICK, compile_to_lts
+from wright2csp.model import DeclKind
 from wright2csp.parser import parse_source
 from wright2csp import alphabets, analyzer, cli
 
@@ -223,6 +224,27 @@ def test_an_attachment_that_does_not_resolve_is_a_codegen_error(attachment):
     alphabets.annotate(spec)
     with pytest.raises(codegen.CodegenError, match=re.escape(f"attachment {attachment} does not resolve")):
         emit(spec)
+
+
+def test_each_attachment_end_is_resolved_once_and_emit_needs_analysis(monkeypatch):
+    source = perfbench_workloads().pipeline_case(5, "t", False).source
+    resolved = []
+    resolve = analyzer._resolve_end
+    monkeypatch.setattr(analyzer, "_resolve_end", lambda *args: resolved.append(args) or resolve(*args))
+    spec, _ = parse_source(source)
+    assert len(spec.attachments) == 12
+    assert not analyzer.analyze(spec) and not alphabets.annotate(spec)
+    assert all(att.port.kind is DeclKind.PORT and att.role.kind is DeclKind.ROLE for att in spec.attachments)
+    plan = emit(spec)
+    assert len(resolved) == 24  # analyze's two per attachment; emit resolves none
+    assert sum(a.kind is AssertionKind.PORT_ROLE for a in plan.assertions) == 12
+
+    unanalyzed, _ = parse_source(source)
+    alphabets.annotate(unanalyzed)
+    first = unanalyzed.attachments[0]
+    assert first.port is first.role is None
+    with pytest.raises(codegen.CodegenError, match=re.escape(f"attachment {first.left} As {first.right} does")):
+        emit(unanalyzed)
 
 
 def _check(tmp_path, capsys, source):

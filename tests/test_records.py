@@ -121,7 +121,7 @@ RECORDS = [
         Attachment(InterfaceRef("c", "In"), InterfaceRef("k", "R")),
         Attachment(left=InterfaceRef("c", "In"), right=InterfaceRef("k", "R")),
         f"Attachment(left=InterfaceRef(instance='c', point='In', {NO_POS}), "
-        f"right=InterfaceRef(instance='k', point='R', {NO_POS}), {NO_POS})",
+        f"right=InterfaceRef(instance='k', point='R', {NO_POS}), {NO_POS}, port=None, role=None)",
     ),
     (
         Configuration("Cfg", [], [], []),

@@ -37,8 +37,13 @@ Concurrent Systems*, 2010).  The certificate (``_cannot_diverge``) walks
 the term and the definitions it reaches and asks the search for a cycle of
 unguarded references; when it finds none, the search over the LTS's tau
 edges is skipped.  An ``Lts`` built by hand is always searched.
-``check_assertion`` pauses the cyclic garbage collector while it compiles,
-normalizes and refines: none of these creates a reference cycle.
+``check_assertion`` compiles each side after applying the unit law of
+interleaving, ``P ||| SKIP = P`` (``_drop_skip_siblings``): the emitted
+text keeps a port restricted to ``SKIP`` beside the computation, the check
+drops it, and ``max_states`` caps the rewritten implementation.
+``compile_to_lts`` compiles a term as written.  ``check_assertion`` pauses
+the cyclic garbage collector while it compiles, normalizes and refines:
+none of these creates a reference cycle.
 When many assertions are discharged together, those the caller keys alike
 share one check (see ``assertion_verdicts``).  Process terms are plain
 slotted classes, immutable and hashable (``model.slotted``).  ``PExt``
@@ -838,6 +843,61 @@ def check_refinement_fd(spec: FdModel, impl: Lts, max_pairs: int = DEFAULT_MAX_S
     return RefinementVerdict(True, None, explored)
 
 
+def _drop_skip_siblings(term: ProcessExpr, env: Mapping[str, ProcessExpr],
+                        done: Optional[dict[str, ProcessExpr]] = None, depth: int = 0) -> ProcessExpr:
+    """``term`` with the unit law of interleaving, ``P ||| SKIP = P``, applied.
+
+    The law is applied at operator positions: the term, the operands of
+    ``PPar``, the inner term of ``PHide`` and ``PRename``, and the body of a
+    reference there whose definition is one of these operators.  A ``PPar``
+    with an empty sync set and an operand that is ``SKIP``, or a chain of
+    references ending in ``SKIP``, becomes its other operand.  The sibling
+    can only terminate, and distributed termination waits for the other
+    operand, so the two terms are equal in the failures-divergences model
+    (Roscoe, *Understanding Concurrent Systems*, 2010).  A reference whose
+    body changes is replaced by that body, which drops only its unfolding
+    tau.  Where nothing applies the same object comes back, so such a term
+    compiles to the same LTS.  Each definition is rewritten once (``done``
+    maps its name to what a reference to it becomes); one met again while
+    its body is rewritten (``R = R ||| SKIP``) stays a reference, and nothing
+    deeper than ``MAX_NESTING`` levels is rewritten, so a recursion through
+    operators still meets the nesting cap when compiled.
+    """
+    if depth > MAX_NESTING:
+        return term
+    if done is None:
+        done = {}
+    cls = type(term)
+    if cls is Ref:
+        body = env.get(term.name)
+        if type(body) is not PPar and type(body) is not PHide and type(body) is not PRename:
+            return term
+        new = done.get(term.name)
+        if new is None:
+            done[term.name] = term
+            new = _drop_skip_siblings(body, env, done, depth + 1)
+            new = done[term.name] = term if new is body else new
+        return new
+    if cls is PPar:
+        if not term.sync:
+            for keep, sibling in ((term.left, term.right), (term.right, term.left)):
+                seen = set()
+                while type(sibling) is Ref and sibling.name not in seen:
+                    seen.add(sibling.name)
+                    sibling = env.get(sibling.name)
+                if type(sibling) is Success:
+                    return _drop_skip_siblings(keep, env, done, depth + 1)
+        left = _drop_skip_siblings(term.left, env, done, depth + 1)
+        right = _drop_skip_siblings(term.right, env, done, depth + 1)
+        return term if left is term.left and right is term.right else PPar(left, term.sync, right)
+    if cls is PHide or cls is PRename:
+        inner = _drop_skip_siblings(term.inner, env, done, depth + 1)
+        if inner is term.inner:
+            return term
+        return PHide(inner, term.hidden) if cls is PHide else PRename(inner, term.mapping)
+    return term
+
+
 def check_assertion(
     spec_term: ProcessExpr,
     impl_term: ProcessExpr,
@@ -847,7 +907,10 @@ def check_assertion(
     """Compile both sides and decide ``spec_term [FD= impl_term``.
 
     An event the implementation performs where the specification cannot
-    fails the trace check, so the refinement needs no alphabet.
+    fails the trace check, so the refinement needs no alphabet.  Both sides
+    are compiled after ``_drop_skip_siblings``, so a ``SKIP`` sibling that
+    the emitted text keeps is not interleaved, and ``max_states`` caps the
+    rewritten terms.
 
     The cyclic garbage collector is paused meanwhile and then restored (left
     off if the caller had turned it off): these phases allocate many objects
@@ -859,8 +922,8 @@ def check_assertion(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        spec_lts = compile_to_lts(spec_term, env, max_states)
-        impl_lts = compile_to_lts(impl_term, env, max_states)
+        spec_lts, impl_lts = (compile_to_lts(_drop_skip_siblings(t, env), env, max_states)
+                              for t in (spec_term, impl_term))
         spec_fd = normalize_fd(spec_lts, max_states)
         return check_refinement_fd(spec_fd, impl_lts, max_states)
     finally:

@@ -967,6 +967,17 @@ def chain_spec(n: int, erase: bool = False) -> str:
     )
 
 
+def wide_component_spec(n: int) -> str:
+    """A lint-clean style whose one component has ``n`` output-only ports
+    ``P<i> = _e<i> -> P<i> |~| TICK`` and a computation that performs one
+    event of each in turn.  No port observes anything, so each port check
+    runs the computation beside ``n - 1`` ports restricted to ``SKIP``."""
+    ports = [f"  Port P{i} = _e{i} -> P{i} |~| TICK" for i in range(1, n + 1)]
+    cycle = " -> ".join(f"_P{i}.e{i}" for i in range(1, n + 1))
+    return "\n".join(["Style Wide", "Component C", *ports, f"  Computation = {cycle} -> Computation [] TICK",
+                      "Constraints", "End Style", ""])
+
+
 # --- renaming and trace helpers used only by tests ------------------------------
 
 

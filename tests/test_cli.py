@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN, fixture_path, golden_matches, perfbench_workloads
-from oracles import token_mutants
+from oracles import token_mutants, wide_component_spec
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
 from wright2csp.parser import MAX_NESTING, ParseError, parse_source
@@ -427,6 +427,16 @@ def test_check_port_recursing_through_a_where_local_restricts_without_divergence
     )
     _, stdout, _ = run(capsys, "check", str(path))
     assert "PASS  assert InG [FD= COMPIn\n" in stdout
+
+
+def test_check_decides_every_port_of_a_component_with_eighteen_output_only_ports(tmp_path, capsys):
+    # each port check interleaves 17 ports restricted to SKIP; the check drops
+    # them, where interleaving them exceeds the default state cap
+    path = tmp_path / "wide.wrt"
+    path.write_text(wide_component_spec(18))
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert stdout.splitlines() == [f"PASS  assert P{i}G [FD= COMPP{i}" for i in range(1, 19)]
+    assert code == 0
 
 
 def _deep_spec(tmp_path, port, computation, role="a -> R [] TICK", glue="R.a -> Glue [] TICK"):

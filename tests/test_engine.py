@@ -34,6 +34,7 @@ from wright2csp.engine import (
     PExt,
     PHide,
     PPar,
+    PRename,
     ResourceLimitError,
     UnresolvedProcessError,
     assertion_verdicts,
@@ -759,6 +760,13 @@ def _generated_plans():
         yield name, codegen.emit(spec), case.verdicts
 
 
+def _unrewritten(assertion, env):
+    """The verdict of ``assertion`` checked on its terms as written, without
+    the unit law that ``check_assertion`` applies."""
+    spec = normalize_fd(compile_to_lts(assertion.spec_term, env))
+    return check_refinement_fd(spec, compile_to_lts(assertion.impl_term, env))
+
+
 def _outcomes(results):
     return [(label, v.holds, v.counterexample, v.explored) for label, v in results]
 
@@ -790,8 +798,10 @@ def test_memoized_discharge_equals_checking_each_assertion(monkeypatch):
 
 # pipeline(5): the ``explored`` count of each assertion, in emission order: four
 # port/computation checks, two role and one connector deadlock check, then the
-# twelve attachments, Writer and Reader roles in turn.
-PIPELINE5_EXPLORED = [10, 15, 16, 6, 6, 4, 29] + [20, 12] * 6
+# twelve attachments, Writer and Reader roles in turn.  ``Fwd`` observes
+# nothing, so ``COMPIn`` (index 1) drops its SKIP sibling: its check explores
+# 7 pairs, and 15 on the terms as written.
+PIPELINE5_EXPLORED = [10, 7, 16, 6, 6, 4, 29] + [20, 12] * 6
 
 
 @pytest.mark.parametrize("fail", [False, True])
@@ -819,6 +829,7 @@ def test_pipeline_attachments_share_pair_terms_and_keep_the_verdict_memo(monkeyp
         expected[-1] = (False, (("read_t",), "failure"), 11)
     assert [(v.holds, v.counterexample, v.explored) for _, v in results] == expected
     assert len(calls) == 11
+    assert _unrewritten(plan.assertions[1], defs).explored == 15
 
 
 # --- the engine's error paths ---------------------------------------------------
@@ -849,17 +860,20 @@ def test_a_reference_without_a_definition_is_an_engine_error():
 # each assertion in emission order (four port checks, four role and one
 # connector deadlock check), then the connector implementation's LTS: its
 # state and transition counts and the sha256 of ``repr(lts.transitions)``.
-# The connector is the tau-heavy product of a glue and four roles.
+# The connector is the tau-heavy product of a glue and four roles.  No port
+# observes anything, so each port check drops its three SKIP siblings; on the
+# terms as written the port checks explore STAR4_UNREWRITTEN_PORTS pairs.
 STAR4_PINS = {
     None: (
-        [(True, None, n) for n in (57, 65, 73, 81, 5, 5, 5, 5, 514)],
+        [(True, None, n) for n in (7, 8, 9, 10, 5, 5, 5, 5, 514)],
         (515, 2051, "ed80c7bdf7ec1c78e7efaf58436e2d3972bfcfb6cf1c5a634a7ba4400221161b"),
     ),
     2: (
-        [(True, None, n) for n in (57, 65, 73, 81, 5, 5, 5, 5)] + [(False, (("abstractEvent",), "failure"), 519)],
+        [(True, None, n) for n in (7, 8, 9, 10, 5, 5, 5, 5)] + [(False, (("abstractEvent",), "failure"), 519)],
         (771, 2883, "9bb29aadea4d0bc9f1547cd23989e61e5cfcafc315dd25105a301d187f74ccc7"),
     ),
 }
+STAR4_UNREWRITTEN_PORTS = [57, 65, 73, 81]
 
 
 @pytest.mark.parametrize("fail", [None, 2])
@@ -895,6 +909,8 @@ def test_star_search_order_and_connector_lts_are_pinned(fail):
     results = discharge_assertions(plan.assertions, plan.definitions)
     verdicts, (n_states, n_transitions, digest) = STAR4_PINS[fail]
     assert [(v.holds, v.counterexample, v.explored) for _, v in results] == verdicts
+    ports = plan.assertions[:4]
+    assert [_unrewritten(a, plan.definitions).explored for a in ports] == STAR4_UNREWRITTEN_PORTS
     [connector] = [a for a in plan.assertions if a.label.endswith("Bus_tA")]
     lts = compile_to_lts(connector.impl_term, plan.definitions)
     transitions = lts.transitions
@@ -921,6 +937,123 @@ def test_the_star6_connector_lts_and_its_check_are_pinned(fail):
     n_states, n_transitions, digest, explored = STAR6_CONNECTOR_PINS[fail]
     assert (lts.n_states, len(transitions), verdict.explored) == (n_states, n_transitions, explored)
     assert hashlib.sha256(repr(transitions).encode()).hexdigest() == digest
+
+
+# --- the unit law of interleaving, P ||| SKIP = P ------------------------------
+
+
+def _with_skip_siblings(rng, term, env):
+    """``term`` and ``env`` with a random sibling beside some operator positions
+    of the term and of the operator definitions: ``SKIP``, a reference or a
+    chain of references to ``SKIP`` (the law's operands), or ``STOP`` or a
+    reference to ``b -> SKIP`` (not its operands), mostly under an empty sync
+    set.  Also whether a sibling the law drops sits under a hiding or a
+    renaming of the term."""
+    env = dict(env, S0=SUCCESS, S1=Ref("S0"), N=Prefix("b", SUCCESS))
+    siblings = [SUCCESS, Ref("S0"), Ref("S1"), EMPTY, Ref("N")]
+    relabelled = False
+
+    def wrap(t, under):
+        nonlocal relabelled
+        cls = type(t)
+        if cls is PPar:
+            t = PPar(wrap(t.left, under), t.sync, wrap(t.right, under))
+        elif cls is PHide:
+            t = PHide(wrap(t.inner, True), t.hidden)
+        elif cls is PRename:
+            t = PRename(wrap(t.inner, True), t.mapping)
+        if rng.random() < 0.4:
+            sibling = rng.choice(siblings)
+            sync = frozenset() if rng.random() < 0.8 else frozenset({"a"})
+            t = PPar(t, sync, sibling) if rng.random() < 0.5 else PPar(sibling, sync, t)
+            relabelled |= under and not sync and sibling in siblings[:3]
+        return t
+
+    for name, body in list(env.items()):
+        if type(body) in (PPar, PHide, PRename):
+            env[name] = wrap(body, False)
+    relabelled = False
+    term = wrap(term, False)
+    return term, env, relabelled
+
+
+def test_the_unit_law_keeps_failures_divergences_on_random_operator_terms():
+    rng = random.Random(31)
+    alphabet = frozenset("abcd")  # a renaming may map onto d
+    compared = fired = relabelled = 0
+    for i in range(300):
+        term, env, under = _with_skip_siblings(rng, *random_operator_term(rng, depth=2 + i % 2))
+        rewritten = engine._drop_skip_siblings(term, env)
+        assert not under or rewritten is not term
+        try:
+            full, short = (compile_to_lts(t, env, 400) for t in (term, rewritten))
+        except ResourceLimitError:
+            continue
+        assert brute_refines(full, short, 4, alphabet) and brute_refines(short, full, 4, alphabet), term
+        compared += 1
+        fired += rewritten is not term
+        relabelled += under
+    assert compared >= 200 and fired >= 80 and relabelled >= 25, (compared, fired, relabelled)
+
+
+def test_the_unit_law_fires_only_beside_skip_in_an_interleaving():
+    a_skip = Prefix("a", SUCCESS)
+    hidden = frozenset({"a"})
+    env = {"S": SUCCESS, "T": Ref("S"), "N": Prefix("b", SUCCESS), "L": Ref("L"),
+           "P": PHide(PPar(a_skip, frozenset(), Ref("T")), hidden), "Q": PHide(a_skip, hidden)}
+    drop = engine._drop_skip_siblings
+    for sibling in (SUCCESS, Ref("S"), Ref("T")):
+        for term in (PPar(a_skip, frozenset(), sibling), PPar(sibling, frozenset(), a_skip)):
+            assert drop(term, env) is a_skip
+            assert drop(PHide(term, hidden), env) == PHide(a_skip, hidden)
+            assert drop(rename(term, {"a": "b"}), env) == rename(a_skip, {"a": "b"})
+    # a reference whose body changes becomes that body; one whose body does not stays
+    assert drop(Ref("P"), env) == PHide(a_skip, hidden)
+    assert drop(PPar(Ref("Q"), frozenset({"a"}), Ref("P")), env) == PPar(Ref("Q"), frozenset({"a"}), env["Q"])
+    for term in (
+        PPar(SUCCESS, frozenset({"a"}), Prefix("a", EMPTY)),  # a sync set: SKIP refuses a
+        PPar(EMPTY, frozenset(), a_skip),  # STOP never terminates
+        PPar(Ref("N"), frozenset(), a_skip),  # a reference to a definition that is not SKIP
+        PPar(Ref("L"), frozenset(), a_skip),  # a cycle of references is not SKIP
+        PPar(Ref("Nope"), frozenset(), a_skip),  # nor is a reference without a definition
+        Prefix("b", PPar(SUCCESS, frozenset(), a_skip)),  # no operator position
+        InternalChoice(PPar(SUCCESS, frozenset(), a_skip), EMPTY),
+    ):
+        assert drop(term, env) is term, term
+    deadlock = check_assertion(Prefix("a", EMPTY), PPar(SUCCESS, frozenset({"a"}), Prefix("a", EMPTY)), env)
+    assert (deadlock.holds, deadlock.counterexample) == (False, ((), "failure"))
+    with pytest.raises(UnresolvedProcessError, match="'Nope'"):
+        check_assertion(a_skip, PPar(Ref("Nope"), frozenset(), a_skip), env)
+    # unguarded recursion through operators still meets the nesting cap
+    message = f"^operator nesting cap {engine.MAX_NESTING} exceeded$"
+    for body in (PPar(Ref("R"), frozenset(), SUCCESS), PPar(SUCCESS, frozenset(), Ref("R"))):
+        with pytest.raises(ResourceLimitError, match=message):
+            check_assertion(a_skip, Ref("R"), {"R": body})
+    # each definition is rewritten once, however often the term reaches it
+    with pytest.raises(ResourceLimitError, match="^state cap 1000 exceeded$"):
+        check_assertion(a_skip, Ref("R"), {"R": PPar(Ref("R"), frozenset({"a"}), Ref("R"))}, 1000)
+
+
+def test_the_unit_law_leaves_every_verdict_unchanged():
+    workloads = perfbench_workloads()
+    plans = [(f, emit_plan(f)) for f in FIXTURES_WITH_ASSERTIONS]
+    cases = [(f"star({k}, {fail})", workloads.star_case(k, "t", fail)) for k in range(2, 7) for fail in (None, 1)]
+    cases += [("pipeline(5)", workloads.pipeline_case(5, "t", False)),
+              ("pipeline(20, fail)", workloads.pipeline_case(20, "t", True))]
+    for name, case in cases:
+        spec, _ = parse_source(case.source)
+        assert not analyzer.analyze(spec) and not alphabets.annotate(spec)
+        plans.append((name, codegen.emit(spec)))
+    applied = {}
+    for name, plan in plans:
+        env = plan.definitions
+        for a in plan.assertions:
+            v, w = check_assertion(a.spec_term, a.impl_term, env), _unrewritten(a, env)
+            assert (v.holds, v.counterexample, v.unmatched) == (w.holds, w.counterexample, w.unmatched), a.label
+            if any(engine._drop_skip_siblings(t, env) is not t for t in (a.spec_term, a.impl_term)):
+                applied[name] = applied.get(name, 0) + 1
+    stars = {f"star({k}, {fail})": k for k in range(2, 7) for fail in (None, 1)}
+    assert applied == {"calculformule.wrt": 1, "double.wrt": 1, **stars, "pipeline(5)": 1, "pipeline(20, fail)": 1}
 
 
 def test_erroring_duplicate_is_rechecked_and_names_itself():

@@ -35,9 +35,11 @@ from .model import (
 )
 
 
-# The names the generated file's header defines (see ``codegen.HEADER_LINES``):
-# they share CSPM's one namespace with every channel and process.
-HEADER_NAMES = ("DFA", "abstractEvent", "quant_semi", "power_set")
+# The names the generated text defines or prints (``codegen.HEADER_LINES``, STOP,
+# keywords) besides the spec's own: they share CSPM's one namespace with every channel.
+OUTPUT_NAMES = ("DFA", "abstractEvent", "quant_semi", "power_set", "diff", "union", "STOP", "SKIP", "channel",
+                "assert", "transparent", "diamond", "normalise")
+_CLASH = "is also a name the output defines or prints, so the output would give it two meanings"
 
 
 def _walk(body: ProcessExpr) -> tuple[list[str], list[Prefix]]:
@@ -54,7 +56,7 @@ def _walk(body: ProcessExpr) -> tuple[list[str], list[Prefix]]:
         elif kind is Ref:
             refs.append(node.name)
         elif kind is ExternalChoice or kind is InternalChoice:
-            stack += (node.right, node.left)
+            stack += reversed(node.branches)
     return refs, prefixes
 
 
@@ -187,9 +189,9 @@ def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Decla
 
 def annotate(spec: ArchSpec) -> list[Diagnostic]:
     """Fill in alphabet info across the whole spec, and ``spec.event_names``;
-    returns diagnostics.  An event named like a port, a role or a name of the
-    output's header (``HEADER_NAMES``) is an error: they share CSPM's one
-    namespace."""
+    returns diagnostics.  An event named like a port or a role, and an event,
+    port or role named like a name the output defines or prints
+    (``OUTPUT_NAMES``), is an error: they share CSPM's one namespace."""
     diags: list[Diagnostic] = []
     event_names: dict[str, Declaration] = {}
     for t in spec.types:
@@ -198,14 +200,12 @@ def annotate(spec: ArchSpec) -> list[Diagnostic]:
     points = [p for t in spec.types for p in parts(t)[0]]
     diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} is also the name of an event, so the output "
                          "would declare its channel twice") for p in points if p.name in event_names]
-    # each header name at its first user; users in walk order, then header order
-    header = [e for e in HEADER_NAMES if e in event_names]
-    if header:
-        rank: dict[int, int] = {}
-        for d in event_names.values():
-            rank.setdefault(id(d), len(rank))  # declarations are unhashable
-        header.sort(key=lambda e: rank[id(event_names[e])])
-        diags += [Diagnostic("error", d.pos, f"event {e} in {d.kind.value} {d.name} is also a name the output's "
-                             "header defines, so the output would define it twice")
-                  for e in header for d in [event_names[e]]]
+    diags += [Diagnostic("error", p.pos, f"{p.kind.value} {p.name} {_CLASH}") for p in points if p.name in OUTPUT_NAMES]
+    # each output name at its first user; users in walk order, then OUTPUT_NAMES order
+    clashes = [e for e in OUTPUT_NAMES if e in event_names]
+    if clashes:
+        users = [id(d) for d in event_names.values()]  # declarations are unhashable
+        clashes.sort(key=lambda e: users.index(id(event_names[e])))
+        diags += [Diagnostic("error", d.pos, f"event {e} in {d.kind.value} {d.name} {_CLASH}")
+                  for e in clashes for d in [event_names[e]]]
     return diags

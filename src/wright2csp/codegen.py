@@ -21,15 +21,15 @@ it: ``ALPHA_x`` lines and ``channel p: {...}`` lines, where ``{|p|}`` covers
 the port's or role's own events and every other value the computation or
 glue uses under ``p``, so each channel declaration is well typed.  An
 engine term is a ``model.ProcessExpr``: the behavioural AST's classes with
-every reference resolved to an emitted name, external choice flattened into
-the engine's ``PExtN``, and the engine's parallel, renaming and hiding.
+every reference resolved to an emitted name, choices lowered by
+``process_term``, and the engine's parallel, renaming and hiding.
 Emission records each equation's body with the names it resolves against and
 lowers those bodies on first use of ``EmitPlan.definitions``, so a caller
 that only prints the text (``translate``) never builds them.
 
 Every process and ``ALPHA_`` set name the text defines comes from
-``_Out.name``: one table over CSPM's single namespace, which starts with the
-header's names and the event, port and role channels, all fixed.  A
+``_Out.name``: one table over CSPM's single namespace, which starts with
+``alphabets.OUTPUT_NAMES`` and the event, port and role channels, all fixed.  A
 definition gets the name it wants if that is free, else that name plus its
 owner's (``LOut`` for local ``L`` of port ``Out``, ``GlueK2``, and an
 attachment's other end in ``A_x_yPLUSP2_Reader``), numbered from 2 on while
@@ -44,7 +44,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
-from .alphabets import HEADER_NAMES
+from .alphabets import OUTPUT_NAMES
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
     EMPTY,
@@ -136,9 +136,12 @@ class CodegenError(Exception):
 def fdr_expr(expr: ProcessExpr, names: dict[str, str]) -> str:
     if isinstance(expr, Prefix):
         return f"({expr.event} -> {fdr_expr(expr.rest, names)})"
-    if isinstance(expr, Choice):
-        op = "[]" if isinstance(expr, ExternalChoice) else "|~|"
-        return f"({fdr_expr(expr.left, names)} {op} {fdr_expr(expr.right, names)})"
+    if isinstance(expr, Choice):  # a run prints grouped to the left: ((b1 [] b2) [] b3)
+        op = " [] " if isinstance(expr, ExternalChoice) else " |~| "
+        parts = ["(" * (len(expr.branches) - 1), fdr_expr(expr.branches[0], names)]
+        for branch in expr.branches[1:]:
+            parts += op, fdr_expr(branch, names), ")"
+        return "".join(parts)
     if isinstance(expr, Ref):
         return names.get(expr.name, expr.name)
     if isinstance(expr, Success):
@@ -149,14 +152,15 @@ def fdr_expr(expr: ProcessExpr, names: dict[str, str]) -> str:
 
 
 def process_term(expr: ProcessExpr, names: dict[str, str]) -> ProcessExpr:
-    """Lower an equation body to an engine term: references resolved through
-    ``names``, external choice flattened by ``PExt``, prefix polarity dropped."""
+    """Lower an equation body to an engine term: names resolved, a ``[]`` run
+    made canonical by ``PExt``, prefix polarity dropped."""
     if isinstance(expr, Prefix):
         return Prefix(expr.event, process_term(expr.rest, names))
     if isinstance(expr, ExternalChoice):
-        return PExt(process_term(expr.left, names), process_term(expr.right, names))
-    if isinstance(expr, InternalChoice):
-        return InternalChoice(process_term(expr.left, names), process_term(expr.right, names))
+        return PExt(*[process_term(b, names) for b in expr.branches])
+    if isinstance(expr, InternalChoice):  # (a |~| b) |~| c is the run a |~| b |~| c to the engine
+        first, *rest = [process_term(b, names) for b in expr.branches]
+        return InternalChoice((*first.branches, *rest) if type(first) is InternalChoice else (first, *rest))
     if isinstance(expr, Ref):
         return Ref(names.get(expr.name, expr.name))
     if isinstance(expr, (Success, Empty)):
@@ -177,8 +181,8 @@ class _Out:
         self.assertions: list[Assertion] = []
         self.equations: dict[str, Definition] = dict(dfa_definitions())
         self.sets: dict[str, list[str]] = {}
-        # the header's names and every channel (event, port or role) are fixed
-        self.taken = {*HEADER_NAMES, *spec.event_names}
+        # the names the text defines or prints and every channel (event, port or role) are fixed
+        self.taken = {*OUTPUT_NAMES, *spec.event_names}
         for t in spec.types:
             self.taken.update(d.name for d in parts(t)[0])
         # form ("" for a first emission, DET, DETR) -> id of a declaration -> its names

@@ -2,9 +2,9 @@
 
 Process terms compile to finite labelled transition systems by
 explicit-state exploration, in the style of FDR3's supercombinators.  A term
-is a ``model.ProcessExpr``: the behavioural AST's prefix, internal choice,
+is a ``model.ProcessExpr``: the behavioural AST's prefix, choices,
 reference, ``Success`` (SKIP) and ``Empty`` (STOP), plus this module's
-synchronized parallel, renaming, hiding and flat external choice.  Each
+synchronized parallel, renaming and hiding.  Each
 term position numbers its own states.  Sequential terms are stepped as
 terms.  Renaming and hiding only relabel moves, so a term under them is
 stepped in place, its moves relabelled by its context's composed map.  A
@@ -47,8 +47,8 @@ none of these creates a reference cycle.
 When many assertions are discharged together, those the caller keys alike
 share one check (see ``assertion_verdicts``).  Process terms are plain
 slotted classes, immutable and hashable (``model.slotted``).  ``PExt``
-orders the branches of an external choice by their ``repr``; a state is
-keyed by term equality, which ignores a prefix's polarity.
+builds an external choice in canonical form, flat and ordered by ``repr``;
+a state is keyed by term equality, which ignores a prefix's polarity.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
@@ -67,7 +67,7 @@ import gc
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .model import EMPTY, SUCCESS, Empty, InternalChoice, Prefix, ProcessExpr, Ref, Success, slotted
+from .model import EMPTY, SUCCESS, Empty, ExternalChoice, InternalChoice, Prefix, ProcessExpr, Ref, Success, slotted
 
 TAU = "<τ>"  # no Wright event can spell it: an identifier is word characters and dots
 TICK = "✓"
@@ -92,33 +92,26 @@ class UnresolvedProcessError(EngineError):
 # --- process terms ----------------------------------------------------------
 
 
-@slotted(frozen=True)
-class PExtN(ProcessExpr):
-    """External choice, kept flat and canonically ordered.
+def PExt(*operands: ProcessExpr) -> ProcessExpr:
+    """External choice of the operands in canonical form: a flat
+    ``ExternalChoice`` of the distinct branches sorted by ``repr``, or the only one.
 
     External choice is associative, commutative and idempotent, so nested
     choices collapse into one branch tuple.  This keeps the state space
     finite when an unguarded reference unfolds inside a choice (the unfolding
     reproduces the same canonical term, closing a tau cycle).
     """
-
-    __slots__ = ("branches",)
-
-    def __init__(self, branches: tuple[ProcessExpr, ...]) -> None:
-        object.__setattr__(self, "branches", branches)
-
-
-def PExt(*operands: ProcessExpr) -> ProcessExpr:
-    """External choice of the operands, flattened into one canonical PExtN."""
     branches: set[ProcessExpr] = set()
-    for operand in operands:
-        if isinstance(operand, PExtN):
-            branches.update(operand.branches)
+    stack = list(operands)
+    while stack:
+        operand = stack.pop()
+        if type(operand) is ExternalChoice:
+            stack += operand.branches
         else:
             branches.add(operand)
     if len(branches) == 1:
         return next(iter(branches))
-    return PExtN(tuple(sorted(branches, key=repr)))
+    return ExternalChoice(tuple(sorted(branches, key=repr)))
 
 
 @slotted(frozen=True)
@@ -155,7 +148,7 @@ def rename(p: ProcessExpr, mapping: Mapping[str, str]) -> PRename:
 
 def dfa_definitions() -> dict[str, ProcessExpr]:
     """The canonical deadlock-freedom specification over one abstract event."""
-    return {"DFA": InternalChoice(Prefix("abstractEvent", Ref("DFA")), SUCCESS)}
+    return {"DFA": InternalChoice((Prefix("abstractEvent", Ref("DFA")), SUCCESS))}
 
 
 # --- compilation to a labelled transition system ----------------------------
@@ -214,9 +207,10 @@ def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> tuple[list[str],
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         return [TAU], [env[term.name]]
-    if isinstance(term, InternalChoice):
-        return [TAU, TAU], [term.left, term.right]
-    if isinstance(term, PExtN):
+    if isinstance(term, InternalChoice):  # resolved as the text groups a run: ((b1 |~| b2) |~| b3)
+        *run, last = term.branches
+        return [TAU, TAU], [InternalChoice(tuple(run)) if len(run) > 1 else run[0], last]
+    if isinstance(term, ExternalChoice):
         events: list[str] = []
         nexts: list[ProcessExpr] = []
         for branch in term.branches:
@@ -495,12 +489,12 @@ def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
 
     Without hiding and without renaming onto tau, every tau move of a term
     unfolds a reference or resolves an internal choice at an unguarded
-    position: one under no prefix.  Those are the term itself, both sides of
-    ``|~|``, the branches of ``PExtN``, the operands of ``PPar`` and the
-    inner term of ``PRename``.  If no definition reaches itself through
-    references at unguarded positions, each such move makes a finite measure
-    smaller, so no tau path is infinite (guarded recursion without hiding
-    cannot diverge; Roscoe, *Understanding Concurrent Systems*, 2010).
+    position: one under no prefix.  Those are the term itself, the branches
+    of either choice, the operands of ``PPar`` and the inner term of
+    ``PRename``.  If no definition reaches itself through references at
+    unguarded positions, each such move makes a finite measure smaller, so
+    no tau path is infinite (guarded recursion without hiding cannot diverge;
+    Roscoe, *Understanding Concurrent Systems*, 2010).
 
     The walk covers the term and every definition it can reach, under
     prefixes too, numbering each (the term is 0).  It refuses a hiding, a
@@ -531,10 +525,10 @@ def _cannot_diverge(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> bool:
                     targets.append([])
                 if not guarded:
                     refs.append(n)
-            elif cls is InternalChoice or cls is PPar:
-                stack += (t.left, guarded), (t.right, guarded)
-            elif cls is PExtN:
+            elif cls is InternalChoice or cls is ExternalChoice:
                 stack += [(b, guarded) for b in t.branches]
+            elif cls is PPar:
+                stack += (t.left, guarded), (t.right, guarded)
             elif cls is PRename:
                 if any(b == TAU for _, b in t.mapping):
                     return False

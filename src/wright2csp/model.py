@@ -4,7 +4,9 @@ Structural side: Component / Connector / Configuration / Style.  A component
 and a connector share one shape, interface points plus one behaviour, which
 ``parts`` returns for either.  Behavioural side: ProcessExpr trees whose
 leaves are named references and the success process; the engine steps these
-same classes as its sequential terms.  An event is its qualified name as a
+same classes as its sequential terms.  A choice holds the whole run of
+branches one operator joins, so a flat choice of any length is one node,
+from the parser to the engine.  An event is its qualified name as a
 plain string (``read``, ``In.read``); a prefix also records whether its use
 is initiated (``_read``), but prefixes compare equal regardless.  An alphabet
 is an insertion-ordered ``dict`` from qualified name to the polarity of its
@@ -129,20 +131,18 @@ class Prefix(ProcessExpr):
 
 @slotted(frozen=True)
 class ExternalChoice(ProcessExpr):
-    __slots__ = ("left", "right")
+    __slots__ = ("branches",)
 
-    def __init__(self, left: ProcessExpr, right: ProcessExpr) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __init__(self, branches: tuple[ProcessExpr, ...]) -> None:
+        object.__setattr__(self, "branches", branches)
 
 
 @slotted(frozen=True)
 class InternalChoice(ProcessExpr):
-    __slots__ = ("left", "right")
+    __slots__ = ("branches",)
 
-    def __init__(self, left: ProcessExpr, right: ProcessExpr) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __init__(self, branches: tuple[ProcessExpr, ...]) -> None:
+        object.__setattr__(self, "branches", branches)
 
 
 @slotted(frozen=True)

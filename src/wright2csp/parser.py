@@ -17,7 +17,7 @@ prefix chains are each read in one loop over local indices, and a prefix
 chain's ``Prefix`` nodes are built from its end.  A line and column are
 computed only where they are needed, for a node that stores a position or for
 a diagnostic, by searching a table of line starts.
-Process expressions nest at most ``MAX_NESTING`` levels.
+Process expressions nest at most ``MAX_NESTING`` levels, a choice run being one.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ _TYPES = {
 }
 
 
-# Deepest process expression accepted, one level per prefix, choice or
+# Deepest process expression accepted, one level per prefix, choice run or
 # parenthesised group: deeper input would overflow Python's default 1000-frame
 # stack in the parser (three frames per parenthesis) or in later tree walks.
 MAX_NESTING = 200
@@ -96,7 +96,7 @@ DOTTED = "dotted"  # value is (first, second)
 INITEVENT = "initevent"  # value is (name, scope-or-None)
 ARROW, ECHOICE, ICHOICE, EQUALS, DOT, COMMA, COLON = "->", "[]", "|~|", "=", ".", ",", ":"
 LPAREN, RPAREN, LBRACE, RBRACE = "(", ")", "{", "}"
-_CHOICES = (ECHOICE, ICHOICE)
+_CHOICES = {ECHOICE: ExternalChoice, ICHOICE: InternalChoice}  # operator -> its node
 
 # Blanks and comments, skipped without a group, then one alternative per token
 # class.  ``lastindex`` numbers the group that closed last, which tells the
@@ -386,28 +386,28 @@ class Parser:
         return body, locals_
 
     # The expression parsers take the level of the node they parse (the root
-    # is level 1) and return the node with its height in levels.
+    # is level 1) and return the node with its height in levels.  A run of one
+    # choice operator is one node, its branches one level down; where the
+    # operator switches, the run so far becomes the first branch of the next.
 
     def parse_proc_expr(self, level: int = 1) -> tuple[ProcessExpr, int]:
-        left, height = self.parse_prefix_expr(level)
-        kinds = self.kinds
-        last = None  # the chain's previous operator
+        node, height = self.parse_prefix_expr(level)
+        kinds, op = self.kinds, None
         while kinds[self.k] in _CHOICES:
             k = self.k
             self.k = k + 1
-            op = kinds[k]
-            if last is not None and op is not last:
-                self.warnings.append(Diagnostic("warning", self.pos(k), "'[]' and '|~|' mixed at the same "
-                                                "level without parentheses; grouping left-to-right"))
-            last = op
+            if kinds[k] is not op:
+                if op is not None:
+                    self.warnings.append(Diagnostic("warning", self.pos(k), "'[]' and '|~|' mixed at the same "
+                                                    "level without parentheses; grouping left-to-right"))
+                    node = _CHOICES[op](tuple(branches))
+                op, branches, height = kinds[k], [node], height + 1
             right, right_height = self.parse_prefix_expr(level + 1)
-            # each operator pushes the whole chain so far one level down
-            height = max(height, right_height) + 1
+            height = max(height, right_height + 1)
             if level + height - 1 > MAX_NESTING:
                 raise self.error(_TOO_DEEP, k)
-            cls = ExternalChoice if op is ECHOICE else InternalChoice
-            left = cls(left, right)
-        return left, height
+            branches.append(right)
+        return (node, height) if op is None else (_CHOICES[op](tuple(branches)), height)
 
     def parse_prefix_expr(self, level: int) -> tuple[ProcessExpr, int]:
         """A chain ``e1 -> ... -> en -> atom`` read in one loop, one level per
@@ -484,8 +484,8 @@ def _expr_src(expr: ProcessExpr) -> str:
     if isinstance(expr, Prefix):
         return f"{'_' if expr.initiated else ''}{expr.event} -> {_operand_src(expr.rest)}"
     if isinstance(expr, Choice):
-        op = "[]" if isinstance(expr, ExternalChoice) else "|~|"
-        return f"{_operand_src(expr.left, type(expr))} {op} {_operand_src(expr.right)}"
+        op = " [] " if isinstance(expr, ExternalChoice) else " |~| "
+        return op.join(map(_operand_src, expr.branches))
     if isinstance(expr, Ref):
         return expr.name
     if isinstance(expr, Success):
@@ -493,17 +493,16 @@ def _expr_src(expr: ProcessExpr) -> str:
     raise TypeError(f"unprintable expression {expr!r}")
 
 
-def _operand_src(expr: ProcessExpr, spine: type | None = None) -> str:
+def _operand_src(expr: ProcessExpr) -> str:
     """An operand, parenthesised only where the parser needs it.
 
-    A prefix binds tighter than a choice, and a chain of one choice operator
-    groups to the left, so only a choice that is not the left operand of the
-    same operator (``spine``) needs parentheses.  Printed text thus nests no
-    deeper than the text it was parsed from, except that a chain mixing both
+    A prefix binds tighter than a choice, and a run of one choice operator is
+    one node, so only a choice needs parentheses.  Printed text thus nests no
+    deeper than the text it was parsed from, except that a run mixing both
     operators without parentheses gains one group per switch.
     """
     text = _expr_src(expr)
-    return f"({text})" if isinstance(expr, Choice) and type(expr) is not spine else text
+    return f"({text})" if isinstance(expr, Choice) else text
 
 
 def _decl_src(label: str, decl: Declaration, indent: str) -> list[str]:

@@ -2,11 +2,11 @@
 
 Each rewrite is one bottom-up walk over the body.
 
-Determinization turns every choice into an external one.  Where both
-determinized operands prefix the same event, the choice becomes that one
-prefix over the determinized choice of their continuations
-(e -> Q [choice] e -> S becomes e -> (Q [] S)), so no internal decision is
-left and the trace set is kept.
+Determinization turns every choice into an external one, folding a run of
+branches left to right: while the run so far is one prefix and the next
+branch prefixes the same event, the two become that prefix over the
+determinized choice of their continuations (e -> Q [choice] e -> S becomes
+e -> (Q [] S)), so no internal decision is left and the trace set is kept.
 
 Projection onto a kept event set works by branch elimination over the tree:
 
@@ -16,8 +16,8 @@ Projection onto a kept event set works by branch elimination over the tree:
           declaration and its where-locals, a reference back to the
           process's own name being the shortest such cycle; every other
           reference is kept;
-  rule 3  a choice with an erased operand collapses to the other operand,
-          and to Empty if both were erased.
+  rule 3  a choice drops its erased branches; with one left it is that
+          branch, and with none it is Empty.
 
 Where-locals are projected under their own names.  Erasure is settled
 first, on each body's leaves (``_leaves``): an unguarded reference closes a
@@ -49,11 +49,14 @@ from .model import (
 def determinized(p: ProcessExpr) -> ProcessExpr:
     """``p`` with every choice external and same-event branches merged."""
     if isinstance(p, Choice):
-        left = determinized(p.left)
-        right = determinized(p.right)
-        if isinstance(left, Prefix) and isinstance(right, Prefix) and left.event == right.event:
-            return Prefix(left.event, determinized(ExternalChoice(left.rest, right.rest)), left.initiated)
-        return ExternalChoice(left, right)
+        head = determinized(p.branches[0])
+        for i in range(1, len(p.branches)):
+            branch = determinized(p.branches[i])
+            if not (isinstance(head, Prefix) and isinstance(branch, Prefix) and head.event == branch.event):
+                run = head.branches if type(head) is ExternalChoice else (head,)  # it prints as the left group
+                return ExternalChoice((*run, branch, *map(determinized, p.branches[i + 1:])))
+            head = Prefix(head.event, determinized(ExternalChoice((head.rest, branch.rest))), head.initiated)
+        return head
     if isinstance(p, Prefix):
         return Prefix(p.event, determinized(p.rest), p.initiated)
     return p
@@ -70,13 +73,10 @@ def _project(node: ProcessExpr, keep: Alphabet, cycle: set[str], dead: set[str])
             return Prefix(node.event, _project(node.rest, keep, dead, dead), node.initiated)
         return _project(node.rest, keep, cycle, dead)
     if isinstance(node, Choice):
-        left = _project(node.left, keep, cycle, dead)
-        right = _project(node.right, keep, cycle, dead)
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        return type(node)(left, right)
+        kept = tuple(b for b in (_project(b, keep, cycle, dead) for b in node.branches) if type(b) is not Empty)
+        if len(kept) > 1:
+            return type(node)(kept)
+        return kept[0] if kept else EMPTY
     if isinstance(node, Ref) and (node.name in cycle or node.name in dead):
         return EMPTY
     return node
@@ -92,7 +92,7 @@ def _leaves(body: ProcessExpr, keep: Alphabet) -> list[str | None]:
         if isinstance(node, Prefix) and node.event not in keep:
             stack.append(node.rest)
         elif isinstance(node, Choice):
-            stack += (node.right, node.left)
+            stack += reversed(node.branches)
         elif not isinstance(node, Empty):
             leaves.append(node.name if isinstance(node, Ref) else None)
     return leaves

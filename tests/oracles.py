@@ -25,7 +25,6 @@ from wright2csp.engine import (
     FdModel,
     Lts,
     PExt,
-    PExtN,
     PHide,
     PPar,
     PRename,
@@ -100,10 +99,14 @@ def random_expr(rng: random.Random, alphabet=("a", "b", "c"), max_ops: int = 6) 
             event, initiated = rng.choice(alphabet), rng.random() < 0.4
             rest, budget = build(budget - 1)
             return Prefix(event, rest, initiated), budget
-        left, budget = build(budget - 1)
-        right, budget = build(budget)
+        # a run of n branches stands for the n - 1 binary choices that would join them
+        n = rng.randint(2, 5)
+        branches, budget = [], budget - (n - 1)
+        for _ in range(n):
+            branch, budget = build(budget)
+            branches.append(branch)
         cls = ExternalChoice if kind == 1 else InternalChoice
-        return cls(left, right), budget
+        return cls(tuple(branches)), budget
 
     expr, _ = build(max_ops)
     return expr
@@ -148,7 +151,7 @@ def random_operator_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"
         if kind == 4:
             name = fresh("Y")
             env[name] = build(d - 1)
-            return InternalChoice(Ref(name), build(d - 1))
+            return InternalChoice((Ref(name), build(d - 1)))
         name = fresh("R")
         env[name] = PPar(Prefix(rng.choice(alphabet), Ref(name)), events(0.6), build(d - 1))
         return Ref(name)
@@ -206,7 +209,7 @@ def random_declaration(rng: random.Random, events=("a", "b", "c", "d")) -> tuple
         if kind == 0:
             return Prefix(rng.choice(events), build(budget - 1), rng.random() < 0.5)
         cls = ExternalChoice if kind == 1 else InternalChoice
-        return cls(build(budget - 1), build(budget - 2))
+        return cls((build(budget - 1), build(budget - 2)))
 
     locals_ = [
         Declaration(DeclKind.WHERE_LOCAL, name, build(4), [], SourcePos(3 + i, 5))
@@ -225,7 +228,7 @@ def _unguarded_refs(body: ProcessExpr, keep: Alphabet) -> list[str]:
             if node.event not in keep:
                 stack.append(node.rest)
         elif isinstance(node, Choice):
-            stack += (node.right, node.left)
+            stack += reversed(node.branches)
         elif isinstance(node, Ref):
             refs.append(node.name)
     return refs
@@ -305,9 +308,10 @@ def _reference_step(term: ProcessExpr, env, memo: dict) -> tuple[tuple[str, Proc
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         out = [(TAU, env[term.name])]
-    elif isinstance(term, InternalChoice):
-        out = [(TAU, term.left), (TAU, term.right)]
-    elif isinstance(term, PExtN):
+    elif isinstance(term, InternalChoice):  # a run resolves grouped to the left, as the text prints it
+        *run, last = term.branches
+        out = [(TAU, InternalChoice(tuple(run)) if len(run) > 1 else run[0]), (TAU, last)]
+    elif isinstance(term, ExternalChoice):
         out = []
         for branch in term.branches:
             rest = [b for b in term.branches if b is not branch]
@@ -869,8 +873,8 @@ def walk_events(expr: ProcessExpr):
         yield expr
         yield from walk_events(expr.rest)
     elif isinstance(expr, Choice):
-        yield from walk_events(expr.left)
-        yield from walk_events(expr.right)
+        for branch in expr.branches:
+            yield from walk_events(branch)
 
 
 def walk_refs(expr: ProcessExpr):
@@ -878,8 +882,8 @@ def walk_refs(expr: ProcessExpr):
     if isinstance(expr, Prefix):
         yield from walk_refs(expr.rest)
     elif isinstance(expr, Choice):
-        yield from walk_refs(expr.left)
-        yield from walk_refs(expr.right)
+        for branch in expr.branches:
+            yield from walk_refs(branch)
     elif isinstance(expr, Ref):
         yield expr.name
 
@@ -978,6 +982,21 @@ def wide_component_spec(n: int) -> str:
                       "Constraints", "End Style", ""])
 
 
+def flat_choice_spec(external: int = 5000, internal: int = 300) -> str:
+    """A lint-clean style whose one port is a flat ``[]`` choice of
+    ``external`` prefixes and TICK, and whose one role is a flat ``|~|``
+    choice of ``internal`` initiated prefixes and TICK; the computation and
+    the glue offer every event of them in one flat ``[]`` choice.  Its three
+    assertions pass."""
+    port = " [] ".join(f"e{i} -> P" for i in range(external))
+    comp = " [] ".join(f"P.e{i} -> Computation" for i in range(external))
+    role = " |~| ".join(f"_f{i} -> R" for i in range(internal))
+    glue = " [] ".join(f"R.f{i} -> Glue" for i in range(internal))
+    return "\n".join(["Style Flat", "Component C", f"  Port P = {port} [] TICK", f"  Computation = {comp} [] TICK",
+                      "Connector K", f"  Role R = {role} |~| TICK", f"  Glue = {glue} [] TICK",
+                      "Constraints", "End Style", ""])
+
+
 # --- renaming and trace helpers used only by tests ------------------------------
 
 
@@ -985,7 +1004,7 @@ def _map_events(expr: ProcessExpr, fn) -> ProcessExpr:
     if isinstance(expr, Prefix):
         return Prefix(fn(expr.event), _map_events(expr.rest, fn), expr.initiated)
     if isinstance(expr, Choice):
-        return type(expr)(_map_events(expr.left, fn), _map_events(expr.right, fn))
+        return type(expr)(tuple(_map_events(branch, fn) for branch in expr.branches))
     return expr
 
 
@@ -1118,7 +1137,8 @@ _ASSERT = re.compile(r"^assert (\w+) \[FD= (\w+)$", re.MULTILINE)
 
 def read_process(text: str, sets: EmittedSets) -> ProcessExpr:
     """The engine term a process expression of emitted FDR text denotes,
-    lowered as ``codegen.process_term`` lowers (external choice by ``PExt``).
+    lowered as ``codegen.process_term`` lowers (external choice by ``PExt``,
+    a ``|~|`` run grouped to the left into one node).
 
     Reads names, ``SKIP``, ``STOP``, ``e -> P``, ``P [] Q``, ``P |~| Q``,
     ``P [[ x <- T | x <- S ]]``, ``P [| S |] Q`` and ``P \\ S``, with CSPM's
@@ -1149,7 +1169,7 @@ def read_process(text: str, sets: EmittedSets) -> ProcessExpr:
         p, i = external(i)
         while tokens[i] == "|~|":
             q, i = external(i + 1)
-            p = InternalChoice(p, q)
+            p = InternalChoice((*p.branches, q) if type(p) is InternalChoice else (p, q))
         return p, i
 
     def external(i: int) -> tuple[ProcessExpr, int]:

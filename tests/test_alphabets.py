@@ -1,6 +1,8 @@
 import random
 import time
 
+import pytest
+
 from conftest import fixture_path, load_spec
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.alphabets import compute_declaration_alphabet
@@ -197,7 +199,7 @@ def random_declaration(rng, n_locals):
             event, initiated = rng.choice(events), rng.random() < 0.4
             return Prefix(event, build(budget - 1), initiated)
         cls = ExternalChoice if kind == 1 else InternalChoice
-        return cls(build(budget // 2), build(budget - 1 - budget // 2))
+        return cls((build(budget // 2), build(budget - 1 - budget // 2)))
 
     locals_ = [Declaration(DeclKind.WHERE_LOCAL, n, build(5)) for n in names[1:]]
     if locals_ and rng.random() < 0.1:
@@ -320,6 +322,24 @@ def test_role_events_the_glue_leaves_out_are_warned_one_by_one():
     assert "    [| diff({|A|}, { A.log}) |]" in codegen.emit(spec).text.splitlines()
 
 
+@pytest.mark.parametrize("name", [n for n in alphabets.OUTPUT_NAMES if n != "SKIP"])  # SKIP is a Wright keyword
+def test_a_name_of_the_output_is_no_event_port_or_role(name):
+    points, _ = parse_source(
+        f"Style S\nComponent C\n  Port {name} = a -> {name} [] TICK\n"
+        f"  Computation = {name}.a -> Computation [] TICK\n"
+        f"Connector K\n  Role {name} = b -> {name} [] TICK\n  Glue = {name}.b -> Glue [] TICK\n"
+        "Constraints\nEnd Style"
+    )
+    event, _ = parse_source(
+        f"Style S\nConnector K\n  Role R = {name} -> R [] TICK\n  Glue = R.{name} -> Glue [] TICK\n"
+        "Constraints\nEnd Style"
+    )
+    clash = "is also a name the output defines or prints, so the output would give it two meanings"
+    assert [str(d) for d in alphabets.annotate(points)] == [f"3:3: error: Port {name} {clash}",
+                                                           f"6:3: error: Role {name} {clash}"]
+    assert [str(d) for d in alphabets.annotate(event)] == [f"3:3: error: event {name} in Role R {clash}"]
+
+
 def test_header_name_errors_are_placed_at_each_names_first_user():
     # P uses two header names, out of header order; a where-local and a later
     # role use one more each; later uses of a reported name add nothing
@@ -330,7 +350,7 @@ def test_header_name_errors_are_placed_at_each_names_first_user():
         "Connector K\n  Role R = power_set -> DFA -> R [] TICK\n"
         "  Glue = R.power_set -> R.DFA -> Glue [] TICK\nConstraints\nEnd Style"
     )
-    clash = "is also a name the output's header defines, so the output would define it twice"
+    clash = "is also a name the output defines or prints, so the output would give it two meanings"
     assert [str(d) for d in alphabets.annotate(spec)] == [
         f"3:3: error: event DFA in Port P {clash}",
         f"3:3: error: event abstractEvent in Port P {clash}",

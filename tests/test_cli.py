@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN, fixture_path, golden_matches, perfbench_workloads
-from oracles import token_mutants, wide_component_spec
+from oracles import flat_choice_spec, token_mutants, wide_component_spec
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
 from wright2csp.parser import MAX_NESTING, ParseError, parse_source
@@ -34,6 +34,10 @@ def test_positional_compatibility_mode(tmp_path, capsys):
     code, _, _ = run(capsys, str(fixture_path("dt1.wrt")), str(out))
     assert code == 0
     assert out.exists()
+
+
+def test_no_arguments_print_the_usage_line(capsys):
+    assert run(capsys) == (2, "", "usage: wright2csp <infile> <fdrfile>\n")
 
 
 def test_translate_missing_input(tmp_path, capsys):
@@ -263,10 +267,64 @@ def test_an_event_named_like_a_header_name_is_a_lint_error(tmp_path, capsys, nam
     )
     code, _, err = run(capsys, "lint", str(spec))
     assert code == 2
-    assert f"3:3: error: event {name} in Port P is also a name the output's header defines" in err
+    assert f"3:3: error: event {name} in Port P is also a name the output defines or prints" in err
     out = tmp_path / "header.fdr2"
     assert run(capsys, "translate", str(spec), str(out))[0] == 2
     assert not out.exists()
+
+
+def test_a_port_or_role_named_like_a_name_of_the_output_is_a_lint_error(tmp_path, capsys):
+    # ``channel DFA: {a}`` beside the header's ``DFA = abstractEvent -> DFA |~| SKIP``,
+    # and the header's ``channel abstractEvent`` declared again
+    spec = tmp_path / "points.wrt"
+    spec.write_text(
+        "Style S\nComponent C\n  Port DFA = a -> DFA [] TICK\n  Computation = DFA.a -> Computation [] TICK\n"
+        "Connector K\n  Role abstractEvent = _b -> abstractEvent |~| TICK\n"
+        "  Glue = abstractEvent.b -> Glue [] TICK\nConstraints\nEnd Style\n"
+    )
+    code, _, err = run(capsys, "lint", str(spec))
+    assert code == 2
+    clash = "is also a name the output defines or prints, so the output would give it two meanings"
+    assert [line.split(":", 1)[1] for line in err.splitlines()[1:]] == [
+        f"3:3: error: Port DFA {clash}",
+        f"6:3: error: Role abstractEvent {clash}",
+    ]
+    out = tmp_path / "points.fdr2"
+    assert run(capsys, "translate", str(spec), str(out))[0] == 2
+    assert not out.exists()
+
+
+def test_an_event_named_like_a_keyword_or_function_of_the_text_is_a_lint_error(tmp_path, capsys):
+    # ``channel assert, union``: a CSPM keyword and a set function
+    spec = tmp_path / "keywords.wrt"
+    spec.write_text(
+        "Style S\nComponent C\n  Port P = assert -> P [] union -> P [] TICK\n"
+        "  Computation = P.assert -> Computation [] P.union -> Computation [] TICK\nConstraints\nEnd Style\n"
+    )
+    code, _, err = run(capsys, "lint", str(spec))
+    assert code == 2
+    assert f"{spec}:3:3: error: event assert in Port P is also a name the output defines or prints" in err
+    assert f"{spec}:3:3: error: event union in Port P is also a name the output defines or prints" in err
+    assert run(capsys, "translate", str(spec), str(tmp_path / "keywords.fdr2"))[0] == 2
+
+
+def test_a_where_local_named_like_a_name_of_the_output_gets_a_free_name(tmp_path, capsys):
+    # ``diff = ...`` would redefine the set function the header and every
+    # ``[| diff(...) |]`` call, and ``STOP = ...`` the process STOP
+    spec, out = tmp_path / "locals.wrt", tmp_path / "locals.fdr2"
+    spec.write_text(
+        "Style S\nComponent C\n  Port P = a -> diff [] TICK where { diff = b -> P }\n"
+        "  Computation = P.a -> P.b -> Computation [] TICK\n"
+        "Connector K\n  Role R = m -> STOP [] TICK where { STOP = m -> R }\n"
+        "  Glue = R.m -> Glue [] TICK\nConstraints\nEnd Style\n"
+    )
+    assert run(capsys, "translate", str(spec), str(out))[0] == 0
+    lines = out.read_text().splitlines()
+    assert "diffP = (b -> PORTP)" in lines and "PORTP = ((a -> diffP) [] SKIP)" in lines
+    assert "STOPR = (m -> ROLER)" in lines and "ROLER = ((m -> STOPR) [] SKIP)" in lines
+    assert not [line for line in lines if line.split(" = ")[0] in ("diff", "diffDETR", "STOP")]
+    code, stdout, _ = run(capsys, "check", str(spec))
+    assert code == 0 and stdout.count("PASS  ") == 3
 
 
 def test_lint_prints_the_mixed_operator_warning_with_its_severity(tmp_path, capsys):
@@ -479,6 +537,15 @@ def test_check_passes_at_the_nesting_limit(tmp_path, capsys):
     assert code == 0
     verdicts = stdout.splitlines()
     assert len(verdicts) == 4 and all(v.startswith("PASS") for v in verdicts)
+
+
+def test_check_decides_flat_choices_far_longer_than_the_nesting_limit(tmp_path, capsys):
+    # a 5 000-alternative [] port and a 300-alternative |~| role: a run is one level
+    path = tmp_path / "flat.wrt"
+    path.write_text(flat_choice_spec())
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert stdout.splitlines() == ["PASS  assert PG [FD= COMPP", "PASS  assert DFA [FD= RA", "PASS  assert DFA [FD= KA"]
 
 
 def test_check_exits_quietly_when_stdout_closes_early(tmp_path):

@@ -479,11 +479,32 @@ def _assert_reads_back(name, plan):
     return len(definitions)
 
 
+# Three-way runs of each choice operator whose first two branches share their
+# first event: the determinized forms (PORTPDETR, ROLERDET) merge those two
+# and keep the third beside them.
+RUNS_SOURCE = """Configuration Runs
+Component C
+  Port P = a -> P [] a -> b -> P [] c -> TICK
+  Port Q = _d -> Q |~| _d -> _e -> Q |~| TICK
+  Computation = P.a -> Computation [] P.b -> Computation [] P.c -> TICK [] _Q.d -> Computation [] _Q.e -> Computation
+Connector K
+  Role R = a -> R |~| a -> b -> R |~| c -> TICK
+  Role S = _a -> S [] _a -> _b -> S [] _c -> TICK
+  Glue = R.a -> S.a -> Glue [] R.b -> S.b -> Glue [] R.c -> S.c -> TICK
+Instances
+  X : C
+  Y : K
+Attachments
+  X.P As Y.R
+End Configuration
+"""
+
+
 def test_the_text_reads_back_as_its_definitions_and_assertions():
     # every operator line too: [| S |], \ S, [[ x <- T | x <- S ]], the
     # ``… [| … |] STOP`` augmentations, the header's DFA and the assert lines
     workloads = perfbench_workloads()
-    sources = _sources() + [
+    sources = _sources() + [("three-way runs", RUNS_SOURCE)] + [
         (f"star({k}){' failing' if fail else ''}", workloads.star_case(k, "t", fail).source)
         for k in (2, 3, 4)
         for fail in (None, 2)
@@ -492,7 +513,10 @@ def test_the_text_reads_back_as_its_definitions_and_assertions():
         (f"pipeline({n}){' failing' if fail else ''}", workloads.pipeline_case(n, "t", fail).source)
         for n, fail in ((5, False), (5, True), (20, True))
     ]
-    read = sum(_assert_reads_back(name, plan) for name, plan in _front_end_plans(sources))
+    plans = list(_front_end_plans(sources))
+    (runs,) = [plan for name, plan in plans if name == "three-way runs"]
+    assert "ROLERDET = ((a -> (ROLERDET [] (b -> ROLERDET))) [] (c -> SKIP))" in runs.text.splitlines()
+    read = sum(_assert_reads_back(name, plan) for name, plan in plans)
     assert read > 4000
 
 

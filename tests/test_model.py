@@ -191,11 +191,11 @@ def test_point_alphabets_are_scoped_by_a_name_prefix():
 
 
 def test_rename_with_prefix():
-    decl = Declaration(DeclKind.GLUE, "Glue", ExternalChoice(pf("Origin.a", Ref("Glue"), True), SUCCESS))
+    decl = Declaration(DeclKind.GLUE, "Glue", ExternalChoice((pf("Origin.a", Ref("Glue"), True), SUCCESS)))
     # the attachment A.Output As C.Origin renames Origin.a to Output.a and
     # then qualifies with the instance name
     renamed = rename_with_prefix(decl, "A")
-    event = renamed.body.left
+    event = renamed.body.branches[0]
     assert event.event == "A.Origin.a"
     assert event.initiated
     empty = Declaration(DeclKind.PORT, "P", SUCCESS)

@@ -16,6 +16,7 @@ from wright2csp.model import (
     InternalChoice,
     Prefix,
     Ref,
+    SUCCESS,
     Style,
     Success,
 )
@@ -182,7 +183,10 @@ def test_parse_results_are_pinned():
     # the digest was taken before the lexer and parser were rewritten for speed,
     # and retaken when attachments gained their ``port`` and ``role`` fields
     # (None after parsing): deleting ", port=None, role=None" from every
-    # repr gives the digest of before, 17fe3d2e...e8079
+    # repr gives the digest of before, 17fe3d2e...e8079.  Retaken again when a
+    # choice came to hold its run of branches: printing each choice as the
+    # left fold ``ExternalChoice(left=ExternalChoice(left=b1, right=b2),
+    # right=b3)`` of its branches gives the digest of before, b8cc2199...3a3f
     workloads = perfbench_workloads()
     sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
     sources += [workloads.pipeline_case(5, "t", fail).source for fail in (False, True)]
@@ -191,7 +195,7 @@ def test_parse_results_are_pinned():
     digest = hashlib.sha256()
     for text in sources:
         digest.update(_parse_outcome(text).encode() + b"\0")
-    assert digest.hexdigest() == "b8cc2199c48a9ac6a8a61e8c4376a673febea149055c18de009f7c9bbf813a3f"
+    assert digest.hexdigest() == "f68e179a2b6a0d03b10397d39c682d367f481febbf2c211de000411c8df8e94c"
 
 
 def test_parse_dt1_structure():
@@ -214,10 +218,10 @@ def test_parse_port_choice_shape():
     )
     port = spec.types[0].ports[0]
     body = port.body
-    assert isinstance(body, ExternalChoice)
-    assert body.left == Prefix(body.left.event, Ref("In"))
-    assert body.left.event == "read"
-    assert isinstance(body.right.rest, Success)
+    assert isinstance(body, ExternalChoice) and len(body.branches) == 2
+    assert body.branches[0] == Prefix(body.branches[0].event, Ref("In"))
+    assert body.branches[0].event == "read"
+    assert isinstance(body.branches[1].rest, Success)
 
 
 def test_parse_where_clause_locals():
@@ -288,51 +292,66 @@ def test_mixed_choice_warning_is_at_each_operator_that_switches():
     assert len({w.message for w in p.warnings}) == 1 and "mixed" in p.warnings[0].message
 
 
+def parse_role(text):
+    return parse_text(f"Style S\nConnector K\n  Role R = {text}\n  Glue = TICK\nConstraints\nEnd Style")
+
+
 @pytest.mark.parametrize(
     "body",
     [
         lambda levels: "a -> " * (levels - 1) + "TICK",
-        lambda levels: " [] ".join(["TICK"] * levels),
+        # operators that switch at every step: each switch nests the run so far one level down
+        lambda levels: "TICK" + "".join(f" {('[]', '|~|')[i % 2]} TICK" for i in range(levels - 1)),
         lambda levels: "(" * (levels - 1) + "TICK" + ")" * (levels - 1),
     ],
     ids=["prefix", "choice", "parentheses"],
 )
 def test_nesting_limit_is_exact(body):
-    def parse_role(text):
-        return parse_text(f"Style S\nConnector K\n  Role R = {text}\n  Glue = TICK\nConstraints\nEnd Style")
-
     parse_role(body(MAX_NESTING))
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
         parse_role(body(MAX_NESTING + 1))
 
 
+@pytest.mark.parametrize("op, cls", [("[]", ExternalChoice), ("|~|", InternalChoice)])
+def test_a_flat_choice_of_any_length_is_one_node(op, cls):
+    body = parse_role(f" {op} ".join(f"e{i} -> R" for i in range(5000)) + f" {op} TICK").types[0].roles[0].body
+    assert type(body) is cls and len(body.branches) == 5001
+    assert body.branches[0] == Prefix("e0", Ref("R")) and body.branches[-1] == SUCCESS
+    # a run is one level and its branches one more, however many they are
+    run = f" {op} ".join(["TICK"] * 5000)
+    parse_role("(" * (MAX_NESTING - 2) + run + ")" * (MAX_NESTING - 2))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_role("(" * (MAX_NESTING - 1) + run + ")" * (MAX_NESTING - 1))
+
+
+# (a shape of n steps, the n to read back): a flat run has no largest n the
+# parser accepts, so it is read back at 5 000; for None, that largest n is searched
 @pytest.mark.parametrize(
-    "body",
+    "body, flat",
     [
-        lambda n: "a -> " * n + "TICK",
-        lambda n: " [] ".join(f"e{i} -> R" for i in range(n)),
-        lambda n: " |~| ".join(f"_e{i} -> R" for i in range(n)),
-        lambda n: "a -> (R [] " * n + "TICK" + ")" * n,
-        lambda n: "R [] (" * n + "TICK" + ")" * n,
-        lambda n: "(" * n + "R" + "".join(f" {('[]', '|~|')[i % 2]} R)" for i in range(n)),
+        (lambda n: "a -> " * n + "TICK", None),
+        (lambda n: " [] ".join(f"e{i} -> R" for i in range(n)), 5000),
+        (lambda n: " |~| ".join(f"_e{i} -> R" for i in range(n)), 5000),
+        (lambda n: "a -> (R [] " * n + "TICK" + ")" * n, None),
+        (lambda n: "R [] (" * n + "TICK" + ")" * n, None),
+        (lambda n: "(" * n + "R" + "".join(f" {('[]', '|~|')[i % 2]} R)" for i in range(n)), None),
     ],
     ids=["prefix", "external", "internal", "choice-under-prefix", "right-operand", "alternating"],
 )
-def test_printed_text_parses_to_the_same_body_up_to_the_nesting_limit(body):
-    def role_spec(text):
-        return parse_text(f"Style S\nConnector K\n  Role R = {text}\n  Glue = TICK\nConstraints\nEnd Style")
-
-    n = 1
-    while True:  # the largest n the parser accepts
-        try:
-            role_spec(body(n + 1))
-        except ParseError:
-            break
-        n += 1
-    assert n >= MAX_NESTING // 4
+def test_printed_text_parses_to_the_same_body_up_to_the_nesting_limit(body, flat):
+    n = flat
+    if n is None:
+        n = 1
+        while True:  # the largest n the parser accepts
+            try:
+                parse_role(body(n + 1))
+            except ParseError:
+                break
+            n += 1
+        assert n >= MAX_NESTING // 4
     for k in (1, 2, n):
-        spec = role_spec(body(k))
-        reparsed = role_spec(to_wright(spec).split("Role R = ")[1].split("\n")[0])
+        spec = parse_role(body(k))
+        reparsed = parse_role(to_wright(spec).split("Role R = ")[1].split("\n")[0])
         assert repr(reparsed.types[0].roles[0].body) == repr(spec.types[0].roles[0].body), k
 
 

@@ -22,7 +22,6 @@ from wright2csp.codegen import Assertion, AssertionKind, EmitPlan
 from wright2csp.engine import (
     FdModel,
     PExt,
-    PExtN,
     PHide,
     PPar,
     PRename,
@@ -64,16 +63,14 @@ def _decl(kind, name, body):
 # (value, its exact repr); each value class appears at least once.
 VALUES = [
     (Prefix("In.read", Ref("P"), True), "Prefix(event='In.read', rest=Ref(name='P'), initiated=True)"),
-    (ExternalChoice(Ref("A"), SUCCESS), "ExternalChoice(left=Ref(name='A'), right=Success())"),
-    (InternalChoice(EMPTY, Ref("B")), "InternalChoice(left=Empty(), right=Ref(name='B'))"),
+    (
+        ExternalChoice((Ref("A"), SUCCESS, Ref("A"))),  # written order, repeats kept
+        "ExternalChoice(branches=(Ref(name='A'), Success(), Ref(name='A')))",
+    ),
+    (InternalChoice((EMPTY, Ref("B"))), "InternalChoice(branches=(Empty(), Ref(name='B')))"),
     (Ref("P"), "Ref(name='P')"),
     (Success(), "Success()"),
     (Empty(), "Empty()"),
-    (
-        PExt(Prefix("b", SUCCESS), Ref("X"), Prefix("a", EMPTY)),
-        "PExtN(branches=(Prefix(event='a', rest=Empty(), initiated=False), "
-        "Prefix(event='b', rest=Success(), initiated=False), Ref(name='X')))",
-    ),
     (
         PPar(Ref("A"), frozenset({"a"}), Ref("B")),
         "PPar(left=Ref(name='A'), sync=frozenset({'a'}), right=Ref(name='B'))",
@@ -182,8 +179,15 @@ LOWERED = [
     ),
     (
         "PInt",
-        codegen.process_term(InternalChoice(Ref("A"), SUCCESS), {}),
-        "InternalChoice(left=Ref(name='A'), right=Success())",
+        # a run whose first branch is a run of the same operator is one run to the engine
+        codegen.process_term(InternalChoice((InternalChoice((Ref("A"), SUCCESS)), Ref("B"))), {}),
+        "InternalChoice(branches=(Ref(name='A'), Success(), Ref(name='B')))",
+    ),
+    (
+        "PExtN",
+        codegen.process_term(ExternalChoice((Prefix("b", SUCCESS), Ref("X"), Prefix("a", EMPTY, True))), {}),
+        "ExternalChoice(branches=(Prefix(event='a', rest=Empty(), initiated=False), "
+        "Prefix(event='b', rest=Success(), initiated=False), Ref(name='X')))",
     ),
     ("PRef", codegen.process_term(Ref("A"), {"A": "C_A"}), "Ref(name='C_A')"),
 ]
@@ -218,14 +222,14 @@ def test_record_repr_is_pinned(record, by_keyword, text):
 
 def test_pext_orders_branches_by_repr():
     a, b, x = Prefix("a", EMPTY), Prefix("b", SUCCESS), Ref("X")
-    for operands in [(b, x, a), (x, a, b), (a, PExt(x, b))]:
+    for operands in [(b, x, a), (x, a, b), (a, PExt(x, b)), (ExternalChoice((x, ExternalChoice((b, a, b)))),)]:
         assert PExt(*operands).branches == (a, b, x)
     assert PExt(a, a) is a
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
 def test_values_compare_and_hash_by_their_fields(value, text):
-    again = eval(text)  # the repr rebuilds an equal, separate value (PExtN, PRename are imported for it)
+    again = eval(text)  # the repr rebuilds an equal, separate value (PRename is imported for it)
     assert again == value and again is not value
     assert hash(again) == hash(value)
     assert {value: 1}[again] == 1
@@ -238,7 +242,7 @@ def test_equality_ignores_prefix_polarity_and_never_crosses_classes():
     assert Prefix("a", SUCCESS) != Prefix("a", EMPTY)
     assert Success() != Empty() and Success().__eq__(Empty()) is NotImplemented
     assert Success() == SUCCESS and Empty() == EMPTY
-    assert ExternalChoice(Ref("A"), SUCCESS) != InternalChoice(Ref("A"), SUCCESS)
+    assert ExternalChoice((Ref("A"), SUCCESS)) != InternalChoice((Ref("A"), SUCCESS))
     assert len({EMPTY, SUCCESS, EMPTY, Success(), Empty(), SUCCESS}) == 2
 
 

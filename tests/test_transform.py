@@ -37,42 +37,51 @@ def pf(name, rest, initiated=False):
 
 
 def test_normalize_merges_same_event_internal_choice():
-    p = InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q")))
+    p = InternalChoice((pf("a", Ref("P")), pf("a", Ref("Q"))))
     out = determinized(p)
-    assert out == pf("a", ExternalChoice(Ref("P"), Ref("Q")))
+    assert out == pf("a", ExternalChoice((Ref("P"), Ref("Q"))))
 
 
 def test_normalize_leaves_distinct_events_alone():
     # distinct-event branches stay, as an external choice
-    p = InternalChoice(pf("a", Ref("P")), pf("b", Ref("Q")))
-    assert determinized(p) == ExternalChoice(pf("a", Ref("P")), pf("b", Ref("Q")))
+    p = InternalChoice((pf("a", Ref("P")), pf("b", Ref("Q"))))
+    assert determinized(p) == ExternalChoice((pf("a", Ref("P")), pf("b", Ref("Q"))))
 
 
 def test_normalize_applies_to_fixpoint():
-    p = InternalChoice(InternalChoice(pf("a", Ref("P")), pf("a", Ref("Q"))), pf("a", Ref("R")))
+    p = InternalChoice((InternalChoice((pf("a", Ref("P")), pf("a", Ref("Q")))), pf("a", Ref("R"))))
     out = determinized(p)
-    expected = pf("a", ExternalChoice(ExternalChoice(Ref("P"), Ref("Q")), Ref("R")))
+    # the merged continuations form one run, printed ((P [] Q) [] R) as the nested form was
+    expected = pf("a", ExternalChoice((Ref("P"), Ref("Q"), Ref("R"))))
     assert out == expected
+    assert fdr_expr(out.rest, {}) == "((P [] Q) [] R)"
+
+
+def test_merging_a_long_run_nests_no_deeper():
+    # 2 000 branches on one event merge into one prefix over one flat run
+    p = ExternalChoice(tuple(pf("a", Ref(f"P{i}")) for i in range(2000)))
+    out = determinized(p)
+    assert out == pf("a", ExternalChoice(tuple(Ref(f"P{i}") for i in range(2000))))
 
 
 def test_normalize_merges_below_a_merge():
     # the merged continuations a -> P and a -> Q merge again
-    p = InternalChoice(pf("a", pf("a", Ref("P"))), pf("a", pf("a", Ref("Q"), True)))
+    p = InternalChoice((pf("a", pf("a", Ref("P"))), pf("a", pf("a", Ref("Q"), True))))
     out = determinized(p)
-    assert out == pf("a", pf("a", ExternalChoice(Ref("P"), Ref("Q"))))
+    assert out == pf("a", pf("a", ExternalChoice((Ref("P"), Ref("Q")))))
     assert out.initiated is False and out.rest.initiated is False  # the left prefix's polarity
 
 
 def test_determinize_replaces_internal_choice():
-    p = InternalChoice(pf("a", Ref(SELF)), SUCCESS)
+    p = InternalChoice((pf("a", Ref(SELF)), SUCCESS))
     out = determinized(p)
-    assert out == ExternalChoice(pf("a", Ref(SELF)), SUCCESS)
+    assert out == ExternalChoice((pf("a", Ref(SELF)), SUCCESS))
 
 
 def test_determinize_identity_without_choice():
     p = pf("a", SUCCESS)
     assert determinized(p) == p
-    already = ExternalChoice(pf("read", Ref("In")), pf("close", SUCCESS))
+    already = ExternalChoice((pf("read", Ref("In")), pf("close", SUCCESS)))
     assert determinized(already) == already
 
 
@@ -81,7 +90,7 @@ def count_internal(expr):
         return count_internal(expr.rest)
     if isinstance(expr, (ExternalChoice, InternalChoice)):
         extra = 1 if isinstance(expr, InternalChoice) else 0
-        return extra + count_internal(expr.left) + count_internal(expr.right)
+        return extra + sum(map(count_internal, expr.branches))
     return 0
 
 
@@ -101,7 +110,7 @@ def test_projection_rule_examples():
     p2 = pf("b", Ref("P2"))
     assert project_to(p2, keep_a, "P2") == EMPTY
     # P3 = a -> P3 [] b -> P3 collapses to the surviving branch
-    p3 = ExternalChoice(pf("a", Ref("P3")), pf("b", Ref("P3")))
+    p3 = ExternalChoice((pf("a", Ref("P3")), pf("b", Ref("P3"))))
     assert project_to(p3, keep_a, "P3") == pf("a", Ref("P3"))
 
 
@@ -210,7 +219,7 @@ def test_projection_erases_an_unguarded_cycle_through_a_where_local():
     # Out = _c -> L where { L = _d -> Out |~| TICK }: with c and d hidden the
     # references Out -> L -> Out form an unguarded cycle, as the inline
     # Out = _c -> (_d -> Out |~| TICK) has Out -> Out
-    local = Declaration(DeclKind.WHERE_LOCAL, "L", InternalChoice(pf("d", Ref("Out"), True), SUCCESS))
+    local = Declaration(DeclKind.WHERE_LOCAL, "L", InternalChoice((pf("d", Ref("Out"), True), SUCCESS)))
     decl = Declaration(DeclKind.PORT, "Out", pf("c", Ref("L"), True), [local])
     projected, diags = project_declaration(decl, {})
     assert not diags
@@ -220,7 +229,7 @@ def test_projection_erases_an_unguarded_cycle_through_a_where_local():
     # cycle is kept
     projected, _ = project_declaration(decl, keep_set(["d"]))
     assert projected.body == Ref("L")
-    assert projected.locals[0].body == InternalChoice(pf("d", Ref("Out")), SUCCESS)
+    assert projected.locals[0].body == InternalChoice((pf("d", Ref("Out")), SUCCESS))
 
 
 def test_projection_decides_erasure_as_the_rounds_that_re_project_every_body():
@@ -243,7 +252,7 @@ def _retarget(expr, rng, local):
     if isinstance(expr, Prefix):
         return Prefix(expr.event, _retarget(expr.rest, rng, local), expr.initiated)
     if isinstance(expr, (ExternalChoice, InternalChoice)):
-        return type(expr)(_retarget(expr.left, rng, local), _retarget(expr.right, rng, local))
+        return type(expr)(tuple(_retarget(branch, rng, local) for branch in expr.branches))
     if isinstance(expr, Ref) and rng.random() < 0.5:
         return Ref(local)
     return expr

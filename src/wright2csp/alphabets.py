@@ -2,15 +2,14 @@
 
 Per declaration, one iterative walk over each body (the declaration's and
 each where-local's) collects the names it references and the events it
-prefixes.  Each name's alphabet is then its own events followed by those of
-every name it reaches, breadth-first (``reach``), so mutually recursive
-where-locals contribute their events to the owning declaration; each
-where-local's is stored too, but nothing reads it.  An alphabet is an
-insertion-ordered ``dict`` from qualified event name to the polarity of its
-first use; ``AlphabetInfo`` keeps its observed subset beside it, and the
-initiated subset is read off it where it is printed.  The walk also maps each
-unscoped event name to the first declaration or where-local that uses it,
-which is where ``annotate`` reports a name the output cannot declare.
+prefixes.  The declaration's alphabet is its own events followed by those
+of every name it reaches, breadth-first (``reach``), so mutually recursive
+where-locals add their events to it; a where-local's ``alphabet`` stays None.
+An alphabet is an insertion-ordered ``dict`` from qualified event name to
+the polarity of its first use; ``AlphabetInfo`` keeps its observed subset
+beside it, and the initiated subset is read off it where it is printed.
+The walk also maps each unscoped event name to its first user, declaration
+or where-local, where ``annotate`` reports a name the output cannot declare.
 One routine, ``compute_type_alphabet``, serves components and connectors
 alike through ``model.parts``: their interface points, then the computation
 or glue.  It warns about point events the computation or glue leaves out.
@@ -93,7 +92,7 @@ def compute_declaration_alphabet(
     decl: Declaration, event_names: dict[str, Declaration] | None = None
 ) -> tuple[AlphabetInfo, list[Diagnostic]]:
     """Alphabet of a declaration body, then of each name it reaches through its
-    locals, breadth-first; each local's alphabet, found the same way, is stored on it.
+    locals, breadth-first.  The locals' ``alphabet`` fields are left as they are.
 
     Also maps the unscoped name of every event the bodies use to the first of
     ``decl`` and its locals that uses it, in ``event_names``, in first-use order.
@@ -143,10 +142,7 @@ def compute_declaration_alphabet(
                     )
                 )
 
-    totals = {n: _union([own[m] for m in reach(refs, n)]) for n in refs}
-    for loc in decl.locals:
-        loc.alphabet = _info(totals[loc.name])
-    return _info(totals[decl.name]), diags
+    return _info(_union([own[m] for m in reach(refs, decl.name)])), diags
 
 
 def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Declaration]) -> list[Diagnostic]:

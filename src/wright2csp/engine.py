@@ -4,23 +4,23 @@ Process terms compile to finite labelled transition systems by
 explicit-state exploration, in the style of FDR3's supercombinators.  A term
 is a ``model.ProcessExpr``: the behavioural AST's prefix, choices,
 reference, ``Success`` (SKIP) and ``Empty`` (STOP), plus this module's
-synchronized parallel, renaming and hiding.  Each
-term position numbers its own states.  Sequential terms are stepped as
-terms.  Renaming and hiding only relabel moves, so a term under them is
-stepped in place, its moves relabelled by its context's composed map.  A
-parallel composition is a product over integer states of two operand
-positions: it splits each operand state's moves once into a sync table
-(local moves, synchronised moves, tick targets) with labels already
-relabelled, and builds a pair's moves by joining two tables.  A left
-table holds its own state's row (a dict from right state to pair id) and
-its targets' rows, so no move builds or hashes a state tuple.  The LTS is
-the one a breadth-first search with whole terms as states would build,
-state numbering included (the argument precedes ``MAX_NESTING``).  It keeps
-each state's moves as two parallel lists, events and targets; its
-transition triples are derived when read.  An operator directly under an
-external choice is not supported (codegen never emits one), and operators
-nested more than ``MAX_NESTING`` deep by recursion are a
-``ResourceLimitError``.
+synchronized parallel, renaming and hiding.  Each term position numbers its
+own states.  Sequential terms are stepped as terms; a ``|~|`` run takes one
+tau to each branch, FD-equivalent to the left-grouped chain the text prints.
+Renaming and hiding only relabel moves, so a term under them is stepped in
+place, its moves relabelled by its context's composed map.  A parallel
+composition is a product over integer states of two operand positions: it
+splits each operand state's moves once into a sync table (local moves,
+synchronised moves, tick targets) with labels already relabelled, and
+builds a pair's moves by joining two tables.  A left table holds its own
+state's row (a dict from right state to pair id) and its targets' rows, so
+no move builds or hashes a state tuple.  The LTS is the one a breadth-first
+search with whole terms as states would build, state numbering included
+(the argument precedes ``MAX_NESTING``).  It keeps each state's moves as two
+parallel lists, events and targets; its transition triples are derived when
+read.  An operator directly under an external choice is not supported
+(codegen never emits one), and operators nested more than ``MAX_NESTING``
+deep by recursion are a ``ResourceLimitError``.
 A subset construction over tau-closures turns an LTS into a normalized
 failures-divergences machine.  Refinement is a 0-1 breadth-first search of
 the product of that machine with the raw implementation.  A product pair
@@ -207,9 +207,8 @@ def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> tuple[list[str],
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         return [TAU], [env[term.name]]
-    if isinstance(term, InternalChoice):  # resolved as the text groups a run: ((b1 |~| b2) |~| b3)
-        *run, last = term.branches
-        return [TAU, TAU], [InternalChoice(tuple(run)) if len(run) > 1 else run[0], last]
+    if isinstance(term, InternalChoice):  # one tau to each branch of the run
+        return [TAU] * len(term.branches), list(term.branches)
     if isinstance(term, ExternalChoice):
         events: list[str] = []
         nexts: list[ProcessExpr] = []

@@ -13,9 +13,9 @@ is an insertion-ordered ``dict`` from qualified name to the polarity of its
 first use, so generated output is reproducible run to run.  The alphabet
 fields of the structural records (``Declaration.alphabet``, a type's
 ``total_alphabet``, a spec's ``event_names``) start empty: ``alphabets.annotate``
-is their only writer.  Likewise an attachment's ``port`` and ``role`` start
-as None, and ``analyzer.analyze`` is their only writer.  Every finding, from
-a parse warning to an emission warning, is one ``Diagnostic``.
+is their only writer, and a where-local's stays None.  An attachment's ``port``
+and ``role`` start as None; ``analyzer.analyze`` is their only writer.  Every
+finding, from a parse warning to an emission warning, is one ``Diagnostic``.
 
 The expression and structural classes are plain slotted classes with a
 written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
@@ -218,7 +218,7 @@ class Declaration:
         self.body = body
         self.locals = [] if locals is None else locals
         self.pos = pos
-        self.alphabet: AlphabetInfo | None = None  # filled by alphabets.annotate
+        self.alphabet: AlphabetInfo | None = None  # filled by alphabets.annotate; None on a where-local
 
 
 @slotted(frozen=False)

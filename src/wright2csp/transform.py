@@ -2,11 +2,11 @@
 
 Each rewrite is one bottom-up walk over the body.
 
-Determinization turns every choice into an external one, folding a run of
-branches left to right: while the run so far is one prefix and the next
-branch prefixes the same event, the two become that prefix over the
-determinized choice of their continuations (e -> Q [choice] e -> S becomes
-e -> (Q [] S)), so no internal decision is left and the trace set is kept.
+Determinization turns every choice into an external one.  It joins a run's
+determinized branches once (``_join``): leading prefixes on one event merge
+over the join of their continuations (e -> Q [choice] e -> S becomes
+e -> (Q [] S)), so no internal decision is left and the trace set is kept;
+every later branch is appended.  Nothing determinized is walked again.
 
 Projection onto a kept event set works by branch elimination over the tree:
 
@@ -46,17 +46,22 @@ from .model import (
 )
 
 
+def _join(run: list[ProcessExpr]) -> ProcessExpr:
+    """The determinized choice of determinized operands, in order."""
+    head, k = run[0], 1
+    while type(head) is Prefix and k < len(run) and type(run[k]) is Prefix and run[k].event == head.event:
+        k += 1
+    if k > 1:
+        head = Prefix(head.event, _join([b.rest for b in run[:k]]), head.initiated)
+    if k == len(run):
+        return head
+    return ExternalChoice((*(head.branches if type(head) is ExternalChoice else (head,)), *run[k:]))
+
+
 def determinized(p: ProcessExpr) -> ProcessExpr:
     """``p`` with every choice external and same-event branches merged."""
     if isinstance(p, Choice):
-        head = determinized(p.branches[0])
-        for i in range(1, len(p.branches)):
-            branch = determinized(p.branches[i])
-            if not (isinstance(head, Prefix) and isinstance(branch, Prefix) and head.event == branch.event):
-                run = head.branches if type(head) is ExternalChoice else (head,)  # it prints as the left group
-                return ExternalChoice((*run, branch, *map(determinized, p.branches[i + 1:])))
-            head = Prefix(head.event, determinized(ExternalChoice((head.rest, branch.rest))), head.initiated)
-        return head
+        return _join([determinized(b) for b in p.branches])
     if isinstance(p, Prefix):
         return Prefix(p.event, determinized(p.rest), p.initiated)
     return p

@@ -284,6 +284,26 @@ def reference_project_declaration(decl: Declaration, keep: Alphabet) -> tuple[De
     return Declaration(decl.kind, decl.name, body, kept, decl.pos), diags
 
 
+def reference_determinized(p: ProcessExpr) -> ProcessExpr:
+    """``transform.determinized`` as a fold that determinizes the merged
+    continuation again at every merge: while the run so far is one prefix and
+    the next branch prefixes the same event, the two become that prefix over
+    the determinized choice of their continuations.  Quadratic in a run of
+    branches on one event."""
+    if isinstance(p, Choice):
+        head = reference_determinized(p.branches[0])
+        for i in range(1, len(p.branches)):
+            branch = reference_determinized(p.branches[i])
+            if not (isinstance(head, Prefix) and isinstance(branch, Prefix) and head.event == branch.event):
+                run = head.branches if type(head) is ExternalChoice else (head,)  # it prints as the left group
+                return ExternalChoice((*run, branch, *map(reference_determinized, p.branches[i + 1:])))
+            head = Prefix(head.event, reference_determinized(ExternalChoice((head.rest, branch.rest))), head.initiated)
+        return head
+    if isinstance(p, Prefix):
+        return Prefix(p.event, reference_determinized(p.rest), p.initiated)
+    return p
+
+
 # --- term-level state-space exploration -----------------------------------------
 #
 # The engine's original explorer: every state is a whole process term, and
@@ -308,9 +328,8 @@ def _reference_step(term: ProcessExpr, env, memo: dict) -> tuple[tuple[str, Proc
         if term.name not in env:
             raise UnresolvedProcessError(term.name)
         out = [(TAU, env[term.name])]
-    elif isinstance(term, InternalChoice):  # a run resolves grouped to the left, as the text prints it
-        *run, last = term.branches
-        out = [(TAU, InternalChoice(tuple(run)) if len(run) > 1 else run[0]), (TAU, last)]
+    elif isinstance(term, InternalChoice):  # one tau to each branch of the run
+        out = [(TAU, b) for b in term.branches]
     elif isinstance(term, ExternalChoice):
         out = []
         for branch in term.branches:

@@ -208,7 +208,18 @@ def random_declaration(rng, n_locals):
     return Declaration(DeclKind.ROLE, "D", build(5), locals_)
 
 
+def rerooted(decl, loc):
+    """The bodies of ``decl`` with ``loc`` as the declaration: the old
+    declaration becomes a where-local, and ``loc``'s other definitions go, so
+    every name keeps the body its references resolve to."""
+    others = [d for d in decl.locals if d.name != loc.name]
+    moved = Declaration(DeclKind.WHERE_LOCAL, decl.name, decl.body)
+    return Declaration(DeclKind.ROLE, loc.name, loc.body, [moved, *others])
+
+
 def test_alphabet_walk_matches_closure_oracle_on_random_relations():
+    # the declaration's alphabet, and each where-local's as the declaration of
+    # the same bodies re-rooted there, so every start name is covered
     rng = random.Random(11)
     for _ in range(600):
         decl = random_declaration(rng, rng.randrange(8))
@@ -216,8 +227,11 @@ def test_alphabet_walk_matches_closure_oracle_on_random_relations():
         info, diags = compute_declaration_alphabet(decl, event_names)
         expected = reference_alphabets(decl)
         assert list(info.total.items()) == list(expected["D"].items()), decl
-        for loc in decl.locals:
-            assert list(loc.alphabet.total.items()) == list(expected[loc.name].items()), decl
+        last = {loc.name: loc for loc in decl.locals}
+        for loc in last.values():
+            assert loc.alphabet is None
+            total = compute_declaration_alphabet(rerooted(decl, loc))[0].total
+            assert list(total.items()) == list(expected[loc.name].items()), decl
         assert {e: i for e, i in info.total.items() if i} == {e: True for e, i in expected["D"].items() if i}
         assert info.observed == {e: False for e, i in expected["D"].items() if not i}
         bodies = [decl.body] + [loc.body for loc in decl.locals]
@@ -241,7 +255,20 @@ def test_declaration_alphabet_follows_references_breadth_first():
     info, diags = compute_declaration_alphabet(role)
     assert diags == []
     assert list(info.total) == ["d", "l5", "l2", "l4", "l3", "l1", "l6"]
-    assert list(role.locals[5].alphabet.total) == ["l6", "l4", "l1", "d", "l5", "l2", "l3"]
+    l6 = role.locals[5]
+    assert l6.alphabet is None
+    assert list(compute_declaration_alphabet(rerooted(role, l6))[0].total) == ["l6", "l4", "l1", "d", "l5", "l2", "l3"]
+
+
+def test_annotate_searches_once_per_declaration_not_per_where_local(monkeypatch):
+    # chain_spec(n) has two declarations with n + 1 where-locals each; a search
+    # from every where-local made annotate quadratic in n
+    starts = []
+    search = alphabets.reach
+    monkeypatch.setattr(alphabets, "reach", lambda refs, start: starts.append(start) or search(refs, start))
+    spec, _ = parse_source(chain_spec(50))
+    assert alphabets.annotate(spec) == []
+    assert starts == ["Out", "Computation"]
 
 
 def test_where_local_chains_of_800_take_seconds():

@@ -13,6 +13,7 @@ from oracles import (
     project_trace,
     random_declaration,
     random_expr,
+    reference_determinized,
     reference_project_declaration,
     traces,
 )
@@ -58,10 +59,43 @@ def test_normalize_applies_to_fixpoint():
 
 
 def test_merging_a_long_run_nests_no_deeper():
-    # 2 000 branches on one event merge into one prefix over one flat run
-    p = ExternalChoice(tuple(pf("a", Ref(f"P{i}")) for i in range(2000)))
+    # 10 000 branches on one event merge into one prefix over one flat run
+    p = ExternalChoice(tuple(pf("a", Ref(f"P{i}")) for i in range(10_000)))
     out = determinized(p)
-    assert out == pf("a", ExternalChoice(tuple(Ref(f"P{i}") for i in range(2000))))
+    assert out == pf("a", ExternalChoice(tuple(Ref(f"P{i}") for i in range(10_000))))
+
+
+def _bodies(rng):
+    """Random bodies; runs whose branches prefix one event; bodies over one
+    event, where merged continuations merge again; and runs of one operator
+    whose branches are runs of the other.  Polarity is drawn throughout."""
+    for i in range(1500):
+        kind = i % 4
+        if kind == 0:
+            yield random_expr(rng, max_ops=8)
+        elif kind == 1:
+            cls, n = rng.choice((ExternalChoice, InternalChoice)), rng.randint(2, 30)
+            yield cls(tuple(pf("a", random_expr(rng, max_ops=3), rng.random() < 0.5) for _ in range(n)))
+        elif kind == 2:
+            yield random_expr(rng, alphabet=("a",), max_ops=10)
+        else:
+            outer, inner = rng.sample((ExternalChoice, InternalChoice), 2)
+            yield outer(tuple(inner(tuple(random_expr(rng, ("a", "b"), 3) for _ in range(rng.randint(2, 4))))
+                              if rng.random() < 0.5 else random_expr(rng, ("a", "b"), 3)
+                              for _ in range(rng.randint(2, 6))))
+
+
+def test_determinized_matches_the_reference_fold_by_repr():
+    # repr shows each prefix's polarity, which == ignores; the reference
+    # determinizes every merged continuation again, the code under test joins
+    # determinized operands without walking them again
+    merged = 0
+    for p in _bodies(random.Random(7)):
+        out = determinized(p)
+        assert repr(out) == repr(reference_determinized(p)), p
+        assert repr(determinized(out)) == repr(out), p  # its own output comes back unchanged
+        merged += repr(out).count("Prefix(") < repr(p).count("Prefix(")
+    assert merged >= 400, merged
 
 
 def test_normalize_merges_below_a_merge():

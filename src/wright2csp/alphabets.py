@@ -6,8 +6,10 @@ prefixes.  The declaration's alphabet is its own events followed by those
 of every name it reaches, breadth-first (``reach``), so mutually recursive
 where-locals add their events to it; a where-local's ``alphabet`` stays None.
 An alphabet is an insertion-ordered ``dict`` from qualified event name to
-the polarity of its first use; ``AlphabetInfo`` keeps its observed subset
-beside it, and the initiated subset is read off it where it is printed.
+the polarity of its first use, stored as ``Declaration.alphabet``.  Its
+observed events, those whose first use is not initiated, are what property 1
+restricts a port to; ``observed`` is the one place that rule lives, and the
+initiated subset is read off the dict where it is printed.
 The walk also maps each unscoped event name to its first user, declaration
 or where-local, where ``annotate`` reports a name the output cannot declare.
 One routine, ``compute_type_alphabet``, serves components and connectors
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from .model import (
     Alphabet,
-    AlphabetInfo,
     ArchSpec,
     Component,
     Connector,
@@ -84,13 +85,14 @@ def _union(parts: list[Alphabet]) -> Alphabet:
     return out
 
 
-def _info(total: Alphabet) -> AlphabetInfo:
-    return AlphabetInfo(total, {e: False for e, initiated in total.items() if not initiated})
+def observed(alphabet: Alphabet) -> Alphabet:
+    """The events of ``alphabet`` whose first use is not initiated, in order."""
+    return {e: False for e, initiated in alphabet.items() if not initiated}
 
 
 def compute_declaration_alphabet(
     decl: Declaration, event_names: dict[str, Declaration] | None = None
-) -> tuple[AlphabetInfo, list[Diagnostic]]:
+) -> tuple[Alphabet, list[Diagnostic]]:
     """Alphabet of a declaration body, then of each name it reaches through its
     locals, breadth-first.  The locals' ``alphabet`` fields are left as they are.
 
@@ -142,7 +144,7 @@ def compute_declaration_alphabet(
                     )
                 )
 
-    return _info(_union([own[m] for m in reach(refs, decl.name)])), diags
+    return _union([own[m] for m in reach(refs, decl.name)]), diags
 
 
 def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Declaration]) -> list[Diagnostic]:
@@ -157,34 +159,33 @@ def compute_type_alphabet(t: Component | Connector, event_names: dict[str, Decla
     for point in points:
         point.alphabet, d = compute_declaration_alphabet(point, event_names)
         diags.extend(d)
-    info, d = compute_declaration_alphabet(main, event_names)
+    alphabet, d = compute_declaration_alphabet(main, event_names)
     diags.extend(d)
     point_names = {p.name for p in points}
-    bad = [e for e in info.total if "." in e and e.partition(".")[0] not in point_names]
+    bad = [e for e in alphabet if "." in e and e.partition(".")[0] not in point_names]
     for e in bad:
         diags.append(Diagnostic("warning", main.pos, f"event '{e}' in {type(t).__name__.lower()} {t.name} names no "
                                 "declared interface point; removed from the alphabet"))
     if bad:
-        info = _info({e: i for e, i in info.total.items() if e not in bad})
-    main.alphabet = info
-    t.total_alphabet = info.total
+        alphabet = {e: i for e, i in alphabet.items() if e not in bad}
+    main.alphabet = t.total_alphabet = alphabet
     if type(t) is Component:
-        total = t.total_alphabet = dict(info.total)
+        total = t.total_alphabet = dict(alphabet)
         for point in points:
-            for e, initiated in point.alphabet.total.items():
+            for e, initiated in point.alphabet.items():
                 total.setdefault(f"{point.name}.{e}", initiated)  # the first use's polarity wins
-        if len(total) > len(info.total):
+        if len(total) > len(alphabet):
             diags.append(Diagnostic("warning", t.pos,
                                     "Ports really shouldn't have internal events. Consider this carefully."))
     else:
         diags += [Diagnostic("warning", role.pos, f"event '{role.name}.{e}' of role {role.name} is not in the glue of "
                              f"connector {t.name}, so the connector performs it unsynchronised")
-                  for role in points for e in role.alphabet.total if f"{role.name}.{e}" not in info.total]
+                  for role in points for e in role.alphabet if f"{role.name}.{e}" not in alphabet]
     return diags
 
 
 def annotate(spec: ArchSpec) -> list[Diagnostic]:
-    """Fill in alphabet info across the whole spec, and ``spec.event_names``;
+    """Fill in the alphabets across the whole spec, and ``spec.event_names``;
     returns diagnostics.  An event named like a port or a role, and an event,
     port or role named like a name the output defines or prints
     (``OUTPUT_NAMES``), is an error: they share CSPM's one namespace."""

@@ -138,13 +138,13 @@ def analyze(spec: ArchSpec, strict: bool = False) -> list[Diagnostic]:
             diags.extend(e for e in (left, right) if isinstance(e, Diagnostic))
             continue
         if left.kind is not DeclKind.PORT or right.kind is not DeclKind.ROLE:
-            diags.append(Diagnostic("error", att.pos, "***Attachement: Composant.Port as Connecteur.Role***", 5))
+            diags.append(Diagnostic("error", att.left.pos, "***Attachement: Composant.Port as Connecteur.Role***", 5))
             continue
         port, role = (att.left.instance, left.name), (att.right.instance, right.name)
         if port in attached:
-            diags.append(Diagnostic(sev, att.pos, "***Port deja relier***", 6))
+            diags.append(Diagnostic(sev, att.left.pos, "***Port deja relier***", 6))
         if role in attached:
-            diags.append(Diagnostic(sev, att.pos, "***Role deja relier***", 6))
+            diags.append(Diagnostic(sev, att.left.pos, "***Role deja relier***", 6))
         attached.update((port, role))
         att.port, att.role = left, right
 

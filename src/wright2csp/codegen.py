@@ -44,7 +44,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
-from .alphabets import OUTPUT_NAMES
+from .alphabets import OUTPUT_NAMES, observed
 from .engine import PExt, PHide, PPar, dfa_definitions, rename
 from .model import (
     EMPTY,
@@ -229,7 +229,7 @@ class _Out:
     def channel(self, point: Declaration, owner: Union[Component, Connector]) -> None:
         """``channel p: {...}``: the port's or role's own events, then every
         other value its owner's computation or glue uses under ``p``."""
-        values = dict.fromkeys(point.alphabet.total)
+        values = dict.fromkeys(point.alphabet)
         prefix = point.name + "."
         for n in owner.total_alphabet:
             if n.startswith(prefix):
@@ -309,7 +309,7 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
     out.line()
 
     for role in conn.roles:
-        out.alphas[id(role)] = out.alpha(role, "", list(role.alphabet.total))
+        out.alphas[id(role)] = out.alpha(role, "", list(role.alphabet))
         process = _emit_decl_equations(out, role, role.name, f"ROLE{role.name}")
         _deadlock_check(out, AssertionKind.ROLE_DEADLOCK_FREE, role, process)
         out.line()
@@ -322,7 +322,7 @@ def emit_connector(out: _Out, conn: Connector, in_configuration: bool) -> None:
     for i, role in enumerate(conn.roles):
         r, process = role.name, out.process(role)
         own = out.sets[out.alphas[id(role)]]
-        internal = sorted({f"{r}.{e}" for e in role.alphabet.total}.difference(conn.glue.alphabet.total))
+        internal = sorted({f"{r}.{e}" for e in role.alphabet}.difference(conn.glue.alphabet))
         opener = f"{name} = ( (" if i == 0 else "    ("
         out.line(f"{opener}{process}[[ x <- {r}.x | x <- {{{', '.join(own)} }} ]]")
         out.line(f"    [| diff({{|{r}|}}, {{ {', '.join(internal)}}}) |]")
@@ -348,12 +348,13 @@ def emit_component(out: _Out, comp: Component) -> None:
     comp_alpha = out.alpha(comp, "", list(comp.total_alphabet), bar=True)
     computation = _emit_decl_equations(out, comp.computation, comp.name, f"Computation{comp.name}")
     out.line("--Port Process")
-    renamed = []  # each port's ``…G`` name
+    renamed, observed_events = [], []  # each port's ``…G`` name and observed events
     for port in comp.ports:
         p = port.name
-        alpha = out.alphas[id(port)] = out.alpha(port, "", list(port.alphabet.total))
-        if port.alphabet.observed:
-            out.alpha(port, "I", [e for e, i in port.alphabet.total.items() if i])
+        alpha = out.alphas[id(port)] = out.alpha(port, "", list(port.alphabet))
+        observed_events.append(list(observed(port.alphabet)))
+        if observed_events[-1]:
+            out.alpha(port, "I", [e for e, i in port.alphabet.items() if i])
         else:
             out.line("-- no events observed!")
         process = _emit_decl_equations(out, port, p, f"PORT{p}")
@@ -372,18 +373,17 @@ def emit_component(out: _Out, comp: Component) -> None:
         _emit_decl_equations(out, restricted, port.name, form="DETR", source=port)
     out.line()
 
-    computation_events = comp.computation.alphabet.total
+    computation_events = comp.computation.alphabet
     comp_events = frozenset(out.sets[comp_alpha])
     for port, g in zip(comp.ports, renamed):
         p = port.name
         name = out.name(f"COMP{p}", p)
         first, pairs = f"{name} = (", []
-        for q in comp.ports:
+        for q, obs in zip(comp.ports, observed_events):
             if q is port:
                 continue
-            obs = list(q.alphabet.observed)
             scoped_obs = [f"{q.name}.{n}" for n in obs]
-            internal = sorted({f"{q.name}.{e}" for e in q.alphabet.total}.difference(computation_events))
+            internal = sorted({f"{q.name}.{e}" for e in q.alphabet}.difference(computation_events))
             restricted = out.process(q, "DETR")
             seg, term = f"( {restricted}", Ref(restricted)
             if obs:

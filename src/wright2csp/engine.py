@@ -52,7 +52,9 @@ a state is keyed by term equality, which ignores a prefix's polarity.
 
 Semantic conventions (the usual CSP ones):
   * references unfold through a tau step, so unguarded recursion shows up as
-    a tau cycle, i.e. divergence;
+    a tau cycle, i.e. divergence; the references among an external choice's
+    branches unfold together, by one tau to the choice with each replaced by
+    its body, and every other branch keeps its own moves;
   * termination is distributed: a parallel composition performs the success
     event only when both operands can;
   * a stable state that can terminate refuses any set of regular events but
@@ -209,12 +211,19 @@ def _step(term: ProcessExpr, env: Mapping[str, ProcessExpr]) -> tuple[list[str],
         return [TAU], [env[term.name]]
     if isinstance(term, InternalChoice):  # one tau to each branch of the run
         return [TAU] * len(term.branches), list(term.branches)
-    if isinstance(term, ExternalChoice):
+    if isinstance(term, ExternalChoice):  # its references unfold together, by one tau where the first stands
         events: list[str] = []
         nexts: list[ProcessExpr] = []
+        unfolded = False
         for branch in term.branches:
             if isinstance(branch, (PPar, PRename, PHide)):
                 raise EngineError(f"operator term directly under external choice: {branch!r}")
+            if type(branch) is Ref:
+                if not unfolded:
+                    unfolded = True
+                    events.append(TAU)
+                    nexts.append(PExt(*(_step(b, env)[1][0] if type(b) is Ref else b for b in term.branches)))
+                continue
             ev, nx = _step(branch, env)
             if TAU in ev:
                 rest = [b for b in term.branches if b is not branch]

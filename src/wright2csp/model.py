@@ -10,12 +10,14 @@ from the parser to the engine.  An event is its qualified name as a
 plain string (``read``, ``In.read``); a prefix also records whether its use
 is initiated (``_read``), but prefixes compare equal regardless.  An alphabet
 is an insertion-ordered ``dict`` from qualified name to the polarity of its
-first use, so generated output is reproducible run to run.  The alphabet
-fields of the structural records (``Declaration.alphabet``, a type's
-``total_alphabet``, a spec's ``event_names``) start empty: ``alphabets.annotate``
-is their only writer, and a where-local's stays None.  An attachment's ``port``
-and ``role`` start as None; ``analyzer.analyze`` is their only writer.  Every
-finding, from a parse warning to an emission warning, is one ``Diagnostic``.
+first use, so generated output is reproducible run to run; its observed
+events are the sub-dict ``alphabets.observed`` returns, and nothing stores
+them.  The alphabet fields of the structural records (``Declaration.alphabet``,
+a type's ``total_alphabet``, a spec's ``event_names``) start empty:
+``alphabets.annotate`` is their only writer, and a where-local's stays None.
+An attachment's ``port`` and ``role`` start as None; ``analyzer.analyze`` is
+their only writer.  Every finding, from a parse warning to an emission
+warning, is one ``Diagnostic``.
 
 The expression and structural classes are plain slotted classes with a
 written-out ``__init__``; ``slotted`` derives the ``repr``, equality and
@@ -196,18 +198,6 @@ Alphabet = dict[str, bool]
 
 
 @slotted(frozen=False)
-class AlphabetInfo:
-    """Total alphabet plus its observed subset: the events whose first use is
-    not initiated, which is what property 1 restricts a port to."""
-
-    __slots__ = ("total", "observed")
-
-    def __init__(self, total: Alphabet, observed: Alphabet) -> None:
-        self.total = total
-        self.observed = observed
-
-
-@slotted(frozen=False)
 class Declaration:
     __slots__ = ("kind", "name", "body", "locals", "pos", "alphabet")
 
@@ -218,7 +208,7 @@ class Declaration:
         self.body = body
         self.locals = [] if locals is None else locals
         self.pos = pos
-        self.alphabet: AlphabetInfo | None = None  # filled by alphabets.annotate; None on a where-local
+        self.alphabet: Alphabet | None = None  # filled by alphabets.annotate; None on a where-local
 
 
 @slotted(frozen=False)
@@ -280,12 +270,11 @@ class InterfaceRef:
 
 @slotted(frozen=False)
 class Attachment:
-    __slots__ = ("left", "right", "pos", "port", "role")
+    __slots__ = ("left", "right", "port", "role")
 
-    def __init__(self, left: InterfaceRef, right: InterfaceRef, pos: SourcePos = SourcePos()) -> None:
+    def __init__(self, left: InterfaceRef, right: InterfaceRef) -> None:
         self.left = left
         self.right = right
-        self.pos = pos
         # the port and role the two ends resolve to, filled by analyzer.analyze
         self.port: Declaration | None = None
         self.role: Declaration | None = None

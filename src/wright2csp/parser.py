@@ -365,7 +365,7 @@ class Parser:
             inst, point = values[k]  # type: ignore[misc]
             left = InterfaceRef(inst, point, pos_at(starts[k]))
             inst, point = values[k + 2]  # type: ignore[misc]
-            attachments.append(Attachment(left, InterfaceRef(inst, point, pos_at(starts[k + 2])), pos=left.pos))
+            attachments.append(Attachment(left, InterfaceRef(inst, point, pos_at(starts[k + 2]))))
             k += 3
         self.k = k
         return attachments

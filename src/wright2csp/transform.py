@@ -30,7 +30,7 @@ Empty wherever they stand; a declaration body that erases becomes SKIP.
 
 from __future__ import annotations
 
-from .alphabets import reach
+from .alphabets import observed, reach
 from .model import (
     Alphabet,
     Choice,
@@ -140,4 +140,4 @@ def restrict_to_observed(decl: Declaration) -> tuple[Declaration, list[Diagnosti
     """Project away the initiated events, keeping the observed behaviour."""
     if decl.alphabet is None:
         raise ValueError(f"alphabet of {decl.name} not computed")
-    return project_declaration(decl, decl.alphabet.observed)
+    return project_declaration(decl, observed(decl.alphabet))

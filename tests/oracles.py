@@ -330,9 +330,17 @@ def _reference_step(term: ProcessExpr, env, memo: dict) -> tuple[tuple[str, Proc
         out = [(TAU, env[term.name])]
     elif isinstance(term, InternalChoice):  # one tau to each branch of the run
         out = [(TAU, b) for b in term.branches]
-    elif isinstance(term, ExternalChoice):
+    elif isinstance(term, ExternalChoice):  # its references unfold together, by one tau where the first stands
         out = []
+        unfolded = None
+        if any(isinstance(b, Ref) for b in term.branches):
+            unfolded = PExt(*(_reference_step(b, env, memo)[0][1] if isinstance(b, Ref) else b for b in term.branches))
         for branch in term.branches:
+            if isinstance(branch, Ref):
+                if unfolded is not None:
+                    out.append((TAU, unfolded))
+                    unfolded = None
+                continue
             rest = [b for b in term.branches if b is not branch]
             for a, nxt in _reference_step(branch, env, memo):
                 if a == TAU:
@@ -1014,6 +1022,17 @@ def flat_choice_spec(external: int = 5000, internal: int = 300) -> str:
     return "\n".join(["Style Flat", "Component C", f"  Port P = {port} [] TICK", f"  Computation = {comp} [] TICK",
                       "Connector K", f"  Role R = {role} |~| TICK", f"  Glue = {glue} [] TICK",
                       "Constraints", "End Style", ""])
+
+
+def reference_choice_spec(n: int = 14) -> str:
+    """A lint-clean style whose one role is a flat ``[]`` choice of ``n``
+    where-local references and TICK, each local ``Li = ei -> R``, and whose
+    glue offers every event of the role.  Its two assertions pass."""
+    role = " [] ".join(f"L{i}" for i in range(n))
+    locals_ = [f"    L{i} = e{i} -> R" for i in range(n)]
+    glue = " [] ".join(f"R.e{i} -> Glue" for i in range(n))
+    return "\n".join(["Style Refs", "Connector K", f"  Role R = {role} [] TICK", "  where {", *locals_, "  }",
+                      f"  Glue = {glue} [] TICK", "Constraints", "End Style", ""])
 
 
 # --- renaming and trace helpers used only by tests ------------------------------

@@ -269,8 +269,8 @@ def test_criterion_8_alphabet_fidelity():
             computed[t.name] = set(t.total_alphabet)
             decls = t.ports if hasattr(t, "ports") else t.roles
             for d in decls:
-                computed[d.name] = set(d.alphabet.total)
-                computed[f"{d.name}.initiated"] = {e for e, i in d.alphabet.total.items() if i}
+                computed[d.name] = set(d.alphabet)
+                computed[f"{d.name}.initiated"] = {e for e, i in d.alphabet.items() if i}
         for key, want in expected.items():
             total += 1
             if computed.get(key) == want:

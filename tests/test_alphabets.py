@@ -19,8 +19,8 @@ def test_pipeconn_role_alphabets():
     spec = load_spec("pipeconn.wrt")
     pipe = spec.types[0]
     writer, reader = pipe.roles
-    assert names(writer.alphabet.total) == {"close", "write"}
-    assert names(reader.alphabet.total) == {"readEOF", "read", "close"}
+    assert names(writer.alphabet) == {"close", "write"}
+    assert names(reader.alphabet) == {"readEOF", "read", "close"}
     assert names(pipe.total_alphabet) == {
         "Reader.readEOF",
         "Reader.read",
@@ -34,8 +34,8 @@ def test_writer_has_no_role_internal_events():
     spec = load_spec("pipeconn.wrt")
     pipe = spec.types[0]
     writer = pipe.roles[0]
-    scoped = {f"Writer.{e}": i for e, i in writer.alphabet.total.items()}
-    internal = set_minus(scoped, pipe.glue.alphabet.total)
+    scoped = {f"Writer.{e}": i for e, i in writer.alphabet.items()}
+    internal = set_minus(scoped, pipe.glue.alphabet)
     assert len(internal) == 0
     assert "    [| diff({|Writer|}, { }) |]" in codegen.emit(spec).text.splitlines()
     # a role event the glue does not name is left out of the synchronisation,
@@ -53,10 +53,10 @@ def test_calcul_component_alphabet():
     calcul = spec.types[0]
     assert names(calcul.total_alphabet) == {"Out.close", "Out.write", "In.read", "In.close"}
     p_in, p_out = calcul.ports
-    assert names(p_in.alphabet.total) == {"close", "read"}
-    assert {e for e, i in p_in.alphabet.total.items() if i} == set()
-    assert names(p_out.alphabet.total) == {"close", "write"}
-    assert names(p_out.alphabet.observed) == set()  # both events initiated
+    assert names(p_in.alphabet) == {"close", "read"}
+    assert {e for e, i in p_in.alphabet.items() if i} == set()
+    assert names(p_out.alphabet) == {"close", "write"}
+    assert names(alphabets.observed(p_out.alphabet)) == set()  # both events initiated
 
 
 def test_dt3_connector_alphabet_is_glue_alphabet():
@@ -64,8 +64,8 @@ def test_dt3_connector_alphabet_is_glue_alphabet():
     ctype = spec.types[2]
     assert names(ctype.total_alphabet) == {"Target.c", "Origin.a"}
     origin, target = ctype.roles
-    assert names(origin.alphabet.total) == {"a"}
-    assert names(target.alphabet.total) == {"c"}
+    assert names(origin.alphabet) == {"a"}
+    assert names(target.alphabet) == {"c"}
 
 
 def test_alphabet_invariant_under_local_permutation():
@@ -87,7 +87,7 @@ End Style"""
     for text in (a, b):
         spec, _ = parse_source(text)
         alphabets.annotate(spec)
-        outs.append(names(spec.types[0].roles[0].alphabet.total))
+        outs.append(names(spec.types[0].roles[0].alphabet))
     assert outs[0] == outs[1] == {"read", "readEOF", "close"}
 
 
@@ -114,18 +114,20 @@ def test_closure_alphabet_matches_brute_force_walk():
         for t in spec.types:
             decls = t.ports + [t.computation] if hasattr(t, "ports") else t.roles + [t.glue]
             for d in decls:
-                info, diags = compute_declaration_alphabet(d)
+                alphabet, diags = compute_declaration_alphabet(d)
                 assert not diags
-                assert names(info.total) == brute_force_alphabet(d)
+                assert names(alphabet) == brute_force_alphabet(d)
 
 
 def test_initiated_observed_partition():
     spec = load_spec("double.wrt")
     for port in spec.types[0].ports:
         a = port.alphabet
-        initiated = {e for e, i in a.total.items() if i}
-        assert initiated | names(a.observed) == names(a.total)
-        assert initiated & names(a.observed) == set()
+        initiated, observed = {e for e, i in a.items() if i}, alphabets.observed(a)
+        assert initiated | names(observed) == names(a)
+        assert initiated & names(observed) == set()
+        # the observed events keep the alphabet's order and their polarity
+        assert list(observed.items()) == [(e, False) for e, i in a.items() if not i]
 
 
 def test_unresolved_reference_is_an_error():
@@ -147,7 +149,7 @@ def test_unknown_port_prefix_is_diagnosed_and_removed():
     assert any("In.fail" in d.message and d.severity == "warning" for d in diags)
     comp = spec.types[0]
     assert "In.fail" not in names(comp.total_alphabet)
-    assert "In.fail" not in names(comp.computation.alphabet.total)
+    assert "In.fail" not in names(comp.computation.alphabet)
 
 
 def test_port_internal_events_warning():
@@ -224,16 +226,16 @@ def test_alphabet_walk_matches_closure_oracle_on_random_relations():
     for _ in range(600):
         decl = random_declaration(rng, rng.randrange(8))
         event_names = {}
-        info, diags = compute_declaration_alphabet(decl, event_names)
+        alphabet, diags = compute_declaration_alphabet(decl, event_names)
         expected = reference_alphabets(decl)
-        assert list(info.total.items()) == list(expected["D"].items()), decl
+        assert list(alphabet.items()) == list(expected["D"].items()), decl
         last = {loc.name: loc for loc in decl.locals}
         for loc in last.values():
             assert loc.alphabet is None
-            total = compute_declaration_alphabet(rerooted(decl, loc))[0].total
+            total = compute_declaration_alphabet(rerooted(decl, loc))[0]
             assert list(total.items()) == list(expected[loc.name].items()), decl
-        assert {e: i for e, i in info.total.items() if i} == {e: True for e, i in expected["D"].items() if i}
-        assert info.observed == {e: False for e, i in expected["D"].items() if not i}
+        assert {e: i for e, i in alphabet.items() if i} == {e: True for e, i in expected["D"].items() if i}
+        assert alphabets.observed(alphabet) == {e: False for e, i in expected["D"].items() if not i}
         bodies = [decl.body] + [loc.body for loc in decl.locals]
         unscoped = [p.event.rpartition(".")[2] for b in bodies for p in walk_events(b)]
         assert list(event_names) == list(dict.fromkeys(unscoped))
@@ -252,12 +254,12 @@ def test_declaration_alphabet_follows_references_breadth_first():
         "    L5 = l5 -> (L2 [] L4)\n    L6 = l6 -> L4\n  }\n  Glue = TICK\nConstraints\nEnd Style"
     )
     role = spec.types[0].roles[0]
-    info, diags = compute_declaration_alphabet(role)
+    alphabet, diags = compute_declaration_alphabet(role)
     assert diags == []
-    assert list(info.total) == ["d", "l5", "l2", "l4", "l3", "l1", "l6"]
+    assert list(alphabet) == ["d", "l5", "l2", "l4", "l3", "l1", "l6"]
     l6 = role.locals[5]
     assert l6.alphabet is None
-    assert list(compute_declaration_alphabet(rerooted(role, l6))[0].total) == ["l6", "l4", "l1", "d", "l5", "l2", "l3"]
+    assert list(compute_declaration_alphabet(rerooted(role, l6))[0]) == ["l6", "l4", "l1", "d", "l5", "l2", "l3"]
 
 
 def test_annotate_searches_once_per_declaration_not_per_where_local(monkeypatch):

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN, fixture_path, golden_matches, perfbench_workloads
-from oracles import flat_choice_spec, token_mutants, wide_component_spec
+from oracles import flat_choice_spec, reference_choice_spec, token_mutants, wide_component_spec
 from wright2csp import alphabets, analyzer, codegen
 from wright2csp.cli import main
+from wright2csp.engine import compile_to_lts
 from wright2csp.parser import MAX_NESTING, ParseError, parse_source
 
 
@@ -546,6 +547,22 @@ def test_check_decides_flat_choices_far_longer_than_the_nesting_limit(tmp_path, 
     code, stdout, _ = run(capsys, "check", str(path))
     assert code == 0
     assert stdout.splitlines() == ["PASS  assert PG [FD= COMPP", "PASS  assert DFA [FD= RA", "PASS  assert DFA [FD= KA"]
+
+
+def test_check_decides_a_role_whose_choice_holds_many_references(tmp_path, capsys):
+    # the where-local references of a [] run unfold together, by one tau: the
+    # role and the connector have as many states with 14 references as with 2
+    for n in (2, 14):
+        spec, _ = parse_source(reference_choice_spec(n))
+        assert not analyzer.analyze(spec) + alphabets.annotate(spec)
+        plan = codegen.emit(spec)
+        sizes = [compile_to_lts(a.impl_term, plan.definitions).n_states for a in plan.assertions]
+        assert sizes == [5, 9], n
+    path = tmp_path / "refs.wrt"
+    path.write_text(reference_choice_spec(14))
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert stdout.splitlines() == ["PASS  assert DFA [FD= RA", "PASS  assert DFA [FD= KA"]
 
 
 def test_check_exits_quietly_when_stdout_closes_early(tmp_path):

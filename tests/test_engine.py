@@ -1086,6 +1086,63 @@ def test_a_hand_built_external_choice_is_an_engine_term():
     assert not check_assertion(written, ExternalChoice((a, x)), env).holds
 
 
+def test_the_references_of_an_external_choice_unfold_with_one_tau():
+    # the tau stands where the first reference does; the other branches keep their moves
+    env = {"X": Prefix("c", Ref("X")), "Y": Prefix("d", EMPTY)}
+    term = ExternalChoice((Prefix("a", EMPTY), Ref("Y"), Prefix("b", EMPTY), Ref("X")))
+    assert _compiled_as_reference(term, env)[:4] == [(0, "a", 1), (0, TAU, 2), (0, "b", 1), (2, "a", 1)]
+    # 14 references to prefixes: the choice, its unfolding and STOP, not one state per subset unfolded
+    refs = ExternalChoice(tuple(Ref(f"L{i}") for i in range(14)))
+    env = {f"L{i}": Prefix(f"e{i}", EMPTY) for i in range(14)}
+    assert compile_to_lts(refs, env).n_states == 3
+    assert check_assertion(refs, PExt(*env.values()), env).holds
+
+
+def _retargeted(expr, rng, names):
+    """``expr`` with each reference pointed at a name drawn from ``names``."""
+    cls = type(expr)
+    if cls is Ref:
+        return Ref(rng.choice(names))
+    if cls is Prefix:
+        return Prefix(expr.event, _retargeted(expr.rest, rng, names))
+    if cls is ExternalChoice or cls is InternalChoice:
+        return cls(tuple(_retargeted(b, rng, names) for b in expr.branches))
+    return expr
+
+
+def test_a_choice_of_references_is_failures_divergences_equal_to_its_bodies():
+    # unfolding every reference at once keeps the choice's behaviour: the same
+    # choice with each reference replaced by its body has the same traces,
+    # failures and divergence; the bodies recurse through each other, unguarded too
+    from wright2csp.codegen import process_term
+
+    rng = random.Random(41)
+    alphabet = frozenset("abc")
+    compared = divergent = 0
+    for _ in range(300):
+        names = [f"N{i}" for i in range(rng.randint(1, 4))]
+        env = {n: _retargeted(process_term(random_expr(rng, max_ops=4), {}), rng, names) for n in names}
+        branches = [Ref(rng.choice(names)) for _ in range(rng.randint(2, 4))]
+        branches += [_retargeted(process_term(random_expr(rng, max_ops=2), {}), rng, names)
+                     for _ in range(rng.randrange(3))]
+        rng.shuffle(branches)
+        choice = ExternalChoice(tuple(branches))
+        bodies = ExternalChoice(tuple(env[b.name] if type(b) is Ref else b for b in branches))
+        try:
+            refs_lts, bodies_lts = compile_to_lts(choice, env, 400), compile_to_lts(bodies, env, 400)
+        except ResourceLimitError:
+            continue
+        assert _compiled(compile_to_lts, choice, env) == _compiled(reference_compile, choice, env)
+        assert brute_refines(refs_lts, bodies_lts, 4, alphabet), choice
+        assert brute_refines(bodies_lts, refs_lts, 4, alphabet), choice
+        assert traces(refs_lts, 5) == traces(bodies_lts, 5), choice
+        diverges = brute_divergent(refs_lts)[refs_lts.initial]
+        assert diverges == brute_divergent(bodies_lts)[bodies_lts.initial], choice
+        compared += 1
+        divergent += diverges
+    assert compared >= 280 and 100 <= divergent <= compared - 100, (compared, divergent)
+
+
 def test_an_internal_choice_run_takes_one_tau_to_each_branch():
     # in written order; the chain the text prints, ((a |~| b) |~| c), has one
     # state more, for its inner run

@@ -48,10 +48,10 @@ def test_prefix_equality_ignores_polarity():
 
 def test_alphabet_first_use_wins_and_order_is_stable():
     decl = Declaration(DeclKind.ROLE, "R", chain(["_a", "b", "a"], Ref("R")))
-    info, diags = compute_declaration_alphabet(decl)
-    assert list(info.total.items()) == [("a", True), ("b", False)]
-    assert {e: i for e, i in info.total.items() if i} == {"a": True}
-    assert info.observed == {"b": False}
+    alphabet, diags = compute_declaration_alphabet(decl)
+    assert list(alphabet.items()) == [("a", True), ("b", False)]
+    assert {e: i for e, i in alphabet.items() if i} == {"a": True}
+    assert alphabets.observed(alphabet) == {"b": False}
     assert [d.severity for d in diags] == ["warning"]
 
 
@@ -63,8 +63,8 @@ def test_set_union_examples():
     # a component's alphabet is this union: the computation's events, then
     # each port's scoped events, in port order
     comp = load_spec("double.wrt").types[0]
-    parts = [comp.computation.alphabet.total]
-    parts += [{f"{p.name}.{e}": i for e, i in p.alphabet.total.items()} for p in comp.ports]
+    parts = [comp.computation.alphabet]
+    parts += [{f"{p.name}.{e}": i for e, i in p.alphabet.items()} for p in comp.ports]
     expected = parts[0]
     for part in parts[1:]:
         expected = set_union(expected, part)
@@ -74,7 +74,7 @@ def test_set_union_examples():
 def test_set_union_calculformule_port_alphabets():
     # ALPHA_In and ALPHA_Out combine to the three base events, polarity-blind
     p_in, p_out = load_spec("calculformule.wrt").types[0].ports
-    assert set(set_union(p_in.alphabet.total, p_out.alphabet.total)) == {"close", "read", "write"}
+    assert set(set_union(p_in.alphabet, p_out.alphabet)) == {"close", "read", "write"}
 
 
 def test_set_minus_examples():
@@ -88,7 +88,7 @@ def test_set_minus_examples():
         "Constraints\nEnd Style"
     )
     alphabets.annotate(spec)
-    total = spec.types[0].computation.alphabet.total
+    total = spec.types[0].computation.alphabet
     assert list(total.items()) == [("P.a", False), ("P.b", True)]
 
 
@@ -168,9 +168,9 @@ def test_relation_compose_examples():
     assert relation_compose(p2p, p2e)["Reader"] == out["Reader"]
     # the same role as a declaration: the walk gives the same ordered alphabet
     reader = load_spec("pipeconn.wrt").types[0].roles[1]
-    info, _ = compute_declaration_alphabet(reader)
-    assert list(info.total.items()) == list(reference_alphabets(reader)[reader.name].items())
-    assert set(info.total) == set(out["Reader"])
+    alphabet, _ = compute_declaration_alphabet(reader)
+    assert list(alphabet.items()) == list(reference_alphabets(reader)[reader.name].items())
+    assert set(alphabet) == set(out["Reader"])
 
 
 def test_point_alphabets_are_scoped_by_a_name_prefix():
@@ -184,7 +184,7 @@ def test_point_alphabets_are_scoped_by_a_name_prefix():
     alphabets.annotate(spec)
     comp = spec.types[0]
     assert list(comp.total_alphabet.items()) == [("In.a", False), ("Out.c", True), ("In.b", False)]
-    assert list(comp.ports[0].alphabet.total) == ["a", "b"]
+    assert list(comp.ports[0].alphabet) == ["a", "b"]
     # the consistency check for Out runs In's observed events under In's name
     # and excludes from the synchronisation the one the computation leaves out
     assert "  [| diff({In.a, In.b}, { In.b}) |]" in codegen.emit(spec).text.splitlines()

@@ -186,7 +186,10 @@ def test_parse_results_are_pinned():
     # repr gives the digest of before, 17fe3d2e...e8079.  Retaken again when a
     # choice came to hold its run of branches: printing each choice as the
     # left fold ``ExternalChoice(left=ExternalChoice(left=b1, right=b2),
-    # right=b3)`` of its branches gives the digest of before, b8cc2199...3a3f
+    # right=b3)`` of its branches gives the digest of before, b8cc2199...3a3f.
+    # Retaken when an attachment dropped its ``pos``, always its left end's:
+    # printing ", pos=" and the left end's position before ", port=" in
+    # every attachment's repr gives the digest of before, f68e179a...e94c
     workloads = perfbench_workloads()
     sources = [path.read_text() for path in sorted(FIXTURES.glob("*.wrt"))]
     sources += [workloads.pipeline_case(5, "t", fail).source for fail in (False, True)]
@@ -195,7 +198,7 @@ def test_parse_results_are_pinned():
     digest = hashlib.sha256()
     for text in sources:
         digest.update(_parse_outcome(text).encode() + b"\0")
-    assert digest.hexdigest() == "f68e179a2b6a0d03b10397d39c682d367f481febbf2c211de000411c8df8e94c"
+    assert digest.hexdigest() == "49a7e54843df2da42282158dcce9f9fe27395bde730fcd034e056ce90b6c5149"
 
 
 def test_parse_dt1_structure():

@@ -31,7 +31,6 @@ from wright2csp.engine import (
 from wright2csp.model import (
     EMPTY,
     SUCCESS,
-    AlphabetInfo,
     Attachment,
     Component,
     Configuration,
@@ -82,11 +81,6 @@ VALUES = [
 # (record built positionally, the same record built by keyword, its exact repr)
 RECORDS = [
     (
-        AlphabetInfo({"a": True}, {}),
-        AlphabetInfo(total={"a": True}, observed={}),
-        "AlphabetInfo(total={'a': True}, observed={})",
-    ),
-    (
         Declaration(DeclKind.PORT, "In", Ref("In")),
         Declaration(kind=DeclKind.PORT, name="In", body=Ref("In")),
         f"Declaration(kind=<DeclKind.PORT: 'Port'>, name='In', body=Ref(name='In'), locals=[], {NO_POS}, alphabet=None)",
@@ -118,7 +112,7 @@ RECORDS = [
         Attachment(InterfaceRef("c", "In"), InterfaceRef("k", "R")),
         Attachment(left=InterfaceRef("c", "In"), right=InterfaceRef("k", "R")),
         f"Attachment(left=InterfaceRef(instance='c', point='In', {NO_POS}), "
-        f"right=InterfaceRef(instance='k', point='R', {NO_POS}), {NO_POS}, port=None, role=None)",
+        f"right=InterfaceRef(instance='k', point='R', {NO_POS}), port=None, role=None)",
     ),
     (
         Configuration("Cfg", [], [], []),
